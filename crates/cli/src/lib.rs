@@ -1030,7 +1030,20 @@ fn cmd_dot(flags: &Flags) -> Result<String, CliError> {
 mod tests {
     use super::*;
 
+    // Commands record into the process-global obs registry, and every
+    // --emit-metrics run resets it, so a test that asserts on an
+    // exported snapshot runs its command alone (`run_alone`); every
+    // other command holds the gate shared.
+    static METRICS_GATE: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
     fn run_str(args: &[&str]) -> Result<String, CliError> {
+        let _shared = METRICS_GATE.read().unwrap_or_else(|e| e.into_inner());
+        let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        run(&owned)
+    }
+
+    fn run_alone(args: &[&str]) -> Result<String, CliError> {
+        let _alone = METRICS_GATE.write().unwrap_or_else(|e| e.into_inner());
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         run(&owned)
     }
@@ -1175,18 +1188,13 @@ mod tests {
         assert!(content.contains("mobile CPU"));
     }
 
-    // Every --emit-metrics run resets the process-global registry, so
-    // tests that snapshot metrics must not overlap.
-    static METRICS_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn plan_emit_trace_and_metrics() {
-        let _gate = METRICS_GATE.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join("mcdnn-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let trace = dir.join("unified.trace.json");
         let metrics = dir.join("metrics.json");
-        let out = run_str(&[
+        let out = run_alone(&[
             "plan", "--model", "alexnet", "--bandwidth", "18.88", "--jobs", "10",
             "--emit-trace", trace.to_str().unwrap(),
             "--emit-metrics", metrics.to_str().unwrap(),
@@ -1350,11 +1358,10 @@ mod tests {
 
     #[test]
     fn chaos_emit_metrics_exports_frontier_and_arena_counters() {
-        let _gate = METRICS_GATE.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join("mcdnn-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let metrics = dir.join("chaos.metrics.json");
-        let out = run_str(&[
+        let out = run_alone(&[
             "chaos", "--model", "alexnet", "--bandwidth", "18.88", "--seed", "7",
             "--emit-metrics", metrics.to_str().unwrap(),
         ])
@@ -1468,11 +1475,10 @@ mod tests {
 
     #[test]
     fn serve_emit_metrics_exports_serving_counters() {
-        let _gate = METRICS_GATE.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join("mcdnn-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let metrics = dir.join("serve.metrics.json");
-        let out = run_str(&[
+        let out = run_alone(&[
             "serve", "--users", "5", "--bursts", "12", "--fault-every", "4",
             "--emit-metrics", metrics.to_str().unwrap(),
         ])
@@ -1514,11 +1520,10 @@ mod tests {
 
     #[test]
     fn serve_slo_emit_metrics_exports_sched_counters() {
-        let _gate = METRICS_GATE.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join("mcdnn-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let metrics = dir.join("slo.metrics.json");
-        let out = run_str(&[
+        let out = run_alone(&[
             "serve", "--slo", "--users", "4", "--bursts", "20", "--overload", "3",
             "--emit-metrics", metrics.to_str().unwrap(),
         ])
@@ -1580,11 +1585,10 @@ mod tests {
 
     #[test]
     fn serve_slo_cloud_metrics_export_cloud_counters() {
-        let _gate = METRICS_GATE.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join("mcdnn-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let metrics = dir.join("slo.cloud.metrics.json");
-        let out = run_str(&[
+        let out = run_alone(&[
             "serve", "--slo", "--users", "6", "--bursts", "12", "--cloud-servers", "1",
             "--emit-metrics", metrics.to_str().unwrap(),
         ])

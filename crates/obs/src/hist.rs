@@ -1,13 +1,96 @@
 //! Fixed-bucket histograms.
 //!
 //! Buckets are fixed at compile time — powers of two from 1 µs to
-//! ~134 s — so recording is a branch-free index computation and two
-//! integer increments, and merging or exporting never rebalances
-//! anything. Values above the last bound land in an overflow bucket.
+//! ~134 s — so recording reads the bucket off the value's float
+//! exponent and updates a few words, and merging or exporting never
+//! rebalances anything.
+//! Values above the last bound land in an overflow bucket.
+//!
+//! The registry keeps each histogram as a block of `u64` words in a
+//! thread's slab (bucket counts, overflow, count, and the bits of
+//! sum/min/max); the crate-private `observe_words`, `merge_words` and
+//! `Histogram::from_words` are the one definition of that layout.
+
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Number of finite buckets; bucket `i` covers values
 /// `<= 0.001 * 2^i` ms (1 µs, 2 µs, …, ~134 s).
 pub const BUCKETS: usize = 28;
+
+/// Words one histogram takes in a slab.
+pub(crate) const WORDS: usize = BUCKETS + 5;
+/// Word offsets after the bucket counts. `OVERFLOW == BUCKETS`, so
+/// [`bucket_index`]'s "past every bound" answer indexes it directly.
+const OVERFLOW: usize = BUCKETS;
+const COUNT: usize = BUCKETS + 1;
+const SUM: usize = BUCKETS + 2;
+const MIN: usize = BUCKETS + 3;
+const MAX: usize = BUCKETS + 4;
+
+/// Initial value of word `k` of an empty histogram: zero, except the
+/// min and max bits (±infinity).
+pub(crate) fn empty_word(k: usize) -> u64 {
+    match k {
+        MIN => f64::INFINITY.to_bits(),
+        MAX => f64::NEG_INFINITY.to_bits(),
+        _ => 0,
+    }
+}
+
+/// Negative and non-finite observations read as 0 — observability must
+/// not panic in production paths.
+fn clamp(value_ms: f64) -> f64 {
+    if value_ms.is_finite() && value_ms > 0.0 {
+        value_ms
+    } else {
+        0.0
+    }
+}
+
+/// First finite bucket whose bound covers `v` (`v` clamped), or
+/// [`BUCKETS`] — the overflow slot — when none does: `ceil(log2(v *
+/// 1000))` read off the float's exponent, clamped. It is exact because
+/// `0.001 * 1000` rounds to exactly 1, so each bound times 1000 is
+/// exactly its power of two while the next double above a bound lands
+/// past it. Both sides are monotone in `v`, so checking every bound and
+/// its neighbouring doubles (the `bucket_index_matches_a_linear_scan`
+/// test) checks every input.
+#[inline]
+fn bucket_index(v: f64) -> usize {
+    let r = (v * 1000.0).to_bits();
+    let exponent = ((r >> 52) & 0x7ff) as i64 - 1023;
+    let exact_power = r & ((1 << 52) - 1) == 0;
+    (exponent + i64::from(!exact_power)).clamp(0, BUCKETS as i64) as usize
+}
+
+/// Record one observation into histogram words owned by the calling
+/// thread: a relaxed load and store per word, no read-modify-write.
+#[inline]
+pub(crate) fn observe_words(w: &[AtomicU64], value_ms: f64) {
+    let v = clamp(value_ms);
+    let bump = |k: usize| w[k].store(w[k].load(Relaxed) + 1, Relaxed);
+    bump(bucket_index(v));
+    bump(COUNT);
+    let sum = f64::from_bits(w[SUM].load(Relaxed)) + v;
+    w[SUM].store(sum.to_bits(), Relaxed);
+    if v < f64::from_bits(w[MIN].load(Relaxed)) {
+        w[MIN].store(v.to_bits(), Relaxed);
+    }
+    if v > f64::from_bits(w[MAX].load(Relaxed)) {
+        w[MAX].store(v.to_bits(), Relaxed);
+    }
+}
+
+/// Fold histogram words `src(k)` into `dst` (same layout).
+pub(crate) fn merge_words(dst: &mut [u64], src: impl Fn(usize) -> u64) {
+    for (k, d) in dst.iter_mut().enumerate().take(COUNT + 1) {
+        *d += src(k);
+    }
+    let f = |bits: u64| f64::from_bits(bits);
+    dst[SUM] = (f(dst[SUM]) + f(src(SUM))).to_bits();
+    dst[MIN] = f(dst[MIN]).min(f(src(MIN))).to_bits();
+    dst[MAX] = f(dst[MAX]).max(f(src(MAX))).to_bits();
+}
 
 /// A fixed-bucket histogram of millisecond observations.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,18 +151,28 @@ impl Histogram {
         }
     }
 
+    /// A histogram from its slab words (see [`WORDS`]).
+    pub(crate) fn from_words(w: &[u64]) -> Histogram {
+        let mut counts = [0; BUCKETS];
+        counts.copy_from_slice(&w[..BUCKETS]);
+        Histogram {
+            counts,
+            overflow: w[OVERFLOW],
+            count: w[COUNT],
+            sum_ms: f64::from_bits(w[SUM]),
+            min_ms: f64::from_bits(w[MIN]),
+            max_ms: f64::from_bits(w[MAX]),
+        }
+    }
+
     /// Record one observation (ms). Negative and non-finite values are
     /// clamped to 0 rather than rejected — observability must not
     /// panic in production paths.
     pub fn observe(&mut self, value_ms: f64) {
-        let v = if value_ms.is_finite() && value_ms > 0.0 {
-            value_ms
-        } else {
-            0.0
-        };
-        match (0..BUCKETS).find(|&i| v <= bucket_upper_ms(i)) {
-            Some(i) => self.counts[i] += 1,
-            None => self.overflow += 1,
+        let v = clamp(value_ms);
+        match bucket_index(v) {
+            OVERFLOW => self.overflow += 1,
+            i => self.counts[i] += 1,
         }
         self.count += 1;
         self.sum_ms += v;
@@ -200,6 +293,43 @@ mod tests {
     }
 
     #[test]
+    fn slab_words_match_the_plain_histogram() {
+        // Two "threads" observe disjoint halves into their own words;
+        // the merged words rebuild exactly the histogram one thread
+        // observing everything would hold. Dyadic values keep every
+        // partial sum exact in either order.
+        let values = [
+            0.0,
+            0.000_976_562_5,
+            0.001_953_125,
+            0.75,
+            3.0,
+            1e9,
+            -2.0,
+            f64::NAN,
+            12.5,
+        ];
+        let slab = |vals: &[f64]| {
+            let w: Vec<AtomicU64> = (0..WORDS).map(|k| AtomicU64::new(empty_word(k))).collect();
+            for &v in vals {
+                observe_words(&w, v);
+            }
+            w
+        };
+        let (a, b) = (slab(&values[..4]), slab(&values[4..]));
+        let mut merged: Vec<u64> = (0..WORDS).map(empty_word).collect();
+        merge_words(&mut merged, |k| a[k].load(Relaxed));
+        merge_words(&mut merged, |k| b[k].load(Relaxed));
+        let mut plain = Histogram::new();
+        for &v in &values {
+            plain.observe(v);
+        }
+        assert_eq!(Histogram::from_words(&merged), plain);
+        let empty: Vec<u64> = (0..WORDS).map(empty_word).collect();
+        assert_eq!(Histogram::from_words(&empty), Histogram::new());
+    }
+
+    #[test]
     fn observe_tracks_stats() {
         let mut h = Histogram::new();
         h.observe(0.5);
@@ -210,6 +340,30 @@ mod tests {
         assert_eq!(h.min_ms(), 0.5);
         assert_eq!(h.max_ms(), 8.0);
         assert!((h.mean_ms() - 3.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn bucket_index_matches_a_linear_scan() {
+        let scan = |v: f64| {
+            (0..BUCKETS)
+                .find(|&i| v <= bucket_upper_ms(i))
+                .unwrap_or(BUCKETS)
+        };
+        let mut values = vec![0.0, 1e-300, 5e-324, 1e300, f64::MAX];
+        for i in 0..BUCKETS {
+            let b = bucket_upper_ms(i);
+            let (below, above) = (
+                f64::from_bits(b.to_bits() - 1),
+                f64::from_bits(b.to_bits() + 1),
+            );
+            values.extend([b, below, above, b * 0.75, b * 1.5]);
+        }
+        for k in 0..36_000 {
+            values.push(1.0007f64.powi(k) * 1e-4);
+        }
+        for v in values {
+            assert_eq!(bucket_index(v), scan(v), "v={v:e}");
+        }
     }
 
     #[test]

@@ -91,6 +91,7 @@ pub fn escape(s: &str) -> String {
 /// trailing garbage is an error.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -104,6 +105,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -220,13 +222,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences
-                    // pass through unchanged).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "non-utf8 string".to_string())?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash as
+                    // one slice: both are ASCII, so the run ends on a
+                    // char boundary and multi-byte text passes through.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -339,5 +343,39 @@ mod tests {
     fn unicode_passthrough() {
         let v = parse("\"héllo — ∑\"").unwrap();
         assert_eq!(v.as_str(), Some("héllo — ∑"));
+    }
+
+    #[test]
+    fn every_escape_and_multibyte_text_round_trip() {
+        // Every short escape, `\u` control escapes, the solidus, and
+        // 2-, 3- and 4-byte UTF-8 around and between them.
+        let text = "q\"b\\s/n\nr\rt\tc\u{1}\u{1f}é—∑😀\u{8}\u{c}end";
+        let doc = format!("\"{}\"", escape(text));
+        assert_eq!(parse(&doc).unwrap(), Json::Str(text.to_string()));
+        let raw = r#""\"\\\/\b\f\n\r\t\u00e9\u2014x😀""#;
+        assert_eq!(
+            parse(raw).unwrap(),
+            Json::Str("\"\\/\u{8}\u{c}\n\r\té—x😀".to_string())
+        );
+        let nested = format!("{{\"k—{}\":[\"{}\"]}}", escape(text), escape(text));
+        let v = parse(&nested).unwrap();
+        let key = format!("k—{text}");
+        let first = &v.get(&key).unwrap().as_array().unwrap()[0];
+        assert_eq!(first.as_str(), Some(text));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 64 KiB of 2- and 3-byte characters in one string: a parser
+        // that re-validates the rest of the document per character
+        // takes seconds here.
+        let text = "é∑".repeat(64 * 1024 / 5);
+        assert!(text.len() >= 60 * 1024);
+        let doc = format!("[\"{text}\", \"{text}\\n\"]");
+        let started = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        let took = started.elapsed();
+        assert_eq!(v.as_array().unwrap()[0].as_str(), Some(text.as_str()));
+        assert!(took.as_secs_f64() < 0.5, "64 KiB string took {took:?}");
     }
 }

@@ -1,10 +1,13 @@
 //! Lightweight spans: scoped intervals on the process monotonic clock.
 //!
 //! A [`Span`] is an RAII guard: it notes the current [`Instant`] when
-//! created and records a [`SpanRecord`] into the registry when dropped.
-//! While the registry is disabled, [`span`] returns an inert guard — no
-//! clock read, no lock, no allocation — so spans can stay in hot paths
-//! permanently.
+//! created and records a [`SpanRecord`] into the registry's bounded
+//! span buffer when dropped. While the registry is disabled, [`span`]
+//! returns an inert guard — no clock read, no lock, no allocation.
+//! Enabled, a span costs two clock reads and a lock, so spans mark
+//! coarse phases (a plan, an executor run, a chaos grid), never a
+//! per-burst or per-request step; those are counted through
+//! [`crate::metrics`].
 
 use std::time::Instant;
 
@@ -29,6 +32,8 @@ pub fn span(cat: &'static str, name: &'static str) -> Span {
     if !registry::enabled() {
         return Span { live: None };
     }
+    // Fix the clock origin first, so no span starts before it.
+    registry::clock_origin();
     Span {
         live: Some(Live {
             cat,
@@ -48,8 +53,8 @@ impl Drop for Span {
         if !registry::enabled() {
             return;
         }
-        let epoch = registry::global().epoch;
-        let ts_us = live.start.duration_since(epoch).as_secs_f64() * 1e6;
+        let origin = registry::clock_origin();
+        let ts_us = live.start.duration_since(origin).as_secs_f64() * 1e6;
         let dur_us = live.start.elapsed().as_secs_f64() * 1e6;
         registry::record_span(SpanRecord {
             cat: live.cat,

@@ -1,23 +1,37 @@
-//! Proof that disabled instrumentation is allocation-free.
+//! Proof that recording is allocation-free once warm, with the registry
+//! disabled and enabled.
 //!
 //! A counting global allocator (no external crates — a thin wrapper
-//! over `System` with an atomic counter) measures heap allocations
-//! around the span/counter/histogram fast paths with the registry
-//! disabled. The whole check lives in one test function because the
-//! allocator and the enabled flag are process-global.
+//! over `System`) counts the heap allocations of the calling thread
+//! only, in a `const` thread-local, so allocations made by other test
+//! threads never land in a measured window. Both cases live in one test
+//! function because the enabled flag is process-global.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+
+use mcdnn_obs::metrics;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made by the calling thread so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 // SAFETY: delegates directly to `System`; the counter has no effect on
 // allocation behaviour.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -26,7 +40,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -35,28 +49,40 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
-fn disabled_span_fast_path_allocates_nothing() {
-    // Force the registry into existence (its lazy init allocates) and
-    // disable it before measuring.
+fn warm_recording_allocates_nothing_enabled_or_disabled() {
+    // Warm up with recording on: the first record allocates this
+    // thread's slab, and the first span sizes the span buffer.
     mcdnn_obs::set_enabled(true);
-    mcdnn_obs::counter_add("alloc.warmup", 1);
+    metrics::RUNTIME_JOBS.add(1);
+    metrics::SCHED_LATENCY_MS.observe(0.5);
     {
         let _s = mcdnn_obs::span("alloc", "warmup");
     }
-    mcdnn_obs::set_enabled(false);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    // Enabled: 10k warm counter adds and histogram observations.
+    let before = allocations();
+    for i in 0..10_000u32 {
+        metrics::RUNTIME_JOBS.add(1);
+        metrics::SCHED_LATENCY_MS.observe(f64::from(i) * 0.01);
+    }
+    let enabled = allocations() - before;
+    assert_eq!(
+        mcdnn_obs::thread_counter_value("runtime.jobs"),
+        10_001,
+        "every warm add landed in this thread's slab"
+    );
+
+    // Disabled: spans, counters and histograms all return at once.
+    mcdnn_obs::set_enabled(false);
+    let before = allocations();
     for _ in 0..10_000 {
         let _s = mcdnn_obs::span("alloc", "fast-path");
-        mcdnn_obs::counter_add("alloc.fast", 1);
-        mcdnn_obs::observe_ms("alloc.fast_hist", 0.5);
+        metrics::RUNTIME_JOBS.add(1);
+        metrics::SCHED_LATENCY_MS.observe(0.5);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let disabled = allocations() - before;
     mcdnn_obs::set_enabled(true);
 
-    assert_eq!(
-        after - before,
-        0,
-        "disabled instrumentation must not allocate"
-    );
+    assert_eq!(enabled, 0, "warm enabled recording must not allocate");
+    assert_eq!(disabled, 0, "disabled instrumentation must not allocate");
 }

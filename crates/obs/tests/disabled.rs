@@ -2,31 +2,34 @@
 //! process-global enabled flag would race with the crate's unit tests,
 //! so everything lives in one test function here.
 
+use mcdnn_obs::metrics;
+
 #[test]
 fn disabled_registry_records_nothing() {
-    // Scope a unique namespace so a future parallel test in this file
-    // cannot collide.
     mcdnn_obs::set_enabled(true);
-    mcdnn_obs::counter_add("disabled.counter", 1);
-    let baseline = mcdnn_obs::counter_value("disabled.counter");
+    metrics::ONLINE_REPLANS.add(1);
+    let baseline = mcdnn_obs::counter_value("online.replans");
 
     mcdnn_obs::set_enabled(false);
     assert!(!mcdnn_obs::enabled());
 
     // Counters, histograms and spans all drop their writes.
-    mcdnn_obs::counter_add("disabled.counter", 100);
-    mcdnn_obs::observe_ms("disabled.hist", 5.0);
+    metrics::ONLINE_REPLANS.add(100);
+    metrics::ONLINE_BURST_MAKESPAN_MS.observe(5.0);
     {
         let _s = mcdnn_obs::span("disabled", "span");
     }
 
     mcdnn_obs::set_enabled(true);
-    assert_eq!(mcdnn_obs::counter_value("disabled.counter"), baseline);
+    assert_eq!(mcdnn_obs::counter_value("online.replans"), baseline);
     let snap = mcdnn_obs::snapshot();
-    assert!(snap.histogram("disabled.hist").is_none());
-    assert!(mcdnn_obs::drain_spans()
-        .iter()
-        .all(|s| s.cat != "disabled"));
+    assert_eq!(
+        snap.histogram("online.burst_makespan_ms")
+            .map(|h| h.count()),
+        Some(0),
+        "the catalogue histogram is exported, empty"
+    );
+    assert!(mcdnn_obs::drain_spans().iter().all(|s| s.cat != "disabled"));
 
     // A span opened while enabled but closed while disabled is dropped,
     // not recorded with a bogus duration.

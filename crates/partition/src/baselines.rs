@@ -7,6 +7,7 @@
 //! value rather than a panic.
 
 use mcdnn_flowshop::kernels::johnson_blocks_makespan;
+use mcdnn_obs::metrics;
 use mcdnn_profile::CostProfile;
 
 use crate::plan::{Plan, Strategy};
@@ -61,10 +62,10 @@ pub(crate) fn brute_force_plan(profile: &CostProfile, n: usize) -> Plan {
         combos <= BF_CANDIDATE_LIMIT,
         "joint brute force would enumerate {combos} multisets; reduce n or k"
     );
-    mcdnn_obs::counter_add("planner.bf.calls", 1);
+    metrics::PLANNER_BF_CALLS.add(1);
     // Every multiset is scored with exactly one block-kernel call.
-    mcdnn_obs::counter_add("planner.bf.candidates", combos as u64);
-    mcdnn_obs::counter_add("planner.kernel_evals", combos as u64);
+    metrics::PLANNER_BF_CANDIDATES.add(combos as u64);
+    metrics::PLANNER_KERNEL_EVALS.add(combos as u64);
     let fg: Vec<(f64, f64)> = (0..=k).map(|c| (profile.f(c), profile.g(c))).collect();
     let mut best: Option<(f64, Vec<usize>)> = None;
     let mut counts = vec![0usize; k + 1];

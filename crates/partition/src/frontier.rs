@@ -36,6 +36,7 @@ use std::sync::{Arc, OnceLock, RwLock};
 
 use mcdnn_flowshop::kernels::{two_type_mix_makespan, uniform_makespan};
 use mcdnn_graph::LineDnn;
+use mcdnn_obs::metrics;
 use mcdnn_profile::{CloudModel, CostProfile, DeviceModel, ProfileError, ProfileVersion};
 
 use crate::error::PlanError;
@@ -622,12 +623,9 @@ impl RateFrontier {
             (starts, sigs) = walk(&mut probe, &grid);
         }
 
-        mcdnn_obs::counter_add("frontier.compile", 1);
-        mcdnn_obs::counter_add("frontier.compile_probes", probes);
-        mcdnn_obs::observe_ms(
-            "frontier.compile_ms",
-            started.elapsed().as_secs_f64() * 1e3,
-        );
+        metrics::FRONTIER_COMPILE.add(1);
+        metrics::FRONTIER_COMPILE_PROBES.add(probes);
+        metrics::FRONTIER_COMPILE_MS.observe(started.elapsed().as_secs_f64() * 1e3);
         Ok(RateFrontier {
             profile: profile.clone(),
             strategy,
@@ -707,14 +705,14 @@ impl RateFrontier {
     /// back to a direct planning pass (counted as `frontier.oob`).
     pub fn decide_at(&self, bandwidth_mbps: f64) -> FrontierDecision {
         if self.covers(bandwidth_mbps) {
-            mcdnn_obs::counter_add("frontier.lookups", 1);
+            metrics::FRONTIER_LOOKUPS.add(1);
             let mix = self.sig_at(bandwidth_mbps);
             FrontierDecision {
                 mix,
                 makespan_ms: self.profile.mix_makespan(self.n, mix, bandwidth_mbps),
             }
         } else {
-            mcdnn_obs::counter_add("frontier.oob", 1);
+            metrics::FRONTIER_OOB.add(1);
             let cp = self.profile.profile_at(bandwidth_mbps);
             let (search, cand) =
                 winning_candidate(&cp, self.n, self.strategy == Strategy::JpsBestMix);
@@ -1055,8 +1053,8 @@ impl PlanCache {
             _ => None,
         });
         if let Some(hit) = memo_hit {
-            mcdnn_obs::counter_add("frontier.cache.hit", 1);
-            mcdnn_obs::counter_add("frontier.shard.memo_hits", 1);
+            metrics::FRONTIER_CACHE_HIT.add(1);
+            metrics::FRONTIER_SHARD_MEMO_HITS.add(1);
             return Ok(hit);
         }
         let shard = &self.shards[hash as usize % self.shards.len()];
@@ -1070,13 +1068,13 @@ impl PlanCache {
             })
             .map(|e| Arc::clone(&e.frontier));
         if let Some(hit) = shared {
-            mcdnn_obs::counter_add("frontier.cache.hit", 1);
-            mcdnn_obs::counter_add("frontier.shard.hits", 1);
+            metrics::FRONTIER_CACHE_HIT.add(1);
+            metrics::FRONTIER_SHARD_HITS.add(1);
             self.memoize(generation, hash, &hit);
             return Ok(hit);
         }
-        mcdnn_obs::counter_add("frontier.cache.miss", 1);
-        mcdnn_obs::counter_add("frontier.shard.misses", 1);
+        metrics::FRONTIER_CACHE_MISS.add(1);
+        metrics::FRONTIER_SHARD_MISSES.add(1);
         let compiled = Arc::new(RateFrontier::compile(
             profile, strategy, n, lo_mbps, hi_mbps,
         )?);
@@ -1320,13 +1318,13 @@ mod tests {
         mcdnn_obs::set_enabled(true);
         let cache = PlanCache::new();
         let rate = rate_profile();
-        let miss0 = mcdnn_obs::counter_value("frontier.cache.miss");
-        let hit0 = mcdnn_obs::counter_value("frontier.cache.hit");
+        let miss0 = mcdnn_obs::thread_counter_value("frontier.cache.miss");
+        let hit0 = mcdnn_obs::thread_counter_value("frontier.cache.hit");
         cache.frontier(&rate, Strategy::Jps, 3, 0.1, 50.0).unwrap();
         cache.frontier(&rate, Strategy::Jps, 3, 0.1, 50.0).unwrap();
         cache.frontier(&rate, Strategy::Jps, 4, 0.1, 50.0).unwrap();
-        assert_eq!(mcdnn_obs::counter_value("frontier.cache.miss") - miss0, 2);
-        assert_eq!(mcdnn_obs::counter_value("frontier.cache.hit") - hit0, 1);
+        assert_eq!(mcdnn_obs::thread_counter_value("frontier.cache.miss") - miss0, 2);
+        assert_eq!(mcdnn_obs::thread_counter_value("frontier.cache.hit") - hit0, 1);
     }
 
     #[test]
@@ -1362,9 +1360,9 @@ mod tests {
         let _ = cache.frontier(&rate, Strategy::Jps, 5, 0.1, 50.0).unwrap();
         cache.clear();
         assert!(cache.is_empty());
-        let miss0 = mcdnn_obs::counter_value("frontier.cache.miss");
+        let miss0 = mcdnn_obs::thread_counter_value("frontier.cache.miss");
         let b = cache.frontier(&rate, Strategy::Jps, 5, 0.1, 50.0).unwrap();
-        assert_eq!(mcdnn_obs::counter_value("frontier.cache.miss") - miss0, 1);
+        assert_eq!(mcdnn_obs::thread_counter_value("frontier.cache.miss") - miss0, 1);
         assert!(!Arc::ptr_eq(&a, &b), "cleared entries must not resurface");
         assert_eq!(a.breakpoints(), b.breakpoints(), "recompile is deterministic");
     }
@@ -1377,30 +1375,35 @@ mod tests {
         let a = cache
             .frontier(&rate, Strategy::JpsBestMix, 4, 0.1, 80.0)
             .unwrap();
-        let memo0 = mcdnn_obs::counter_value("frontier.shard.memo_hits");
+        let memo0 = mcdnn_obs::thread_counter_value("frontier.shard.memo_hits");
         let b = cache
             .frontier(&rate, Strategy::JpsBestMix, 4, 0.1, 80.0)
             .unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(
-            mcdnn_obs::counter_value("frontier.shard.memo_hits") - memo0,
+            mcdnn_obs::thread_counter_value("frontier.shard.memo_hits") - memo0,
             1,
             "repeat fetch on the same thread is memo-served"
         );
         // A fresh thread has a cold memo: its first fetch is a shard
         // read hit, not a miss.
-        let shard0 = mcdnn_obs::counter_value("frontier.shard.hits");
-        let miss0 = mcdnn_obs::counter_value("frontier.cache.miss");
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let c = cache
-                    .frontier(&rate, Strategy::JpsBestMix, 4, 0.1, 80.0)
-                    .unwrap();
-                assert!(Arc::ptr_eq(&a, &c));
-            });
+        let (shard_hits, misses) = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let c = cache
+                        .frontier(&rate, Strategy::JpsBestMix, 4, 0.1, 80.0)
+                        .unwrap();
+                    assert!(Arc::ptr_eq(&a, &c));
+                    (
+                        mcdnn_obs::thread_counter_value("frontier.shard.hits"),
+                        mcdnn_obs::thread_counter_value("frontier.cache.miss"),
+                    )
+                })
+                .join()
+                .expect("fresh thread")
         });
-        assert_eq!(mcdnn_obs::counter_value("frontier.shard.hits") - shard0, 1);
-        assert_eq!(mcdnn_obs::counter_value("frontier.cache.miss") - miss0, 0);
+        assert_eq!(shard_hits, 1);
+        assert_eq!(misses, 0);
     }
 
     #[test]
@@ -1420,9 +1423,9 @@ mod tests {
             }
         };
         fetch_round(&cache);
-        let memo0 = mcdnn_obs::counter_value("frontier.shard.memo_hits");
+        let memo0 = mcdnn_obs::thread_counter_value("frontier.shard.memo_hits");
         fetch_round(&cache);
-        let hits = mcdnn_obs::counter_value("frontier.shard.memo_hits") - memo0;
+        let hits = mcdnn_obs::thread_counter_value("frontier.shard.memo_hits") - memo0;
         assert!(
             hits >= 32,
             "second round-robin pass over 64 keys must be mostly memo-served, got {hits}/64"
@@ -1457,10 +1460,10 @@ mod tests {
         let a1 = a0.clone().with_generation(1);
         assert_ne!(a0.version(), a1.version());
         assert_eq!(a1.version().generation, 1);
-        let miss0 = mcdnn_obs::counter_value("frontier.cache.miss");
+        let miss0 = mcdnn_obs::thread_counter_value("frontier.cache.miss");
         let fa1 = cache.frontier(&a1, Strategy::Jps, 6, 0.1, 80.0).unwrap();
         assert_eq!(
-            mcdnn_obs::counter_value("frontier.cache.miss") - miss0,
+            mcdnn_obs::thread_counter_value("frontier.cache.miss") - miss0,
             1,
             "the bumped generation is a new key: must compile, not serve gen 0"
         );
@@ -1475,12 +1478,12 @@ mod tests {
         );
 
         // Tenant B is untouched: memo-served, no lock, same Arc.
-        let memo0 = mcdnn_obs::counter_value("frontier.shard.memo_hits");
-        let miss1 = mcdnn_obs::counter_value("frontier.cache.miss");
+        let memo0 = mcdnn_obs::thread_counter_value("frontier.shard.memo_hits");
+        let miss1 = mcdnn_obs::thread_counter_value("frontier.cache.miss");
         let fb1 = cache.frontier(&b0, Strategy::Jps, 6, 0.1, 80.0).unwrap();
         assert!(Arc::ptr_eq(&fb0, &fb1), "other tenants' frontiers stay shared");
         assert_eq!(
-            mcdnn_obs::counter_value("frontier.shard.memo_hits") - memo0,
+            mcdnn_obs::thread_counter_value("frontier.shard.memo_hits") - memo0,
             1,
             "the bump must not evict other tenants' memo slots"
         );
@@ -1489,7 +1492,7 @@ mod tests {
         let fa0_again = cache.frontier(&a0, Strategy::Jps, 6, 0.1, 80.0).unwrap();
         assert!(Arc::ptr_eq(&fa0, &fa0_again));
         assert_eq!(
-            mcdnn_obs::counter_value("frontier.cache.miss") - miss1,
+            mcdnn_obs::thread_counter_value("frontier.cache.miss") - miss1,
             0,
             "neither fetch after the bump may miss"
         );

@@ -66,6 +66,8 @@
 //! deterministic across thread counts and platforms, like the rest of
 //! the stack.
 
+use mcdnn_obs::metrics;
+
 use crate::frontier::{CutMix, RateFrontier};
 
 /// A tenant's share of the cloud pool never exceeds one dedicated
@@ -332,8 +334,8 @@ pub fn joint_allocate(tenants: &[JointTenant<'_>], capacity: f64) -> JointAlloca
         }
         shares = water_fill(&costs, capacity);
     }
-    mcdnn_obs::counter_add("joint.allocations", 1);
-    mcdnn_obs::counter_add("joint.rounds", rounds as u64);
+    metrics::JOINT_ALLOCATIONS.add(1);
+    metrics::JOINT_ROUNDS.add(rounds as u64);
     let (completion_ms, objective_ms) = completions(&costs, &shares);
     JointAllocation {
         mixes,

@@ -26,6 +26,7 @@
 //! bit-identical output.
 
 use mcdnn_flowshop::kernels::{two_type_mix_makespan, uniform_makespan};
+use mcdnn_obs::metrics;
 use mcdnn_profile::CostProfile;
 
 use crate::alg2::{binary_search_cut, CutSearch};
@@ -230,9 +231,9 @@ pub(crate) fn jps_plan(profile: &CostProfile, n: usize) -> Plan {
     let _span = mcdnn_obs::span("planner", "jps_plan");
     let search = binary_search_cut(profile);
     let (best, _, evals) = best_jps_candidate(profile, n, &search);
-    mcdnn_obs::counter_add("planner.jps.calls", 1);
-    mcdnn_obs::counter_add("planner.jps.candidates", evals);
-    mcdnn_obs::counter_add("planner.kernel_evals", evals);
+    metrics::PLANNER_JPS_CALLS.add(1);
+    metrics::PLANNER_JPS_CANDIDATES.add(evals);
+    metrics::PLANNER_KERNEL_EVALS.add(evals);
     best.materialize(Strategy::Jps, profile, n, &search)
 }
 
@@ -249,9 +250,9 @@ pub(crate) fn jps_best_mix_plan(profile: &CostProfile, n: usize) -> Plan {
     let search = binary_search_cut(profile);
     let (mut best, mut best_score, mut evals) = best_jps_candidate(profile, n, &search);
     evals += best_mix_refine(profile, n, &search, &mut best, &mut best_score);
-    mcdnn_obs::counter_add("planner.best_mix.calls", 1);
-    mcdnn_obs::counter_add("planner.best_mix.candidates", evals);
-    mcdnn_obs::counter_add("planner.kernel_evals", evals);
+    metrics::PLANNER_BEST_MIX_CALLS.add(1);
+    metrics::PLANNER_BEST_MIX_CANDIDATES.add(evals);
+    metrics::PLANNER_KERNEL_EVALS.add(evals);
     best.materialize(Strategy::JpsBestMix, profile, n, &search)
 }
 

@@ -3,7 +3,9 @@
 //! single-lock (`with_shards(1)`) layout.
 //!
 //! Same counting-allocator technique as the `mcdnn-sim` arena test: a
-//! thin `System` wrapper counts heap allocations around warm lookups.
+//! thin `System` wrapper counts the calling thread's heap allocations
+//! around warm lookups, with observability recording as it does by
+//! default.
 //! This is the property the multi-tenant serving loop leans on — a
 //! steady-state stream re-fetching its frontier must cost a hash of
 //! the content bits and an `Arc` clone, never a `CacheKey`
@@ -11,19 +13,32 @@
 //! hit or miss).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use mcdnn_partition::{PlanCache, RateProfile, Strategy};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap allocations made by this thread: a measured window counts
+    /// only its own thread, whatever sibling tests allocate meanwhile.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made by the calling thread so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 // SAFETY: delegates directly to `System`; the counter has no effect on
 // allocation behaviour.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -32,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -51,27 +66,26 @@ fn rate_profile() -> RateProfile {
     .unwrap()
 }
 
-/// Warm the given lookup path (forcing the obs registry's and the
-/// thread-local memo's lazy init), then count allocations across 100
-/// further hits.
+/// Warm the given lookup path (allocating the thread's obs slab and
+/// the thread-local memo), then count allocations across 100 further
+/// hits.
 fn allocs_per_100_hits(cache: &PlanCache, rate: &RateProfile) -> u64 {
     mcdnn_obs::set_enabled(true);
     let warm = cache
         .frontier(rate, Strategy::JpsBestMix, 6, 0.1, 100.0)
         .unwrap();
-    // One warm *hit* before measuring: the first bump of a counter
-    // name registers it in the obs registry, which allocates once.
+    // One warm *hit* before measuring, so the memo path is warm too.
     let _ = cache
         .frontier(rate, Strategy::JpsBestMix, 6, 0.1, 100.0)
         .unwrap();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..100 {
         let hit = cache
             .frontier(rate, Strategy::JpsBestMix, 6, 0.1, 100.0)
             .unwrap();
         assert!(std::sync::Arc::ptr_eq(&warm, &hit));
     }
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    allocations() - before
 }
 
 #[test]
@@ -98,8 +112,7 @@ fn warm_cache_hits_allocate_nothing() {
     // A fresh thread never populated its memo for the *first* hit, so
     // lookup 1 exercises the shard read path; its own warm-up inside
     // `allocs_per_100_hits` covers the thread-local lazy init, and the
-    // measured hits are again zero-allocation. The main thread blocks
-    // in `join`, so the measured window sees only this thread.
+    // measured hits are again zero-allocation.
     let worker = std::thread::spawn({
         let rate = rate.clone();
         move || allocs_per_100_hits(PlanCache::global(), &rate)
@@ -118,16 +131,16 @@ fn warm_cache_hits_allocate_nothing() {
     let right = PlanCache::new();
     let fa = left.frontier(&rate, Strategy::Jps, 4, 0.1, 100.0).unwrap();
     let fb = right.frontier(&rate, Strategy::Jps, 4, 0.1, 100.0).unwrap();
-    // Warm hits register the shard-hit counters.
+    // Warm hits settle the shard read path.
     let _ = left.frontier(&rate, Strategy::Jps, 4, 0.1, 100.0).unwrap();
     let _ = right.frontier(&rate, Strategy::Jps, 4, 0.1, 100.0).unwrap();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..50 {
         let ha = left.frontier(&rate, Strategy::Jps, 4, 0.1, 100.0).unwrap();
         let hb = right.frontier(&rate, Strategy::Jps, 4, 0.1, 100.0).unwrap();
         assert!(std::sync::Arc::ptr_eq(&fa, &ha));
         assert!(std::sync::Arc::ptr_eq(&fb, &hb));
     }
-    let shard_path = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let shard_path = allocations() - before;
     assert_eq!(shard_path, 0, "shard read-lock hit must not allocate");
 }

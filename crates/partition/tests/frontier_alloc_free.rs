@@ -1,24 +1,39 @@
 //! Proof that in-range [`RateFrontier::decide_at`] is allocation-free.
 //!
 //! Same counting-allocator technique as `mcdnn-obs`'s `alloc_free`
-//! test. The online replanning fast path calls `decide_at` once per
-//! burst; with observability disabled that lookup must be a pure
-//! binary search plus O(1) kernel arithmetic — no heap traffic.
+//! test, counting the calling thread's allocations. The online
+//! replanning fast path calls `decide_at` once per burst; with
+//! observability recording as it does by default, that lookup must be
+//! a binary search, O(1) kernel arithmetic and a counter bump — no heap
+//! traffic.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use mcdnn_partition::{RateFrontier, RateProfile, Strategy};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap allocations made by this thread: a measured window counts
+    /// only its own thread, whatever sibling tests allocate meanwhile.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made by the calling thread so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 // SAFETY: delegates directly to `System`; the counter has no effect on
 // allocation behaviour.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -27,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -45,21 +60,19 @@ fn in_range_decide_at_allocates_nothing() {
         None,
     )
     .expect("valid profile");
-    // Compile (and force the obs registry's lazy init) before
-    // disabling instrumentation and measuring lookups.
+    // Compile (which allocates this thread's obs slab) before
+    // measuring lookups with recording still on.
     mcdnn_obs::set_enabled(true);
     let frontier =
         RateFrontier::compile(&rate, Strategy::JpsBestMix, 10, 0.1, 200.0).expect("monotone");
-    mcdnn_obs::set_enabled(false);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let mut sum = 0.0;
     for i in 0..10_000u32 {
         let b = 0.1 + f64::from(i) * (200.0 - 0.1) / 10_000.0;
         sum += frontier.decide_at(b).makespan_ms;
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    mcdnn_obs::set_enabled(true);
+    let after = allocations();
 
     assert!(sum > 0.0, "lookups must produce real makespans");
     assert_eq!(

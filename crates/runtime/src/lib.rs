@@ -33,6 +33,8 @@ pub use pool::WorkerPool;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use mcdnn_obs::metrics;
+
 /// Number of worker threads sweeps should use: `MCDNN_THREADS` if set
 /// to a positive integer, otherwise the machine's available
 /// parallelism, with a floor of 1.
@@ -68,14 +70,14 @@ where
 {
     let workers = worker_threads().min(items.len());
     if workers <= 1 {
-        mcdnn_obs::counter_add("runtime.jobs", items.len() as u64);
+        metrics::RUNTIME_JOBS.add(items.len() as u64);
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     // Read the enabled flag once: per-worker utilization needs two clock
     // reads per item, which the disabled path must not pay.
     let observe = mcdnn_obs::enabled();
     let sweep_span = mcdnn_obs::span("runtime", "parallel_map");
-    mcdnn_obs::counter_add("runtime.jobs", items.len() as u64);
+    metrics::RUNTIME_JOBS.add(items.len() as u64);
     let cursor = AtomicUsize::new(0);
     // Preallocated slot table: each worker writes result `i` straight
     // into `slots[i]` (disjoint indices, so every lock is uncontended),
@@ -107,10 +109,7 @@ where
                     // `f` (vs. queue contention + slot writes).
                     let alive = start.elapsed().as_secs_f64();
                     if alive > 0.0 {
-                        mcdnn_obs::observe_ms(
-                            "runtime.worker.busy_frac",
-                            busy.as_secs_f64() / alive,
-                        );
+                        metrics::RUNTIME_WORKER_BUSY_FRAC.observe(busy.as_secs_f64() / alive);
                     }
                 }
             });

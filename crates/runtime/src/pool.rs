@@ -28,6 +28,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
+use mcdnn_obs::metrics;
+
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
 /// State shared between the pool handle and its workers.
@@ -58,7 +60,7 @@ impl PoolState {
             if let Some(task) = task {
                 self.pending.fetch_sub(1, Ordering::AcqRel);
                 if off != 0 {
-                    mcdnn_obs::counter_add("runtime.pool.steals", 1);
+                    metrics::RUNTIME_POOL_STEALS.add(1);
                 }
                 return Some(task);
             }
@@ -148,7 +150,7 @@ impl WorkerPool {
         // Publish before waking: a worker that checked `pending` just
         // before this increment re-checks under the gate lock.
         self.state.pending.fetch_add(1, Ordering::Release);
-        mcdnn_obs::counter_add("runtime.pool.tasks", 1);
+        metrics::RUNTIME_POOL_TASKS.add(1);
         let _g = self.state.gate.lock().expect("gate poisoned");
         self.state.ready.notify_one();
     }

@@ -28,6 +28,7 @@
 //! stay cheap.
 
 use mcdnn_flowshop::uniform_makespan;
+use mcdnn_obs::metrics;
 use mcdnn_profile::CostProfile;
 
 use crate::fault::RetryPolicy;
@@ -88,15 +89,13 @@ pub fn ladder_decision(
 /// → counter mapping is 1:1, so counting at the end is identical to the
 /// per-branch counting the ladder used to do inline.
 fn count_ladder(level: LadderLevel) {
-    mcdnn_obs::counter_add(
-        match level {
-            LadderLevel::Normal => "degrade.normal",
-            LadderLevel::Replanned => "degrade.replans",
-            LadderLevel::Shifted => "degrade.shifts",
-            LadderLevel::MobileOnly => "degrade.mobile_only",
-        },
-        1,
-    );
+    match level {
+        LadderLevel::Normal => &metrics::DEGRADE_NORMAL,
+        LadderLevel::Replanned => &metrics::DEGRADE_REPLANS,
+        LadderLevel::Shifted => &metrics::DEGRADE_SHIFTS,
+        LadderLevel::MobileOnly => &metrics::DEGRADE_MOBILE_ONLY,
+    }
+    .add(1);
 }
 
 /// [`ladder_decision`] without observability counters — the probe used
@@ -306,12 +305,9 @@ impl LadderFrontier {
         }
         let healthy = *at_boundary.last().expect("1.0 is always a boundary");
 
-        mcdnn_obs::counter_add("frontier.ladder.compile", 1);
-        mcdnn_obs::counter_add("frontier.ladder.boundaries", boundaries.len() as u64);
-        mcdnn_obs::observe_ms(
-            "frontier.ladder.compile_ms",
-            started.elapsed().as_secs_f64() * 1e3,
-        );
+        metrics::FRONTIER_LADDER_COMPILE.add(1);
+        metrics::FRONTIER_LADDER_BOUNDARIES.add(boundaries.len() as u64);
+        metrics::FRONTIER_LADDER_COMPILE_MS.observe(started.elapsed().as_secs_f64() * 1e3);
         LadderFrontier {
             f,
             g,
@@ -359,7 +355,7 @@ impl LadderFrontier {
                 cut: self.k(),
             };
         }
-        mcdnn_obs::counter_add("frontier.ladder.lookups", 1);
+        metrics::FRONTIER_LADDER_LOOKUPS.add(1);
         let i = self.boundaries.partition_point(|b| *b < rate_factor);
         debug_assert!(i < self.boundaries.len(), "1.0 bounds every factor");
         if self.boundaries[i] == rate_factor {
@@ -439,7 +435,7 @@ fn burst_cost_parts(
     if factor <= 0.0 {
         // Blackout with offloading committed: attempts all time out,
         // then the remaining layers of every job run on-device.
-        mcdnn_obs::counter_add("fault.local_fallbacks", n as u64);
+        metrics::FAULT_LOCAL_FALLBACKS.add(n as u64);
         return retry.exhaustion_penalty_ms() + n as f64 * f_cut + n as f64 * (f_k - f_cut);
     }
     uniform_makespan(n, f_cut, g_cut / factor)
@@ -497,7 +493,7 @@ pub fn run_degraded_via(
             DegradePolicy::MobileOnly => (LadderLevel::MobileOnly, k),
         };
         if prev_level != LadderLevel::Normal && level == LadderLevel::Normal {
-            mcdnn_obs::counter_add("degrade.recoveries", 1);
+            metrics::DEGRADE_RECOVERIES.add(1);
         }
         prev_level = level;
         let makespan_ms = burst_cost_parts(

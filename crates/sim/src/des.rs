@@ -16,6 +16,7 @@
 //! multiplicative jitter models runtime variance.
 
 use mcdnn_flowshop::FlowJob;
+use mcdnn_obs::metrics;
 use mcdnn_rng::Rng;
 
 use crate::fault::{FaultEvent, FaultEventKind, FaultPlan, RetryPolicy};
@@ -117,15 +118,15 @@ impl DesArena {
         assert!(config.uplink_channels >= 1, "need at least one uplink channel");
         assert!(config.cloud_slots >= 1, "need at least one cloud slot");
         assert!((0.0..1.0).contains(&config.jitter_frac), "jitter in [0,1)");
-        mcdnn_obs::counter_add("des.arena.runs", 1);
+        metrics::DES_ARENA_RUNS.add(1);
         if self.warm {
-            mcdnn_obs::counter_add("des.arena.reused", 1);
+            metrics::DES_ARENA_REUSED.add(1);
         }
         let grown = self.uplink_free.capacity() < config.uplink_channels
             || self.cloud_free.capacity() < config.cloud_slots
             || self.timelines.capacity() < n_jobs;
         if grown {
-            mcdnn_obs::counter_add("des.arena.grown", 1);
+            metrics::DES_ARENA_GROWN.add(1);
         }
         self.uplink_free.clear();
         self.uplink_free.resize(config.uplink_channels, 0.0);
@@ -159,9 +160,8 @@ impl DesArena {
     /// Run the fault-free simulation in this arena; returns the
     /// makespan. Semantics identical to the free [`simulate`].
     pub fn simulate(&mut self, jobs: &[FlowJob], order: &[usize], config: &DesConfig) -> f64 {
-        let _span = mcdnn_obs::span("sim", "des");
-        mcdnn_obs::counter_add("des.runs", 1);
-        mcdnn_obs::counter_add("des.jobs", order.len() as u64);
+        metrics::DES_RUNS.add(1);
+        metrics::DES_JOBS.add(order.len() as u64);
         self.prepare(config, order.len());
         let mut rng = Rng::seed_from_u64(config.seed);
         let mut jitter = |d: f64| -> f64 {
@@ -340,8 +340,7 @@ impl DesArena {
         config: &DesConfig,
         run: &FaultedRun,
     ) -> f64 {
-        let _span = mcdnn_obs::span("sim", "des_faulted");
-        mcdnn_obs::counter_add("des.faulted_runs", 1);
+        metrics::DES_FAULTED_RUNS.add(1);
         assert!(run.retry.max_attempts >= 1, "need at least one attempt");
         assert!(run.local_fallback_ms >= 0.0, "fallback time must be >= 0");
         self.prepare(config, order.len());
@@ -379,7 +378,7 @@ impl DesArena {
                     first_attempt_start.get_or_insert(start);
                     upload_end = end;
                     if attempt <= losses {
-                        mcdnn_obs::counter_add("fault.upload_lost", 1);
+                        metrics::FAULT_UPLOAD_LOST.add(1);
                         self.events.push(FaultEvent {
                             t_ms: end,
                             job: job.id,
@@ -387,7 +386,7 @@ impl DesArena {
                         });
                         if attempt < run.retry.max_attempts {
                             let delay = run.retry.backoff_ms(attempt);
-                            mcdnn_obs::counter_add("fault.retries", 1);
+                            metrics::FAULT_RETRIES.add(1);
                             self.events.push(FaultEvent {
                                 t_ms: end,
                                 job: job.id,
@@ -400,7 +399,7 @@ impl DesArena {
                         }
                     } else {
                         if attempt > 1 {
-                            mcdnn_obs::counter_add("recovery.upload_recovered", 1);
+                            metrics::RECOVERY_UPLOAD_RECOVERED.add(1);
                             self.events.push(FaultEvent {
                                 t_ms: end,
                                 job: job.id,
@@ -419,7 +418,7 @@ impl DesArena {
                         let slot = argmin(&self.cloud_free);
                         let start = upload_end.max(self.cloud_free[slot]);
                         if factor > 1.0 {
-                            mcdnn_obs::counter_add("fault.cloud_straggles", 1);
+                            metrics::FAULT_CLOUD_STRAGGLES.add(1);
                             self.events.push(FaultEvent {
                                 t_ms: start,
                                 job: job.id,
@@ -431,7 +430,7 @@ impl DesArena {
                     }
                 } else {
                     // Budget exhausted at the last lost attempt's end.
-                    mcdnn_obs::counter_add("fault.local_fallbacks", 1);
+                    metrics::FAULT_LOCAL_FALLBACKS.add(1);
                     self.events.push(FaultEvent {
                         t_ms: upload_end,
                         job: job.id,

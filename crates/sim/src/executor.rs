@@ -24,6 +24,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use mcdnn_flowshop::FlowJob;
+use mcdnn_obs::metrics::{self, Hist};
 
 use crate::fault::{FaultEvent, FaultEventKind};
 
@@ -120,26 +121,26 @@ pub fn run_pipeline(jobs: &[FlowJob], order: &[usize], config: &ExecutorConfig) 
     // a job (busy) and how long the job sat queued at the stage before
     // service began (wait; exact in logical mode, not measured under
     // wall clock where queueing is physical).
-    const BUSY_METRIC: [&str; 3] = [
-        "exec.mobile.busy_ms",
-        "exec.uplink.busy_ms",
-        "exec.cloud.busy_ms",
+    const BUSY_METRIC: [&Hist; 3] = [
+        &metrics::EXEC_MOBILE_BUSY_MS,
+        &metrics::EXEC_UPLINK_BUSY_MS,
+        &metrics::EXEC_CLOUD_BUSY_MS,
     ];
-    const WAIT_METRIC: [&str; 3] = [
-        "exec.mobile.wait_ms",
-        "exec.uplink.wait_ms",
-        "exec.cloud.wait_ms",
+    const WAIT_METRIC: [&Hist; 3] = [
+        &metrics::EXEC_MOBILE_WAIT_MS,
+        &metrics::EXEC_UPLINK_WAIT_MS,
+        &metrics::EXEC_CLOUD_WAIT_MS,
     ];
 
     // Advance one stage: in logical mode return the new clock value; in
     // wall-clock mode burn the time and return the measured instant.
     let advance = |stage: usize, clock: &mut f64, ready_at: f64, duration: f64| -> f64 {
-        mcdnn_obs::observe_ms(BUSY_METRIC[stage], duration);
+        BUSY_METRIC[stage].observe(duration);
         match scale {
             None => {
                 // The job became ready at `ready_at` but the stage was
                 // occupied until `clock`: that gap is its queue wait.
-                mcdnn_obs::observe_ms(WAIT_METRIC[stage], (*clock - ready_at).max(0.0));
+                WAIT_METRIC[stage].observe((*clock - ready_at).max(0.0));
                 *clock = clock.max(ready_at) + duration;
                 *clock
             }
@@ -316,7 +317,7 @@ pub fn run_pipeline_faulted(
             let mut clock = 0.0f64;
             for &idx in order {
                 let job = jobs[idx];
-                mcdnn_obs::observe_ms("exec.mobile.busy_ms", job.compute_ms);
+                metrics::EXEC_MOBILE_BUSY_MS.observe(job.compute_ms);
                 clock += job.compute_ms;
                 let done = settle(job.compute_ms, clock);
                 if job.comm_ms > 0.0 {
@@ -337,7 +338,7 @@ pub fn run_pipeline_faulted(
             // The uplink thread closes the fallback channel when its
             // queue drains, ending this loop.
             for (id, ready_at, extra) in to_fallback_rx.iter() {
-                mcdnn_obs::observe_ms("exec.mobile.busy_ms", extra);
+                metrics::EXEC_MOBILE_BUSY_MS.observe(extra);
                 clock = clock.max(ready_at) + extra;
                 let done = settle(extra, clock);
                 completions
@@ -357,12 +358,12 @@ pub fn run_pipeline_faulted(
                 for attempt in 1..=run.retry.max_attempts {
                     let start = ready.max(clock);
                     let end = timeline.transfer_end(start, msg.job.comm_ms);
-                    mcdnn_obs::observe_ms("exec.uplink.wait_ms", (clock - ready).max(0.0));
-                    mcdnn_obs::observe_ms("exec.uplink.busy_ms", end - start);
+                    metrics::EXEC_UPLINK_WAIT_MS.observe((clock - ready).max(0.0));
+                    metrics::EXEC_UPLINK_BUSY_MS.observe(end - start);
                     clock = end;
                     last_end = settle(end - start, end);
                     if attempt <= losses {
-                        mcdnn_obs::counter_add("fault.upload_lost", 1);
+                        metrics::FAULT_UPLOAD_LOST.add(1);
                         let mut ev = events.lock().expect("no stage panicked");
                         ev.push(FaultEvent {
                             t_ms: last_end,
@@ -371,7 +372,7 @@ pub fn run_pipeline_faulted(
                         });
                         if attempt < run.retry.max_attempts {
                             let delay = run.retry.backoff_ms(attempt);
-                            mcdnn_obs::counter_add("fault.retries", 1);
+                            metrics::FAULT_RETRIES.add(1);
                             ev.push(FaultEvent {
                                 t_ms: last_end,
                                 job: msg.job.id,
@@ -384,7 +385,7 @@ pub fn run_pipeline_faulted(
                         }
                     } else {
                         if attempt > 1 {
-                            mcdnn_obs::counter_add("recovery.upload_recovered", 1);
+                            metrics::RECOVERY_UPLOAD_RECOVERED.add(1);
                             events.lock().expect("no stage panicked").push(FaultEvent {
                                 t_ms: last_end,
                                 job: msg.job.id,
@@ -410,7 +411,7 @@ pub fn run_pipeline_faulted(
                             .push((msg.job.id, last_end));
                     }
                 } else {
-                    mcdnn_obs::counter_add("fault.local_fallbacks", 1);
+                    metrics::FAULT_LOCAL_FALLBACKS.add(1);
                     events.lock().expect("no stage panicked").push(FaultEvent {
                         t_ms: last_end,
                         job: msg.job.id,
@@ -436,15 +437,15 @@ pub fn run_pipeline_faulted(
                 let duration = msg.job.cloud_ms * factor;
                 let start = clock.max(msg.ready_at);
                 if factor > 1.0 {
-                    mcdnn_obs::counter_add("fault.cloud_straggles", 1);
+                    metrics::FAULT_CLOUD_STRAGGLES.add(1);
                     events.lock().expect("no stage panicked").push(FaultEvent {
                         t_ms: start,
                         job: msg.job.id,
                         kind: FaultEventKind::CloudStraggled { factor },
                     });
                 }
-                mcdnn_obs::observe_ms("exec.cloud.wait_ms", (clock - msg.ready_at).max(0.0));
-                mcdnn_obs::observe_ms("exec.cloud.busy_ms", duration);
+                metrics::EXEC_CLOUD_WAIT_MS.observe((clock - msg.ready_at).max(0.0));
+                metrics::EXEC_CLOUD_BUSY_MS.observe(duration);
                 clock = start + duration;
                 let done = settle(duration, clock);
                 completions

@@ -15,6 +15,7 @@
 //! paper's lightweight online profiling loop.
 
 use mcdnn_graph::LineDnn;
+use mcdnn_obs::metrics;
 use mcdnn_partition::{CutMix, Plan, PlanCache, RateProfile, Strategy};
 use mcdnn_profile::measure::{fit_comm_model, measure_uploads};
 use mcdnn_profile::{CloudModel, CostProfile, DeviceModel, NetworkModel};
@@ -197,7 +198,7 @@ pub fn run_online(
             }
         };
         believed_mbps.push(believed);
-        mcdnn_obs::counter_add("online.bursts", 1);
+        metrics::ONLINE_BURSTS.add(1);
 
         // Plan against the believed bandwidth, pay the true one.
         let paid_ms = if let Some(fr) = &frontier {
@@ -208,7 +209,7 @@ pub fn run_online(
             // A replan event is a burst whose cut decision actually
             // changed — mix equality is cut-vector equality.
             if prev_mix.is_some_and(|prev| prev != mix) {
-                mcdnn_obs::counter_add("online.replans", 1);
+                metrics::ONLINE_REPLANS.add(1);
             }
             prev_mix = Some(mix);
             fr.profile().mix_makespan(jobs_per_burst, mix, true_bw)
@@ -232,14 +233,14 @@ pub fn run_online(
                 }
             };
             if prev_cuts.as_deref().is_some_and(|prev| prev != plan.cuts) {
-                mcdnn_obs::counter_add("online.replans", 1);
+                metrics::ONLINE_REPLANS.add(1);
             }
             prev_cuts = Some(plan.cuts.clone());
             let true_profile =
                 CostProfile::evaluate(line, mobile, &true_net, &CloudModel::Negligible);
             Plan::from_cuts(plan.strategy, &true_profile, plan.cuts.clone()).makespan_ms
         };
-        mcdnn_obs::observe_ms("online.burst_makespan_ms", paid_ms);
+        metrics::ONLINE_BURST_MAKESPAN_MS.observe(paid_ms);
         burst_makespans_ms.push(paid_ms);
     }
     OnlineResult {

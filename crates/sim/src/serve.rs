@@ -53,6 +53,7 @@
 use std::sync::Arc;
 
 use mcdnn_flowshop::FlowJob;
+use mcdnn_obs::metrics;
 use mcdnn_partition::{CutMix, PlanCache, PlanError, RateFrontier, RateProfile, Strategy};
 use mcdnn_profile::{AdaptConfig, ProfileEstimator, ProfileVersion};
 use mcdnn_rng::Rng;
@@ -272,7 +273,7 @@ impl UserSession {
             cfg,
             estimator: ProfileEstimator::new(spec.profile.k(), spec.profile.setup_ms(), cfg),
         });
-        mcdnn_obs::counter_add("serve.sessions", 1);
+        metrics::SERVE_SESSIONS.add(1);
         Ok(UserSession {
             id: spec.id,
             n_jobs: spec.n_jobs,
@@ -557,13 +558,13 @@ impl UserSession {
         if degraded {
             self.degraded_bursts += 1;
         }
-        mcdnn_obs::counter_add("serve.bursts", 1);
-        mcdnn_obs::counter_add("serve.jobs", self.n_jobs as u64);
+        metrics::SERVE_BURSTS.add(1);
+        metrics::SERVE_JOBS.add(self.n_jobs as u64);
         if faulted {
-            mcdnn_obs::counter_add("serve.faulted_bursts", 1);
+            metrics::SERVE_FAULTED_BURSTS.add(1);
         }
         if degraded {
-            mcdnn_obs::counter_add("serve.degraded_bursts", 1);
+            metrics::SERVE_DEGRADED_BURSTS.add(1);
         }
         BurstOutcome {
             bandwidth_mbps: self.bandwidth,
@@ -594,13 +595,13 @@ impl UserSession {
         if !adapt.estimator.commit() {
             return Ok(false);
         }
-        mcdnn_obs::counter_add("adapt.commits", 1);
+        metrics::ADAPT_COMMITS.add(1);
         let est = &adapt.estimator;
         let base = self.base_frontier.profile();
         if let Some(truth) = self.truth.as_ref() {
             let committed = est.device_scales()[base.k()];
             let err = (committed - truth.device_scale).abs() / truth.device_scale.max(1e-9);
-            mcdnn_obs::observe_ms("adapt.est_err_rel", err);
+            metrics::ADAPT_EST_ERR_REL.observe(err);
         }
         let believed = base
             .reestimated(
@@ -624,11 +625,8 @@ impl UserSession {
             self.rho_limit,
             self.n_jobs,
         );
-        mcdnn_obs::counter_add("adapt.recompiles", 1);
-        mcdnn_obs::observe_ms(
-            "adapt.staleness_bursts",
-            (self.burst_index - self.last_replan_burst) as f64,
-        );
+        metrics::ADAPT_RECOMPILES.add(1);
+        metrics::ADAPT_STALENESS_BURSTS.observe((self.burst_index - self.last_replan_burst) as f64);
         self.last_replan_burst = self.burst_index;
         self.replans += 1;
         Ok(true)
@@ -703,7 +701,7 @@ pub fn run_user(
         session.admit_burst();
         session.maybe_adapt(cache)?;
     }
-    mcdnn_obs::counter_add("serve.users", 1);
+    metrics::SERVE_USERS.add(1);
     Ok(session.finish())
 }
 
@@ -998,16 +996,16 @@ mod tests {
         };
         let specs = fleet(&test_profiles(), 3, &config);
         let cache = PlanCache::new();
-        let bursts0 = mcdnn_obs::counter_value("serve.bursts");
-        let users0 = mcdnn_obs::counter_value("serve.users");
-        let faulted0 = mcdnn_obs::counter_value("serve.faulted_bursts");
+        let bursts0 = mcdnn_obs::thread_counter_value("serve.bursts");
+        let users0 = mcdnn_obs::thread_counter_value("serve.users");
+        let faulted0 = mcdnn_obs::thread_counter_value("serve.faulted_bursts");
         for spec in &specs {
             run_user(&cache, spec, &config).unwrap();
         }
-        assert_eq!(mcdnn_obs::counter_value("serve.bursts") - bursts0, 30);
-        assert_eq!(mcdnn_obs::counter_value("serve.users") - users0, 3);
+        assert_eq!(mcdnn_obs::thread_counter_value("serve.bursts") - bursts0, 30);
+        assert_eq!(mcdnn_obs::thread_counter_value("serve.users") - users0, 3);
         assert_eq!(
-            mcdnn_obs::counter_value("serve.faulted_bursts") - faulted0,
+            mcdnn_obs::thread_counter_value("serve.faulted_bursts") - faulted0,
             6,
             "every 5th of 10 bursts × 3 users"
         );

@@ -103,6 +103,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
+use mcdnn_obs::metrics;
 use mcdnn_partition::{
     joint_allocate, CutMix, JointTenant, PlanCache, PlanError, RateFrontier, RateProfile,
 };
@@ -611,7 +612,7 @@ fn tenant_requests_into(
                 est.observe_cloud(cloud_scale * jitter(&mut truth));
             }
             if cfg.commit_every > 0 && (seq + 1).is_multiple_of(cfg.commit_every) && est.commit() {
-                mcdnn_obs::counter_add("adapt.commits", 1);
+                metrics::ADAPT_COMMITS.add(1);
                 let rebuilt = spec
                     .profile
                     .reestimated(
@@ -628,7 +629,7 @@ fn tenant_requests_into(
                     config.lo_mbps,
                     config.hi_mbps,
                 )?;
-                mcdnn_obs::counter_add("adapt.recompiles", 1);
+                metrics::ADAPT_RECOMPILES.add(1);
             }
         }
     }
@@ -1049,13 +1050,15 @@ fn cloud_share_plan(
         }
     }
     for s in shares.iter() {
-        mcdnn_obs::observe_ms("sched.cloud.share", *s);
+        metrics::SCHED_CLOUD_SHARE.observe(*s);
     }
 }
 
 /// Mutable loop state shared by both dispatch modes, so the
 /// settle-an-outcome step is literally the same code (same float
-/// expressions, same counter order) whichever queue produced the pick.
+/// expressions, same tallies) whichever queue produced the pick. The
+/// tallies go on to [`schedule`]'s once-per-run counter flush and to
+/// [`summarize`].
 #[derive(Debug, Default)]
 struct LoopCtx {
     server_free: f64,
@@ -1063,6 +1066,8 @@ struct LoopCtx {
     shed_queue_full: u64,
     shed_infeasible: u64,
     degraded: u64,
+    hits: u64,
+    cloud_requests: u64,
     cloud_busy_ms: f64,
     joint_overrides: u64,
 }
@@ -1101,30 +1106,20 @@ fn settle(
             }
             if completion > upload_end {
                 cx.cloud_busy_ms += completion - upload_end;
-                mcdnn_obs::counter_add("sched.cloud.requests", 1);
-                mcdnn_obs::observe_ms("sched.cloud.stage_ms", completion - upload_end);
+                cx.cloud_requests += 1;
+                metrics::SCHED_CLOUD_STAGE_MS.observe(completion - upload_end);
             }
             if overridden {
                 cx.joint_overrides += 1;
-                mcdnn_obs::counter_add("sched.cloud.joint_overrides", 1);
             }
             service[r.tenant] += d + u;
             cx.total_service += d + u;
             if level != LadderLevel::Normal {
                 cx.degraded += 1;
-                mcdnn_obs::counter_add("sched.degraded", 1);
             }
             let hit = completion <= r.deadline_ms;
-            mcdnn_obs::counter_add("sched.admitted", 1);
-            mcdnn_obs::counter_add(
-                if hit {
-                    "sched.deadline_hits"
-                } else {
-                    "sched.deadline_misses"
-                },
-                1,
-            );
-            mcdnn_obs::observe_ms("sched.latency_ms", completion - r.arrival_ms);
+            cx.hits += u64::from(hit);
+            metrics::SCHED_LATENCY_MS.observe(completion - r.arrival_ms);
             outcomes.push(Outcome {
                 tenant: r.tenant,
                 seq: r.seq,
@@ -1140,8 +1135,6 @@ fn settle(
         }
         None => {
             cx.shed_infeasible += 1;
-            mcdnn_obs::counter_add("sched.shed_infeasible", 1);
-            mcdnn_obs::counter_add("sched.deadline_misses", 1);
             outcomes.push(shed_outcome(r));
             false
         }
@@ -1161,7 +1154,7 @@ fn schedule(
     config: &SloConfig,
     policy: SloPolicy,
     mode: DispatchMode,
-) -> Tallies {
+) -> LoopCtx {
     st.stats = DispatchStats::default();
 
     st.all.clear();
@@ -1200,16 +1193,26 @@ fn schedule(
         DispatchMode::Reference => run_reference(st, frontiers, config, policy),
         DispatchMode::Indexed => run_indexed(st, frontiers, config, policy),
     };
-    mcdnn_obs::counter_add("sched.requests", st.all.len() as u64);
     st.stats.requests = st.all.len() as u64;
     st.stats.schedule_ns = start.elapsed().as_nanos() as u64;
-    mcdnn_obs::counter_add("sched.dispatch_ns", st.stats.schedule_ns);
-    mcdnn_obs::counter_add("sched.heap.pushes", st.stats.heap_pushes);
-    mcdnn_obs::counter_add("sched.heap.pops", st.stats.heap_pops);
-    mcdnn_obs::counter_add("sched.heap.stale", st.stats.heap_stale);
-    mcdnn_obs::counter_add("sched.price_memo.hits", st.stats.memo_hits);
-    mcdnn_obs::counter_add("sched.price_memo.misses", st.stats.memo_misses);
-    mcdnn_obs::counter_add("sched.price_memo.prunes", st.stats.memo_prunes);
+    // The loop tallies its outcomes anyway: flush them once per run.
+    let admitted = st.stats.dispatched;
+    metrics::SCHED_REQUESTS.add(st.stats.requests);
+    metrics::SCHED_ADMITTED.add(admitted);
+    metrics::SCHED_DEADLINE_HITS.add(tallies.hits);
+    metrics::SCHED_DEADLINE_MISSES.add(admitted - tallies.hits + tallies.shed_infeasible);
+    metrics::SCHED_DEGRADED.add(tallies.degraded);
+    metrics::SCHED_SHED_INFEASIBLE.add(tallies.shed_infeasible);
+    metrics::SCHED_SHED_QUEUE_FULL.add(tallies.shed_queue_full);
+    metrics::SCHED_CLOUD_REQUESTS.add(tallies.cloud_requests);
+    metrics::SCHED_CLOUD_JOINT_OVERRIDES.add(tallies.joint_overrides);
+    metrics::SCHED_DISPATCH_NS.add(st.stats.schedule_ns);
+    metrics::SCHED_HEAP_PUSHES.add(st.stats.heap_pushes);
+    metrics::SCHED_HEAP_POPS.add(st.stats.heap_pops);
+    metrics::SCHED_HEAP_STALE.add(st.stats.heap_stale);
+    metrics::SCHED_PRICE_MEMO_HITS.add(st.stats.memo_hits);
+    metrics::SCHED_PRICE_MEMO_MISSES.add(st.stats.memo_misses);
+    metrics::SCHED_PRICE_MEMO_PRUNES.add(st.stats.memo_prunes);
     tallies
 }
 
@@ -1220,7 +1223,7 @@ fn run_reference(
     frontiers: &[Arc<RateFrontier>],
     config: &SloConfig,
     policy: SloPolicy,
-) -> Tallies {
+) -> LoopCtx {
     let total_weight: f64 = st.weights.iter().sum();
     let mut cx = LoopCtx::default();
     let mut next = 0usize;
@@ -1231,7 +1234,6 @@ fn run_reference(
             let r = st.all[next];
             if policy == SloPolicy::EdfDegrade && st.rq.len() >= config.max_queue {
                 cx.shed_queue_full += 1;
-                mcdnn_obs::counter_add("sched.shed_queue_full", 1);
                 st.outcomes.push(shed_outcome(&r));
             } else {
                 st.rq.push(r);
@@ -1246,7 +1248,7 @@ fn run_reference(
             continue;
         }
 
-        mcdnn_obs::observe_ms("sched.queue_depth", st.rq.len() as f64);
+        metrics::SCHED_QUEUE_DEPTH.observe(st.rq.len() as f64);
         let t = cx.server_free;
         let idx = match policy {
             SloPolicy::Fifo => 0, // `all` is arrival-ordered and admits in order
@@ -1260,7 +1262,7 @@ fn run_reference(
             ),
         };
         let r = st.rq.remove(idx);
-        mcdnn_obs::observe_ms("sched.slack_ms", (r.deadline_ms - t).max(0.0));
+        metrics::SCHED_SLACK_MS.observe((r.deadline_ms - t).max(0.0));
 
         // Walk the ladder: cheapest rung whose projected completion —
         // cloud contention included — fits the deadline. FIFO always
@@ -1317,13 +1319,7 @@ fn run_reference(
         }
     }
 
-    Tallies {
-        shed_queue_full: cx.shed_queue_full,
-        shed_infeasible: cx.shed_infeasible,
-        degraded: cx.degraded,
-        cloud_busy_ms: cx.cloud_busy_ms,
-        joint_overrides: cx.joint_overrides,
-    }
+    cx
 }
 
 /// The overhauled loop: indexed EDF/WFQ pick (or a `VecDeque` for
@@ -1335,7 +1331,7 @@ fn run_indexed(
     frontiers: &[Arc<RateFrontier>],
     config: &SloConfig,
     policy: SloPolicy,
-) -> Tallies {
+) -> LoopCtx {
     let tcount = st.weights.len();
     let total_weight: f64 = st.weights.iter().sum();
     let mut cx = LoopCtx::default();
@@ -1368,7 +1364,6 @@ fn run_indexed(
             if policy == SloPolicy::EdfDegrade {
                 if queued >= config.max_queue {
                     cx.shed_queue_full += 1;
-                    mcdnn_obs::counter_add("sched.shed_queue_full", 1);
                     st.outcomes.push(shed_outcome(&r));
                 } else {
                     let priority = config.spec.classes[r.class].0.priority;
@@ -1389,7 +1384,7 @@ fn run_indexed(
             continue;
         }
 
-        mcdnn_obs::observe_ms("sched.queue_depth", queued as f64);
+        metrics::SCHED_QUEUE_DEPTH.observe(queued as f64);
         let t = cx.server_free;
         let idx = match policy {
             SloPolicy::Fifo => st.fifo.pop_front().expect("queued > 0"),
@@ -1406,7 +1401,7 @@ fn run_indexed(
         };
         queued -= 1;
         let r = st.all[idx];
-        mcdnn_obs::observe_ms("sched.slack_ms", (r.deadline_ms - t).max(0.0));
+        metrics::SCHED_SLACK_MS.observe((r.deadline_ms - t).max(0.0));
 
         let chosen = price_ladder(st, frontiers, config, policy, &r, t);
         let dispatched = settle(&r, chosen, &mut cx, &mut st.service, &mut st.outcomes);
@@ -1432,13 +1427,7 @@ fn run_indexed(
         }
     }
 
-    Tallies {
-        shed_queue_full: cx.shed_queue_full,
-        shed_infeasible: cx.shed_infeasible,
-        degraded: cx.degraded,
-        cloud_busy_ms: cx.cloud_busy_ms,
-        joint_overrides: cx.joint_overrides,
-    }
+    cx
 }
 
 /// Price one rung's slack-invariant terms for the memo.
@@ -1586,22 +1575,13 @@ fn price_ladder(
     None
 }
 
-/// Loop-level accounting carried from [`schedule`] into [`summarize`].
-struct Tallies {
-    shed_queue_full: u64,
-    shed_infeasible: u64,
-    degraded: u64,
-    cloud_busy_ms: f64,
-    joint_overrides: u64,
-}
-
 fn summarize(
     outcomes: &mut [Outcome],
     tenants: &[SloTenant],
     config: &SloConfig,
     policy: SloPolicy,
     shares: &[f64],
-    tallies: Tallies,
+    tallies: LoopCtx,
 ) -> SloReport {
     // `(tenant, seq)` is unique, so the unstable sort is deterministic.
     outcomes.sort_unstable_by(|a, b| a.tenant.cmp(&b.tenant).then(a.seq.cmp(&b.seq)));
@@ -1812,7 +1792,7 @@ fn prepare_and_schedule(
     config: &SloConfig,
     policy: SloPolicy,
     mode: DispatchMode,
-) -> Result<Tallies, AdmitError> {
+) -> Result<LoopCtx, AdmitError> {
     config.validate()?;
     if tenants.is_empty() {
         return Err(AdmitError::EmptyFleet);
@@ -2217,26 +2197,26 @@ mod tests {
         let config = test_config();
         let fleet = slo_fleet(&test_profiles(), 4, &config);
         let cache = PlanCache::new();
-        let req0 = mcdnn_obs::counter_value("sched.requests");
-        let adm0 = mcdnn_obs::counter_value("sched.admitted");
-        let hit0 = mcdnn_obs::counter_value("sched.deadline_hits");
-        let miss0 = mcdnn_obs::counter_value("sched.deadline_misses");
+        let req0 = mcdnn_obs::thread_counter_value("sched.requests");
+        let adm0 = mcdnn_obs::thread_counter_value("sched.admitted");
+        let hit0 = mcdnn_obs::thread_counter_value("sched.deadline_hits");
+        let miss0 = mcdnn_obs::thread_counter_value("sched.deadline_misses");
         let r = serve_slo_serial(&cache, &fleet, &config, SloPolicy::EdfDegrade).unwrap();
         assert_eq!(
-            mcdnn_obs::counter_value("sched.requests") - req0,
+            mcdnn_obs::thread_counter_value("sched.requests") - req0,
             r.total_requests
         );
         assert_eq!(
-            mcdnn_obs::counter_value("sched.admitted") - adm0,
+            mcdnn_obs::thread_counter_value("sched.admitted") - adm0,
             r.admitted
         );
         assert_eq!(
-            mcdnn_obs::counter_value("sched.deadline_hits") - hit0,
+            mcdnn_obs::thread_counter_value("sched.deadline_hits") - hit0,
             r.deadline_hits
         );
         assert_eq!(
-            (mcdnn_obs::counter_value("sched.deadline_misses") - miss0)
-                + (mcdnn_obs::counter_value("sched.deadline_hits") - hit0),
+            (mcdnn_obs::thread_counter_value("sched.deadline_misses") - miss0)
+                + (mcdnn_obs::thread_counter_value("sched.deadline_hits") - hit0),
             r.total_requests - r.shed_queue_full,
             "every dispatched or infeasible request lands in hit or miss"
         );
@@ -2371,21 +2351,21 @@ mod tests {
         };
         let fleet = slo_fleet(&cloudy_profiles(), 6, &config);
         let cache = PlanCache::new();
-        let req0 = mcdnn_obs::counter_value("sched.cloud.requests");
+        let req0 = mcdnn_obs::thread_counter_value("sched.cloud.requests");
         let r = serve_slo_serial(&cache, &fleet, &config, SloPolicy::Fifo).unwrap();
         assert!(r.cloud_busy_ms > 0.0, "fixture must offload somewhere");
         assert!(
-            mcdnn_obs::counter_value("sched.cloud.requests") > req0,
+            mcdnn_obs::thread_counter_value("sched.cloud.requests") > req0,
             "cloud-bearing dispatches must count"
         );
         let joint_cfg = SloConfig {
             joint_alloc: true,
             ..config
         };
-        let ovr0 = mcdnn_obs::counter_value("sched.cloud.joint_overrides");
+        let ovr0 = mcdnn_obs::thread_counter_value("sched.cloud.joint_overrides");
         let j = serve_slo_serial(&cache, &fleet, &joint_cfg, SloPolicy::EdfDegrade).unwrap();
         assert_eq!(
-            mcdnn_obs::counter_value("sched.cloud.joint_overrides") - ovr0,
+            mcdnn_obs::thread_counter_value("sched.cloud.joint_overrides") - ovr0,
             j.joint_overrides
         );
     }

@@ -1,26 +1,40 @@
 //! Proof that a warm [`mcdnn_sim::DesArena`] run is allocation-free.
 //!
 //! Same counting-allocator technique as `mcdnn-obs`'s `alloc_free`
-//! test: a thin `System` wrapper counts heap allocations around a warm
-//! `DesArena::simulate` call with observability disabled. This is the
-//! property the million-job sweeps lean on — per-schedule cost must be
-//! pure simulation, not buffer churn.
+//! test: a thin `System` wrapper counts the calling thread's heap
+//! allocations around a warm `DesArena::simulate` call, with
+//! observability recording as it does by default. This is the property
+//! the million-job sweeps lean on — per-schedule cost must be pure
+//! simulation, not buffer churn.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use mcdnn_flowshop::FlowJob;
 use mcdnn_sim::{DesArena, DesConfig};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap allocations made by this thread: a measured window counts
+    /// only its own thread, whatever sibling tests allocate meanwhile.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made by the calling thread so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 // SAFETY: delegates directly to `System`; the counter has no effect on
 // allocation behaviour.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -29,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -51,16 +65,14 @@ fn warm_arena_simulate_allocates_nothing() {
     };
 
     let mut arena = DesArena::new();
-    // Cold run sizes the buffers (and forces the obs registry's lazy
-    // init); then disable instrumentation and measure a warm run.
+    // Cold run sizes the buffers (and allocates this thread's obs
+    // slab); then measure a warm run with recording still on.
     mcdnn_obs::set_enabled(true);
     let cold = arena.simulate(&jobs, &order, &config);
-    mcdnn_obs::set_enabled(false);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let warm = arena.simulate(&jobs, &order, &config);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    mcdnn_obs::set_enabled(true);
+    let after = allocations();
 
     assert_eq!(warm, cold, "same seed, same schedule, same makespan");
     assert_eq!(after - before, 0, "warm arena run must not allocate");

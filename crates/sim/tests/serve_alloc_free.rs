@@ -1,8 +1,9 @@
 //! Proof of the steady-state serving contract: a warm
 //! [`mcdnn_sim::UserSession`] admits fault-free bursts with **zero
-//! heap allocations**, measured on a worker thread (the pool's
-//! steady-state shape — the main thread blocks in `join`, so the
-//! counting allocator sees only the session's own work).
+//! heap allocations**, with observability recording as it does by
+//! default, measured on a worker thread (the pool's steady-state
+//! shape). The counting allocator counts per thread, so the window
+//! sees only the session's own work.
 //!
 //! The measured window covers the full admission path: bandwidth walk,
 //! degradation roll, ladder decision, shared-cache-backed frontier
@@ -12,7 +13,7 @@
 //! documents.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use mcdnn_partition::{PlanCache, RateProfile};
 use mcdnn_profile::AdaptConfig;
@@ -20,13 +21,26 @@ use mcdnn_sim::{fleet, DriftSpec, ServeConfig, UserSession};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap allocations made by this thread: a measured window counts
+    /// only its own thread, whatever sibling tests allocate meanwhile.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made by the calling thread so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 // SAFETY: delegates directly to `System`; the counter has no effect on
 // allocation behaviour.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -35,7 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -71,25 +85,22 @@ fn warm_session_admits_bursts_without_allocating() {
     };
     let specs = fleet(&profiles, 2, &config);
 
+    mcdnn_obs::set_enabled(true);
     let worker = std::thread::spawn(move || {
         let cache = PlanCache::new();
         let mut total = 0u64;
         for spec in &specs {
-            // Warm-up with obs enabled: compiles the frontier + ladder,
-            // grows the arena, registers every counter name and the
-            // thread-local cache memo.
-            mcdnn_obs::set_enabled(true);
+            // Warm-up: compiles the frontier + ladder, grows the arena,
+            // and allocates the thread's obs slab and cache memo.
             let mut session = UserSession::start(&cache, spec, &config).unwrap();
             for _ in 0..32 {
                 session.admit_burst();
             }
-            mcdnn_obs::set_enabled(false);
-            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let before = allocations();
             for _ in 0..200 {
                 session.admit_burst();
             }
-            total += ALLOCATIONS.load(Ordering::Relaxed) - before;
-            mcdnn_obs::set_enabled(true);
+            total += allocations() - before;
         }
         total
     });
@@ -130,9 +141,9 @@ fn adaptive_observe_path_is_alloc_free_between_commits() {
     };
     let specs = fleet(&profiles, 1, &config);
 
+    mcdnn_obs::set_enabled(true);
     let worker = std::thread::spawn(move || {
         let cache = PlanCache::new();
-        mcdnn_obs::set_enabled(true);
         let mut session = UserSession::start(&cache, &specs[0], &config).unwrap();
         // Warm-up: fill the regression window (uploads are observed on
         // most bursts) and settle the arena and cache memo.
@@ -140,15 +151,12 @@ fn adaptive_observe_path_is_alloc_free_between_commits() {
             session.admit_burst();
             session.maybe_adapt(&cache).unwrap();
         }
-        mcdnn_obs::set_enabled(false);
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         for _ in 0..200 {
             session.admit_burst();
             session.maybe_adapt(&cache).unwrap();
         }
-        let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        mcdnn_obs::set_enabled(true);
-        delta
+        allocations() - before
     });
     let allocs = worker.join().expect("worker thread");
     assert_eq!(

@@ -2,16 +2,16 @@
 //! allocation-free.
 //!
 //! Same counting-allocator technique as `arena_alloc_free`: a thin
-//! `System` wrapper counts heap allocations around a warm
-//! `serve_slo_digest_in` call — request generation, the indexed
+//! `System` wrapper counts the calling thread's heap allocations around
+//! a warm `serve_slo_digest_in` call — request generation, the indexed
 //! EDF/WFQ dispatch loop, the rung-pricing memo, and the outcome
-//! digest fold — with observability disabled. Report construction is
+//! digest fold — with observability recording as it does by default. Report construction is
 //! excluded on purpose (reports own `String`s), as is the joint share
 //! planner (`joint_alloc` runs a fresh optimization per run by
 //! design); the digest covers every scheduled bit regardless.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use mcdnn_partition::{PlanCache, RateProfile};
 use mcdnn_sim::{
@@ -51,13 +51,26 @@ fn profiles() -> Vec<RateProfile> {
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap allocations made by this thread: a measured window counts
+    /// only its own thread, whatever sibling tests allocate meanwhile.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made by the calling thread so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 // SAFETY: delegates directly to `System`; the counter has no effect on
 // allocation behaviour.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -66,7 +79,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -86,8 +99,9 @@ fn warm_slo_digest_run_allocates_nothing() {
     let mut arena = SloArena::new();
 
     // Cold run sizes every buffer (streams, heaps, pricing memo) and
-    // warms the plan cache's per-thread memo; a report run pins the
-    // digest the hot path must keep reproducing.
+    // warms the plan cache's per-thread memo and this thread's obs
+    // slab; a report run pins the digest the hot path must keep
+    // reproducing.
     mcdnn_obs::set_enabled(true);
     let report = serve_slo_serial(&cache, &fleet, &config, SloPolicy::EdfDegrade).unwrap();
     let cold = serve_slo_digest_in(
@@ -99,9 +113,8 @@ fn warm_slo_digest_run_allocates_nothing() {
         DispatchMode::Indexed,
     )
     .unwrap();
-    mcdnn_obs::set_enabled(false);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let warm = serve_slo_digest_in(
         &mut arena,
         &cache,
@@ -111,8 +124,7 @@ fn warm_slo_digest_run_allocates_nothing() {
         DispatchMode::Indexed,
     )
     .unwrap();
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    mcdnn_obs::set_enabled(true);
+    let after = allocations();
 
     assert_eq!(warm, cold, "same fleet, same config, same digest");
     assert_eq!(warm, report.digest, "digest fold must match the report");
