@@ -16,9 +16,7 @@ use mcdnn_bench::workload::{monotone_zoo_cloud_rate_profiles, SETUP_MS};
 use mcdnn_partition::PlanCache;
 use mcdnn_rng::Rng;
 use mcdnn_runtime::WorkerPool;
-use mcdnn_sim::{
-    serve_slo_serial_with, serve_slo_with, slo_fleet, DispatchMode, SloConfig, SloPolicy,
-};
+use mcdnn_sim::{serve_slo, serve_slo_serial_with, slo_fleet, DispatchMode, SloConfig, SloPolicy};
 
 #[test]
 fn indexed_dispatch_is_bit_identical_to_the_reference_zoo_wide() {
@@ -99,15 +97,8 @@ fn pooled_indexed_dispatch_matches_serial_at_every_width() {
     for workers in [1usize, 2, 4, 8] {
         let pool = WorkerPool::new(workers);
         let cache = Arc::new(PlanCache::new());
-        let pooled = serve_slo_with(
-            &pool,
-            &cache,
-            &fleet,
-            &config,
-            SloPolicy::EdfDegrade,
-            DispatchMode::Indexed,
-        )
-        .expect("fleet serves");
+        let pooled =
+            serve_slo(&pool, &cache, &fleet, &config, SloPolicy::EdfDegrade).expect("fleet serves");
         assert_eq!(
             serial, pooled,
             "{workers}-worker indexed serving diverged from serial"

@@ -41,13 +41,11 @@ pub mod chaos;
 pub mod engine;
 pub mod error;
 pub mod experiment;
-pub mod robust;
 pub mod scenario;
 
 pub use chaos::{chaos_report, ChaosConfig, ChaosReport};
 pub use engine::{Engine, EngineConfig};
 pub use error::Error;
-pub use robust::{robust_jps_plan, RobustPlan};
 pub use scenario::{Scenario, TimedPlan};
 
 pub use mcdnn_flowshop as flowshop;

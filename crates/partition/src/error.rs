@@ -31,6 +31,13 @@ pub enum PlanError {
         /// The enumeration cap.
         limit: u128,
     },
+    /// An argument is outside the domain the planner is defined on
+    /// (no jobs, an empty or unbounded bandwidth range, a strategy the
+    /// frontier cannot compile).
+    BadInput {
+        /// Which argument is broken, human-readable.
+        what: &'static str,
+    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -51,6 +58,7 @@ impl std::fmt::Display for PlanError {
                 "joint brute force would enumerate {candidates} multisets \
                  (limit {limit}); reduce n or k"
             ),
+            PlanError::BadInput { what } => write!(fmt, "bad planning input: {what}"),
         }
     }
 }

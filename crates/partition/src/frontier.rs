@@ -38,6 +38,7 @@ use mcdnn_flowshop::kernels::{two_type_mix_makespan, uniform_makespan};
 use mcdnn_graph::LineDnn;
 use mcdnn_obs::metrics;
 use mcdnn_profile::{CloudModel, CostProfile, DeviceModel, ProfileError, ProfileVersion};
+use mcdnn_rng::{fnv_fold, FNV_OFFSET};
 
 use crate::error::PlanError;
 use crate::jps::{winning_candidate, Candidate};
@@ -492,9 +493,11 @@ impl RateFrontier {
     /// [`Strategy::JpsBestMix`]) for `n ≥ 1` jobs over bandwidths
     /// `[lo_mbps, hi_mbps]`.
     ///
-    /// Fails with the same [`PlanError`] monotonicity diagnostics as
-    /// [`Strategy::try_plan`] when the profile violates the clustered
-    /// shape at some bandwidth in the range.
+    /// Fails with [`PlanError::BadInput`] for any other strategy, for
+    /// `n = 0`, or unless `0 < lo_mbps < hi_mbps < ∞`; and with the same
+    /// [`PlanError`] monotonicity diagnostics as [`Strategy::try_plan`]
+    /// when the profile violates the clustered shape at some bandwidth
+    /// in the range.
     pub fn compile(
         profile: &RateProfile,
         strategy: Strategy,
@@ -502,15 +505,16 @@ impl RateFrontier {
         lo_mbps: f64,
         hi_mbps: f64,
     ) -> Result<RateFrontier, PlanError> {
-        assert!(
-            matches!(strategy, Strategy::Jps | Strategy::JpsBestMix),
-            "frontier compilation supports the JPS strategies, got {strategy:?}"
-        );
-        assert!(n >= 1, "need at least one job");
-        assert!(
-            lo_mbps > 0.0 && lo_mbps < hi_mbps && hi_mbps.is_finite(),
-            "need 0 < lo < hi"
-        );
+        let bad = |what| Err(PlanError::BadInput { what });
+        if !matches!(strategy, Strategy::Jps | Strategy::JpsBestMix) {
+            return bad("frontier compilation supports only the JPS strategies");
+        }
+        if n == 0 {
+            return bad("need at least one job");
+        }
+        if !(lo_mbps > 0.0 && lo_mbps < hi_mbps && hi_mbps.is_finite()) {
+            return bad("need 0 < lo_mbps < hi_mbps < inf");
+        }
         let started = std::time::Instant::now();
         profile.check_monotone()?;
         let best_mix = strategy == Strategy::JpsBestMix;
@@ -847,15 +851,6 @@ const DEFAULT_SHARDS: usize = 16;
 /// a comfortable margin over the largest fleet the benches drive
 /// through one thread.
 const MEMO_SLOTS: usize = 128;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Fold one word into an FNV-1a accumulator.
-#[inline]
-fn fnv_fold(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(FNV_PRIME)
-}
 
 /// FNV-1a digest of a profile's content — stage bits, bytes, setup,
 /// generation; name excluded. The digest half of

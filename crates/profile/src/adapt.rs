@@ -28,16 +28,9 @@
 //! clocks, no RNG — two estimators fed the same samples in the same
 //! order are bit-identical, whatever thread they live on.
 
+use mcdnn_rng::{fnv_fold, FNV_OFFSET};
+
 use crate::regression::LinearRegression;
-
-/// FNV-1a fold, matching the digest convention used across the repo.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv_fold(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(FNV_PRIME)
-}
 
 /// Monotone version stamp for a (re-estimated) profile: a generation
 /// counter that only moves forward plus an FNV-1a digest of the

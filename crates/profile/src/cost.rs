@@ -3,6 +3,7 @@
 //! partition and scheduling algorithms.
 
 use mcdnn_graph::LineDnn;
+use mcdnn_rng::{fnv_fold, FNV_OFFSET};
 
 use crate::device::{CloudModel, DeviceModel};
 use crate::network::NetworkModel;
@@ -266,13 +267,10 @@ impl CostProfile {
     /// `(f, g, cloud)` content; the name is deliberately excluded so
     /// renamed but identical workloads share a version.
     pub fn version(&self) -> crate::adapt::ProfileVersion {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let fold = |h: u64, v: u64| (h ^ v).wrapping_mul(PRIME);
-        let mut h = fold(OFFSET, self.f_ms.len() as u64);
+        let mut h = fnv_fold(FNV_OFFSET, self.f_ms.len() as u64);
         for vec in [&self.f_ms, &self.g_ms, &self.cloud_ms] {
             for &v in vec.iter() {
-                h = fold(h, v.to_bits());
+                h = fnv_fold(h, v.to_bits());
             }
         }
         crate::adapt::ProfileVersion::base(h)

@@ -15,6 +15,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// FNV-1a 64-bit offset basis: the digest of empty input, and the
+/// starting value of every digest the workspace folds.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold one word into an FNV-1a 64-bit accumulator: `(h ^ v) · prime`.
+/// Folding the bytes of an input one at a time from [`FNV_OFFSET`] is
+/// standard FNV-1a; the workspace's digests fold whole words (float
+/// bits, counts, ids) the same way.
+#[inline]
+pub fn fnv_fold(h: u64, v: u64) -> u64 {
+    (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
 /// Seedable xoshiro256++ generator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rng {
@@ -179,6 +192,14 @@ impl SampleRange for std::ops::Range<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv_fold_over_bytes_is_standard_fnv1a() {
+        let fnv1a = |s: &str| s.bytes().fold(FNV_OFFSET, |h, b| fnv_fold(h, b as u64));
+        // Published FNV-1a 64-bit test vectors.
+        assert_eq!(fnv1a("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a("foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn deterministic_per_seed() {

@@ -864,4 +864,37 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn block_kernels_agree_with_des() {
+        // The O(1) planner kernels must match the discrete-event
+        // simulator, not just the recurrence they were derived from.
+        use mcdnn_flowshop::kernels::{two_type_mix_makespan, uniform_makespan};
+        for &(n, f, g) in &[(1usize, 4.0, 6.0), (7, 7.0, 2.0), (13, 5.0, 5.0), (9, 3.0, 0.0)] {
+            let jobs: Vec<FlowJob> =
+                (0..n).map(|i| FlowJob::two_stage(i, f, g)).collect();
+            let order = johnson_order(&jobs);
+            let des = simulate(&jobs, &order, &DesConfig::default()).makespan_ms;
+            assert!(
+                (uniform_makespan(n, f, g) - des).abs() < 1e-9,
+                "uniform kernel vs DES at n={n} ({f},{g})"
+            );
+        }
+        for &(a, b) in &[(3usize, 4usize), (0, 5), (6, 0), (2, 2)] {
+            let mut jobs: Vec<FlowJob> = Vec::new();
+            for _ in 0..a {
+                jobs.push(FlowJob::two_stage(jobs.len(), 4.0, 6.0));
+            }
+            for _ in 0..b {
+                jobs.push(FlowJob::two_stage(jobs.len(), 7.0, 2.0));
+            }
+            let order = johnson_order(&jobs);
+            let des = simulate(&jobs, &order, &DesConfig::default()).makespan_ms;
+            let kernel = two_type_mix_makespan(a, 4.0, 6.0, b, 7.0, 2.0);
+            assert!(
+                (kernel - des).abs() < 1e-9,
+                "mix kernel {kernel} vs DES {des} at a={a} b={b}"
+            );
+        }
+    }
 }

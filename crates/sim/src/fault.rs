@@ -30,7 +30,7 @@
 //! [`format_events`] renders the canonical textual log whose
 //! [`log_digest`] the chaos tests pin across repeated seeded runs.
 
-use mcdnn_rng::Rng;
+use mcdnn_rng::{fnv_fold, Rng, FNV_OFFSET};
 
 /// One injected fault.
 #[derive(Debug, Clone, PartialEq)]
@@ -513,12 +513,7 @@ pub fn format_events(events: &[FaultEvent]) -> String {
 /// FNV-1a digest of a textual log; two runs of the same fault schedule
 /// must produce equal digests (chaos determinism contract).
 pub fn log_digest(log: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in log.bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    log.bytes().fold(FNV_OFFSET, |h, b| fnv_fold(h, b as u64))
 }
 
 #[cfg(test)]
@@ -687,6 +682,6 @@ mod tests {
         );
         assert_eq!(log_digest(&log), log_digest(&log.clone()));
         assert_ne!(log_digest(&log), log_digest("t=12.500 job=4"));
-        assert_eq!(log_digest(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(log_digest(""), FNV_OFFSET);
     }
 }

@@ -17,8 +17,6 @@
 //!   busy-wait time per stage in scaled-down virtual milliseconds. This
 //!   exercises the actual systems behaviour (queueing, backpressure,
 //!   stage exclusivity) the analytic model abstracts.
-//! * [`validate`] — cross-checks between the closed form
-//!   (Proposition 4.1), the recurrence, the DES and the executor.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -33,8 +31,8 @@ pub mod robustness;
 pub mod serve;
 pub mod slo;
 pub mod stream;
+mod tenant;
 pub mod trace;
-pub mod validate;
 
 pub use adapt::DriftSpec;
 pub use degrade::{
@@ -57,9 +55,9 @@ pub use serve::{
     UserSession, UserSpec, UserSummary,
 };
 pub use slo::{
-    serve_slo, serve_slo_digest_in, serve_slo_serial, serve_slo_serial_in, serve_slo_serial_with,
-    serve_slo_with, slo_fleet, AdmitError, ClassSummary, DispatchMode, DispatchStats, SloArena,
-    SloClass, SloConfig, SloPolicy, SloReport, SloRequest, SloSpec, SloTenant, TenantSloSummary,
+    serve_slo, serve_slo_digest_in, serve_slo_serial, serve_slo_serial_with, slo_fleet,
+    AdmitError, ClassSummary, DispatchMode, DispatchStats, SloArena, SloClass, SloConfig,
+    SloPolicy, SloReport, SloRequest, SloSpec, SloTenant, TenantSloSummary,
 };
 pub use robustness::{
     chaos_drill, chaos_scenarios, realized_makespans, run_chaos_grid, ChaosDrill, ChaosRow,
@@ -67,4 +65,3 @@ pub use robustness::{
 };
 pub use stream::{best_cut_for_rate, saturation_rate_hz, simulate_stream, StreamConfig, StreamStats};
 pub use trace::{faulted_trace, schedule_trace, to_chrome_trace};
-pub use validate::{agreement_report, AgreementReport};
