@@ -99,6 +99,8 @@ impl RateProfile {
     /// Validates the same shape invariants as [`CostProfile::try_new`]
     /// (by constructing the profile at 1 Mbps): `f[0] == 0`,
     /// `bytes[k] == 0` so `g(k) = 0`, matching lengths, finite entries.
+    /// A negative or non-finite `setup_ms` is
+    /// [`ProfileError::NonFinite`] with `which: "setup"`.
     pub fn from_parts(
         name: impl Into<String>,
         f_ms: Vec<f64>,
@@ -106,7 +108,13 @@ impl RateProfile {
         setup_ms: f64,
         cloud_ms: Option<Vec<f64>>,
     ) -> Result<Self, ProfileError> {
-        assert!(setup_ms >= 0.0, "setup latency cannot be negative");
+        if !(setup_ms >= 0.0 && setup_ms.is_finite()) {
+            return Err(ProfileError::NonFinite {
+                which: "setup",
+                index: 0,
+                value: setup_ms,
+            });
+        }
         let cloud_ms = cloud_ms.unwrap_or_else(|| vec![0.0; f_ms.len()]);
         let rate = RateProfile {
             name: name.into(),
@@ -494,10 +502,19 @@ impl RateFrontier {
     /// `[lo_mbps, hi_mbps]`.
     ///
     /// Fails with [`PlanError::BadInput`] for any other strategy, for
-    /// `n = 0`, or unless `0 < lo_mbps < hi_mbps < ∞`; and with the same
+    /// `n = 0`, or unless `0 < lo_mbps < hi_mbps < ∞`; with the same
     /// [`PlanError`] monotonicity diagnostics as [`Strategy::try_plan`]
     /// when the profile violates the clustered shape at some bandwidth
-    /// in the range.
+    /// in the range; and with [`PlanError::BadInput`] when the concrete
+    /// profile at some bandwidth in the range would fail
+    /// [`CostProfile::try_new`] (a negative setup latency, say).
+    ///
+    /// Probes read borrowed stage slices: `f` straight from the
+    /// profile, `g` from one buffer refilled per probe with the exact
+    /// [`RateProfile::upload_ms_at`] expression, so every probe sees
+    /// the stage bits [`RateProfile::profile_at`] would build, without
+    /// building it. The allocation count is therefore independent of
+    /// the probe count.
     pub fn compile(
         profile: &RateProfile,
         strategy: Strategy,
@@ -517,12 +534,24 @@ impl RateFrontier {
         }
         let started = std::time::Instant::now();
         profile.check_monotone()?;
+        // Every probe lies in [lo, hi]. `f` and the cloud stage do not
+        // depend on the bandwidth and each `g(l; b)` is monotone in `b`,
+        // so the profile is valid at every probe iff it is valid at both
+        // ends: the checks a per-probe `CostProfile::try_new` made run
+        // here, twice per compile.
+        for b in [lo_mbps, hi_mbps] {
+            profile.try_profile_at(b).map_err(bad_stages)?;
+        }
         let best_mix = strategy == Strategy::JpsBestMix;
+        let f = &profile.f_ms[..];
+        let mut g = vec![0.0; f.len()];
         let mut probes: u64 = 0;
         let mut probe = |b: f64| -> CutMix {
             probes += 1;
-            let cp = profile.profile_at(b);
-            let (search, cand) = winning_candidate(&cp, n, best_mix);
+            for (l, gl) in g.iter_mut().enumerate() {
+                *gl = profile.upload_ms_at(l, b);
+            }
+            let (search, cand) = winning_candidate(f, &g, n, best_mix);
             CutMix::from_candidate(search.l_prev, search.l_star, cand, n)
         };
 
@@ -582,14 +611,17 @@ impl RateFrontier {
                 }
             }
         }
-        grid.sort_by(f64::total_cmp);
+        // `total_cmp` equality is bit equality, so the unstable sort
+        // orders exactly as a stable one would, without its buffer.
+        grid.sort_unstable_by(f64::total_cmp);
         grid.dedup();
         *grid.first_mut().expect("non-empty grid") = lo_mbps;
         *grid.last_mut().expect("non-empty grid") = hi_mbps;
 
         // Walk the grid; bisect every adjacent pair whose decisions
         // differ down to the breakpoint.
-        let (mut starts, mut sigs) = walk(&mut probe, &grid);
+        let (mut starts, mut sigs) = (Vec::new(), Vec::new());
+        walk(&mut probe, &grid, &mut starts, &mut sigs);
 
         // Audit fixpoint: sweep a lattice denser than any consumer's
         // query grid plus the midpoint of every compiled piece; any
@@ -599,8 +631,9 @@ impl RateFrontier {
         // zoomed into rather than lost.
         let audit_steps =
             ((hi_mbps / lo_mbps).ln() / AUDIT_RATIO.ln()).ceil().max(1.0) as usize;
+        let mut extra: Vec<f64> = Vec::new();
         for _pass in 0..MAX_AUDIT_PASSES {
-            let mut extra: Vec<f64> = Vec::new();
+            extra.clear();
             let lattice = (1..audit_steps).map(|i| {
                 lo_mbps * (hi_mbps / lo_mbps).powf(i as f64 / audit_steps as f64)
             });
@@ -621,10 +654,10 @@ impl RateFrontier {
             if extra.is_empty() {
                 break;
             }
-            grid.extend(extra);
-            grid.sort_by(f64::total_cmp);
+            grid.extend_from_slice(&extra);
+            grid.sort_unstable_by(f64::total_cmp);
             grid.dedup();
-            (starts, sigs) = walk(&mut probe, &grid);
+            walk(&mut probe, &grid, &mut starts, &mut sigs);
         }
 
         metrics::FRONTIER_COMPILE.add(1);
@@ -718,8 +751,12 @@ impl RateFrontier {
         } else {
             metrics::FRONTIER_OOB.add(1);
             let cp = self.profile.profile_at(bandwidth_mbps);
-            let (search, cand) =
-                winning_candidate(&cp, self.n, self.strategy == Strategy::JpsBestMix);
+            let (search, cand) = winning_candidate(
+                cp.f_all(),
+                cp.g_all(),
+                self.n,
+                self.strategy == Strategy::JpsBestMix,
+            );
             let mix = CutMix::from_candidate(search.l_prev, search.l_star, cand, self.n);
             FrontierDecision {
                 mix,
@@ -776,24 +813,42 @@ impl RateFrontier {
     }
 }
 
+/// The compile error for a profile whose concrete stages at some
+/// bandwidth in the range fail [`CostProfile::try_new`].
+fn bad_stages(err: ProfileError) -> PlanError {
+    PlanError::BadInput {
+        what: match err {
+            ProfileError::NonFinite { .. } => {
+                "stage times must be finite and >= 0 across the bandwidth range"
+            }
+            _ => "profile stages need f(0) = 0, g(k) = 0 and equal lengths",
+        },
+    }
+}
+
 /// One sweep of the compile loop: probe every grid point in order and
-/// bisect each adjacent pair whose decisions differ. Returns the piece
-/// starts and signatures (adjacent equal signatures merged).
+/// bisect each adjacent pair whose decisions differ. Refills `starts`
+/// and `sigs` (kept across audit passes, so a rerun reuses their
+/// storage) with the piece starts and signatures, adjacent equal
+/// signatures merged.
 fn walk(
     probe: &mut impl FnMut(f64) -> CutMix,
     grid: &[f64],
-) -> (Vec<f64>, Vec<CutMix>) {
-    let mut starts = vec![grid[0]];
-    let mut sigs = vec![probe(grid[0])];
+    starts: &mut Vec<f64>,
+    sigs: &mut Vec<CutMix>,
+) {
+    starts.clear();
+    sigs.clear();
     let mut prev_b = grid[0];
-    let mut prev_sig = sigs[0];
+    let mut prev_sig = probe(prev_b);
+    starts.push(prev_b);
+    sigs.push(prev_sig);
     for &b in &grid[1..] {
         let sig = probe(b);
-        refine(probe, prev_b, prev_sig, b, sig, &mut starts, &mut sigs);
+        refine(probe, prev_b, prev_sig, b, sig, starts, sigs);
         prev_b = b;
         prev_sig = sig;
     }
-    (starts, sigs)
 }
 
 /// Recursive breakpoint refinement between two probed bandwidths whose
@@ -1276,6 +1331,47 @@ mod tests {
             Strategy::Jps.try_plan(&rate.profile_at(0.1), 4),
             Err(PlanError::NonMonotoneG { .. })
         ));
+    }
+
+    #[test]
+    fn out_of_shape_stages_are_a_typed_compile_error() {
+        // A negative setup latency passes the monotonicity check (bytes
+        // still shrink) but drives g(l; b) below zero at the fast end
+        // of the range: the compile reports it instead of panicking
+        // inside a probe.
+        let line = LineDnn::from_parts(
+            "negative-setup",
+            600_000,
+            (1..=4)
+                .map(|i| mcdnn_graph::LineLayer {
+                    name: format!("l{i}"),
+                    flops: 100_000_000 * i as u64,
+                    out_bytes: 600_000 >> i,
+                    nodes: vec![],
+                })
+                .collect(),
+        );
+        let mobile = DeviceModel::new("m", 2e9, 0.2);
+        let rate = RateProfile::evaluate(&line, &mobile, &CloudModel::Negligible, -50.0);
+        assert!(rate.check_monotone().is_ok());
+        for strategy in [Strategy::Jps, Strategy::JpsBestMix] {
+            match RateFrontier::compile(&rate, strategy, 4, 1.0, 100.0) {
+                Err(PlanError::BadInput { what }) => assert!(what.contains("finite"), "{what}"),
+                other => panic!("{strategy:?}: expected BadInput, got {other:?}"),
+            }
+        }
+        // The same profile compiles where every stage stays >= 0.
+        assert!(RateFrontier::compile(&rate, Strategy::Jps, 4, 0.1, 1.0).is_ok());
+    }
+
+    #[test]
+    fn from_parts_rejects_a_negative_or_nan_setup() {
+        for setup in [-1.0, f64::NAN, f64::INFINITY] {
+            match RateProfile::from_parts("s", vec![0.0, 4.0], vec![1_000, 0], setup, None) {
+                Err(ProfileError::NonFinite { which: "setup", .. }) => {}
+                other => panic!("setup {setup}: expected NonFinite setup, got {other:?}"),
+            }
+        }
     }
 
     #[test]

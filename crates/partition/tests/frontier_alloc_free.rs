@@ -1,11 +1,14 @@
-//! Proof that in-range [`RateFrontier::decide_at`] is allocation-free.
+//! Proof that in-range [`RateFrontier::decide_at`] is allocation-free,
+//! and that [`RateFrontier::compile`] allocates a bounded number of
+//! times however many probes it runs.
 //!
 //! Same counting-allocator technique as `mcdnn-obs`'s `alloc_free`
 //! test, counting the calling thread's allocations. The online
 //! replanning fast path calls `decide_at` once per burst; with
 //! observability recording as it does by default, that lookup must be
 //! a binary search, O(1) kernel arithmetic and a counter bump — no heap
-//! traffic.
+//! traffic. Every estimator commit recompiles a frontier, so its
+//! thousands of probes must not each build a profile either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -75,9 +78,37 @@ fn in_range_decide_at_allocates_nothing() {
     let after = allocations();
 
     assert!(sum > 0.0, "lookups must produce real makespans");
-    assert_eq!(
-        after - before,
-        0,
-        "in-range decide_at must not allocate"
-    );
+    assert_eq!(after - before, 0, "in-range decide_at must not allocate");
+}
+
+#[test]
+fn compile_allocations_do_not_scale_with_probes() {
+    // A 10-layer clustered profile: enough regimes that the compile
+    // probes well over a thousand bandwidths.
+    let f = vec![
+        0.0, 3.0, 7.0, 12.0, 18.0, 25.0, 33.0, 42.0, 52.0, 63.0, 75.0,
+    ];
+    let bytes = vec![
+        600_000, 420_000, 300_000, 210_000, 150_000, 100_000, 64_000, 40_000, 22_000, 9_000, 0,
+    ];
+    let rate = RateProfile::from_parts("alloc-bound", f, bytes, 10.0, None).expect("valid profile");
+    mcdnn_obs::set_enabled(true);
+    for strategy in [Strategy::Jps, Strategy::JpsBestMix] {
+        // Warm this thread's obs slab outside the measured window.
+        RateFrontier::compile(&rate, strategy, 8, 1.0, 100.0).expect("monotone");
+        let probes0 = mcdnn_obs::thread_counter_value("frontier.compile_probes");
+        let before = allocations();
+        let frontier = RateFrontier::compile(&rate, strategy, 8, 1.0, 100.0).expect("monotone");
+        let allocs = allocations() - before;
+        let probes = mcdnn_obs::thread_counter_value("frontier.compile_probes") - probes0;
+        assert!(
+            frontier.num_pieces() >= 2,
+            "{strategy:?}: regimes must change"
+        );
+        assert!(probes >= 1_000, "{strategy:?}: only {probes} probes");
+        assert!(
+            allocs <= 64,
+            "{strategy:?}: {allocs} allocations for {probes} probes"
+        );
+    }
 }
