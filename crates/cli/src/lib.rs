@@ -912,24 +912,22 @@ fn cmd_serve_slo(flags: &Flags) -> Result<String, CliError> {
         );
     }
     // FIFO and contention-oblivious EDF always run; a configured pool
-    // adds the joint cut/share allocator as a third column.
+    // adds the joint cut/share allocator as a third column. All runs
+    // schedule the same streams, generated (and replanned) once.
     let mut runs = vec![
-        (mcdnn_sim::SloPolicy::Fifo, config.clone()),
-        (mcdnn_sim::SloPolicy::EdfDegrade, config.clone()),
+        (mcdnn_sim::SloPolicy::Fifo, false),
+        (mcdnn_sim::SloPolicy::EdfDegrade, false),
     ];
     if cloud_servers > 0 {
-        runs.push((
-            mcdnn_sim::SloPolicy::EdfDegrade,
-            mcdnn_sim::SloConfig {
-                joint_alloc: true,
-                ..config.clone()
-            },
-        ));
+        runs.push((mcdnn_sim::SloPolicy::EdfDegrade, true));
     }
+    let streams = engine
+        .slo_streams(&tenants, &config)
+        .map_err(|e| err(format!("slo serving failed: {e}")))?;
     let mut reports = Vec::new();
-    for (policy, cfg) in &runs {
-        let r = engine
-            .serve_slo(&tenants, cfg, *policy)
+    for &(policy, joint_alloc) in &runs {
+        let r = streams
+            .schedule(policy, joint_alloc)
             .map_err(|e| err(format!("slo serving failed: {e}")))?;
         let label = if r.joint_alloc {
             format!("{policy}+joint")
