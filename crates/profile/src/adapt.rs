@@ -21,8 +21,10 @@
 //!   relative `gate`. Between commits the serving path is read-only
 //!   and allocation-free.
 //! * [`ProfileVersion`] — the monotone (generation, content digest)
-//!   pair that keys recompiled frontiers in the plan cache so one
-//!   tenant's commit never touches another tenant's cached plans.
+//!   pair that stamps a re-estimated profile: reported per user in the
+//!   serving reports and part of the profile's content key, so it can
+//!   never alias its predecessor in a cache. Replans compile their
+//!   frontiers privately, outside the shared plan cache.
 //!
 //! Everything here is deterministic in the observation stream: no
 //! clocks, no RNG — two estimators fed the same samples in the same
