@@ -15,6 +15,7 @@
 //! degrade through the ladder instead of failing.
 
 use mcdnn::prelude::*;
+use mcdnn_rng::{fnv_fold, FNV_OFFSET};
 use mcdnn_sim::{
     best_cut_for_rate, chaos_drill, chaos_scenarios, ladder_decision, run_chaos_grid,
     run_degraded, run_pipeline_faulted, saturation_rate_hz, simulate_faulted, DegradePolicy,
@@ -173,5 +174,26 @@ fn chaos_report_renders_deterministically_for_both_ci_seeds() {
         let b = chaos_report(&s, &cfg).render();
         assert_eq!(a, b, "seed {seed}: report must render byte-identically");
         assert!(a.contains("digest="), "seed {seed}: digest line present");
+    }
+}
+
+#[test]
+fn chaos_grid_totals_match_the_pinned_digests() {
+    // The grid `mcdnn chaos --model alexnet --bandwidth 18.88` prints at
+    // both CI seeds, folded bit for bit: every scenario × policy total
+    // is a sum of ladder-priced bursts, so any ladder decision that
+    // moves shows up here.
+    let s = alexnet_wifi();
+    let digests: [u64; 2] = [0x2777_a037_255c_35da, 0x850c_a2ee_9cef_c34b];
+    for (seed, pinned) in SEEDS.into_iter().zip(digests) {
+        let cfg = ChaosConfig {
+            seed,
+            ..ChaosConfig::default()
+        };
+        let h = chaos_report(&s, &cfg)
+            .rows
+            .iter()
+            .fold(FNV_OFFSET, |h, r| fnv_fold(h, r.total_ms.to_bits()));
+        assert_eq!(h, pinned, "seed {seed}: chaos grid digest");
     }
 }
