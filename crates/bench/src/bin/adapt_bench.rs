@@ -145,7 +145,7 @@ fn main() {
     );
 
     // Throughput means what serve_bench means by it: jobs/sec over the
-    // full per-user session (frontier fetch, ladder compile, every
+    // full per-user session (frontier fetch, ladder set-up, every
     // burst). Each user is timed separately with the two configs
     // interleaved and each side's cost is the sum of per-user minima:
     // a scheduler stall poisons one sub-millisecond sample, the min

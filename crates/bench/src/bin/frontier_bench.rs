@@ -9,9 +9,7 @@
 //!    report zero mismatches (bit-identical plans, ties excepted).
 //! 3. **Online replanning** — a bandwidth trace replanned per burst
 //!    with the direct `Strategy::plan` path vs compile-once +
-//!    `decide_at`, decisions cross-checked burst by burst. Same shape
-//!    for the degradation ladder (`ladder_decision` per burst vs one
-//!    [`LadderFrontier`]).
+//!    `decide_at`, decisions cross-checked burst by burst.
 //! 4. **DES throughput** — one-shot [`simulate`] (fresh buffers per
 //!    schedule) vs a warm [`DesArena`], makespans bit-compared.
 //!
@@ -34,13 +32,11 @@ use mcdnn_bench::workload::{ModelWorkload, SETUP_MS};
 use mcdnn_flowshop::FlowJob;
 use mcdnn_models::Model;
 use mcdnn_partition::{CutMix, RateFrontier, Strategy};
-use mcdnn_sim::{ladder_decision, simulate, DesArena, DesConfig, LadderFrontier};
+use mcdnn_sim::{simulate, DesArena, DesConfig};
 
 const N_JOBS: usize = 8;
 const LO_MBPS: f64 = 1.0;
 const HI_MBPS: f64 = 100.0;
-const TARGET_HZ: f64 = 20.0;
-const RHO_LIMIT: f64 = 0.9;
 
 /// Steady-state online replanning speedup the run must demonstrate.
 const ONLINE_SPEEDUP_TARGET: f64 = 10.0;
@@ -162,33 +158,7 @@ fn main() {
         yn(online_equivalent),
     );
 
-    // 3. Degradation ladder: per-burst ladder walk vs one frontier.
-    let mid_profile = workload.cost_profile_at(18.88);
-    let factors: Vec<f64> = (0..sizes.bursts)
-        .map(|i| (0.5 + 0.5 * (i as f64 * 0.61).sin()).clamp(0.0, 1.0))
-        .collect();
-    let started = Instant::now();
-    let direct_decisions: Vec<_> = factors
-        .iter()
-        .map(|&x| ladder_decision(&mid_profile, TARGET_HZ, RHO_LIMIT, x, N_JOBS))
-        .collect();
-    let ladder_direct_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    let started = Instant::now();
-    let ladder = LadderFrontier::compile(&mid_profile, TARGET_HZ, RHO_LIMIT, N_JOBS);
-    let frontier_decisions: Vec<_> = factors.iter().map(|&x| ladder.decide(x)).collect();
-    let ladder_frontier_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    let ladder_speedup = ladder_direct_ms / ladder_frontier_ms;
-    let ladder_identical = direct_decisions == frontier_decisions;
-    println!(
-        "ladder: {} bursts, direct {ladder_direct_ms:.1} ms vs frontier {ladder_frontier_ms:.1} ms \
-         -> {ladder_speedup:.1}x, decisions identical: {}",
-        factors.len(),
-        yn(ladder_identical),
-    );
-
-    // 4. DES throughput: one-shot buffers vs a warm arena, on the
+    // 3. DES throughput: one-shot buffers vs a warm arena, on the
     // burst-sized schedules the chaos/robustness sweeps actually run
     // (small enough that buffer churn is a real fraction of the work).
     // Best of three reps per side to shake scheduler noise out.
@@ -261,7 +231,6 @@ fn main() {
          \"online_speedup\": {online_speedup:.1},\n  \"online_speedup_amortized\": {online_speedup_amortized:.1},\n  \
          \"online_speedup_target\": {ONLINE_SPEEDUP_TARGET:.1},\n  \
          \"online_speedup_target_met\": {online_target_met},\n  \"online_decisions_equivalent\": {online_equivalent},\n  \
-         \"ladder_speedup\": {ladder_speedup:.1},\n  \"ladder_decisions_identical\": {ladder_identical},\n  \
          \"des_schedules\": {},\n  \"des_jobs_per_schedule\": {},\n  \
          \"des_one_shot_jobs_per_sec\": {one_shot_jps:.0},\n  \"des_warm_arena_jobs_per_sec\": {warm_jps:.0},\n  \
          \"des_bit_exact\": {des_bit_exact}\n}}\n",
@@ -276,7 +245,6 @@ fn main() {
 
     assert!(plan_equivalent, "frontier diverged from the planner");
     assert!(online_equivalent, "online decisions diverged");
-    assert!(ladder_identical, "ladder decisions diverged");
     assert!(des_bit_exact, "warm arena diverged from one-shot DES");
     assert!(
         online_target_met,

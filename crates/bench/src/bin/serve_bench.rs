@@ -6,7 +6,7 @@
 //! What it measures:
 //!
 //! 1. **Per-user serving cost** — every user's full session (frontier
-//!    fetch through the shared cache, ladder compile, bursts through
+//!    fetch through the shared cache, ladder set-up, bursts through
 //!    the warm arena) timed serially, best of three reps.
 //! 2. **Aggregate jobs/sec at 1/2/4/8 workers** — computed from the
 //!    measured per-user times with a critical-path model: users are

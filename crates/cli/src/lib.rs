@@ -1371,25 +1371,33 @@ mod tests {
         let snap = std::fs::read_to_string(&metrics).unwrap();
         let parsed = mcdnn_obs::json::parse(&snap).expect("metrics are valid JSON");
         let counters = parsed.get("counters").expect("counters object");
-        // The chaos grid shares one compiled ladder frontier across all
-        // scenario × policy replays; the drill's faulted DES runs in an
-        // arena. Both must surface in the exported snapshot.
-        for key in ["frontier.ladder.compile", "frontier.ladder.lookups", "des.arena.runs"] {
-            assert!(
-                counters.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0) >= 1.0,
-                "counter {key} missing from snapshot: {snap}"
-            );
-        }
-        assert!(
-            counters
-                .get("frontier.ladder.compile")
-                .and_then(|v| v.as_f64())
-                .unwrap_or(f64::MAX)
-                <= counters
-                    .get("frontier.ladder.lookups")
-                    .and_then(|v| v.as_f64())
-                    .unwrap_or(0.0),
-            "one shared compile serves many lookups: {snap}"
+        // The drill's faulted DES runs in an arena, and every ladder
+        // decision is counted by rung: the healthy cut, then one per
+        // burst (9 by default) of each grid row whose policy consults
+        // the ladder. All of it must surface in the exported snapshot.
+        let count = |key: &str| counters.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
+        assert!(count("des.arena.runs") >= 1.0, "des.arena.runs missing: {snap}");
+        let ladder_rows = out
+            .lines()
+            .filter(|l| {
+                let policy = l.split_whitespace().nth(1);
+                matches!(policy, Some("frozen" | "ladder" | "lagged-ladder"))
+            })
+            .count();
+        assert!(ladder_rows > 0, "no grid rows in: {out}");
+        let decisions: f64 = [
+            "degrade.normal",
+            "degrade.replans",
+            "degrade.shifts",
+            "degrade.mobile_only",
+        ]
+        .into_iter()
+        .map(count)
+        .sum();
+        assert_eq!(
+            decisions,
+            (ladder_rows * 9 + 1) as f64,
+            "ladder decisions by rung: {snap}"
         );
     }
 

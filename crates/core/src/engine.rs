@@ -485,6 +485,23 @@ mod tests {
             ..serve
         };
         bad_input(run(&specs, &unbounded), "serve hi = inf");
+        // Knobs no frontier compile sees: unchecked, a zero `target_hz`
+        // or a NaN `rho_limit` panics inside the pool, and a
+        // `degrade_prob` outside [0, 1] degrades every burst or none.
+        let with = |edit: fn(&mut ServeConfig)| {
+            let mut config = serve;
+            edit(&mut config);
+            config
+        };
+        for (bad, case) in [
+            (with(|c| c.target_hz = 0.0), "target_hz = 0"),
+            (with(|c| c.target_hz = f64::INFINITY), "target_hz = inf"),
+            (with(|c| c.rho_limit = f64::NAN), "rho_limit = NaN"),
+            (with(|c| c.degrade_prob = 2.0), "degrade_prob = 2"),
+            (with(|c| c.degrade_prob = f64::NAN), "degrade_prob = NaN"),
+        ] {
+            bad_input(run(&specs, &bad), case);
+        }
         let mut no_jobs = specs.clone();
         no_jobs[1].n_jobs = 0;
         bad_input(run(&no_jobs, &serve), "serve n_jobs = 0");

@@ -107,7 +107,7 @@ macro_rules! catalogue {
 catalogue! {
     counters {
         ADAPT_COMMITS = "adapt.commits": "estimator commits that crossed the confidence gate",
-        ADAPT_RECOMPILES = "adapt.recompiles": "frontier and ladder recompiles after a commit",
+        ADAPT_RECOMPILES = "adapt.recompiles": "frontier recompiles (and ladder set-ups) after a commit",
         DEGRADE_MOBILE_ONLY = "degrade.mobile_only": "ladder decisions that ran every layer on-device",
         DEGRADE_NORMAL = "degrade.normal": "ladder decisions at the healthy rung",
         DEGRADE_RECOVERIES = "degrade.recoveries": "bursts back at the healthy rung after a degraded one",
@@ -127,9 +127,6 @@ catalogue! {
         FRONTIER_CACHE_MISS = "frontier.cache.miss": "plan-cache fetches that compiled a frontier",
         FRONTIER_COMPILE = "frontier.compile": "rate frontiers compiled",
         FRONTIER_COMPILE_PROBES = "frontier.compile_probes": "planner probes made while compiling frontiers",
-        FRONTIER_LADDER_BOUNDARIES = "frontier.ladder.boundaries": "rung boundaries of compiled ladders",
-        FRONTIER_LADDER_COMPILE = "frontier.ladder.compile": "degradation ladders compiled",
-        FRONTIER_LADDER_LOOKUPS = "frontier.ladder.lookups": "compiled-ladder decisions",
         FRONTIER_LOOKUPS = "frontier.lookups": "in-range frontier decisions",
         FRONTIER_OOB = "frontier.oob": "frontier decisions outside the compiled range (planned directly)",
         FRONTIER_SHARD_HITS = "frontier.shard.hits": "cache hits served by a shard read lock",
@@ -184,7 +181,6 @@ catalogue! {
         EXEC_UPLINK_BUSY_MS = "exec.uplink.busy_ms": "executor uplink busy time per job, ms",
         EXEC_UPLINK_WAIT_MS = "exec.uplink.wait_ms": "executor uplink queue wait per job, ms",
         FRONTIER_COMPILE_MS = "frontier.compile_ms": "rate-frontier compile time, ms",
-        FRONTIER_LADDER_COMPILE_MS = "frontier.ladder.compile_ms": "degradation-ladder compile time, ms",
         ONLINE_BURST_MAKESPAN_MS = "online.burst_makespan_ms": "makespan paid per online burst, ms",
         RUNTIME_WORKER_BUSY_FRAC = "runtime.worker.busy_frac": "share of a sweep worker's life spent in work",
         SCHED_CLOUD_SHARE = "sched.cloud.share": "per-tenant cloud share of a contended run",

@@ -22,6 +22,12 @@
 //! per-burst makespan under the ladder **never exceeds the mobile-only
 //! baseline** `n · f(k)`, for every rate factor in `[0, 1]`.
 //!
+//! [`LadderFrontier`] is the one implementation of the walk: it holds
+//! a profile's stage times and knobs, and each decision walks the
+//! rungs afresh, reading the effective upload times `g / factor` in
+//! place — O(k), no allocation. [`ladder_decision`] is the same walk
+//! for a single factor.
+//!
 //! [`run_degraded`] replays a piecewise-constant fault timeline (one
 //! rate factor per burst) under a [`DegradePolicy`] and prices each
 //! burst with the O(1) uniform-makespan kernel, so whole chaos grids
@@ -81,16 +87,7 @@ pub fn ladder_decision(
     rate_factor: f64,
     n_jobs: usize,
 ) -> LadderDecision {
-    let ladder = Ladder::new(
-        profile.f_all(),
-        profile.g_all(),
-        target_hz,
-        rho_limit,
-        n_jobs,
-    );
-    let decision = ladder.decide(rate_factor, &mut vec![0.0; profile.k() + 1]);
-    count_ladder(decision.level);
-    decision
+    LadderFrontier::compile(profile, target_hz, rho_limit, n_jobs).decide(rate_factor)
 }
 
 /// Emit the `degrade.*` counter for a final ladder decision. The rung
@@ -106,42 +103,86 @@ fn count_ladder(level: LadderLevel) {
     .add(1);
 }
 
-/// One ladder over borrowed stage slices: everything a decision needs
-/// that does not depend on the rate factor, set up once — including
-/// the nominal-rate cut — so [`LadderFrontier::compile`] can probe
-/// hundreds of factors without rebuilding a profile per probe.
-struct Ladder<'a> {
-    f: &'a [f64],
-    g: &'a [f64],
+/// The degradation ladder of one `(profile, target_hz, rho_limit,
+/// n_jobs)`, ready to decide any rate factor in `[0, 1]`.
+///
+/// It keeps only what every decision shares: the stage times, the
+/// knobs, the nominal-rate cut and the healthy (`x = 1`) decision.
+/// [`decide`](Self::decide) walks the ladder afresh for each factor
+/// `x`, reading the effective upload time `g(l) / x` wherever the walk
+/// needs it — O(k) work, no allocation, and exactly the decision
+/// [`ladder_decision`] takes.
+#[derive(Debug, Clone)]
+pub struct LadderFrontier {
+    f: Vec<f64>,
+    g: Vec<f64>,
     target_hz: f64,
     rho_limit: f64,
     n_jobs: usize,
-    /// [`best_cut_in`] at the nominal link rate.
+    /// The rung-1 cut at the nominal link rate.
     nominal: Option<usize>,
+    /// Decision at `x = 1.0` — the frozen-policy cut.
+    healthy: LadderDecision,
 }
 
-impl<'a> Ladder<'a> {
-    fn new(f: &'a [f64], g: &'a [f64], target_hz: f64, rho_limit: f64, n_jobs: usize) -> Self {
+impl LadderFrontier {
+    /// Set up the ladder of `(profile, target_hz, rho_limit, n_jobs)`:
+    /// the nominal-rate cut and one walk at a healthy link.
+    pub fn compile(
+        profile: &CostProfile,
+        target_hz: f64,
+        rho_limit: f64,
+        n_jobs: usize,
+    ) -> LadderFrontier {
         assert!(target_hz > 0.0 && rho_limit > 0.0);
         assert!(n_jobs >= 1, "need at least one job per burst");
-        Ladder {
-            f,
-            g,
+        let (f, g) = (profile.f_all(), profile.g_all());
+        let mut ladder = LadderFrontier {
+            f: f.to_vec(),
+            g: g.to_vec(),
             target_hz,
             rho_limit,
             n_jobs,
-            nominal: best_cut_in(f, g, target_hz, rho_limit),
-        }
+            nominal: best_cut_in(f, g, 1.0, target_hz, rho_limit),
+            // Replaced by the walk at `x = 1` just below.
+            healthy: LadderDecision {
+                level: LadderLevel::MobileOnly,
+                cut: profile.k(),
+            },
+        };
+        ladder.healthy = ladder.walk(1.0);
+        ladder
     }
 
-    /// The ladder walk at `rate_factor`, without observability
-    /// counters. `g_eff` is scratch of length `k + 1`, refilled with
-    /// the effective upload times `g / rate_factor`; a non-finite one
-    /// panics with the message [`CostProfile::from_vectors`] gives.
-    fn decide(&self, rate_factor: f64, g_eff: &mut [f64]) -> LadderDecision {
-        assert!((0.0..=1.0).contains(&rate_factor), "factor in [0, 1]");
-        let (f, k) = (self.f, self.f.len() - 1);
-        if rate_factor <= 0.0 {
+    /// Number of layers `k`.
+    pub fn k(&self) -> usize {
+        self.f.len() - 1
+    }
+
+    /// The job count per burst this ladder decides for.
+    pub fn n_jobs(&self) -> usize {
+        self.n_jobs
+    }
+
+    /// The decision at a healthy link (`x = 1.0`) — the frozen cut.
+    pub fn healthy(&self) -> LadderDecision {
+        self.healthy
+    }
+
+    /// The ladder decision for `rate_factor`, emitting its `degrade.*`
+    /// counter. Panics, as [`CostProfile::from_vectors`] would, when an
+    /// effective upload time `g(l) / rate_factor` overflows.
+    pub fn decide(&self, rate_factor: f64) -> LadderDecision {
+        let decision = self.walk(rate_factor);
+        count_ladder(decision.level);
+        decision
+    }
+
+    /// The ladder walk at rate factor `x`, without the counter.
+    fn walk(&self, x: f64) -> LadderDecision {
+        assert!((0.0..=1.0).contains(&x), "factor in [0, 1]");
+        let (f, g, k) = (&self.f[..], &self.g[..], self.k());
+        if x <= 0.0 {
             // Dead link: nothing with g > 0 can ever finish. Straight to
             // the bottom rung without consulting the planner.
             return LadderDecision {
@@ -149,25 +190,25 @@ impl<'a> Ladder<'a> {
                 cut: k,
             };
         }
-        for (index, (ge, &gl)) in g_eff.iter_mut().zip(self.g).enumerate() {
-            let value = gl / rate_factor;
-            if !value.is_finite() {
-                panic!(
-                    "{}",
-                    ProfileError::NonFinite {
-                        which: "g",
-                        index,
-                        value
-                    }
-                );
-            }
-            *ge = value;
+        if let Some((index, value)) = g
+            .iter()
+            .map(|&gl| gl / x)
+            .enumerate()
+            .find(|(_, value)| !value.is_finite())
+        {
+            panic!(
+                "{}",
+                ProfileError::NonFinite {
+                    which: "g",
+                    index,
+                    value
+                }
+            );
         }
-        let g_eff = &*g_eff;
-        let candidate = match best_cut_in(f, g_eff, self.target_hz, self.rho_limit) {
+        let candidate = match best_cut_in(f, g, x, self.target_hz, self.rho_limit) {
             // Rung 1: a feasible cut exists at the degraded rate.
             Some(cut) => {
-                let level = if rate_factor >= 1.0 || self.nominal == Some(cut) {
+                let level = if x >= 1.0 || self.nominal == Some(cut) {
                     LadderLevel::Normal
                 } else {
                     LadderLevel::Replanned
@@ -180,8 +221,8 @@ impl<'a> Ladder<'a> {
             None => {
                 let shifted = (0..=k)
                     .min_by(|&a, &b| {
-                        let ba = f[a].max(g_eff[a]);
-                        let bb = f[b].max(g_eff[b]);
+                        let ba = f[a].max(g[a] / x);
+                        let bb = f[b].max(g[b] / x);
                         ba.total_cmp(&bb).then(b.cmp(&a))
                     })
                     .expect("profiles are non-empty");
@@ -196,206 +237,14 @@ impl<'a> Ladder<'a> {
         // that loses to computing everything on-device. This is what
         // makes the mobile-only dominance guarantee unconditional.
         let n = self.n_jobs as f64;
-        let span = uniform_makespan(self.n_jobs, f[candidate.cut], g_eff[candidate.cut]);
-        if span <= n * f[k] {
+        let c = candidate.cut;
+        if uniform_makespan(self.n_jobs, f[c], g[c] / x) <= n * f[k] {
             candidate
         } else {
             LadderDecision {
                 level: LadderLevel::MobileOnly,
                 cut: k,
             }
-        }
-    }
-}
-
-/// The degradation ladder compiled into an exact piecewise-constant
-/// function of the link rate factor `x ∈ (0, 1]`.
-///
-/// Every comparison the ladder makes is monotone in `1/x`, so its
-/// decision can only flip at finitely many candidate factors, all
-/// enumerable in closed form from the profile:
-///
-/// * feasibility flips of cut `l` — `g(l)/x` crosses the rate budget
-///   `ρ · 1000/hz` at `x = g(l)/budget`;
-/// * rung-1 latency-order crossings — `f(a) + g(a)/x` meets
-///   `f(b) + g(b)/x` at `x = (g(a) − g(b))/(f(b) − f(a))`;
-/// * rung-2 bottleneck crossings and kinks — `g(a)/x` meets `f(b)`
-///   (including `a == b`, the kink of `max(f, g/x)`) at `x = g(a)/f(b)`;
-/// * rung-3 guard crossings — `uniform_makespan(n, f(c), g(c)/x)`
-///   meets `n · f(k)` at `x = n·g(c)/(n·f(k) − f(c))` on the
-///   upload-dominant side and `x = g(c)/(n·(f(k) − f(c)))` on the
-///   compute-dominant side;
-/// * `x = 1.0`, where the rung-1 level check `rate_factor ≥ 1.0` flips.
-///
-/// Each candidate is padded by ±2 ulps to absorb float-evaluation
-/// wobble at the crossing itself, then the ladder is probed **exactly
-/// at** every boundary and once inside every open interval. A
-/// [`LadderFrontier::decide`] is then a binary search: bitwise-equal
-/// boundary hits return the at-boundary decision, everything else the
-/// interval decision — matching [`ladder_decision`] everywhere
-/// (property-tested densely) without rebuilding an effective profile
-/// per burst.
-#[derive(Debug, Clone)]
-pub struct LadderFrontier {
-    f: Vec<f64>,
-    g: Vec<f64>,
-    n_jobs: usize,
-    /// Decision at `x = 1.0` — the frozen-policy cut.
-    healthy: LadderDecision,
-    /// Ascending candidate boundaries; the last is exactly `1.0`.
-    boundaries: Vec<f64>,
-    /// `at_boundary[i]` — the ladder's decision exactly at
-    /// `boundaries[i]`.
-    at_boundary: Vec<LadderDecision>,
-    /// `below[i]` — the decision on the open interval
-    /// `(boundaries[i-1], boundaries[i])` (from 0 for `i = 0`).
-    below: Vec<LadderDecision>,
-}
-
-impl LadderFrontier {
-    /// Compile the ladder of `(profile, target_hz, rho_limit, n_jobs)`
-    /// over all rate factors in `[0, 1]`.
-    pub fn compile(
-        profile: &CostProfile,
-        target_hz: f64,
-        rho_limit: f64,
-        n_jobs: usize,
-    ) -> LadderFrontier {
-        let started = std::time::Instant::now();
-        let (f, g) = (profile.f_all(), profile.g_all());
-        let ladder = Ladder::new(f, g, target_hz, rho_limit, n_jobs);
-        let k = profile.k();
-        let budget = rho_limit * 1000.0 / target_hz;
-        let n = n_jobs as f64;
-        let f_k = f[k];
-
-        let mut raw: Vec<f64> = vec![1.0];
-        for &gl in g {
-            if gl > 0.0 {
-                raw.push(gl / budget);
-            }
-        }
-        for a in 0..=k {
-            for b in 0..=k {
-                if a != b {
-                    let df = f[b] - f[a];
-                    let dg = g[a] - g[b];
-                    if df > 0.0 && dg > 0.0 {
-                        raw.push(dg / df);
-                    }
-                }
-                if g[a] > 0.0 && f[b] > 0.0 {
-                    raw.push(g[a] / f[b]);
-                }
-            }
-        }
-        for c in 0..=k {
-            if g[c] > 0.0 {
-                let d_upload = n * f_k - f[c];
-                if d_upload > 0.0 {
-                    raw.push(n * g[c] / d_upload);
-                }
-                let d_compute = n * (f_k - f[c]);
-                if d_compute > 0.0 {
-                    raw.push(g[c] / d_compute);
-                }
-            }
-        }
-
-        let mut boundaries = Vec::with_capacity(raw.len() * 5 + 1);
-        for x in raw {
-            if !x.is_finite() || x <= 0.0 {
-                continue;
-            }
-            let bits = x.to_bits();
-            boundaries.push(x);
-            boundaries.push(f64::from_bits(bits + 1));
-            boundaries.push(f64::from_bits(bits + 2));
-            if bits >= 2 {
-                boundaries.push(f64::from_bits(bits - 1));
-                boundaries.push(f64::from_bits(bits - 2));
-            }
-        }
-        boundaries.retain(|x| *x > 0.0 && *x <= 1.0);
-        boundaries.push(1.0);
-        // `total_cmp` equality is bit equality: unstable order is exact.
-        boundaries.sort_unstable_by(f64::total_cmp);
-        boundaries.dedup();
-
-        let mut g_eff = vec![0.0; k + 1];
-        let mut at_boundary = Vec::with_capacity(boundaries.len());
-        let mut below = Vec::with_capacity(boundaries.len());
-        let mut prev = 0.0f64;
-        for &b in &boundaries {
-            let mut mid = 0.5 * (prev + b);
-            if mid <= prev || mid >= b {
-                // No representable factor strictly inside: the interval
-                // is empty, any placeholder decision is unreachable.
-                mid = b;
-            }
-            at_boundary.push(ladder.decide(b, &mut g_eff));
-            below.push(ladder.decide(mid, &mut g_eff));
-            prev = b;
-        }
-        let healthy = *at_boundary.last().expect("1.0 is always a boundary");
-
-        metrics::FRONTIER_LADDER_COMPILE.add(1);
-        metrics::FRONTIER_LADDER_BOUNDARIES.add(boundaries.len() as u64);
-        metrics::FRONTIER_LADDER_COMPILE_MS.observe(started.elapsed().as_secs_f64() * 1e3);
-        LadderFrontier {
-            f: f.to_vec(),
-            g: g.to_vec(),
-            n_jobs,
-            healthy,
-            boundaries,
-            at_boundary,
-            below,
-        }
-    }
-
-    /// Number of layers `k`.
-    pub fn k(&self) -> usize {
-        self.f.len() - 1
-    }
-
-    /// The job count per burst this frontier was compiled for.
-    pub fn n_jobs(&self) -> usize {
-        self.n_jobs
-    }
-
-    /// The decision at a healthy link (`x = 1.0`) — the frozen cut.
-    pub fn healthy(&self) -> LadderDecision {
-        self.healthy
-    }
-
-    /// Number of candidate boundaries (ulp-padded, including `1.0`).
-    pub fn num_boundaries(&self) -> usize {
-        self.boundaries.len()
-    }
-
-    /// O(log B) ladder decision for `rate_factor`, emitting the same
-    /// `degrade.*` counter [`ladder_decision`] would.
-    pub fn decide(&self, rate_factor: f64) -> LadderDecision {
-        let decision = self.decide_uncounted(rate_factor);
-        count_ladder(decision.level);
-        decision
-    }
-
-    fn decide_uncounted(&self, rate_factor: f64) -> LadderDecision {
-        assert!((0.0..=1.0).contains(&rate_factor), "factor in [0, 1]");
-        if rate_factor <= 0.0 {
-            return LadderDecision {
-                level: LadderLevel::MobileOnly,
-                cut: self.k(),
-            };
-        }
-        metrics::FRONTIER_LADDER_LOOKUPS.add(1);
-        let i = self.boundaries.partition_point(|b| *b < rate_factor);
-        debug_assert!(i < self.boundaries.len(), "1.0 bounds every factor");
-        if self.boundaries[i] == rate_factor {
-            self.at_boundary[i]
-        } else {
-            self.below[i]
         }
     }
 }
@@ -490,38 +339,23 @@ pub fn run_degraded(
     retry: &RetryPolicy,
     policy: DegradePolicy,
 ) -> DegradedRun {
-    let frontier = LadderFrontier::compile(profile, target_hz, rho_limit, jobs_per_burst);
-    run_degraded_via(&frontier, factors, retry, policy)
-}
-
-/// [`run_degraded`] against a pre-compiled [`LadderFrontier`]. The
-/// compile cost amortizes across replays: chaos grids compile the
-/// ladder once per profile and share it across every scenario × policy
-/// cell, and long fault timelines pay O(log B) per burst instead of a
-/// full ladder walk with an effective-profile rebuild.
-pub fn run_degraded_via(
-    frontier: &LadderFrontier,
-    factors: &[f64],
-    retry: &RetryPolicy,
-    policy: DegradePolicy,
-) -> DegradedRun {
     let _span = mcdnn_obs::span("sim", "run_degraded");
-    let k = frontier.k();
-    let n = frontier.n_jobs();
-    let frozen_cut = frontier.healthy().cut;
+    let ladder = LadderFrontier::compile(profile, target_hz, rho_limit, jobs_per_burst);
+    let k = ladder.k();
+    let frozen_cut = ladder.healthy().cut;
     let mut bursts = Vec::with_capacity(factors.len());
     let mut total = 0.0f64;
     let mut prev_level = LadderLevel::Normal;
     for (i, &factor) in factors.iter().enumerate() {
         let (level, cut) = match policy {
-            DegradePolicy::Frozen => (frontier.decide(factor.clamp(0.0, 1.0)).level, frozen_cut),
+            DegradePolicy::Frozen => (ladder.decide(factor.clamp(0.0, 1.0)).level, frozen_cut),
             DegradePolicy::Ladder => {
-                let d = frontier.decide(factor.clamp(0.0, 1.0));
+                let d = ladder.decide(factor.clamp(0.0, 1.0));
                 (d.level, d.cut)
             }
             DegradePolicy::LaggedLadder => {
                 let believed = if i == 0 { 1.0 } else { factors[i - 1] };
-                let d = frontier.decide(believed.clamp(0.0, 1.0));
+                let d = ladder.decide(believed.clamp(0.0, 1.0));
                 (d.level, d.cut)
             }
             DegradePolicy::MobileOnly => (LadderLevel::MobileOnly, k),
@@ -531,11 +365,11 @@ pub fn run_degraded_via(
         }
         prev_level = level;
         let makespan_ms = burst_cost_parts(
-            frontier.f[cut],
-            frontier.f[k],
-            frontier.g[cut],
+            profile.f(cut),
+            profile.f(k),
+            profile.g(cut),
             factor,
-            n,
+            jobs_per_burst,
             retry,
         );
         total += makespan_ms;
@@ -688,49 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn frontier_decide_matches_ladder_decision_densely() {
-        use mcdnn_rng::Rng;
-        let p = profile();
-        for (hz, rho, n) in [(20.0, 0.9, 10usize), (20.0, 0.9, 1), (7.0, 0.5, 4)] {
-            let frontier = LadderFrontier::compile(&p, hz, rho, n);
-            let mut xs: Vec<f64> = (0..=1000).map(|i| i as f64 / 1000.0).collect();
-            let mut rng = Rng::seed_from_u64(3);
-            xs.extend((0..2000).map(|_| rng.gen_range(0.0..1.0)));
-            for x in xs {
-                assert_eq!(
-                    frontier.decide(x),
-                    ladder_decision(&p, hz, rho, x, n),
-                    "hz={hz} rho={rho} n={n} x={x}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn shared_frontier_replay_matches_run_degraded() {
-        let p = profile();
-        let frontier = LadderFrontier::compile(&p, 20.0, 0.9, 6);
-        let retry = RetryPolicy::default();
-        let timelines = [
-            vec![1.0, 1.0, 0.0, 0.0, 0.3, 1.0],
-            vec![1.0, 0.5, 0.1, 0.9],
-            vec![0.0; 5],
-        ];
-        for factors in &timelines {
-            for policy in [
-                DegradePolicy::Frozen,
-                DegradePolicy::Ladder,
-                DegradePolicy::LaggedLadder,
-                DegradePolicy::MobileOnly,
-            ] {
-                let shared = run_degraded_via(&frontier, factors, &retry, policy);
-                let fresh = run_degraded(&p, factors, 6, 20.0, 0.9, &retry, policy);
-                assert_eq!(shared, fresh, "{policy} over {factors:?}");
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "stage times must be finite and >= 0: g[0] = inf")]
     fn overflowing_effective_upload_panics_like_the_profile_check() {
         let p = CostProfile::from_vectors(
@@ -739,7 +530,9 @@ mod tests {
             vec![f64::MAX, 20.0, 0.0],
             None,
         );
-        LadderFrontier::compile(&p, 20.0, 0.9, 4);
+        // `g(0) / 1` is finite, so the ladder sets up; at half rate it
+        // overflows, and the walk reports the first such index.
+        LadderFrontier::compile(&p, 20.0, 0.9, 4).decide(0.5);
     }
 
     #[test]

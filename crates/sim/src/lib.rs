@@ -36,8 +36,8 @@ pub mod trace;
 
 pub use adapt::DriftSpec;
 pub use degrade::{
-    ladder_decision, run_degraded, run_degraded_via, BurstRecord, DegradePolicy, DegradedRun,
-    LadderDecision, LadderFrontier, LadderLevel,
+    ladder_decision, run_degraded, BurstRecord, DegradePolicy, DegradedRun, LadderDecision,
+    LadderFrontier, LadderLevel,
 };
 pub use des::{
     simulate, simulate_faulted, DesArena, DesConfig, DesResult, FaultedDesResult, FaultedRun,

@@ -20,7 +20,7 @@ use mcdnn_flowshop::FlowJob;
 use mcdnn_profile::CostProfile;
 use mcdnn_rng::Rng;
 
-use crate::degrade::{run_degraded_via, DegradePolicy, LadderFrontier};
+use crate::degrade::{run_degraded, DegradePolicy};
 use crate::des::{simulate_faulted, DesArena, DesConfig, FaultedDesResult, FaultedRun};
 use crate::fault::{format_events, log_digest, FaultPlan, FaultSpec, RetryPolicy};
 
@@ -180,13 +180,21 @@ pub fn run_chaos_grid(
         DegradePolicy::LaggedLadder,
         DegradePolicy::MobileOnly,
     ];
-    // One ladder compile for the whole grid: the frontier is plain
-    // data, shared read-only across the scenario workers.
-    let frontier = LadderFrontier::compile(profile, target_hz, rho_limit, jobs_per_burst);
     let per_scenario = mcdnn_runtime::parallel_map(scenarios, |_, sc| {
         let totals: Vec<f64> = POLICIES
             .iter()
-            .map(|&policy| run_degraded_via(&frontier, &sc.factors, retry, policy).total_ms)
+            .map(|&policy| {
+                let run = run_degraded(
+                    profile,
+                    &sc.factors,
+                    jobs_per_burst,
+                    target_hz,
+                    rho_limit,
+                    retry,
+                    policy,
+                );
+                run.total_ms
+            })
             .collect();
         let oracle = totals[1];
         POLICIES

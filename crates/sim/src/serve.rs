@@ -10,10 +10,11 @@
 //!   `mcdnn-rng` so every run is reproducible;
 //! * each [`UserSession`] admits bursts through the **shared
 //!   [`PlanCache`]** (one frontier fetch per session — the steady-state
-//!   hit path), a per-session [`LadderFrontier`] for link-degradation
-//!   decisions, and a per-session [`DesArena`] whose buffers live as
-//!   long as the session (thread-local by construction: a session never
-//!   migrates between workers mid-run);
+//!   hit path), a per-session [`LadderFrontier`] that walks the
+//!   degradation ladder on each degraded burst, and a per-session
+//!   [`DesArena`] whose buffers live as long as the session
+//!   (thread-local by construction: a session never migrates between
+//!   workers mid-run);
 //! * [`serve_fleet`] drives every session across a persistent
 //!   [`WorkerPool`], returning per-user summaries **in user-id order**,
 //!   so the report is byte-identical regardless of worker count.
@@ -48,9 +49,10 @@
 //! rebuilds the believed profile from the factory base (stamped with
 //! the estimator's generation), compiles it into a frontier private to
 //! the session — the shared [`PlanCache`] holds factory frontiers only
-//! — and recompiles the ladder. A zero-drift run with
-//! adaptation enabled observes ratios of exactly 1.0, never crosses
-//! the commit gate, and stays byte-identical to an adapt-off run.
+//! — and sets the ladder up again on the new profile. A zero-drift
+//! run with adaptation enabled observes ratios of exactly 1.0, never
+//! crosses the commit gate, and stays byte-identical to an adapt-off
+//! run.
 
 use std::sync::Arc;
 
@@ -110,6 +112,32 @@ impl Default for ServeConfig {
             drift: DriftSpec::none(),
             adapt: None,
         }
+    }
+}
+
+impl ServeConfig {
+    /// Check the knobs no frontier compile checks: the ladder's
+    /// `target_hz` and `rho_limit`, and `degrade_prob`.
+    /// [`UserSession::start`] calls this, so every serving entry point
+    /// reports a bad value as [`PlanError::BadInput`] instead of
+    /// panicking inside a pool task.
+    pub fn validate(&self) -> Result<(), PlanError> {
+        if !(self.target_hz.is_finite() && self.target_hz > 0.0) {
+            return Err(PlanError::BadInput {
+                what: "target_hz must be finite and > 0",
+            });
+        }
+        if !(self.rho_limit > 0.0 && self.rho_limit <= 1.0) {
+            return Err(PlanError::BadInput {
+                what: "rho_limit must be in (0, 1]",
+            });
+        }
+        if !(0.0..=1.0).contains(&self.degrade_prob) {
+            return Err(PlanError::BadInput {
+                what: "degrade_prob must be in [0, 1]",
+            });
+        }
+        Ok(())
     }
 }
 
@@ -235,14 +263,16 @@ impl std::fmt::Debug for UserSession {
 }
 
 impl UserSession {
-    /// Open a session: fetch the user's frontier from the shared cache
-    /// (the only cache touch of the session) and compile its
-    /// degradation ladder at the geometric mid-bandwidth.
+    /// Open a session: check `config` ([`ServeConfig::validate`]),
+    /// fetch the user's frontier from the shared cache (the only cache
+    /// touch of the session) and set up its degradation ladder at the
+    /// geometric mid-bandwidth.
     pub fn start(
         cache: &PlanCache,
         spec: &UserSpec,
         config: &ServeConfig,
     ) -> Result<UserSession, PlanError> {
+        config.validate()?;
         let core = Tenant::start(
             cache,
             spec,
@@ -470,7 +500,7 @@ impl UserSession {
     /// crossed: the believed profile is rebuilt **from the factory
     /// base** under the committed scales, stamped with the estimator's
     /// generation, compiled into a frontier private to this session and
-    /// the ladder recompiled. Returns `true` only when a replan
+    /// the ladder set up on it. Returns `true` only when a replan
     /// happened; without adaptation, or between boundaries, or while
     /// the gate holds, this is a read-only, allocation-free check.
     ///

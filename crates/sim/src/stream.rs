@@ -155,35 +155,44 @@ pub fn saturation_rate_hz(f_ms: f64, g_ms: f64) -> f64 {
 /// float ulp) fall back to the full linear scan; both paths return the
 /// same answer (property-tested).
 pub fn best_cut_for_rate(profile: &CostProfile, rate_hz: f64, rho_limit: f64) -> Option<usize> {
-    best_cut_in(profile.f_all(), profile.g_all(), rate_hz, rho_limit)
+    best_cut_in(profile.f_all(), profile.g_all(), 1.0, rate_hz, rho_limit)
 }
 
 /// [`best_cut_for_rate`] over borrowed stage slices `f`, `g` of equal
-/// length `k + 1` — the form the degradation ladder probes with, so a
-/// probe needs no [`CostProfile`].
-pub(crate) fn best_cut_in(f: &[f64], g: &[f64], rate_hz: f64, rho_limit: f64) -> Option<usize> {
+/// length `k + 1`, with the link at rate factor `x ∈ (0, 1]`: every
+/// upload time is read as `g(l) / x`, so the degradation ladder decides
+/// on a degraded link without materializing its upload curve. `x = 1`
+/// divides exactly.
+pub(crate) fn best_cut_in(
+    f: &[f64],
+    g: &[f64],
+    x: f64,
+    rate_hz: f64,
+    rho_limit: f64,
+) -> Option<usize> {
     assert!(rate_hz > 0.0 && rho_limit > 0.0);
     let period = 1000.0 / rate_hz;
     let budget = rho_limit * period;
     let k = f.len() - 1;
+    let g = |l: usize| g[l] / x;
     let latency_order = |a: usize, b: usize| {
-        let la = f[a] + g[a];
-        let lb = f[b] + g[b];
+        let la = f[a] + g(a);
+        let lb = f[b] + g(b);
         la.total_cmp(&lb).then(a.cmp(&b))
     };
     // Strict (tolerance-free) monotonicity: required for the partition
     // searches below to be valid, stronger than the profile's own
     // 1e-12-tolerant `f_is_monotone`/`g_is_monotone` checks.
-    let strictly_clustered = (1..=k).all(|l| f[l] >= f[l - 1] && g[l] <= g[l - 1]);
+    let strictly_clustered = (1..=k).all(|l| f[l] >= f[l - 1] && g(l) <= g(l - 1));
     if !strictly_clustered {
         return (0..=k)
-            .filter(|&l| f[l].max(g[l]) < budget)
+            .filter(|&l| f[l].max(g(l)) < budget)
             .min_by(|&a, &b| latency_order(a, b));
     }
     // `f(l) < budget` is a prefix property, `g(l) < budget` a suffix
     // property; the feasible set is their intersection [lo, hi).
     let hi = partition_point_idx(k + 1, |l| f[l] < budget); // first f-infeasible
-    let lo = partition_point_idx(k + 1, |l| g[l] >= budget); // first g-feasible
+    let lo = partition_point_idx(k + 1, |l| g(l) >= budget); // first g-feasible
     if lo >= hi {
         return None;
     }

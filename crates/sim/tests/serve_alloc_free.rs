@@ -11,17 +11,13 @@
 //! bursts are excluded (`fault_every: 0`) — `FaultPlan` and the link
 //! timeline are built per run, as `DesArena::simulate_faulted`
 //! documents.
-//!
-//! Every session start and every estimator commit compiles a
-//! `LadderFrontier`; its probes must not each build a profile, so its
-//! allocation count stays flat however many boundaries it probes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mcdnn_partition::{PlanCache, RateProfile};
 use mcdnn_profile::AdaptConfig;
-use mcdnn_sim::{fleet, DriftSpec, LadderFrontier, ServeConfig, UserSession};
+use mcdnn_sim::{fleet, DriftSpec, ServeConfig, UserSession};
 
 struct CountingAlloc;
 
@@ -92,23 +88,27 @@ fn warm_session_admits_bursts_without_allocating() {
     mcdnn_obs::set_enabled(true);
     let worker = std::thread::spawn(move || {
         let cache = PlanCache::new();
-        let mut total = 0u64;
+        let (mut total, mut degraded) = (0u64, 0u64);
         for spec in &specs {
-            // Warm-up: compiles the frontier + ladder, grows the arena,
-            // and allocates the thread's obs slab and cache memo.
+            // Warm-up: compiles the frontier, sets up the ladder, grows
+            // the arena, and allocates the thread's obs slab and cache
+            // memo.
             let mut session = UserSession::start(&cache, spec, &config).unwrap();
             for _ in 0..32 {
                 session.admit_burst();
             }
+            let degraded0 = mcdnn_obs::thread_counter_value("serve.degraded_bursts");
             let before = allocations();
             for _ in 0..200 {
                 session.admit_burst();
             }
             total += allocations() - before;
+            degraded += mcdnn_obs::thread_counter_value("serve.degraded_bursts") - degraded0;
         }
-        total
+        (total, degraded)
     });
-    let allocs = worker.join().expect("worker thread");
+    let (allocs, degraded) = worker.join().expect("worker thread");
+    assert!(degraded > 0, "the measured window must walk the ladder");
     assert_eq!(allocs, 0, "warm admit_burst must not allocate");
 }
 
@@ -166,38 +166,5 @@ fn adaptive_observe_path_is_alloc_free_between_commits() {
     assert_eq!(
         allocs, 0,
         "drift-adaptive observe path must not allocate between commits"
-    );
-}
-
-#[test]
-fn ladder_compile_allocations_do_not_scale_with_boundaries() {
-    // A 10-layer clustered profile: over a hundred candidate boundaries,
-    // each probed at the boundary and inside the interval below it.
-    let rate = RateProfile::from_parts(
-        "ladder-alloc",
-        vec![
-            0.0, 3.0, 7.0, 12.0, 18.0, 25.0, 33.0, 42.0, 52.0, 63.0, 75.0,
-        ],
-        vec![
-            600_000, 420_000, 300_000, 210_000, 150_000, 100_000, 64_000, 40_000, 22_000, 9_000, 0,
-        ],
-        10.0,
-        None,
-    )
-    .unwrap();
-    let profile = rate.profile_at(10.0);
-    mcdnn_obs::set_enabled(true);
-    // Warm this thread's obs slab outside the measured window.
-    LadderFrontier::compile(&profile, 20.0, 0.9, 6);
-    let boundaries0 = mcdnn_obs::thread_counter_value("frontier.ladder.boundaries");
-    let before = allocations();
-    let ladder = LadderFrontier::compile(&profile, 20.0, 0.9, 6);
-    let allocs = allocations() - before;
-    let boundaries = mcdnn_obs::thread_counter_value("frontier.ladder.boundaries") - boundaries0;
-    assert_eq!(boundaries, ladder.num_boundaries() as u64);
-    assert!(boundaries >= 100, "only {boundaries} boundaries");
-    assert!(
-        allocs <= 32,
-        "{allocs} allocations for {boundaries} boundaries"
     );
 }
