@@ -1,23 +1,24 @@
-//! Pins the exact output of the two decision structures behind every
-//! serving replan: [`RateFrontier::compile`] and the degradation
-//! ladder ([`LadderFrontier`]).
+//! Pins the decisions of the two structures behind every serving
+//! replan — [`RateFrontier`] and the degradation ladder
+//! ([`LadderFrontier`]) — and holds the frontier to the planner.
 //!
-//! Two FNV-1a digests fold, for the monotone zoo and a few
-//! re-estimated profiles:
+//! Two FNV-1a digests fold decisions only, so they hold for any
+//! representation that decides the same:
 //!
-//! * every compiled frontier's breakpoint bits, piece structures and
-//!   compile probe count, for both JPS strategies and `n ∈ 1..=8` on
+//! * every compiled frontier's `decide_at` mix at a dense geometric
+//!   grid, for the monotone zoo, both JPS strategies and `n ∈ 1..=8` on
 //!   [1, 100] Mbps;
-//! * every ladder's decision at a dense grid of rate factors.
+//! * every ladder's decision at a dense grid of rate factors, for the
+//!   zoo and a few re-estimated profiles.
 //!
 //! The re-estimated profiles include running-max plateaus in `f` (a
 //! per-layer device scale that speeds up a later layer below an
-//! earlier one) — the shape an online estimator's commits produce, and
-//! the one that drives the frontier's audit loop hardest. A rewrite
-//! must keep both digests byte-equal: they are the oracle that it
-//! changed how the answer is computed, not the answer. The ladder
-//! digest folds decisions only, so it holds for any ladder
-//! representation that decides the same.
+//! earlier one) — the shape an online estimator's commits produce. On
+//! a plateau several mixes tie exactly and the planner's own pick
+//! flips with float rounding, so those frontiers are held to the
+//! equal-or-tied contract on a dense grid rather than pinned. The
+//! exactness tests check that contract next to every breakpoint of the
+//! zoo frontiers, ulp by ulp, where sampled grids cannot see.
 
 use mcdnn_bench::workload::{monotone_zoo_rate_profiles, SETUP_MS};
 use mcdnn_flowshop::uniform_makespan;
@@ -29,6 +30,21 @@ const LO_MBPS: f64 = 1.0;
 const HI_MBPS: f64 = 100.0;
 /// Rate-factor grid steps for the ladder decisions.
 const LADDER_STEPS: u32 = 1024;
+/// Geometric grid steps for the frontier decisions.
+const DECISION_STEPS: u32 = 4096;
+/// Half-width of the ulp window checked around each breakpoint.
+const BAND_ULPS: i64 = 2048;
+/// Every ulp within this distance of a breakpoint is checked.
+const BAND_DENSE: i64 = 64;
+/// Beyond `BAND_DENSE`, every `BAND_STRIDE`-th ulp is checked.
+const BAND_STRIDE: i64 = 32;
+/// Dense-grid samples per re-estimated frontier.
+const PLATEAU_SAMPLES: usize = 4096;
+
+/// The `i`-th point of the decision grid on `[LO_MBPS, HI_MBPS]`.
+fn decision_mbps(i: u32) -> f64 {
+    LO_MBPS * (HI_MBPS / LO_MBPS).powf(f64::from(i) / f64::from(DECISION_STEPS))
+}
 
 fn fold_mix(h: u64, mix: CutMix) -> u64 {
     match mix {
@@ -51,24 +67,6 @@ fn level_tag(level: LadderLevel) -> u64 {
         LadderLevel::Shifted => 2,
         LadderLevel::MobileOnly => 3,
     }
-}
-
-/// Fold one profile's frontiers (both strategies, every `n` in `ns`)
-/// into `h`.
-fn fold_frontiers(mut h: u64, rate: &RateProfile, ns: &[usize]) -> u64 {
-    for strategy in [Strategy::Jps, Strategy::JpsBestMix] {
-        for &n in ns {
-            let probes0 = mcdnn_obs::thread_counter_value("frontier.compile_probes");
-            let frontier = RateFrontier::compile(rate, strategy, n, LO_MBPS, HI_MBPS)
-                .expect("monotone profile compiles");
-            let probes = mcdnn_obs::thread_counter_value("frontier.compile_probes") - probes0;
-            h = fnv_fold(fnv_fold(h, probes), frontier.num_pieces() as u64);
-            for (&start, &mix) in frontier.breakpoints().iter().zip(frontier.pieces()) {
-                h = fold_mix(fnv_fold(h, start.to_bits()), mix);
-            }
-        }
-    }
-    h
 }
 
 /// Fold one profile's ladder decisions (every `n` in `ns`, at the
@@ -132,12 +130,134 @@ fn pinned_profiles() -> Vec<(RateProfile, Vec<usize>)> {
 }
 
 #[test]
-fn compiled_frontiers_match_the_pinned_digest() {
-    mcdnn_obs::set_enabled(true);
-    let h = pinned_profiles()
+fn frontier_decisions_match_the_pinned_digest() {
+    let mut h = FNV_OFFSET;
+    for rate in monotone_zoo_rate_profiles(SETUP_MS) {
+        for strategy in [Strategy::Jps, Strategy::JpsBestMix] {
+            for n in 1..=8 {
+                let frontier = RateFrontier::compile(&rate, strategy, n, LO_MBPS, HI_MBPS)
+                    .expect("monotone profile compiles");
+                for i in 0..=DECISION_STEPS {
+                    h = fold_mix(h, frontier.decide_at(decision_mbps(i)).mix);
+                }
+            }
+        }
+    }
+    assert_eq!(h, 0xfa07_9306_8cdc_f168, "frontier decision digest");
+}
+
+/// True when `plan_at(b)` is the planner's plan, or ties its makespan
+/// to 1e-9 relative.
+fn equal_or_tied(frontier: &RateFrontier, b: f64) -> bool {
+    let fast = frontier.plan_at(b);
+    let slow = frontier
+        .strategy()
+        .plan(&frontier.profile().profile_at(b), frontier.n());
+    fast == slow
+        || (fast.makespan_ms - slow.makespan_ms).abs() <= 1e-9 * slow.makespan_ms.abs().max(1.0)
+}
+
+#[test]
+fn frontier_breakpoints_match_the_planner() {
+    // Every ulp within ±BAND_DENSE of each breakpoint, then every
+    // BAND_STRIDE-th ulp out to ±BAND_ULPS: a breakpoint placed a few
+    // ulps off leaves a band where the frontier answers with the wrong
+    // side's decision, and no sampled grid finds it.
+    let mut breakpoints = 0;
+    let mut failures = Vec::new();
+    for rate in monotone_zoo_rate_profiles(SETUP_MS) {
+        for strategy in [Strategy::Jps, Strategy::JpsBestMix] {
+            for n in 1..=8 {
+                let frontier = RateFrontier::compile(&rate, strategy, n, LO_MBPS, HI_MBPS)
+                    .expect("monotone profile compiles");
+                for &start in &frontier.breakpoints()[1..] {
+                    breakpoints += 1;
+                    let offsets = (-BAND_ULPS..=BAND_ULPS)
+                        .filter(|d: &i64| d.abs() <= BAND_DENSE || d % BAND_STRIDE == 0);
+                    let bad = offsets
+                        .map(|d| f64::from_bits((start.to_bits() as i64 + d) as u64))
+                        .filter(|&b| frontier.covers(b))
+                        .find(|&b| !equal_or_tied(&frontier, b));
+                    if let Some(b) = bad {
+                        failures.push(format!(
+                            "{} {strategy:?} n={n} b={b:e} ({:#x})",
+                            rate.name(),
+                            b.to_bits()
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    assert!(breakpoints > 1_000, "only {breakpoints} breakpoints");
+    assert!(
+        failures.is_empty(),
+        "{} of {breakpoints} breakpoints disagree with the planner nearby, e.g. {:?}",
+        failures.len(),
+        &failures[..failures.len().min(5)]
+    );
+}
+
+#[test]
+fn reestimated_frontiers_match_the_planner_on_a_dense_grid() {
+    for (rate, ns) in pinned_profiles()
         .iter()
-        .fold(FNV_OFFSET, |h, (rate, ns)| fold_frontiers(h, rate, ns));
-    assert_eq!(h, 0xfd76_0e03_6ff2_46a9, "frontier compiler output digest");
+        .filter(|(rate, _)| rate.generation() > 0)
+    {
+        for strategy in [Strategy::Jps, Strategy::JpsBestMix] {
+            for &n in ns {
+                let frontier = RateFrontier::compile(rate, strategy, n, LO_MBPS, HI_MBPS)
+                    .expect("re-estimates stay clustered");
+                assert_eq!(
+                    frontier.audit_against_planner(PLATEAU_SAMPLES),
+                    0,
+                    "{} gen {} {strategy:?} n={n}",
+                    rate.name(),
+                    rate.generation()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn plateau_profile_compiles_to_few_pieces_and_probes() {
+    // A re-estimate with running-max plateaus (f(2) = f(3), f(5) =
+    // f(6)). On a plateau several mixes score exactly the same, and
+    // float rounding flips the planner's own pick among them; a compile
+    // that chases every flip splits the range into hundreds of pieces
+    // and spends 100x the probes of a plateau-free profile.
+    let rate = RateProfile::from_parts(
+        "plateau",
+        vec![
+            0.0,
+            64.90925680678284,
+            77.10944330556507,
+            77.10944330556507,
+            117.31667147505273,
+            157.3140327896636,
+            157.3140327896636,
+        ],
+        vec![843_948, 421_974, 140_658, 70_329, 43_956, 7_176, 0],
+        10.0,
+        None,
+    )
+    .expect("valid profile")
+    .with_generation(7);
+    let n = 6;
+    mcdnn_obs::set_enabled(true);
+    let probes0 = mcdnn_obs::thread_counter_value("frontier.compile_probes");
+    let frontier = RateFrontier::compile(&rate, Strategy::JpsBestMix, n, LO_MBPS, HI_MBPS)
+        .expect("monotone profile compiles");
+    let probes = mcdnn_obs::thread_counter_value("frontier.compile_probes") - probes0;
+    let bound = rate.k() + 1 + rate.k() * (n + 1);
+    assert!(
+        frontier.num_pieces() <= bound,
+        "{} pieces exceeds the candidate bound {bound}",
+        frontier.num_pieces()
+    );
+    assert!(probes <= 1_000, "{probes} probes");
+    assert_eq!(frontier.audit_against_planner(20_000), 0);
 }
 
 #[test]
