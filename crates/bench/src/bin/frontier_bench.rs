@@ -4,7 +4,8 @@
 //! them to `BENCH_frontier.json` at the repo root:
 //!
 //! 1. **Compile cost** — one [`RateFrontier::compile`] pass for a real
-//!    zoo model, plus the per-lookup cost of `decide_at` afterwards.
+//!    zoo model, its probe count against a budget, plus the per-lookup
+//!    cost of `decide_at` afterwards.
 //! 2. **Exactness** — `audit_against_planner` over a dense sweep must
 //!    report zero mismatches (bit-identical plans, ties excepted).
 //! 3. **Online replanning** — a bandwidth trace replanned per burst
@@ -40,6 +41,9 @@ const HI_MBPS: f64 = 100.0;
 
 /// Steady-state online replanning speedup the run must demonstrate.
 const ONLINE_SPEEDUP_TARGET: f64 = 10.0;
+/// Planner probes the AlexNet compile may make: a fifth of the 2,636
+/// the lattice-and-audit compile made.
+const COMPILE_PROBE_BUDGET: u64 = 527;
 
 struct Sizes {
     bursts: usize,
@@ -83,6 +87,14 @@ fn main() {
     let frontier = RateFrontier::compile(&rate, Strategy::JpsBestMix, N_JOBS, LO_MBPS, HI_MBPS)
         .expect("clustered alexnet profile is monotone");
     let compile_ms = started.elapsed().as_secs_f64() * 1e3;
+    // The same compile again, untimed, with recording on to count probes.
+    mcdnn_obs::set_enabled(true);
+    let probes0 = mcdnn_obs::thread_counter_value("frontier.compile_probes");
+    RateFrontier::compile(&rate, Strategy::JpsBestMix, N_JOBS, LO_MBPS, HI_MBPS)
+        .expect("clustered alexnet profile is monotone");
+    let compile_probes = mcdnn_obs::thread_counter_value("frontier.compile_probes") - probes0;
+    mcdnn_obs::set_enabled(false);
+    let probe_budget_met = compile_probes <= COMPILE_PROBE_BUDGET;
 
     let started = Instant::now();
     let mut checksum = 0.0f64;
@@ -95,9 +107,11 @@ fn main() {
 
     let plan_equivalent = frontier.audit_against_planner(sizes.audit_samples) == 0;
     println!(
-        "frontier: {} pieces over [{LO_MBPS}, {HI_MBPS}] Mbps, compiled in {compile_ms:.2} ms, \
+        "frontier: {} pieces over [{LO_MBPS}, {HI_MBPS}] Mbps, compiled in {compile_ms:.2} ms \
+         with {compile_probes} probes (budget {COMPILE_PROBE_BUDGET}: {}), \
          {lookup_ns:.0} ns/lookup, planner-equivalent on {} samples: {}",
         frontier.num_pieces(),
+        yn(probe_budget_met),
         sizes.audit_samples,
         yn(plan_equivalent),
     );
@@ -224,7 +238,9 @@ fn main() {
     let json = format!(
         "{{\n  \"generated_by\": \"cargo run -p mcdnn-bench --release --bin frontier_bench{}\",\n  \
          \"model\": \"alexnet\",\n  \"n_jobs\": {N_JOBS},\n  \"bandwidth_range_mbps\": [{LO_MBPS}, {HI_MBPS}],\n  \
-         \"frontier_pieces\": {},\n  \"compile_ms\": {compile_ms:.3},\n  \"lookup_ns\": {lookup_ns:.0},\n  \
+         \"frontier_pieces\": {},\n  \"compile_ms\": {compile_ms:.3},\n  \"compile_probes\": {compile_probes},\n  \
+         \"compile_probe_budget\": {COMPILE_PROBE_BUDGET},\n  \"compile_probe_budget_met\": {probe_budget_met},\n  \
+         \"lookup_ns\": {lookup_ns:.0},\n  \
          \"plan_equivalent\": {plan_equivalent},\n  \
          \"online_bursts\": {},\n  \"online_direct_ms\": {direct_ms:.1},\n  \"online_compile_ms\": {online_compile_ms:.1},\n  \
          \"online_decide_ms\": {decide_ms:.1},\n  \
@@ -244,6 +260,10 @@ fn main() {
     println!("wrote {path}");
 
     assert!(plan_equivalent, "frontier diverged from the planner");
+    assert!(
+        probe_budget_met,
+        "compile made {compile_probes} probes, over the {COMPILE_PROBE_BUDGET} budget"
+    );
     assert!(online_equivalent, "online decisions diverged");
     assert!(des_bit_exact, "warm arena diverged from one-shot DES");
     assert!(

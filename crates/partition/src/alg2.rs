@@ -83,8 +83,9 @@ pub fn mixing_ratio(profile: &CostProfile, l_star: usize) -> Option<usize> {
     ratio_at(profile.f_all(), profile.g_all(), l_star)
 }
 
-/// [`mixing_ratio`] over borrowed stage slices.
-fn ratio_at(f: &[f64], g: &[f64], l_star: usize) -> Option<usize> {
+/// [`mixing_ratio`] over borrowed stage slices. Reads only the `l*`
+/// and `l*−1` entries.
+pub(crate) fn ratio_at(f: &[f64], g: &[f64], l_star: usize) -> Option<usize> {
     let prev = l_star.checked_sub(1)?;
     let surplus = f[l_star] - g[l_star];
     let deficit = g[prev] - f[prev];

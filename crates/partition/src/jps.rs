@@ -99,9 +99,21 @@ impl Candidate {
 /// The mix count the ratio-mix candidate of Alg. 2 line 9 assigns to
 /// `l*−1`, or `None` when the ratio path degenerates to a single type
 /// (then the uniform `l*` candidate already covers it).
-fn ratio_mix_at_prev(search: &CutSearch, n: usize) -> Option<usize> {
+pub(crate) fn ratio_mix_at_prev(search: &CutSearch, n: usize) -> Option<usize> {
     match (search.l_prev, search.ratio) {
         (Some(_), Some(ratio)) if ratio > 0 => Some(split_by_ratio(n, ratio).0),
+        _ => None,
+    }
+}
+
+/// The mix count of the proportional variant of the ratio mix
+/// (`round(n·r/(r+1))` at `l*−1`), or `None` when the ratio path
+/// degenerates.
+pub(crate) fn proportional_at_prev(search: &CutSearch, n: usize) -> Option<usize> {
+    match (search.l_prev, search.ratio) {
+        (Some(_), Some(ratio)) if ratio > 0 && n > 0 => {
+            Some((((n * ratio) as f64 / (ratio + 1) as f64).round() as usize).min(n))
+        }
         _ => None,
     }
 }
@@ -137,12 +149,8 @@ fn best_jps_candidate(f: &[f64], g: &[f64], n: usize, search: &CutSearch) -> (Ca
         ),
     }
     // Proportional variant of the mix (handles n below one ratio group).
-    if let (Some(_), Some(ratio)) = (search.l_prev, search.ratio) {
-        if ratio > 0 && n > 0 {
-            let at_prev =
-                (((n * ratio) as f64 / (ratio + 1) as f64).round() as usize).min(n);
-            consider(Candidate::Mix { at_prev }, &mut best, &mut best_score);
-        }
+    if let Some(at_prev) = proportional_at_prev(search, n) {
+        consider(Candidate::Mix { at_prev }, &mut best, &mut best_score);
     }
     (best, best_score, evals)
 }

@@ -8,7 +8,7 @@
 //! observability recording as it does by default, that lookup must be
 //! a binary search, O(1) kernel arithmetic and a counter bump — no heap
 //! traffic. Every estimator commit recompiles a frontier, so its
-//! thousands of probes must not each build a profile either.
+//! probes must not each build a profile either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -83,8 +83,10 @@ fn in_range_decide_at_allocates_nothing() {
 
 #[test]
 fn compile_allocations_do_not_scale_with_probes() {
-    // A 10-layer clustered profile: enough regimes that the compile
-    // probes well over a thousand bandwidths.
+    // A 10-layer clustered profile with dozens of pieces. The lattice
+    // compile this test was written against probed it 3,411 (Jps) and
+    // 3,553 (best-mix) times; the event compile must stay below that,
+    // and its allocations must not grow with the probes either way.
     let f = vec![
         0.0, 3.0, 7.0, 12.0, 18.0, 25.0, 33.0, 42.0, 52.0, 63.0, 75.0,
     ];
@@ -93,7 +95,7 @@ fn compile_allocations_do_not_scale_with_probes() {
     ];
     let rate = RateProfile::from_parts("alloc-bound", f, bytes, 10.0, None).expect("valid profile");
     mcdnn_obs::set_enabled(true);
-    for strategy in [Strategy::Jps, Strategy::JpsBestMix] {
+    for (strategy, lattice_probes) in [(Strategy::Jps, 3_411), (Strategy::JpsBestMix, 3_553)] {
         // Warm this thread's obs slab outside the measured window.
         RateFrontier::compile(&rate, strategy, 8, 1.0, 100.0).expect("monotone");
         let probes0 = mcdnn_obs::thread_counter_value("frontier.compile_probes");
@@ -105,7 +107,10 @@ fn compile_allocations_do_not_scale_with_probes() {
             frontier.num_pieces() >= 2,
             "{strategy:?}: regimes must change"
         );
-        assert!(probes >= 1_000, "{strategy:?}: only {probes} probes");
+        assert!(
+            probes < lattice_probes,
+            "{strategy:?}: {probes} probes, the lattice made {lattice_probes}"
+        );
         assert!(
             allocs <= 64,
             "{strategy:?}: {allocs} allocations for {probes} probes"
