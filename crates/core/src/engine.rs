@@ -462,6 +462,46 @@ mod tests {
     }
 
     #[test]
+    fn serve_slo_rejects_tenant_ids_that_are_not_positions() {
+        // The scheduler indexes shares, weights, frontiers and outcome
+        // slots by tenant id, so ids must be the fleet positions.
+        let engine = EngineConfig::new().threads(2).build();
+        let config = SloConfig {
+            requests_per_tenant: 4,
+            ..SloConfig::default()
+        };
+        let tenants = slo_fleet(&profiles(), 6, &config);
+        let with = |edit: fn(&mut [SloTenant])| {
+            let mut fleet = tenants.clone();
+            edit(&mut fleet);
+            fleet
+        };
+        for (fleet, case) in [
+            (with(|f| f[3].spec.id = 99), "out-of-range id"),
+            (
+                with(|f| {
+                    f[1].spec.id = 4;
+                    f[4].spec.id = 1;
+                }),
+                "swapped ids",
+            ),
+            (with(|f| f[5].spec.id = 2), "duplicated id"),
+        ] {
+            match engine.serve_slo(&fleet, &config, SloPolicy::EdfDegrade) {
+                Err(Error::Admit(_)) => {}
+                other => panic!("{case}: expected Error::Admit, got {other:?}"),
+            }
+            match engine.slo_streams(&fleet, &config) {
+                Err(Error::Admit(_)) => {}
+                other => panic!("{case}: streams expected Error::Admit, got {other:?}"),
+            }
+        }
+        assert!(engine
+            .serve_slo(&tenants, &config, SloPolicy::EdfDegrade)
+            .is_ok());
+    }
+
+    #[test]
     fn out_of_range_serving_inputs_are_errors_not_pool_panics() {
         let engine = EngineConfig::new().threads(2).build();
         let bad_input = |r: Result<(), Error>, case: &str| match r {

@@ -77,19 +77,30 @@
 //!
 //! # Dispatch path
 //!
+//! Each tenant's stream is generated in arrival order, so the loop's
+//! arrival order is a k-way merge of the streams through a head heap
+//! keyed `(arrival, tenant, seq)`, built before the loop starts as a
+//! compact list of `(tenant, seq)` pairs; the loop reads each request
+//! in place as `streams[tenant][seq]`. Every outcome lands in slot
+//! `off[tenant] + seq`, where `off` holds the prefix sums of the stream
+//! lengths, so the digest fold and the report walk streams and slots
+//! side by side without sorting anything. This is why every tenant's id
+//! must be its position in the fleet.
+//!
 //! The hot path dispatches from indexed queues
 //! ([`DispatchMode::Indexed`], the default): per-tenant deadline heaps
 //! feed a cross-tenant [`BinaryHeap`] of tenant-head candidates keyed
 //! `(over-share bit, deadline, priority, tenant, seq)`, with stale
-//! entries discarded lazily at pop. Ladder pricing is memoized per run
-//! in a table keyed `(tenant, rung, frontier piece, slack bucket)` —
-//! see [`RateFrontier::piece_index_at`]. The pre-overhaul linear scan
-//! is retained as [`DispatchMode::Reference`]
+//! entries discarded lazily at pop. Before each pick only the tenants
+//! that are over their share *and* have queued work are re-checked.
+//! Ladder pricing is memoized per run in a table keyed `(tenant, rung,
+//! frontier piece)` — see [`RateFrontier::piece_index_at`]. The
+//! pre-overhaul linear scan is retained as [`DispatchMode::Reference`]
 //! ([`serve_slo_serial_with`]) and the two produce **byte-equal**
 //! digests; the equivalence tests pin this zoo-wide at every pool
-//! width. [`SloArena`] reuses every queue, memo, and outcome buffer
-//! across burst windows, and [`SloArena::stats`] reports per-run
-//! [`DispatchStats`].
+//! width. [`SloArena`] reuses the streams and every merge, queue, memo,
+//! outcome and digest buffer across burst windows, and
+//! [`SloArena::stats`] reports per-run [`DispatchStats`].
 //!
 //! Observability: the scheduler exports `sched.*` counters (requests,
 //! admissions, both shed causes, degradations, deadline hits/misses,
@@ -101,7 +112,8 @@
 //! bit-stable.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -125,9 +137,10 @@ use crate::tenant::{cut_pair, Tenant};
 pub enum AdmitError {
     /// The tenant's frontier could not be compiled.
     Plan(PlanError),
-    /// The [`SloConfig`] is internally inconsistent.
+    /// The [`SloConfig`] is internally inconsistent, or the fleet's
+    /// tenant ids are not their positions (see [`SloTenant`]).
     BadConfig {
-        /// Which knob is broken, human-readable.
+        /// What is broken, human-readable.
         what: &'static str,
     },
     /// No tenants were supplied.
@@ -357,7 +370,9 @@ impl SloConfig {
 }
 
 /// One tenant of the SLO fleet: a serving spec plus its fair-queueing
-/// weight.
+/// weight. A fleet's tenant ids must be their positions: `fleet[i]`
+/// has `spec.id == i`, as [`slo_fleet`] builds them. Every entry point
+/// rejects other fleets with [`AdmitError::BadConfig`].
 #[derive(Debug, Clone)]
 pub struct SloTenant {
     /// Model / strategy / burst-size / trace-seed, as in plain serving.
@@ -399,14 +414,11 @@ pub struct SloRequest {
     pub deadline_ms: f64,
 }
 
-/// What the scheduler did with one request.
+/// What the scheduler did with one request: only what the request
+/// itself does not already hold. It lives in the request's outcome
+/// slot (see [`SchedState::slots`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Outcome {
-    tenant: usize,
-    seq: usize,
-    class: usize,
-    arrival_ms: f64,
-    deadline_ms: f64,
     /// Rung the request executed at (Normal when admitted undegraded;
     /// meaningless when shed).
     level: LadderLevel,
@@ -415,6 +427,15 @@ struct Outcome {
     shed: bool,
     hit: bool,
 }
+
+/// Outcome recorded for a request shed before (queue full) or at
+/// (no feasible rung) dispatch.
+const SHED: Outcome = Outcome {
+    level: LadderLevel::Normal,
+    completion_ms: f64::INFINITY,
+    shed: true,
+    hit: false,
+};
 
 /// The ladder walked at dispatch, least degraded first. Deeper rungs
 /// replan at a pessimistic bandwidth (mobile-heavier mix: more device
@@ -566,20 +587,12 @@ fn tenant_requests_into(
 /// everyone still under theirs. [`DispatchMode::Indexed`] computes the
 /// same argmin from indexed queues; this O(n) scan is the semantic
 /// ground truth the heap path is proven byte-equal against.
-fn dispatch_reference(
-    queue: &[SloRequest],
-    classes: &[(SloClass, f64)],
-    service: &[f64],
-    weights: &[f64],
-    total_weight: f64,
-    total_service: f64,
-) -> usize {
+fn dispatch_reference(queue: &[SloRequest], classes: &[(SloClass, f64)], wfq: &Wfq) -> usize {
     let mut best = 0usize;
     let mut best_key = (u8::MAX, f64::INFINITY, u8::MAX, usize::MAX, usize::MAX);
     for (i, r) in queue.iter().enumerate() {
-        let over = service[r.tenant] * total_weight > total_service * weights[r.tenant];
         let key = (
-            u8::from(over),
+            u8::from(wfq.over(r.tenant)),
             r.deadline_ms,
             classes[r.class].0.priority,
             r.tenant,
@@ -591,6 +604,42 @@ fn dispatch_reference(
         }
     }
     best
+}
+
+/// A run's weighted-fair-queueing accounting: the inputs of the
+/// over-share predicate, shared by both dispatchers so they evaluate
+/// the same float expression.
+#[derive(Debug, Default)]
+struct Wfq {
+    /// Device + uplink ms served per tenant.
+    service: Vec<f64>,
+    weights: Vec<f64>,
+    total_weight: f64,
+    total_service: f64,
+}
+
+impl Wfq {
+    fn reset(&mut self, tenants: &[SloTenant]) {
+        self.weights.clear();
+        self.weights.extend(tenants.iter().map(|t| t.weight));
+        self.total_weight = self.weights.iter().sum();
+        self.service.clear();
+        self.service.resize(tenants.len(), 0.0);
+        self.total_service = 0.0;
+    }
+
+    /// Whether tenant `t` has had more than its weighted share of
+    /// service.
+    #[inline]
+    fn over(&self, t: usize) -> bool {
+        self.service[t] * self.total_weight > self.total_service * self.weights[t]
+    }
+
+    /// Charge `ms` of service to tenant `t`.
+    fn charge(&mut self, t: usize, ms: f64) {
+        self.service[t] += ms;
+        self.total_service += ms;
+    }
 }
 
 /// Which dispatcher the scheduling loop runs.
@@ -615,8 +664,9 @@ pub enum DispatchMode {
 pub struct DispatchStats {
     /// Wall-clock nanoseconds spent in the dispatch loop proper
     /// (admission, pick, pricing, settling). Mode-independent work —
-    /// request generation, stream merge/sort, cloud share planning,
-    /// report summarization — is excluded, so reference/indexed ratios
+    /// request generation, the k-way merge of the streams into arrival
+    /// order, cloud share planning, the digest fold and report
+    /// summarization — is excluded, so reference/indexed ratios
     /// compare exactly the code the overhaul replaced.
     pub schedule_ns: u64,
     /// Requests offered to the loop.
@@ -654,27 +704,7 @@ fn deadline_key(d: f64) -> u64 {
     }
 }
 
-/// Quantized-slack strata of the pricing memo key.
-const SLACK_BUCKETS: usize = 4;
-
-/// Bucket a request's slack-at-dispatch (deadline − now, ms). The
-/// memoized prices are slack-invariant — the bucket stratifies the
-/// table (and its hit counters) by load regime, so a tenant's
-/// tight-deadline and loose-deadline traffic warm separate rows.
-#[inline]
-fn slack_bucket(slack_ms: f64) -> usize {
-    if slack_ms < 16.0 {
-        0
-    } else if slack_ms < 128.0 {
-        1
-    } else if slack_ms < 1024.0 {
-        2
-    } else {
-        3
-    }
-}
-
-/// Memoized price of one (tenant, rung, piece, slack-bucket) key:
+/// Memoized price of one (tenant, rung, piece) key:
 /// everything about the rung that does not depend on the request's
 /// actual bandwidth. The uplink term is recomputed per request from
 /// the cached mix with the exact original expression, so completions
@@ -723,20 +753,22 @@ fn cloud_time_of(w: f64, phi: f64, cloud_servers: usize) -> f64 {
 ///   `(tenant, seq)` tie-break only ever compares across tenants).
 /// * `ready` holds one candidate per (tenant, head, over-bit)
 ///   generation, keyed `(over, deadline, priority, tenant, seq)` — the
-///   reference key verbatim, with the WFQ over-share predicate
-///   evaluated as the same float expression
-///   `service[t] * total_weight > total_service * weights[t]`.
+///   reference key verbatim, with the WFQ over-share bit evaluated by
+///   the same [`Wfq::over`] expression.
 /// * Lazy deletion: a popped candidate is valid only if it still names
 ///   its tenant's current head *and* the tenant's current over-bit;
 ///   anything else is discarded (`heap_stale`). Invariant: every
 ///   tenant with queued work always has one valid candidate in
 ///   `ready`, because every event that changes a head or an over-bit
 ///   (admission, dispatch, shed, WFQ sweep) pushes a fresh entry.
-/// * Over-bits only flip under→over for the tenant that just
-///   dispatched (its service grows faster than the total) and
-///   over→under for others as total service grows; [`Self::sweep`]
-///   applies the latter with the exact reference predicate before
-///   every pick.
+/// * Only a tenant with queued work has a meaningful over-bit, and
+///   `over_list` holds exactly the tenants whose bit is set. A tenant
+///   whose queue empties leaves the list; when its queue refills,
+///   [`Self::push`] re-derives its bit from the exact predicate.
+/// * While a tenant's queue stays non-empty its bit only flips
+///   under→over when it dispatches (its service grows faster than the
+///   total), and over→under as total service grows; [`Self::sweep`]
+///   applies the latter with the exact predicate before every pick.
 #[derive(Debug, Default)]
 struct IndexedQueue {
     tq: Vec<BinaryHeap<Reverse<TenantKey>>>,
@@ -745,14 +777,12 @@ struct IndexedQueue {
     over_list: Vec<usize>,
 }
 
-/// Per-tenant heap key: `(deadline, priority, seq, stream index)`.
-type TenantKey = (u64, u8, usize, usize);
+/// Per-tenant heap key: `(deadline, priority, seq)`.
+type TenantKey = (u64, u8, u32);
 
 /// Cross-tenant candidate key: `(over-bit, deadline, priority, tenant,
-/// seq, stream index)` — the reference pick key with the trailing
-/// stream index carried as a payload (never reached by comparison:
-/// `(tenant, seq)` is unique).
-type ReadyKey = (u8, u64, u8, usize, usize, usize);
+/// seq)` — the reference pick key.
+type ReadyKey = (u8, u64, u8, u32, u32);
 
 impl IndexedQueue {
     fn reset(&mut self, tenant_count: usize) {
@@ -768,49 +798,64 @@ impl IndexedQueue {
         self.over_list.clear();
     }
 
-    /// Admit one request (index `idx` into the merged stream).
-    fn push(&mut self, r: &SloRequest, priority: u8, idx: usize, stats: &mut DispatchStats) {
-        let key = (deadline_key(r.deadline_ms), priority, r.seq, idx);
-        let t = r.tenant;
+    /// Admit request `seq` of tenant `t`. A tenant whose queue was
+    /// empty gets its over-bit re-derived first, at the service totals
+    /// the next pick sees.
+    fn push(
+        &mut self,
+        t: usize,
+        seq: usize,
+        deadline_ms: f64,
+        priority: u8,
+        wfq: &Wfq,
+        stats: &mut DispatchStats,
+    ) {
+        let key = (deadline_key(deadline_ms), priority, seq as u32);
         let new_head = match self.tq[t].peek() {
-            None => true,
+            None => {
+                self.set_over(t, wfq.over(t));
+                true
+            }
             Some(&Reverse(head)) => key < head,
         };
         self.tq[t].push(Reverse(key));
         stats.heap_pushes += 1;
         if new_head {
-            self.ready
-                .push(Reverse((u8::from(self.over[t]), key.0, key.1, t, key.2, key.3)));
-            stats.heap_pushes += 1;
+            self.push_head(t, stats);
         }
     }
 
     /// Re-candidate tenant `t`'s current head (after its previous head
     /// was dispatched or shed, or its over-bit changed).
     fn push_head(&mut self, t: usize, stats: &mut DispatchStats) {
-        if let Some(&Reverse((dl, prio, seq, idx))) = self.tq[t].peek() {
+        if let Some(&Reverse((dl, prio, seq))) = self.tq[t].peek() {
             self.ready
-                .push(Reverse((u8::from(self.over[t]), dl, prio, t, seq, idx)));
+                .push(Reverse((u8::from(self.over[t]), dl, prio, t as u32, seq)));
             stats.heap_pushes += 1;
+        }
+    }
+
+    /// Set tenant `t`'s over-bit, keeping `over_list` in step.
+    fn set_over(&mut self, t: usize, over: bool) {
+        if over != self.over[t] {
+            self.over[t] = over;
+            if over {
+                self.over_list.push(t);
+            } else if let Some(p) = self.over_list.iter().position(|&x| x == t) {
+                self.over_list.swap_remove(p);
+            }
         }
     }
 
     /// Apply passive over→under flips: total service only grows, so
     /// tenants marked over can fall back under their share without any
-    /// action of their own. Checks the exact reference predicate for
-    /// every currently-over tenant.
-    fn sweep(
-        &mut self,
-        service: &[f64],
-        weights: &[f64],
-        total_weight: f64,
-        total_service: f64,
-        stats: &mut DispatchStats,
-    ) {
+    /// action of their own. Checks the exact predicate for every
+    /// queued over-share tenant.
+    fn sweep(&mut self, wfq: &Wfq, stats: &mut DispatchStats) {
         let mut i = 0;
         while i < self.over_list.len() {
             let t = self.over_list[i];
-            if service[t] * total_weight > total_service * weights[t] {
+            if wfq.over(t) {
                 i += 1;
             } else {
                 self.over[t] = false;
@@ -820,48 +865,37 @@ impl IndexedQueue {
         }
     }
 
-    /// Recompute tenant `t`'s over-bit after its service grew; pushes a
-    /// fresh head candidate when the bit flips (returning `true` so the
-    /// caller knows the head was already re-candidated).
-    fn update_over(
-        &mut self,
-        t: usize,
-        service: &[f64],
-        weights: &[f64],
-        total_weight: f64,
-        total_service: f64,
-        stats: &mut DispatchStats,
-    ) -> bool {
-        let now = service[t] * total_weight > total_service * weights[t];
-        if now != self.over[t] {
-            self.over[t] = now;
-            if now {
-                self.over_list.push(t);
-            } else if let Some(p) = self.over_list.iter().position(|&x| x == t) {
-                self.over_list.swap_remove(p);
-            }
-            self.push_head(t, stats);
-            return true;
+    /// Re-candidate tenant `t` after [`Self::pop_best`] took its head.
+    /// A dispatch grew its service, so its over-bit is re-derived
+    /// first; a tenant left with an empty queue leaves the over list.
+    fn repost(&mut self, t: usize, dispatched: bool, wfq: &Wfq, stats: &mut DispatchStats) {
+        if self.tq[t].is_empty() {
+            self.set_over(t, false);
+            return;
         }
-        false
+        if dispatched {
+            self.set_over(t, wfq.over(t));
+        }
+        self.push_head(t, stats);
     }
 
-    /// Pop the dispatch argmin: discard stale candidates until one
-    /// still names its tenant's current head with the current
-    /// over-bit, then pop that head. Equals the reference linear-scan
-    /// argmin because valid candidates are exactly the per-tenant
-    /// argmins under the reference key.
+    /// Pop the dispatch argmin as `(tenant, seq)`: discard stale
+    /// candidates until one still names its tenant's current head with
+    /// the current over-bit, then pop that head. Equals the reference
+    /// linear-scan argmin because valid candidates are exactly the
+    /// per-tenant argmins under the reference key.
     fn pop_best(&mut self, stats: &mut DispatchStats) -> (usize, usize) {
         loop {
-            let Reverse((ob, dl, prio, t, seq, idx)) = self
+            let Reverse((ob, dl, prio, t, seq)) = self
                 .ready
                 .pop()
                 .expect("indexed queue invariant: queued work implies a valid candidate");
             stats.heap_pops += 1;
-            if u8::from(self.over[t]) == ob && self.tq[t].peek() == Some(&Reverse((dl, prio, seq, idx)))
+            let t = t as usize;
+            if u8::from(self.over[t]) == ob && self.tq[t].peek() == Some(&Reverse((dl, prio, seq)))
             {
                 self.tq[t].pop();
-                return (t, idx);
+                return (t, seq as usize);
             }
             stats.heap_stale += 1;
         }
@@ -874,21 +908,26 @@ impl IndexedQueue {
 /// counting-allocator test).
 #[derive(Debug, Default)]
 struct SchedState {
-    /// Merged, arrival-sorted request stream.
-    all: Vec<SloRequest>,
+    /// Every request as `(tenant, seq)`, in the loop's arrival order:
+    /// ascending `(arrival, tenant, seq)`.
+    order: Vec<(u32, u32)>,
+    /// The k-way merge's heads, one `(arrival key, tenant, seq)` per
+    /// stream not yet drained.
+    heads: BinaryHeap<Reverse<(u64, u32, u32)>>,
+    /// `off[t]` is tenant `t`'s first outcome slot: the prefix sums of
+    /// the stream lengths, `tenants + 1` entries.
+    off: Vec<usize>,
+    /// Request `seq` of tenant `t` settles into `slots[off[t] + seq]`.
+    slots: Vec<Outcome>,
     /// Reference-mode pending queue (linear scan).
     rq: Vec<SloRequest>,
-    /// Indexed-mode FIFO queue (indices into `all`).
-    fifo: VecDeque<usize>,
     /// Indexed-mode EDF/WFQ queues.
     iq: IndexedQueue,
-    service: Vec<f64>,
-    weights: Vec<f64>,
+    wfq: Wfq,
     n_jobs: Vec<usize>,
     shares: Vec<f64>,
-    outcomes: Vec<Outcome>,
     /// Per-run rung-pricing memo, `rung_off[t]`-based rows of
-    /// `LADDER × (pieces + 1 local) × SLACK_BUCKETS` slots.
+    /// `LADDER × (pieces + 1 local)` slots.
     rung_slots: Vec<Option<RungSlot>>,
     rung_off: Vec<usize>,
     /// Per-tenant piece prices for the joint best-response scan.
@@ -902,10 +941,11 @@ struct SchedState {
 /// Reusable request/outcome buffers for SLO scheduling, mirroring
 /// [`crate::des::DesArena`]: feed the same arena to
 /// [`serve_slo_digest_in`] across burst windows and the warm
-/// generation + dispatch path runs allocation-free — streams, queues,
-/// heaps, the pricing memo, and outcome and digest buffers are all
-/// reused. The `joint_alloc` share planner is excluded (it runs a
-/// fresh optimization per run by design).
+/// generation + dispatch path runs allocation-free — streams, the
+/// merged arrival order and its head heap, queues, the pricing memo,
+/// outcome slots and digest buffers are all reused. The `joint_alloc`
+/// share planner is excluded (it runs a fresh optimization per run by
+/// design).
 #[derive(Debug, Default)]
 pub struct SloArena {
     streams: Vec<Vec<SloRequest>>,
@@ -926,8 +966,9 @@ impl SloArena {
 }
 
 /// Pick every tenant's static cloud share for the run, indexed by
-/// tenant id. With no pool ([`SloConfig::cloud_servers`] `== 0`) all
-/// shares are zero and never consulted. Oblivious mode splits the pool
+/// tenant id (= position). With no pool
+/// ([`SloConfig::cloud_servers`] `== 0`) all shares are zero and never
+/// consulted. Oblivious mode splits the pool
 /// equally (capped at one server-equivalent each); joint mode calls
 /// [`joint_allocate`] at each tenant's representative bandwidth (the
 /// geometric mean of its generated stream — a pure function of the
@@ -940,8 +981,8 @@ fn cloud_share_plan(
     config: &SloConfig,
 ) {
     shares.clear();
-    shares.resize(tenants.len(), 0.0);
     if config.cloud_servers == 0 {
+        shares.resize(tenants.len(), 0.0);
         return;
     }
     if config.joint_alloc {
@@ -962,14 +1003,10 @@ fn cloud_share_plan(
             })
             .collect();
         let alloc = joint_allocate(&joint_tenants, config.cloud_servers as f64);
-        for (i, t) in tenants.iter().enumerate() {
-            shares[t.spec.id] = alloc.shares[i];
-        }
+        shares.extend_from_slice(&alloc.shares);
     } else {
         let phi = (config.cloud_servers as f64 / tenants.len() as f64).min(1.0);
-        for t in tenants {
-            shares[t.spec.id] = phi;
-        }
+        shares.resize(tenants.len(), phi);
     }
     for s in shares.iter() {
         metrics::SCHED_CLOUD_SHARE.observe(*s);
@@ -984,7 +1021,6 @@ fn cloud_share_plan(
 #[derive(Debug, Default)]
 struct LoopCtx {
     server_free: f64,
-    total_service: f64,
     shed_queue_full: u64,
     shed_infeasible: u64,
     degraded: u64,
@@ -994,32 +1030,15 @@ struct LoopCtx {
     joint_overrides: u64,
 }
 
-/// Outcome recorded for a request shed before (queue full) or at
-/// (no feasible rung) dispatch.
-#[inline]
-fn shed_outcome(r: &SloRequest) -> Outcome {
-    Outcome {
-        tenant: r.tenant,
-        seq: r.seq,
-        class: r.class,
-        arrival_ms: r.arrival_ms,
-        deadline_ms: r.deadline_ms,
-        level: LadderLevel::Normal,
-        completion_ms: f64::INFINITY,
-        shed: true,
-        hit: false,
-    }
-}
-
 /// Commit one dispatch decision: advance the uplink, account service
-/// and cloud occupancy, record the outcome. Returns whether the
-/// request actually ran (false = infeasible shed).
+/// and cloud occupancy, record the outcome in the request's slot.
+/// Returns whether the request actually ran (false = infeasible shed).
 fn settle(
     r: &SloRequest,
     chosen: Option<(LadderLevel, f64, f64, f64, f64, bool)>,
     cx: &mut LoopCtx,
-    service: &mut [f64],
-    outcomes: &mut Vec<Outcome>,
+    wfq: &mut Wfq,
+    slot: &mut Outcome,
 ) -> bool {
     match chosen {
         Some((level, d, u, upload_end, completion, overridden)) => {
@@ -1034,40 +1053,78 @@ fn settle(
             if overridden {
                 cx.joint_overrides += 1;
             }
-            service[r.tenant] += d + u;
-            cx.total_service += d + u;
+            wfq.charge(r.tenant, d + u);
             if level != LadderLevel::Normal {
                 cx.degraded += 1;
             }
             let hit = completion <= r.deadline_ms;
             cx.hits += u64::from(hit);
             metrics::SCHED_LATENCY_MS.observe(completion - r.arrival_ms);
-            outcomes.push(Outcome {
-                tenant: r.tenant,
-                seq: r.seq,
-                class: r.class,
-                arrival_ms: r.arrival_ms,
-                deadline_ms: r.deadline_ms,
+            *slot = Outcome {
                 level,
                 completion_ms: completion,
                 shed: false,
                 hit,
-            });
+            };
             true
         }
         None => {
             cx.shed_infeasible += 1;
-            outcomes.push(shed_outcome(r));
+            *slot = SHED;
             false
         }
     }
+}
+
+/// Merge the per-tenant streams, each in arrival order, into the
+/// loop's arrival order: `order` lists every request as `(tenant, seq)`
+/// by ascending `(arrival, tenant, seq)`, the total order a sort of the
+/// concatenated streams would produce. A T-entry head heap keyed the
+/// same way makes it O(N log T). Also lays out the outcome slots:
+/// `off` gets the prefix sums of the stream lengths and `slots` one
+/// entry per request.
+fn merge_streams(st: &mut SchedState, streams: &[Vec<SloRequest>]) {
+    let fits = |n: usize| u32::try_from(n).is_ok();
+    assert!(
+        fits(streams.len()) && streams.iter().all(|s| fits(s.len())),
+        "tenant count and stream lengths must fit the u32 merge keys"
+    );
+    st.off.clear();
+    st.off.push(0);
+    st.heads.clear();
+    for (t, s) in streams.iter().enumerate() {
+        debug_assert!(
+            s.windows(2).all(|w| w[0].arrival_ms <= w[1].arrival_ms),
+            "tenant {t}'s stream is not in arrival order"
+        );
+        st.off.push(st.off[t] + s.len());
+        if let Some(r) = s.first() {
+            st.heads
+                .push(Reverse((deadline_key(r.arrival_ms), t as u32, 0)));
+        }
+    }
+    let total = st.off[streams.len()];
+    st.order.clear();
+    st.order.reserve(total);
+    while let Some(mut head) = st.heads.peek_mut() {
+        let Reverse((_, t, seq)) = *head;
+        st.order.push((t, seq));
+        match streams[t as usize].get(seq as usize + 1) {
+            Some(r) => *head = Reverse((deadline_key(r.arrival_ms), t, seq + 1)),
+            None => {
+                PeekMut::pop(head);
+            }
+        }
+    }
+    st.slots.clear();
+    st.slots.resize(total, SHED);
 }
 
 /// Run the virtual-time scheduling loop over the merged request
 /// streams. Serial by construction — this *is* the deterministic core.
 /// Both dispatch modes produce bit-identical outcomes (the equivalence
 /// tests pin it); only the queue structures — and therefore the
-/// wall-clock cost — differ.
+/// wall-clock cost — differ. Tenant ids must be their positions.
 fn schedule(
     st: &mut SchedState,
     streams: &[Vec<SloRequest>],
@@ -1078,44 +1135,21 @@ fn schedule(
     mode: DispatchMode,
 ) -> LoopCtx {
     st.stats = DispatchStats::default();
-
-    st.all.clear();
-    for s in streams {
-        st.all.extend_from_slice(s);
-    }
-    // (arrival, tenant, seq) is unique per request, so this total order
-    // has exactly one sorted permutation and the in-place unstable sort
-    // is deterministic (and, unlike a stable sort, allocation-free).
-    st.all.sort_unstable_by(|a, b| {
-        a.arrival_ms
-            .partial_cmp(&b.arrival_ms)
-            .unwrap()
-            .then(a.tenant.cmp(&b.tenant))
-            .then(a.seq.cmp(&b.seq))
-    });
-
-    st.weights.clear();
-    st.weights.resize(tenants.len(), 1.0);
+    merge_streams(st, streams);
+    st.wfq.reset(tenants);
     st.n_jobs.clear();
-    st.n_jobs.resize(tenants.len(), 1);
-    for t in tenants {
-        st.weights[t.spec.id] = t.weight;
-        st.n_jobs[t.spec.id] = t.spec.n_jobs;
-    }
-    st.service.clear();
-    st.service.resize(tenants.len(), 0.0);
-    st.outcomes.clear();
+    st.n_jobs.extend(tenants.iter().map(|t| t.spec.n_jobs));
     cloud_share_plan(&mut st.shares, streams, frontiers, tenants, config);
 
-    // Time the dispatch loop alone: stream merge/sort and share
-    // planning above are mode-independent setup and would dilute the
+    // Time the dispatch loop alone: the merge and share planning above
+    // are mode-independent setup and would dilute the
     // indexed-vs-reference ratio identically on both sides.
     let start = Instant::now();
     let tallies = match mode {
-        DispatchMode::Reference => run_reference(st, frontiers, config, policy),
-        DispatchMode::Indexed => run_indexed(st, frontiers, config, policy),
+        DispatchMode::Reference => run_reference(st, streams, frontiers, config, policy),
+        DispatchMode::Indexed => run_indexed(st, streams, frontiers, config, policy),
     };
-    st.stats.requests = st.all.len() as u64;
+    st.stats.requests = st.order.len() as u64;
     st.stats.schedule_ns = start.elapsed().as_nanos() as u64;
     // The loop tallies its outcomes anyway: flush them once per run.
     let admitted = st.stats.dispatched;
@@ -1138,50 +1172,50 @@ fn schedule(
     tallies
 }
 
-/// The pre-overhaul loop, verbatim: linear-scan pick over a `Vec`
-/// queue and direct per-request ladder repricing.
+/// The request at `order` entry `(tenant, seq)`.
+#[inline]
+fn at(streams: &[Vec<SloRequest>], (t, seq): (u32, u32)) -> &SloRequest {
+    &streams[t as usize][seq as usize]
+}
+
+/// The pre-overhaul loop: linear-scan pick over a `Vec` queue and
+/// direct per-request ladder repricing.
 fn run_reference(
     st: &mut SchedState,
+    streams: &[Vec<SloRequest>],
     frontiers: &[Arc<RateFrontier>],
     config: &SloConfig,
     policy: SloPolicy,
 ) -> LoopCtx {
-    let total_weight: f64 = st.weights.iter().sum();
     let mut cx = LoopCtx::default();
     let mut next = 0usize;
+    let n = st.order.len();
     st.rq.clear();
 
-    while next < st.all.len() || !st.rq.is_empty() {
-        while next < st.all.len() && st.all[next].arrival_ms <= cx.server_free {
-            let r = st.all[next];
+    while next < n || !st.rq.is_empty() {
+        while next < n && at(streams, st.order[next]).arrival_ms <= cx.server_free {
+            let r = *at(streams, st.order[next]);
             if policy == SloPolicy::EdfDegrade && st.rq.len() >= config.max_queue {
                 cx.shed_queue_full += 1;
-                st.outcomes.push(shed_outcome(&r));
+                st.slots[st.off[r.tenant] + r.seq] = SHED;
             } else {
                 st.rq.push(r);
             }
             next += 1;
         }
         if st.rq.is_empty() {
-            if next >= st.all.len() {
+            if next >= n {
                 break;
             }
-            cx.server_free = st.all[next].arrival_ms;
+            cx.server_free = at(streams, st.order[next]).arrival_ms;
             continue;
         }
 
         metrics::SCHED_QUEUE_DEPTH.observe(st.rq.len() as f64);
         let t = cx.server_free;
         let idx = match policy {
-            SloPolicy::Fifo => 0, // `all` is arrival-ordered and admits in order
-            SloPolicy::EdfDegrade => dispatch_reference(
-                &st.rq,
-                &config.spec.classes,
-                &st.service,
-                &st.weights,
-                total_weight,
-                cx.total_service,
-            ),
+            SloPolicy::Fifo => 0, // `order` is arrival order and admits in order
+            SloPolicy::EdfDegrade => dispatch_reference(&st.rq, &config.spec.classes, &st.wfq),
         };
         let r = st.rq.remove(idx);
         metrics::SCHED_SLACK_MS.observe((r.deadline_ms - t).max(0.0));
@@ -1236,7 +1270,8 @@ fn run_reference(
             }
         }
 
-        if settle(&r, chosen, &mut cx, &mut st.service, &mut st.outcomes) {
+        let slot = &mut st.slots[st.off[r.tenant] + r.seq];
+        if settle(&r, chosen, &mut cx, &mut st.wfq, slot) {
             st.stats.dispatched += 1;
         }
     }
@@ -1244,33 +1279,35 @@ fn run_reference(
     cx
 }
 
-/// The overhauled loop: indexed EDF/WFQ pick (or a `VecDeque` for
-/// FIFO) plus memoized ladder pricing. Bit-identical outcomes to
-/// [`run_reference`] — every float that reaches an outcome is computed
-/// with the same expression tree on the same values.
+/// The overhauled loop: indexed EDF/WFQ pick (or the arrival order
+/// itself for FIFO) plus memoized ladder pricing. Bit-identical
+/// outcomes to [`run_reference`] — every float that reaches an outcome
+/// is computed with the same expression tree on the same values.
 fn run_indexed(
     st: &mut SchedState,
+    streams: &[Vec<SloRequest>],
     frontiers: &[Arc<RateFrontier>],
     config: &SloConfig,
     policy: SloPolicy,
 ) -> LoopCtx {
-    let tcount = st.weights.len();
-    let total_weight: f64 = st.weights.iter().sum();
+    let tcount = st.wfq.weights.len();
     let mut cx = LoopCtx::default();
+    // FIFO admits every arrival and pops the oldest, so its queue is
+    // always `order[next - queued..next]`.
     let mut queued = 0usize;
     let mut next = 0usize;
-    st.fifo.clear();
+    let n = st.order.len();
     st.iq.reset(tcount);
 
-    // Size the per-run pricing memo: LADDER × (pieces + 1 local) ×
-    // SLACK_BUCKETS slots per tenant, plus the joint piece rows.
+    // Size the per-run pricing memo: LADDER × (pieces + 1 local) slots
+    // per tenant, plus the joint piece rows.
     st.rung_off.clear();
     st.jp_off.clear();
     let (mut roff, mut joff) = (0usize, 0usize);
     for f in frontiers {
         st.rung_off.push(roff);
         st.jp_off.push(joff);
-        roff += LADDER.len() * (f.pieces().len() + 1) * SLACK_BUCKETS;
+        roff += LADDER.len() * (f.pieces().len() + 1);
         joff += f.pieces().len() + 1;
     }
     st.rung_off.push(roff);
@@ -1280,72 +1317,60 @@ fn run_indexed(
     st.jp.clear();
     st.jp.resize(joff, None);
 
-    while next < st.all.len() || queued > 0 {
-        while next < st.all.len() && st.all[next].arrival_ms <= cx.server_free {
-            let r = st.all[next];
+    while next < n || queued > 0 {
+        while next < n && at(streams, st.order[next]).arrival_ms <= cx.server_free {
             if policy == SloPolicy::EdfDegrade {
+                let (tid, seq) = st.order[next];
+                let (tid, seq) = (tid as usize, seq as usize);
                 if queued >= config.max_queue {
                     cx.shed_queue_full += 1;
-                    st.outcomes.push(shed_outcome(&r));
+                    st.slots[st.off[tid] + seq] = SHED;
                 } else {
+                    let r = &streams[tid][seq];
                     let priority = config.spec.classes[r.class].0.priority;
-                    st.iq.push(&r, priority, next, &mut st.stats);
+                    st.iq
+                        .push(tid, seq, r.deadline_ms, priority, &st.wfq, &mut st.stats);
                     queued += 1;
                 }
             } else {
-                st.fifo.push_back(next);
                 queued += 1;
             }
             next += 1;
         }
         if queued == 0 {
-            if next >= st.all.len() {
+            if next >= n {
                 break;
             }
-            cx.server_free = st.all[next].arrival_ms;
+            cx.server_free = at(streams, st.order[next]).arrival_ms;
             continue;
         }
 
         metrics::SCHED_QUEUE_DEPTH.observe(queued as f64);
         let t = cx.server_free;
-        let idx = match policy {
-            SloPolicy::Fifo => st.fifo.pop_front().expect("queued > 0"),
+        let (tid, seq) = match policy {
+            SloPolicy::Fifo => {
+                let (tid, seq) = st.order[next - queued];
+                (tid as usize, seq as usize)
+            }
             SloPolicy::EdfDegrade => {
-                st.iq.sweep(
-                    &st.service,
-                    &st.weights,
-                    total_weight,
-                    cx.total_service,
-                    &mut st.stats,
-                );
-                st.iq.pop_best(&mut st.stats).1
+                st.iq.sweep(&st.wfq, &mut st.stats);
+                st.iq.pop_best(&mut st.stats)
             }
         };
         queued -= 1;
-        let r = st.all[idx];
+        let r = &streams[tid][seq];
         metrics::SCHED_SLACK_MS.observe((r.deadline_ms - t).max(0.0));
 
-        let chosen = price_ladder(st, frontiers, config, policy, &r, t);
-        let dispatched = settle(&r, chosen, &mut cx, &mut st.service, &mut st.outcomes);
+        let chosen = price_ladder(st, frontiers, config, policy, r, t);
+        let slot = &mut st.slots[st.off[tid] + seq];
+        let dispatched = settle(r, chosen, &mut cx, &mut st.wfq, slot);
         if dispatched {
             st.stats.dispatched += 1;
         }
         if policy == SloPolicy::EdfDegrade {
             // The popped head is gone: re-candidate the tenant's next
-            // request, and apply the dispatcher's own under→over flip
-            // first so the fresh entry carries the current bit.
-            let flipped = dispatched
-                && st.iq.update_over(
-                    r.tenant,
-                    &st.service,
-                    &st.weights,
-                    total_weight,
-                    cx.total_service,
-                    &mut st.stats,
-                );
-            if !flipped {
-                st.iq.push_head(r.tenant, &mut st.stats);
-            }
+            // request, under the over-bit its dispatch may have flipped.
+            st.iq.repost(tid, dispatched, &st.wfq, &mut st.stats);
         }
     }
 
@@ -1406,7 +1431,6 @@ fn price_ladder(
     let phi = st.shares[tid];
     let pieces_len = frontier.pieces().len();
     let cols = pieces_len + 1;
-    let bucket = slack_bucket(r.deadline_ms - t);
     for (rung_idx, (level, frac)) in LADDER.iter().enumerate() {
         let piece = if *frac == 0.0 {
             pieces_len
@@ -1415,7 +1439,7 @@ fn price_ladder(
                 .piece_index_at((r.bandwidth_mbps * frac).clamp(config.lo_mbps, config.hi_mbps))
                 .expect("clamped bandwidth lies in the compiled range")
         };
-        let si = st.rung_off[tid] + (rung_idx * cols + piece) * SLACK_BUCKETS + bucket;
+        let si = st.rung_off[tid] + rung_idx * cols + piece;
         let slot = match st.rung_slots[si] {
             Some(s) => {
                 st.stats.memo_hits += 1;
@@ -1497,40 +1521,63 @@ fn price_ladder(
     None
 }
 
-/// Sort the run's outcomes into `(tenant, seq)` order and fold each
-/// tenant's outcomes — arrival, class, rung, completion and hit bits
-/// in seq order — into one FNV-1a digest per tenant id (`st.tdig`),
-/// handing every outcome to `visit` in the same pass. Returns the
-/// fleet digest: the tenant digests folded in id order. Allocation-free
-/// once `tdig` is warm.
+/// Fold each tenant's outcomes — arrival, class, rung, completion and
+/// hit bits in seq order — into one FNV-1a digest per tenant id
+/// (`st.tdig`), handing every request and its outcome to `visit` in the
+/// same pass. The slots are laid out tenant by tenant in stream order,
+/// so streams and slots are walked side by side. Returns the fleet
+/// digest: the tenant digests folded in id order. Allocation-free once
+/// `tdig` is warm.
 fn fold_digests(
     st: &mut SchedState,
-    tenant_count: usize,
-    mut visit: impl FnMut(&Outcome),
+    streams: &[Vec<SloRequest>],
+    mut visit: impl FnMut(usize, &SloRequest, &Outcome),
 ) -> u64 {
-    // `(tenant, seq)` is unique, so the unstable sort is deterministic.
-    st.outcomes
-        .sort_unstable_by(|a, b| a.tenant.cmp(&b.tenant).then(a.seq.cmp(&b.seq)));
     st.tdig.clear();
-    st.tdig.resize(tenant_count, FNV_OFFSET);
-    for o in &st.outcomes {
-        let mut d = st.tdig[o.tenant];
-        d = fnv_fold(d, o.seq as u64);
-        d = fnv_fold(d, o.arrival_ms.to_bits());
-        d = fnv_fold(d, o.class as u64);
-        d = fnv_fold(d, o.level as u64);
-        d = fnv_fold(d, o.completion_ms.to_bits());
-        d = fnv_fold(d, u64::from(o.hit));
-        st.tdig[o.tenant] = d;
-        visit(o);
+    let mut slots = st.slots.iter();
+    for (t, stream) in streams.iter().enumerate() {
+        let mut d = FNV_OFFSET;
+        for (r, o) in stream.iter().zip(slots.by_ref()) {
+            d = fnv_fold(d, r.seq as u64);
+            d = fnv_fold(d, r.arrival_ms.to_bits());
+            d = fnv_fold(d, r.class as u64);
+            d = fnv_fold(d, o.level as u64);
+            d = fnv_fold(d, o.completion_ms.to_bits());
+            d = fnv_fold(d, u64::from(o.hit));
+            visit(t, r, o);
+        }
+        st.tdig.push(d);
     }
     st.tdig.iter().enumerate().fold(FNV_OFFSET, |d, (id, td)| {
         fnv_fold(fnv_fold(d, id as u64), *td)
     })
 }
 
+/// Exact nearest-rank percentiles, each the value
+/// [`mcdnn_obs::percentile_sorted`] reads off the sorted latencies, found
+/// by selection instead of a full sort. `qs` must ascend: each
+/// selection only searches above the previous rank. Reorders
+/// `latencies`.
+fn percentiles<const N: usize>(latencies: &mut [f64], qs: [f64; N]) -> [f64; N] {
+    let mut out = [0.0; N];
+    let mut lo = 0;
+    for (v, q) in out.iter_mut().zip(qs) {
+        let rank = mcdnn_obs::nearest_rank(latencies.len() as u64, q) as usize;
+        if rank == 0 {
+            continue;
+        }
+        // Equal under `total_cmp` means equal bits, so the value at a
+        // rank is unique even where the order among equals is not.
+        let (_, nth, _) = latencies[lo..].select_nth_unstable_by(rank - 1 - lo, f64::total_cmp);
+        *v = *nth;
+        lo = rank - 1;
+    }
+    out
+}
+
 fn summarize(
     st: &mut SchedState,
+    streams: &[Vec<SloRequest>],
     tenants: &[SloTenant],
     config: &SloConfig,
     policy: SloPolicy,
@@ -1538,11 +1585,12 @@ fn summarize(
 ) -> SloReport {
     let mut per_tenant: Vec<TenantSloSummary> = tenants
         .iter()
-        .map(|t| TenantSloSummary {
+        .enumerate()
+        .map(|(i, t)| TenantSloSummary {
             id: t.spec.id,
             model: t.spec.profile.name().to_string(),
             weight: t.weight,
-            cloud_share: st.shares[t.spec.id],
+            cloud_share: st.shares[i],
             requests: 0,
             admitted: 0,
             shed: 0,
@@ -1553,7 +1601,6 @@ fn summarize(
             digest: FNV_OFFSET,
         })
         .collect();
-    per_tenant.sort_by_key(|t| t.id);
 
     let mut classes: Vec<ClassSummary> = config
         .spec
@@ -1567,12 +1614,12 @@ fn summarize(
         })
         .collect();
 
-    let mut latencies: Vec<f64> = Vec::new();
+    let mut latencies: Vec<f64> = Vec::with_capacity(st.slots.len());
     let (mut admitted, mut hits) = (0u64, 0u64);
-    let digest = fold_digests(st, tenants.len(), |o| {
-        let t = &mut per_tenant[o.tenant];
+    let digest = fold_digests(st, streams, |tid, r, o| {
+        let t = &mut per_tenant[tid];
         t.requests += 1;
-        classes[o.class].requests += 1;
+        classes[r.class].requests += 1;
         if o.shed {
             t.shed += 1;
             return;
@@ -1582,17 +1629,17 @@ fn summarize(
         if o.level != LadderLevel::Normal {
             t.degraded += 1;
         }
-        let latency = o.completion_ms - o.arrival_ms;
+        let latency = o.completion_ms - r.arrival_ms;
         t.mean_latency_ms += latency;
         latencies.push(latency);
         if o.hit {
             hits += 1;
             t.hits += 1;
-            classes[o.class].hits += 1;
+            classes[r.class].hits += 1;
         }
     });
-    for t in &mut per_tenant {
-        t.digest = st.tdig[t.id];
+    for (t, digest) in per_tenant.iter_mut().zip(&st.tdig) {
+        t.digest = *digest;
         if t.admitted > 0 {
             t.mean_latency_ms /= t.admitted as f64;
         }
@@ -1605,10 +1652,9 @@ fn summarize(
             c.hit_rate = c.hits as f64 / c.requests as f64;
         }
     }
-    // Equal latencies are identical bits, so unstable order is moot.
-    latencies.sort_unstable_by(|a, b| a.total_cmp(b));
+    let [p50, p95, p99] = percentiles(&mut latencies, [0.50, 0.95, 0.99]);
 
-    let total = st.outcomes.len() as u64;
+    let total = st.slots.len() as u64;
     SloReport {
         policy,
         cloud_servers: config.cloud_servers,
@@ -1626,9 +1672,9 @@ fn summarize(
         } else {
             hits as f64 / total as f64
         },
-        p50_latency_ms: mcdnn_obs::percentile_sorted(&latencies, 0.50),
-        p95_latency_ms: mcdnn_obs::percentile_sorted(&latencies, 0.95),
-        p99_latency_ms: mcdnn_obs::percentile_sorted(&latencies, 0.99),
+        p50_latency_ms: p50,
+        p95_latency_ms: p95,
+        p99_latency_ms: p99,
         tenants: per_tenant,
         classes,
         digest,
@@ -1727,6 +1773,11 @@ fn check_run(tenants: &[SloTenant], config: &SloConfig) -> Result<(), AdmitError
     config.validate()?;
     if tenants.is_empty() {
         return Err(AdmitError::EmptyFleet);
+    }
+    if tenants.iter().enumerate().any(|(i, t)| t.spec.id != i) {
+        return Err(AdmitError::BadConfig {
+            what: "tenant ids must be their fleet positions 0..n",
+        });
     }
     Ok(())
 }
@@ -1829,7 +1880,7 @@ fn schedule_report(
         policy,
         DispatchMode::Indexed,
     );
-    summarize(&mut st, tenants, config, policy, tallies)
+    summarize(&mut st, streams, tenants, config, policy, tallies)
 }
 
 /// A fleet's request streams, generated once to be scheduled under
@@ -1920,8 +1971,14 @@ fn serve_slo_serial_in(
     mode: DispatchMode,
 ) -> Result<SloReport, AdmitError> {
     let tallies = prepare_and_schedule(arena, cache, tenants, config, policy, mode)?;
-    let st = &mut arena.sched;
-    Ok(summarize(st, tenants, config, policy, tallies))
+    Ok(summarize(
+        &mut arena.sched,
+        &arena.streams,
+        tenants,
+        config,
+        policy,
+        tallies,
+    ))
 }
 
 /// Run the full generation + scheduling loop on a warm arena and fold
@@ -1939,7 +1996,7 @@ pub fn serve_slo_digest_in(
     mode: DispatchMode,
 ) -> Result<u64, AdmitError> {
     prepare_and_schedule(arena, cache, tenants, config, policy, mode)?;
-    Ok(fold_digests(&mut arena.sched, tenants.len(), |_| {}))
+    Ok(fold_digests(&mut arena.sched, &arena.streams, |_, _, _| {}))
 }
 
 #[cfg(test)]
@@ -2483,87 +2540,240 @@ mod tests {
         }
     }
 
+    /// An [`IndexedQueue`] and the linear-scan reference driven in
+    /// lockstep through the same pushes, picks, dispatches and sheds.
+    struct Lockstep {
+        classes: Vec<(SloClass, f64)>,
+        wfq: Wfq,
+        iq: IndexedQueue,
+        linear: Vec<SloRequest>,
+        seqs: Vec<usize>,
+        stats: DispatchStats,
+        picks: u64,
+    }
+
+    impl Lockstep {
+        fn new(weights: Vec<f64>) -> Self {
+            let tcount = weights.len();
+            let mut iq = IndexedQueue::default();
+            iq.reset(tcount);
+            Lockstep {
+                classes: SloConfig::default().spec.classes,
+                wfq: Wfq {
+                    service: vec![0.0; tcount],
+                    total_weight: weights.iter().sum(),
+                    weights,
+                    total_service: 0.0,
+                },
+                iq,
+                linear: Vec::new(),
+                seqs: vec![0; tcount],
+                stats: DispatchStats::default(),
+                picks: 0,
+            }
+        }
+
+        fn push(&mut self, tenant: usize, class: usize, deadline_ms: f64) {
+            let r = SloRequest {
+                tenant,
+                seq: self.seqs[tenant],
+                class,
+                arrival_ms: 0.0,
+                bandwidth_mbps: 1.0,
+                nominal_ms: 1.0,
+                deadline_ms,
+            };
+            self.seqs[tenant] += 1;
+            let priority = self.classes[class].0.priority;
+            self.iq.push(
+                tenant,
+                r.seq,
+                deadline_ms,
+                priority,
+                &self.wfq,
+                &mut self.stats,
+            );
+            self.linear.push(r);
+        }
+
+        /// Pick on both sides and demand the same request; then grant
+        /// its tenant `work` ms of service, or shed it on `None` — the
+        /// post-pick bookkeeping `run_indexed` does. Returns the tenant.
+        fn pick(&mut self, work: Option<f64>, what: &str) -> usize {
+            self.iq.sweep(&self.wfq, &mut self.stats);
+            let want = dispatch_reference(&self.linear, &self.classes, &self.wfq);
+            let expect = self.linear.remove(want);
+            let (t, seq) = self.iq.pop_best(&mut self.stats);
+            assert_eq!(
+                (t, seq),
+                (expect.tenant, expect.seq),
+                "{what}: heap pick diverged from linear argmin"
+            );
+            self.picks += 1;
+            if let Some(work) = work {
+                self.wfq.charge(t, work);
+            }
+            self.iq
+                .repost(t, work.is_some(), &self.wfq, &mut self.stats);
+            t
+        }
+    }
+
     #[test]
     fn heap_pick_equals_linear_argmin_on_random_queues() {
-        // Drive IndexedQueue and the linear-scan reference through the
-        // same randomized admit/dispatch/shed schedule — random
-        // weights, deadlines, priorities, service growth — and demand
-        // the exact same pick at every step.
-        let classes = SloConfig::default().spec.classes;
+        // A tenant that empties its queue while over its share leaves
+        // the over list; its bit is re-derived when the queue refills.
+        // Three equal-weight tenants: over(t) is 3·service[t] > total.
+        let mut q = Lockstep::new(vec![1.0; 3]);
+        q.push(0, 0, 10.0);
+        assert_eq!(q.pick(Some(30.0), "drain 0"), 0);
+        assert!(q.iq.over_list.is_empty(), "an idle tenant is on no list");
+        // 3·30 > 30: tenant 0 refills still over, so the sweep must
+        // watch it. Tenant 1's later deadline goes first.
+        q.push(0, 0, 10.0);
+        q.push(1, 0, 20.0);
+        assert_eq!(q.iq.over_list, [0]);
+        assert_eq!(q.pick(Some(100.0), "over refill"), 1);
+        // 3·30 <= 130: the sweep flips tenant 0 back under, ahead of
+        // tenant 2's later deadline.
+        q.push(2, 0, 30.0);
+        assert_eq!(q.pick(Some(1.0), "swept refill"), 0);
+        assert_eq!(q.pick(Some(1.0), "tenant 2"), 2);
+        // Tenant 0 drains over share again (3·(31 + 60) > 192), then
+        // total service passes its threshold while its queue is empty:
+        // 3·91 <= 292. On refill it is under, so it beats tenant 1's
+        // earlier deadline (tenant 1 is over: 3·100 > 292).
+        q.push(0, 0, 10.0);
+        assert_eq!(q.pick(Some(60.0), "drain 0 over"), 0);
+        assert!(q.iq.over_list.is_empty());
+        q.push(2, 0, 10.0);
+        assert_eq!(q.pick(Some(100.0), "idle growth"), 2);
+        q.push(1, 0, 5.0);
+        q.push(0, 0, 50.0);
+        assert_eq!(
+            q.iq.over_list,
+            [1],
+            "refilled tenant 0 must come back under"
+        );
+        assert_eq!(q.pick(None, "under refill"), 0);
+        assert_eq!(q.pick(None, "tenant 1"), 1);
+
+        // Randomized admit/dispatch/shed schedules — random weights,
+        // deadlines, priorities, service growth — demanding the exact
+        // same pick at every step.
         for seed in 0..12u64 {
             let mut rng = Rng::seed_from_u64(0xD15u64.wrapping_mul(seed + 1));
             let tcount = 2 + (rng.f64() * 6.0) as usize;
             let weights: Vec<f64> = (0..tcount).map(|_| 0.25 + 4.0 * rng.f64()).collect();
-            let total_weight: f64 = weights.iter().sum();
-            let mut service = vec![0.0f64; tcount];
-            let mut total_service = 0.0f64;
-            let mut stats = DispatchStats::default();
-            let mut iq = IndexedQueue::default();
-            iq.reset(tcount);
-            let mut all: Vec<SloRequest> = Vec::new();
-            let mut linear: Vec<SloRequest> = Vec::new();
-            let mut seqs = vec![0usize; tcount];
-            let mut picks = 0u64;
-            for _step in 0..600 {
-                if linear.is_empty() || rng.f64() < 0.55 {
+            let mut q = Lockstep::new(weights);
+            let classes = q.classes.len();
+            for step in 0..600 {
+                if q.linear.is_empty() || rng.f64() < 0.55 {
                     let tenant = (rng.f64() * tcount as f64) as usize % tcount;
-                    let class = (rng.f64() * classes.len() as f64) as usize % classes.len();
-                    let r = SloRequest {
-                        tenant,
-                        seq: seqs[tenant],
-                        class,
-                        arrival_ms: rng.f64() * 100.0,
-                        bandwidth_mbps: 1.0 + rng.f64() * 50.0,
-                        nominal_ms: 1.0 + rng.f64() * 20.0,
-                        deadline_ms: 1.0 + rng.f64() * 5000.0,
-                    };
-                    seqs[tenant] += 1;
-                    iq.push(&r, classes[r.class].0.priority, all.len(), &mut stats);
-                    all.push(r);
-                    linear.push(r);
+                    let class = (rng.f64() * classes as f64) as usize % classes;
+                    q.push(tenant, class, 1.0 + rng.f64() * 5000.0);
                 } else {
-                    iq.sweep(&service, &weights, total_weight, total_service, &mut stats);
-                    let want = dispatch_reference(
-                        &linear,
-                        &classes,
-                        &service,
-                        &weights,
-                        total_weight,
-                        total_service,
-                    );
-                    let expect = linear.remove(want);
-                    let (t, idx) = iq.pop_best(&mut stats);
-                    assert_eq!(
-                        (all[idx].tenant, all[idx].seq),
-                        (expect.tenant, expect.seq),
-                        "seed={seed} step={_step}: heap pick diverged from linear argmin"
-                    );
-                    assert_eq!(t, expect.tenant);
-                    picks += 1;
-                    // Dispatch (grow the tenant's service) or shed —
-                    // exactly the post-pick bookkeeping run_indexed does.
-                    let dispatched = rng.f64() < 0.7;
-                    if dispatched {
-                        let work = 0.5 + rng.f64() * 30.0;
-                        service[t] += work;
-                        total_service += work;
-                    }
-                    let flipped = dispatched
-                        && iq.update_over(
-                            t,
-                            &service,
-                            &weights,
-                            total_weight,
-                            total_service,
-                            &mut stats,
-                        );
-                    if !flipped {
-                        iq.push_head(t, &mut stats);
-                    }
+                    // Dispatch (grow the tenant's service) or shed.
+                    let work = (rng.f64() < 0.7).then(|| 0.5 + rng.f64() * 30.0);
+                    q.pick(work, &format!("seed={seed} step={step}"));
                 }
             }
-            assert!(picks > 100, "seed={seed}: schedule must exercise picks");
-            assert!(stats.heap_pops >= picks);
+            assert!(q.picks > 100, "seed={seed}: schedule must exercise picks");
+            assert!(q.stats.heap_pops >= q.picks);
+        }
+    }
+
+    #[test]
+    fn stream_merge_equals_the_sorted_concatenation() {
+        // The reference: the concatenated streams sorted by
+        // (arrival, tenant, seq).
+        let sorted = |streams: &[Vec<SloRequest>]| -> Vec<(u32, u32)> {
+            let mut all = streams.concat();
+            all.sort_unstable_by(|a, b| {
+                a.arrival_ms
+                    .partial_cmp(&b.arrival_ms)
+                    .unwrap()
+                    .then(a.tenant.cmp(&b.tenant))
+                    .then(a.seq.cmp(&b.seq))
+            });
+            all.iter()
+                .map(|r| (r.tenant as u32, r.seq as u32))
+                .collect()
+        };
+        let stream = |tenant: usize, arrivals: &[f64]| -> Vec<SloRequest> {
+            arrivals
+                .iter()
+                .enumerate()
+                .map(|(seq, &arrival_ms)| SloRequest {
+                    tenant,
+                    seq,
+                    class: 0,
+                    arrival_ms,
+                    bandwidth_mbps: 1.0,
+                    nominal_ms: 1.0,
+                    deadline_ms: arrival_ms + 1.0,
+                })
+                .collect()
+        };
+        // Cross-tenant ties at 2.0 and 5.0, a tie inside tenant 0, an
+        // empty stream and two one-request streams.
+        let crafted = vec![
+            stream(0, &[1.0, 2.0, 2.0, 5.0]),
+            stream(1, &[]),
+            stream(2, &[2.0]),
+            stream(3, &[0.5, 2.0, 7.0]),
+            stream(4, &[5.0]),
+        ];
+        let mut st = SchedState::default();
+        merge_streams(&mut st, &crafted);
+        assert_eq!(st.order, sorted(&crafted));
+        assert_eq!(st.off, [0, 4, 4, 5, 8, 9]);
+        assert_eq!(st.slots.len(), 9);
+        assert!(st.slots.iter().all(|o| o.shed));
+
+        // Random fleets on a coarse arrival grid, so ties are common;
+        // the same state is reused warm across merges.
+        let mut rng = Rng::seed_from_u64(0x3E26E);
+        for _ in 0..50 {
+            let tenants = 1 + rng.gen_range(0usize..9);
+            let streams: Vec<Vec<SloRequest>> = (0..tenants)
+                .map(|t| {
+                    let mut at = 0.0;
+                    let arrivals: Vec<f64> = (0..rng.gen_range(0usize..25))
+                        .map(|_| {
+                            at += rng.gen_range(0usize..3) as f64 * 0.25;
+                            at
+                        })
+                        .collect();
+                    stream(t, &arrivals)
+                })
+                .collect();
+            merge_streams(&mut st, &streams);
+            assert_eq!(st.order, sorted(&streams));
+            assert_eq!(st.slots.len(), streams.iter().map(Vec::len).sum::<usize>());
+        }
+    }
+
+    #[test]
+    fn percentiles_by_selection_match_the_sorted_reads() {
+        let mut rng = Rng::seed_from_u64(0x9E7C);
+        for n in [0usize, 1, 2, 3, 7, 100, 1001] {
+            // Coarse values, so equal latencies are common.
+            let values: Vec<f64> = (0..n)
+                .map(|_| rng.gen_range(0usize..40) as f64 * 0.5)
+                .collect();
+            let mut sorted = values.clone();
+            sorted.sort_unstable_by(f64::total_cmp);
+            let qs = [0.0, 0.5, 0.95, 0.99, 1.0];
+            let mut scratch = values.clone();
+            let got = percentiles(&mut scratch, qs);
+            for (q, v) in qs.iter().zip(got) {
+                assert_eq!(
+                    v.to_bits(),
+                    mcdnn_obs::percentile_sorted(&sorted, *q).to_bits(),
+                    "n={n} q={q}"
+                );
+            }
         }
     }
 
