@@ -8,7 +8,12 @@
 //! width — cloud shares derive purely from the generated request
 //! streams, so virtual time owes nothing to thread count.
 //!
-//! The second is a seeded property sweep over real zoo frontiers: the
+//! The second drives a deep contended fleet, where most picks are
+//! already past their deadline and the joint Normal rung's bound
+//! prunes, through both dispatch modes: the indexed loop's early exits
+//! must run and leave every outcome bit equal to the reference's.
+//!
+//! The third is a seeded property sweep over real zoo frontiers: the
 //! joint allocator must never hand out more than the pool's capacity,
 //! never exceed the per-tenant cap, never starve a tenant it keeps in
 //! the cloud, and never do worse than the contention-oblivious
@@ -22,7 +27,10 @@ use mcdnn_partition::{
 };
 use mcdnn_rng::Rng;
 use mcdnn_runtime::WorkerPool;
-use mcdnn_sim::{serve_slo, serve_slo_serial, slo_fleet, SloConfig, SloPolicy};
+use mcdnn_sim::{
+    serve_slo, serve_slo_digest_in, serve_slo_serial, serve_slo_serial_with, slo_fleet,
+    DispatchMode, SloArena, SloConfig, SloPolicy,
+};
 
 #[test]
 fn pooled_contended_slo_serving_matches_the_single_lock_reference_zoo_wide() {
@@ -70,6 +78,56 @@ fn pooled_contended_slo_serving_matches_the_single_lock_reference_zoo_wide() {
                 "{workers}-worker {policy:?} contended serving diverged from the reference"
             );
         }
+    }
+}
+
+#[test]
+fn deep_contended_dispatch_takes_its_early_exits_and_matches_the_reference() {
+    // 8x overload into 4096-deep queues on two shared cloud servers, the
+    // e2e slo-deep shape: with joint allocation both off and on.
+    let profiles = monotone_zoo_cloud_rate_profiles(SETUP_MS);
+    let cache = PlanCache::new();
+    for joint_alloc in [false, true] {
+        let config = SloConfig {
+            requests_per_tenant: 60,
+            overload: 8.0,
+            max_queue: 4096,
+            cloud_servers: 2,
+            joint_alloc,
+            ..SloConfig::default()
+        };
+        let fleet = slo_fleet(&profiles, profiles.len() + 3, &config);
+        let policy = SloPolicy::EdfDegrade;
+        let reference =
+            serve_slo_serial_with(&cache, &fleet, &config, policy, DispatchMode::Reference)
+                .expect("fleet serves");
+        let indexed = serve_slo_serial_with(&cache, &fleet, &config, policy, DispatchMode::Indexed)
+            .expect("fleet serves");
+        assert!(reference.admitted > 0, "joint={joint_alloc}: vacuous run");
+        assert_eq!(
+            reference, indexed,
+            "joint={joint_alloc}: indexed dispatch diverged from the reference"
+        );
+        let mut arena = SloArena::new();
+        let digest = serve_slo_digest_in(
+            &mut arena,
+            &cache,
+            &fleet,
+            &config,
+            policy,
+            DispatchMode::Indexed,
+        )
+        .expect("fleet serves");
+        assert_eq!(digest, reference.digest, "joint={joint_alloc}");
+        let stats = arena.stats();
+        assert!(
+            stats.expired_sheds > 0 && stats.expired_sheds <= reference.shed_infeasible,
+            "joint={joint_alloc}: expired picks must be shed unpriced: {stats:?}"
+        );
+        assert!(
+            stats.memo_prunes > 0,
+            "joint={joint_alloc}: rung bounds must prune: {stats:?}"
+        );
     }
 }
 

@@ -662,6 +662,9 @@ fn cmd_chaos(flags: &Flags) -> Result<String, CliError> {
         seed: flags.parse_u64_or("seed", 7)?,
         ..ChaosConfig::default()
     };
+    if config.jobs_per_burst == 0 {
+        return Err(err("--jobs must be at least 1"));
+    }
     if config.bursts < 3 {
         return Err(err("--bursts must be at least 3"));
     }
@@ -1428,6 +1431,12 @@ mod tests {
         .unwrap_err()
         .0
         .contains("--rho"));
+        assert!(run_str(&[
+            "chaos", "--model", "alexnet", "--bandwidth", "10", "--jobs", "0"
+        ])
+        .unwrap_err()
+        .0
+        .contains("--jobs"));
     }
 
     #[test]
@@ -1564,18 +1573,35 @@ mod tests {
             get("sched.price_memo.hits") + get("sched.price_memo.misses") >= 1.0,
             "{snap}"
         );
-        for key in ["sched.heap.stale", "sched.price_memo.prunes"] {
+        for key in [
+            "sched.heap.stale",
+            "sched.price_memo.prunes",
+            "sched.shed_expired",
+        ] {
             assert!(counters.get(key).is_some(), "{key} exported: {snap}");
         }
-        let hists = parsed.get("histograms").expect("histograms object");
-        for h in ["sched.queue_depth", "sched.slack_ms", "sched.latency_ms"] {
-            assert!(
-                hists.get(h).and_then(|v| v.get("count")).and_then(|c| c.as_f64())
-                    .unwrap_or(0.0)
-                    >= 1.0,
-                "{h} populated: {snap}"
-            );
+        assert!(
+            get("sched.shed_expired") <= get("sched.shed_infeasible"),
+            "{snap}"
+        );
+        // Where the calls' time goes outside the dispatch loop.
+        for key in ["sched.generate_ns", "sched.merge_ns", "sched.summary_ns"] {
+            assert!(get(key) >= 1.0, "{key} timed: {snap}");
         }
+        // The loop-local histograms fold in exactly: one latency per
+        // admission, one queue depth and one slack per pick.
+        let hists = parsed.get("histograms").expect("histograms object");
+        let count = |h: &str| {
+            hists
+                .get(h)
+                .and_then(|v| v.get("count"))
+                .and_then(|c| c.as_f64())
+                .unwrap_or(0.0)
+        };
+        let picks = get("sched.admitted") + get("sched.shed_infeasible");
+        assert_eq!(count("sched.latency_ms"), get("sched.admitted"), "{snap}");
+        assert_eq!(count("sched.queue_depth"), picks, "{snap}");
+        assert_eq!(count("sched.slack_ms"), picks, "{snap}");
     }
 
     #[test]

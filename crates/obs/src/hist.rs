@@ -8,8 +8,9 @@
 //!
 //! The registry keeps each histogram as a block of `u64` words in a
 //! thread's slab (bucket counts, overflow, count, and the bits of
-//! sum/min/max); the crate-private `observe_words`, `merge_words` and
-//! `Histogram::from_words` are the one definition of that layout.
+//! sum/min/max); the crate-private `observe_words`, `merge_words`,
+//! `Histogram::from_words` and `Histogram::word` are the one definition
+//! of that layout.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -162,6 +163,19 @@ impl Histogram {
             sum_ms: f64::from_bits(w[SUM]),
             min_ms: f64::from_bits(w[MIN]),
             max_ms: f64::from_bits(w[MAX]),
+        }
+    }
+
+    /// Word `k` of this histogram in slab layout: the inverse of
+    /// [`Histogram::from_words`].
+    pub(crate) fn word(&self, k: usize) -> u64 {
+        match k {
+            OVERFLOW => self.overflow,
+            COUNT => self.count,
+            SUM => self.sum_ms.to_bits(),
+            MIN => self.min_ms.to_bits(),
+            MAX => self.max_ms.to_bits(),
+            i => self.counts[i],
         }
     }
 
@@ -325,6 +339,8 @@ mod tests {
             plain.observe(v);
         }
         assert_eq!(Histogram::from_words(&merged), plain);
+        let words: Vec<u64> = (0..WORDS).map(|k| plain.word(k)).collect();
+        assert_eq!(words, merged, "word() reads back the slab layout");
         let empty: Vec<u64> = (0..WORDS).map(empty_word).collect();
         assert_eq!(Histogram::from_words(&empty), Histogram::new());
     }

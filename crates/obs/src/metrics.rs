@@ -20,6 +20,7 @@
 //! ```
 
 use crate::registry;
+use crate::Histogram;
 
 /// A counter: one `u64` word in each recording thread's slab.
 #[derive(Debug)]
@@ -60,6 +61,15 @@ impl Hist {
     #[inline]
     pub fn observe(&self, value: f64) {
         registry::observe(self.slot, value);
+    }
+
+    /// Fold a histogram a loop recorded on its own into this one: bucket
+    /// counts, count, min and max end as if each of `local`'s values had
+    /// been observed here; only the float association of the sum
+    /// differs. No-op while the registry is disabled.
+    #[inline]
+    pub fn absorb(&self, local: &Histogram) {
+        registry::absorb_hist(self.slot, local);
     }
 
     /// Dotted metric name, e.g. `sched.latency_ms`.
@@ -155,15 +165,19 @@ catalogue! {
         SCHED_DEADLINE_MISSES = "sched.deadline_misses": "requests that missed, including infeasible sheds",
         SCHED_DEGRADED = "sched.degraded": "dispatched requests below the Normal rung",
         SCHED_DISPATCH_NS = "sched.dispatch_ns": "wall time of SLO dispatch loops, ns",
+        SCHED_GENERATE_NS = "sched.generate_ns": "wall time of SLO request generation, ns",
         SCHED_HEAP_POPS = "sched.heap.pops": "indexed-dispatch heap pops",
         SCHED_HEAP_PUSHES = "sched.heap.pushes": "indexed-dispatch heap pushes",
         SCHED_HEAP_STALE = "sched.heap.stale": "heap pops discarded as stale",
+        SCHED_MERGE_NS = "sched.merge_ns": "wall time of merging SLO streams into arrival order, ns",
         SCHED_PRICE_MEMO_HITS = "sched.price_memo.hits": "rung prices served by the pricing memo",
         SCHED_PRICE_MEMO_MISSES = "sched.price_memo.misses": "rung prices computed and memoized",
         SCHED_PRICE_MEMO_PRUNES = "sched.price_memo.prunes": "rungs skipped by the memo's lower bound",
         SCHED_REQUESTS = "sched.requests": "SLO requests generated",
+        SCHED_SHED_EXPIRED = "sched.shed_expired": "infeasible sheds picked after their deadline, shed unpriced",
         SCHED_SHED_INFEASIBLE = "sched.shed_infeasible": "requests shed because no rung met the deadline",
         SCHED_SHED_QUEUE_FULL = "sched.shed_queue_full": "requests shed at a full tenant queue",
+        SCHED_SUMMARY_NS = "sched.summary_ns": "wall time of SLO report summaries, ns",
         SERVE_BURSTS = "serve.bursts": "bursts admitted by serving sessions",
         SERVE_DEGRADED_BURSTS = "serve.degraded_bursts": "served bursts below the healthy rung",
         SERVE_FAULTED_BURSTS = "serve.faulted_bursts": "served bursts replayed under a fault plan",

@@ -297,6 +297,22 @@ pub(crate) fn observe(slot: usize, value: f64) {
     }
 }
 
+/// Fold `h` into histogram `slot` of the calling thread's slab.
+#[inline]
+pub(crate) fn absorb_hist(slot: usize, h: &Histogram) {
+    if enabled() {
+        with_local(|w| {
+            let w = &w[hist_words(slot)];
+            let mut merged: [u64; hist::WORDS] =
+                std::array::from_fn(|k| w[k].load(Ordering::Relaxed));
+            hist::merge_words(&mut merged, |k| h.word(k));
+            for (word, m) in w.iter().zip(merged) {
+                word.store(m, Ordering::Relaxed);
+            }
+        });
+    }
+}
+
 /// Every word summed over the live slabs of the current epoch plus the
 /// retired total.
 fn totals() -> Vec<u64> {
@@ -438,7 +454,9 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{ADAPT_EST_ERR_REL, JOINT_ROUNDS, ONLINE_BURSTS, RUNTIME_POOL_STEALS};
+    use crate::metrics::{
+        ADAPT_EST_ERR_REL, JOINT_ROUNDS, ONLINE_BURSTS, RUNTIME_POOL_STEALS, SCHED_SLACK_MS,
+    };
 
     // The registry is process-global and the test harness runs tests in
     // parallel, so no test here resets it; each asserts on its own
@@ -473,6 +491,25 @@ mod tests {
         let names: Vec<&str> = snap.counters.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(names.len(), COUNTERS.len(), "every counter exported");
         assert!(names.windows(2).all(|w| w[0] < w[1]), "sorted by name");
+    }
+
+    #[test]
+    fn absorbing_a_histogram_equals_observing_its_values() {
+        // Only this test records `sched.slack_ms` in this process.
+        // Dyadic values keep the sum exact in any association.
+        set_enabled(true);
+        SCHED_SLACK_MS.observe(0.5);
+        let mut local = Histogram::new();
+        for v in [2.0, 0.125, 1e9] {
+            local.observe(v);
+        }
+        SCHED_SLACK_MS.absorb(&local);
+        SCHED_SLACK_MS.absorb(&Histogram::new());
+        let mut plain = Histogram::new();
+        for v in [0.5, 2.0, 0.125, 1e9] {
+            plain.observe(v);
+        }
+        assert_eq!(snapshot().histogram("sched.slack_ms"), Some(&plain));
     }
 
     #[test]

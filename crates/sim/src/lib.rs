@@ -57,7 +57,7 @@ pub use serve::{
 pub use slo::{
     serve_slo, serve_slo_digest_in, serve_slo_serial, serve_slo_serial_with, slo_fleet,
     AdmitError, ClassSummary, DispatchMode, DispatchStats, SloArena, SloClass, SloConfig,
-    SloPolicy, SloReport, SloRequest, SloSpec, SloStreams, SloTenant, TenantSloSummary,
+    SloPolicy, SloReport, SloSpec, SloStreams, SloTenant, TenantSloSummary,
 };
 pub use robustness::{
     chaos_drill, chaos_scenarios, realized_makespans, run_chaos_grid, ChaosDrill, ChaosRow,

@@ -77,6 +77,13 @@
 //!
 //! # Dispatch path
 //!
+//! A request is 48 bytes: arrival, bandwidth and deadline, `u32`
+//! tenant and seq, a `u8` class, and the frontier piece of each of the
+//! three priced rungs. The pieces are resolved by the pooled per-tenant
+//! generation once the stream is complete, on the frontier the stream
+//! ended on — the frontier dispatch prices with — so pricing reads them
+//! instead of searching the frontier per pick.
+//!
 //! Each tenant's stream is generated in arrival order, so the loop's
 //! arrival order is a k-way merge of the streams through a head heap
 //! keyed `(arrival, tenant, seq)`, built before the loop starts as a
@@ -91,25 +98,33 @@
 //! ([`DispatchMode::Indexed`], the default): per-tenant deadline heaps
 //! feed a cross-tenant [`BinaryHeap`] of tenant-head candidates keyed
 //! `(over-share bit, deadline, priority, tenant, seq)`, with stale
-//! entries discarded lazily at pop. Before each pick only the tenants
-//! that are over their share *and* have queued work are re-checked.
-//! Ladder pricing is memoized per run in a table keyed `(tenant, rung,
-//! frontier piece)` — see [`RateFrontier::piece_index_at`]. The
-//! pre-overhaul linear scan is retained as [`DispatchMode::Reference`]
-//! ([`serve_slo_serial_with`]) and the two produce **byte-equal**
-//! digests; the equivalence tests pin this zoo-wide at every pool
-//! width. [`SloArena`] reuses the streams and every merge, queue, memo,
-//! outcome and digest buffer across burst windows, and
-//! [`SloArena::stats`] reports per-run [`DispatchStats`].
+//! entries discarded lazily at pop. Only a dispatch that charged
+//! service can move an over-share bit, so only the pick after one
+//! re-checks the tenants that are over their share *and* have queued
+//! work. Ladder pricing is memoized per run in a table keyed `(tenant,
+//! rung, frontier piece)`, and a rung whose lower bound misses the
+//! deadline is skipped — the joint Normal rung when every piece its
+//! best-response scan would try misses. A pick already past its
+//! deadline is shed without pricing: no rung can complete before the
+//! pick time. The pre-overhaul linear scan is retained as
+//! [`DispatchMode::Reference`] ([`serve_slo_serial_with`]) and the two
+//! produce **byte-equal** digests; the equivalence tests pin this
+//! zoo-wide at every pool width. [`SloArena`] reuses the streams and
+//! every merge, queue, memo, outcome and digest buffer across burst
+//! windows, and [`SloArena::stats`] reports per-run [`DispatchStats`].
 //!
 //! Observability: the scheduler exports `sched.*` counters (requests,
-//! admissions, both shed causes, degradations, deadline hits/misses,
-//! plus `sched.dispatch_ns`, `sched.heap.*` and `sched.price_memo.*`
-//! from the indexed dispatcher) and `sched.queue_depth` /
-//! `sched.slack_ms` / `sched.latency_ms` histograms through
-//! `mcdnn-obs`. Report percentiles are computed exactly from the
-//! recorded latencies, never from histogram buckets, so they stay
-//! bit-stable.
+//! admissions, both shed causes and the expired subset of infeasible
+//! sheds, degradations, deadline hits/misses, plus `sched.dispatch_ns`,
+//! `sched.heap.*` and `sched.price_memo.*` from the indexed dispatcher,
+//! and the wall time of generation, the merge and the summary) and
+//! `sched.queue_depth` / `sched.slack_ms` / `sched.latency_ms` /
+//! `sched.cloud.stage_ms` histograms through `mcdnn-obs`. The loop
+//! records the histograms into its own [`mcdnn_obs::Histogram`]s, only
+//! when the registry is enabled at the start of the run, and folds
+//! them into the catalogue once per run with its counters. Report
+//! percentiles are computed exactly from the recorded latencies, never
+//! from histogram buckets, so they stay bit-stable.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
@@ -117,7 +132,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use mcdnn_obs::metrics;
+use mcdnn_obs::{metrics, Histogram};
 use mcdnn_partition::{
     joint_allocate, CutMix, JointTenant, PlanCache, PlanError, RateFrontier, RateProfile,
 };
@@ -365,6 +380,11 @@ impl SloConfig {
                 what: "joint_alloc requires cloud_servers >= 1",
             });
         }
+        if u32::try_from(self.requests_per_tenant).is_err() || self.spec.classes.len() > 256 {
+            return Err(AdmitError::BadConfig {
+                what: "requests_per_tenant must fit u32 and SloSpec may hold at most 256 classes",
+            });
+        }
         Ok(())
     }
 }
@@ -395,23 +415,43 @@ pub fn slo_fleet(profiles: &[RateProfile], tenants: usize, config: &SloConfig) -
     .collect()
 }
 
-/// One offered request, fully determined by its tenant's seed.
+/// One offered request, fully determined by its tenant's seed, in the
+/// 48 bytes the loop reads in place.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SloRequest {
-    /// Owning tenant id.
-    pub tenant: usize,
-    /// Position in the tenant's stream.
-    pub seq: usize,
-    /// Index into [`SloSpec::classes`].
-    pub class: usize,
+pub(crate) struct SloRequest {
     /// Arrival time, virtual ms.
-    pub arrival_ms: f64,
+    arrival_ms: f64,
     /// Link bandwidth the request observes, Mbps.
-    pub bandwidth_mbps: f64,
-    /// Unloaded Normal-rung service time (device + uplink), ms.
-    pub nominal_ms: f64,
+    bandwidth_mbps: f64,
     /// Absolute deadline, virtual ms.
-    pub deadline_ms: f64,
+    deadline_ms: f64,
+    /// Owning tenant id.
+    tenant: u32,
+    /// Position in the tenant's stream.
+    seq: u32,
+    /// Frontier piece of each priced rung (the first three of
+    /// [`LADDER`]) at this request's bandwidth, on the frontier its
+    /// stream ended on; set once the stream is complete.
+    pieces: [u32; 3],
+    /// Index into [`SloSpec::classes`].
+    class: u8,
+}
+
+impl SloRequest {
+    #[inline]
+    fn tenant(&self) -> usize {
+        self.tenant as usize
+    }
+
+    #[inline]
+    fn seq(&self) -> usize {
+        self.seq as usize
+    }
+
+    #[inline]
+    fn class(&self) -> usize {
+        usize::from(self.class)
+    }
 }
 
 /// What the scheduler did with one request: only what the request
@@ -494,11 +534,13 @@ fn tenant_requests(
 /// [`UserSession`](crate::serve::UserSession) runs inside this pure
 /// per-tenant function: realized stage timings feed the estimator, and
 /// a commit at a `commit_every` sequence boundary recompiles the
-/// tenant's private frontier under a bumped generation, so
-/// `nominal_ms` / `deadline_ms` of later requests reflect the adapted
-/// beliefs. The scheduler itself is untouched — pooled/serial
-/// byte-equality is preserved by construction. Returns the frontier the
-/// stream ended on.
+/// tenant's private frontier under a bumped generation, so the nominal
+/// service times, and with them the deadlines, of later requests
+/// reflect the adapted beliefs. The scheduler itself is untouched —
+/// pooled/serial byte-equality is preserved by construction. Once the
+/// stream is complete, each request's rung pieces are resolved on the
+/// frontier the stream ended on, which is the frontier dispatch prices
+/// with; that frontier is returned.
 fn tenant_requests_into(
     cache: &PlanCache,
     tenant: &SloTenant,
@@ -548,13 +590,13 @@ fn tenant_requests_into(
             + cloud_nominal;
         let slack = config.spec.classes[class].0.slack_factor;
         out.push(SloRequest {
-            tenant: spec.id,
-            seq,
-            class,
             arrival_ms: arrival,
             bandwidth_mbps: bandwidth,
-            nominal_ms: nominal,
             deadline_ms: arrival + slack * nominal,
+            tenant: spec.id as u32,
+            seq: seq as u32,
+            pieces: [0; 3],
+            class: class as u8,
         });
         if core.is_adapting() {
             // Realize only the stages that carry evidence (one jitter
@@ -578,7 +620,16 @@ fn tenant_requests_into(
             core.commit()?;
         }
     }
-    Ok(core.into_frontier())
+    let frontier = core.into_frontier();
+    let (lo, hi) = (config.lo_mbps, config.hi_mbps);
+    for r in out.iter_mut() {
+        for (piece, (_, frac)) in r.pieces.iter_mut().zip(LADDER) {
+            *piece = frontier
+                .piece_index_at((r.bandwidth_mbps * frac).clamp(lo, hi))
+                .expect("clamped bandwidth lies in the compiled range") as u32;
+        }
+    }
+    Ok(frontier)
 }
 
 /// EDF + WFQ pop, linear-scan reference: pick the queued index to
@@ -592,11 +643,11 @@ fn dispatch_reference(queue: &[SloRequest], classes: &[(SloClass, f64)], wfq: &W
     let mut best_key = (u8::MAX, f64::INFINITY, u8::MAX, usize::MAX, usize::MAX);
     for (i, r) in queue.iter().enumerate() {
         let key = (
-            u8::from(wfq.over(r.tenant)),
+            u8::from(wfq.over(r.tenant())),
             r.deadline_ms,
-            classes[r.class].0.priority,
-            r.tenant,
-            r.seq,
+            classes[r.class()].0.priority,
+            r.tenant(),
+            r.seq(),
         );
         if key < best_key {
             best = i;
@@ -688,6 +739,9 @@ pub struct DispatchStats {
     /// Rungs skipped because the memoized lower bound already misses
     /// the deadline (indexed mode only).
     pub memo_prunes: u64,
+    /// Infeasible sheds picked after their deadline had passed, shed
+    /// without pricing a rung (indexed mode only).
+    pub expired_sheds: u64,
 }
 
 /// Map a finite, non-NaN deadline to a `u64` whose unsigned order
@@ -704,11 +758,12 @@ fn deadline_key(d: f64) -> u64 {
     }
 }
 
-/// Memoized price of one (tenant, rung, piece) key:
-/// everything about the rung that does not depend on the request's
-/// actual bandwidth. The uplink term is recomputed per request from
-/// the cached mix with the exact original expression, so completions
-/// stay bit-identical to the reference path.
+/// Memoized price of one (tenant, rung, piece) key, or of one row of
+/// a tenant's joint best-response scan: everything about the cut
+/// structure that does not depend on the request's actual bandwidth.
+/// The uplink term is recomputed per request from the cached mix with
+/// the exact original expression, so completions stay bit-identical to
+/// the reference path.
 #[derive(Debug, Clone, Copy)]
 struct RungSlot {
     /// Cut structure of the rung's frontier piece.
@@ -721,14 +776,6 @@ struct RungSlot {
     /// the rung's uplink term at any in-range bandwidth (upload time is
     /// monotone nonincreasing in bandwidth, IEEE rounding included).
     u_lo: f64,
-}
-
-/// Per-piece prices for the joint Normal-rung best-response scan.
-#[derive(Debug, Clone, Copy)]
-struct JointPiece {
-    mix: CutMix,
-    d: f64,
-    ct: f64,
 }
 
 /// The reference closure `cloud_time` as a function, shared by both
@@ -768,7 +815,10 @@ fn cloud_time_of(w: f64, phi: f64, cloud_servers: usize) -> f64 {
 /// * While a tenant's queue stays non-empty its bit only flips
 ///   under→over when it dispatches (its service grows faster than the
 ///   total), and over→under as total service grows; [`Self::sweep`]
-///   applies the latter with the exact predicate before every pick.
+///   applies the latter with the exact predicate before a pick. Only a
+///   charge moves the totals, so a sweep is needed only before the
+///   first pick after one: every bit on the list was set or checked at
+///   the current totals.
 #[derive(Debug, Default)]
 struct IndexedQueue {
     tq: Vec<BinaryHeap<Reverse<TenantKey>>>,
@@ -931,7 +981,7 @@ struct SchedState {
     rung_slots: Vec<Option<RungSlot>>,
     rung_off: Vec<usize>,
     /// Per-tenant piece prices for the joint best-response scan.
-    jp: Vec<Option<JointPiece>>,
+    jp: Vec<Option<RungSlot>>,
     jp_off: Vec<usize>,
     /// Per-tenant outcome digests (digest-only runs).
     tdig: Vec<u64>,
@@ -1016,8 +1066,8 @@ fn cloud_share_plan(
 /// Mutable loop state shared by both dispatch modes, so the
 /// settle-an-outcome step is literally the same code (same float
 /// expressions, same tallies) whichever queue produced the pick. The
-/// tallies go on to [`schedule`]'s once-per-run counter flush and to
-/// [`summarize`].
+/// tallies and histograms go on to [`schedule`]'s once-per-run flush,
+/// and the tallies to [`summarize`].
 #[derive(Debug, Default)]
 struct LoopCtx {
     server_free: f64,
@@ -1028,6 +1078,22 @@ struct LoopCtx {
     cloud_requests: u64,
     cloud_busy_ms: f64,
     joint_overrides: u64,
+    /// Whether the registry records, read once per run: the histograms
+    /// below fill only when it does.
+    record: bool,
+    queue_depth: Histogram,
+    slack_ms: Histogram,
+    latency_ms: Histogram,
+    cloud_stage_ms: Histogram,
+}
+
+impl LoopCtx {
+    fn new() -> Self {
+        LoopCtx {
+            record: mcdnn_obs::enabled(),
+            ..LoopCtx::default()
+        }
+    }
 }
 
 /// Commit one dispatch decision: advance the uplink, account service
@@ -1048,18 +1114,22 @@ fn settle(
             if completion > upload_end {
                 cx.cloud_busy_ms += completion - upload_end;
                 cx.cloud_requests += 1;
-                metrics::SCHED_CLOUD_STAGE_MS.observe(completion - upload_end);
+                if cx.record {
+                    cx.cloud_stage_ms.observe(completion - upload_end);
+                }
             }
             if overridden {
                 cx.joint_overrides += 1;
             }
-            wfq.charge(r.tenant, d + u);
+            wfq.charge(r.tenant(), d + u);
             if level != LadderLevel::Normal {
                 cx.degraded += 1;
             }
             let hit = completion <= r.deadline_ms;
             cx.hits += u64::from(hit);
-            metrics::SCHED_LATENCY_MS.observe(completion - r.arrival_ms);
+            if cx.record {
+                cx.latency_ms.observe(completion - r.arrival_ms);
+            }
             *slot = Outcome {
                 level,
                 completion_ms: completion,
@@ -1082,13 +1152,9 @@ fn settle(
 /// concatenated streams would produce. A T-entry head heap keyed the
 /// same way makes it O(N log T). Also lays out the outcome slots:
 /// `off` gets the prefix sums of the stream lengths and `slots` one
-/// entry per request.
+/// entry per request. [`check_run`] keeps the tenant count and the
+/// stream lengths within the `u32` keys.
 fn merge_streams(st: &mut SchedState, streams: &[Vec<SloRequest>]) {
-    let fits = |n: usize| u32::try_from(n).is_ok();
-    assert!(
-        fits(streams.len()) && streams.iter().all(|s| fits(s.len())),
-        "tenant count and stream lengths must fit the u32 merge keys"
-    );
     st.off.clear();
     st.off.push(0);
     st.heads.clear();
@@ -1135,7 +1201,9 @@ fn schedule(
     mode: DispatchMode,
 ) -> LoopCtx {
     st.stats = DispatchStats::default();
+    let merge_start = Instant::now();
     merge_streams(st, streams);
+    metrics::SCHED_MERGE_NS.add(merge_start.elapsed().as_nanos() as u64);
     st.wfq.reset(tenants);
     st.n_jobs.clear();
     st.n_jobs.extend(tenants.iter().map(|t| t.spec.n_jobs));
@@ -1159,6 +1227,7 @@ fn schedule(
     metrics::SCHED_DEADLINE_MISSES.add(admitted - tallies.hits + tallies.shed_infeasible);
     metrics::SCHED_DEGRADED.add(tallies.degraded);
     metrics::SCHED_SHED_INFEASIBLE.add(tallies.shed_infeasible);
+    metrics::SCHED_SHED_EXPIRED.add(st.stats.expired_sheds);
     metrics::SCHED_SHED_QUEUE_FULL.add(tallies.shed_queue_full);
     metrics::SCHED_CLOUD_REQUESTS.add(tallies.cloud_requests);
     metrics::SCHED_CLOUD_JOINT_OVERRIDES.add(tallies.joint_overrides);
@@ -1169,6 +1238,10 @@ fn schedule(
     metrics::SCHED_PRICE_MEMO_HITS.add(st.stats.memo_hits);
     metrics::SCHED_PRICE_MEMO_MISSES.add(st.stats.memo_misses);
     metrics::SCHED_PRICE_MEMO_PRUNES.add(st.stats.memo_prunes);
+    metrics::SCHED_QUEUE_DEPTH.absorb(&tallies.queue_depth);
+    metrics::SCHED_SLACK_MS.absorb(&tallies.slack_ms);
+    metrics::SCHED_LATENCY_MS.absorb(&tallies.latency_ms);
+    metrics::SCHED_CLOUD_STAGE_MS.absorb(&tallies.cloud_stage_ms);
     tallies
 }
 
@@ -1187,7 +1260,7 @@ fn run_reference(
     config: &SloConfig,
     policy: SloPolicy,
 ) -> LoopCtx {
-    let mut cx = LoopCtx::default();
+    let mut cx = LoopCtx::new();
     let mut next = 0usize;
     let n = st.order.len();
     st.rq.clear();
@@ -1197,7 +1270,7 @@ fn run_reference(
             let r = *at(streams, st.order[next]);
             if policy == SloPolicy::EdfDegrade && st.rq.len() >= config.max_queue {
                 cx.shed_queue_full += 1;
-                st.slots[st.off[r.tenant] + r.seq] = SHED;
+                st.slots[st.off[r.tenant()] + r.seq()] = SHED;
             } else {
                 st.rq.push(r);
             }
@@ -1223,8 +1296,8 @@ fn run_reference(
         // Walk the ladder: cheapest rung whose projected completion —
         // cloud contention included — fits the deadline. FIFO always
         // runs the Normal rung, deadline or not.
-        let frontier = &frontiers[r.tenant];
-        let phi = st.shares[r.tenant];
+        let frontier = &frontiers[r.tenant()];
+        let phi = st.shares[r.tenant()];
         // Stretched cloud-stage time under this tenant's static share;
         // a share of zero makes cloud-bearing rungs unservable, which
         // steers dispatch toward zero-cloud structures.
@@ -1234,7 +1307,7 @@ fn run_reference(
         for (level, frac) in LADDER {
             let (mut d, mut u, mut w) = rung_cost(
                 frontier,
-                st.n_jobs[r.tenant],
+                st.n_jobs[r.tenant()],
                 frac,
                 r.bandwidth_mbps,
                 config.lo_mbps,
@@ -1247,7 +1320,7 @@ fn run_reference(
                 // frontier's pieces (plus local-only) priced at the
                 // actual bandwidth under the tenant's actual share.
                 let profile = frontier.profile();
-                let nj = st.n_jobs[r.tenant];
+                let nj = st.n_jobs[r.tenant()];
                 let local = CutMix::Uniform { cut: profile.k() };
                 let mut best = t.max(r.arrival_ms + d) + u + cloud_time(w);
                 for &mix in frontier.pieces().iter().chain(std::iter::once(&local)) {
@@ -1270,7 +1343,7 @@ fn run_reference(
             }
         }
 
-        let slot = &mut st.slots[st.off[r.tenant] + r.seq];
+        let slot = &mut st.slots[st.off[r.tenant()] + r.seq()];
         if settle(&r, chosen, &mut cx, &mut st.wfq, slot) {
             st.stats.dispatched += 1;
         }
@@ -1282,7 +1355,10 @@ fn run_reference(
 /// The overhauled loop: indexed EDF/WFQ pick (or the arrival order
 /// itself for FIFO) plus memoized ladder pricing. Bit-identical
 /// outcomes to [`run_reference`] — every float that reaches an outcome
-/// is computed with the same expression tree on the same values.
+/// is computed with the same expression tree on the same values. It
+/// does only work that can change a pick: a pick already past its
+/// deadline is shed unpriced, and the WFQ sweep runs only after a
+/// dispatch has charged service.
 fn run_indexed(
     st: &mut SchedState,
     streams: &[Vec<SloRequest>],
@@ -1291,7 +1367,9 @@ fn run_indexed(
     policy: SloPolicy,
 ) -> LoopCtx {
     let tcount = st.wfq.weights.len();
-    let mut cx = LoopCtx::default();
+    let mut cx = LoopCtx::new();
+    // Whether a dispatch has charged service since the last sweep.
+    let mut charged = false;
     // FIFO admits every arrival and pops the oldest, so its queue is
     // always `order[next - queued..next]`.
     let mut queued = 0usize;
@@ -1327,7 +1405,7 @@ fn run_indexed(
                     st.slots[st.off[tid] + seq] = SHED;
                 } else {
                     let r = &streams[tid][seq];
-                    let priority = config.spec.classes[r.class].0.priority;
+                    let priority = config.spec.classes[r.class()].0.priority;
                     st.iq
                         .push(tid, seq, r.deadline_ms, priority, &st.wfq, &mut st.stats);
                     queued += 1;
@@ -1345,7 +1423,9 @@ fn run_indexed(
             continue;
         }
 
-        metrics::SCHED_QUEUE_DEPTH.observe(queued as f64);
+        if cx.record {
+            cx.queue_depth.observe(queued as f64);
+        }
         let t = cx.server_free;
         let (tid, seq) = match policy {
             SloPolicy::Fifo => {
@@ -1353,19 +1433,37 @@ fn run_indexed(
                 (tid as usize, seq as usize)
             }
             SloPolicy::EdfDegrade => {
-                st.iq.sweep(&st.wfq, &mut st.stats);
+                // The over-share predicate reads only service totals,
+                // which only a charge moves; `push` and `repost` derive
+                // the bits they set at the current totals.
+                if charged {
+                    st.iq.sweep(&st.wfq, &mut st.stats);
+                    charged = false;
+                }
                 st.iq.pop_best(&mut st.stats)
             }
         };
         queued -= 1;
         let r = &streams[tid][seq];
-        metrics::SCHED_SLACK_MS.observe((r.deadline_ms - t).max(0.0));
+        if cx.record {
+            cx.slack_ms.observe((r.deadline_ms - t).max(0.0));
+        }
 
-        let chosen = price_ladder(st, frontiers, config, policy, r, t);
+        // Every rung completes at `t.max(arrival + d) + u + ct` with
+        // `u, ct >= 0`, and IEEE addition of a non-negative term never
+        // decreases a value: a pick already past its deadline misses
+        // on every rung, so the ladder walk is skipped.
+        let chosen = if policy == SloPolicy::EdfDegrade && t > r.deadline_ms {
+            st.stats.expired_sheds += 1;
+            None
+        } else {
+            price_ladder(st, frontiers, config, policy, r, t)
+        };
         let slot = &mut st.slots[st.off[tid] + seq];
         let dispatched = settle(r, chosen, &mut cx, &mut st.wfq, slot);
         if dispatched {
             st.stats.dispatched += 1;
+            charged = true;
         }
         if policy == SloPolicy::EdfDegrade {
             // The popped head is gone: re-candidate the tenant's next
@@ -1377,19 +1475,34 @@ fn run_indexed(
     cx
 }
 
-/// Price one rung's slack-invariant terms for the memo.
+/// Price one cut structure's slack-invariant terms for the memo.
+fn price_mix(
+    profile: &RateProfile,
+    nj: usize,
+    mix: CutMix,
+    phi: f64,
+    config: &SloConfig,
+) -> RungSlot {
+    RungSlot {
+        mix,
+        d: profile.mix_mobile_ms(nj, mix),
+        ct: cloud_time_of(profile.mix_cloud_ms(nj, mix), phi, config.cloud_servers),
+        u_lo: profile.mix_upload_ms(nj, mix, config.hi_mbps),
+    }
+}
+
+/// Price one rung's slack-invariant terms for the memo. The mobile-only
+/// rung has no uplink or cloud stage at all, as [`rung_cost`] prices it.
 fn price_rung(
     frontier: &RateFrontier,
     nj: usize,
     frac: f64,
     piece: usize,
-    pieces_len: usize,
     phi: f64,
     config: &SloConfig,
 ) -> RungSlot {
     let profile = frontier.profile();
     if frac == 0.0 {
-        debug_assert_eq!(piece, pieces_len);
         let mix = CutMix::Uniform { cut: profile.k() };
         RungSlot {
             mix,
@@ -1398,24 +1511,16 @@ fn price_rung(
             u_lo: 0.0,
         }
     } else {
-        let mix = frontier.pieces()[piece];
-        let d = profile.mix_mobile_ms(nj, mix);
-        let w = profile.mix_cloud_ms(nj, mix);
-        RungSlot {
-            mix,
-            d,
-            ct: cloud_time_of(w, phi, config.cloud_servers),
-            u_lo: profile.mix_upload_ms(nj, mix, config.hi_mbps),
-        }
+        price_mix(profile, nj, frontier.pieces()[piece], phi, config)
     }
 }
 
 /// Memoized ladder walk — the indexed-mode replacement for the inline
-/// rung loop in [`run_reference`]. Per request it resolves each rung's
-/// frontier piece in O(log pieces), reuses the memoized bandwidth-
-/// independent prices, recomputes only the uplink term (with the exact
-/// reference expression), and prunes rungs whose bitwise-sound lower
-/// bound already misses the deadline.
+/// rung loop in [`run_reference`]. Per request it reads each rung's
+/// frontier piece off the request (resolved at generation), reuses the
+/// memoized bandwidth-independent prices, recomputes only the uplink
+/// term (with the exact reference expression), and prunes rungs whose
+/// bitwise-sound lower bound already misses the deadline.
 fn price_ladder(
     st: &mut SchedState,
     frontiers: &[Arc<RateFrontier>],
@@ -1424,20 +1529,24 @@ fn price_ladder(
     r: &SloRequest,
     t: f64,
 ) -> Option<(LadderLevel, f64, f64, f64, f64, bool)> {
-    let tid = r.tenant;
+    let tid = r.tenant();
     let frontier = &frontiers[tid];
     let profile = frontier.profile();
     let nj = st.n_jobs[tid];
     let phi = st.shares[tid];
     let pieces_len = frontier.pieces().len();
     let cols = pieces_len + 1;
+    // Bitwise-sound lower bound on a cut structure's completion: the
+    // completion expression below with `u` replaced by the smaller
+    // memoized `u_lo`. IEEE addition rounds monotonically, so
+    // lb <= completion.
+    let lb = |s: &RungSlot| t.max(r.arrival_ms + s.d) + s.u_lo + s.ct;
+    let (jlo, jhi) = (st.jp_off[tid], st.jp_off[tid + 1]);
     for (rung_idx, (level, frac)) in LADDER.iter().enumerate() {
         let piece = if *frac == 0.0 {
             pieces_len
         } else {
-            frontier
-                .piece_index_at((r.bandwidth_mbps * frac).clamp(config.lo_mbps, config.hi_mbps))
-                .expect("clamped bandwidth lies in the compiled range")
+            r.pieces[rung_idx] as usize
         };
         let si = st.rung_off[tid] + rung_idx * cols + piece;
         let slot = match st.rung_slots[si] {
@@ -1447,22 +1556,41 @@ fn price_ladder(
             }
             None => {
                 st.stats.memo_misses += 1;
-                let s = price_rung(frontier, nj, *frac, piece, pieces_len, phi, config);
+                let s = price_rung(frontier, nj, *frac, piece, phi, config);
                 st.rung_slots[si] = Some(s);
                 s
             }
         };
         let joint_normal =
             *level == LadderLevel::Normal && config.joint_alloc && config.cloud_servers > 0;
-        if policy == SloPolicy::EdfDegrade && !joint_normal {
-            // Bitwise-sound prune: the completion expression below with
-            // `u` replaced by the smaller memoized `u_lo`. IEEE
-            // addition rounds monotonically, so lb <= completion — a
-            // pruned rung is exactly a rung the reference walk would
-            // also reject. (Joint Normal rungs are never pruned: the
-            // best-response scan can finish below this bound.)
-            let lb = t.max(r.arrival_ms + slot.d) + slot.u_lo + slot.ct;
-            if lb > r.deadline_ms {
+        if joint_normal {
+            if st.jp[jlo].is_none() {
+                st.stats.memo_misses += 1;
+                for (k, row) in st.jp[jlo..jhi].iter_mut().enumerate() {
+                    let mix = frontier
+                        .pieces()
+                        .get(k)
+                        .copied()
+                        .unwrap_or(CutMix::Uniform { cut: profile.k() });
+                    *row = Some(price_mix(profile, nj, mix, phi, config));
+                }
+            } else {
+                st.stats.memo_hits += 1;
+            }
+        }
+        if policy == SloPolicy::EdfDegrade {
+            // A pruned rung is exactly a rung the reference walk would
+            // also reject. The joint Normal rung completes at the
+            // minimum over the scan's rows, the frontier's own piece
+            // among them, so it is pruned when every row's bound misses.
+            let pruned = if joint_normal {
+                st.jp[jlo..jhi]
+                    .iter()
+                    .all(|e| lb(e.as_ref().expect("joint rows filled above")) > r.deadline_ms)
+            } else {
+                lb(&slot) > r.deadline_ms
+            };
+            if pruned {
                 st.stats.memo_prunes += 1;
                 continue;
             }
@@ -1476,30 +1604,10 @@ fn price_ladder(
         let mut ct = slot.ct;
         let mut overridden = false;
         if joint_normal {
-            let (lo, hi) = (st.jp_off[tid], st.jp_off[tid + 1]);
-            if st.jp[lo].is_none() {
-                st.stats.memo_misses += 1;
-                for (k, jslot) in st.jp[lo..hi].iter_mut().enumerate() {
-                    let mix = if k < pieces_len {
-                        frontier.pieces()[k]
-                    } else {
-                        CutMix::Uniform { cut: profile.k() }
-                    };
-                    let dd = profile.mix_mobile_ms(nj, mix);
-                    let ww = profile.mix_cloud_ms(nj, mix);
-                    *jslot = Some(JointPiece {
-                        mix,
-                        d: dd,
-                        ct: cloud_time_of(ww, phi, config.cloud_servers),
-                    });
-                }
-            } else {
-                st.stats.memo_hits += 1;
-            }
             // The reference best-response scan over pieces + local,
             // with the bandwidth-independent terms read from the memo.
             let mut best = t.max(r.arrival_ms + d) + u + ct;
-            for e in &st.jp[lo..hi] {
+            for e in &st.jp[jlo..jhi] {
                 let e = e.as_ref().expect("joint rows filled above");
                 let uu = profile.mix_upload_ms(nj, e.mix, r.bandwidth_mbps);
                 let cc = t.max(r.arrival_ms + e.d) + uu + e.ct;
@@ -1583,6 +1691,7 @@ fn summarize(
     policy: SloPolicy,
     tallies: LoopCtx,
 ) -> SloReport {
+    let start = Instant::now();
     let mut per_tenant: Vec<TenantSloSummary> = tenants
         .iter()
         .enumerate()
@@ -1619,7 +1728,7 @@ fn summarize(
     let digest = fold_digests(st, streams, |tid, r, o| {
         let t = &mut per_tenant[tid];
         t.requests += 1;
-        classes[r.class].requests += 1;
+        classes[r.class()].requests += 1;
         if o.shed {
             t.shed += 1;
             return;
@@ -1635,7 +1744,7 @@ fn summarize(
         if o.hit {
             hits += 1;
             t.hits += 1;
-            classes[r.class].hits += 1;
+            classes[r.class()].hits += 1;
         }
     });
     for (t, digest) in per_tenant.iter_mut().zip(&st.tdig) {
@@ -1655,6 +1764,7 @@ fn summarize(
     let [p50, p95, p99] = percentiles(&mut latencies, [0.50, 0.95, 0.99]);
 
     let total = st.slots.len() as u64;
+    metrics::SCHED_SUMMARY_NS.add(start.elapsed().as_nanos() as u64);
     SloReport {
         policy,
         cloud_servers: config.cloud_servers,
@@ -1779,6 +1889,11 @@ fn check_run(tenants: &[SloTenant], config: &SloConfig) -> Result<(), AdmitError
             what: "tenant ids must be their fleet positions 0..n",
         });
     }
+    if u32::try_from(tenants.len()).is_err() {
+        return Err(AdmitError::BadConfig {
+            what: "tenant count must fit u32",
+        });
+    }
     Ok(())
 }
 
@@ -1798,11 +1913,13 @@ fn prepare_and_schedule(
     }
     arena.streams.truncate(tenants.len());
     arena.frontiers.clear();
+    let start = Instant::now();
     for (t, out) in tenants.iter().zip(&mut arena.streams) {
         arena
             .frontiers
             .push(tenant_requests_into(cache, t, tenants.len(), config, out)?);
     }
+    metrics::SCHED_GENERATE_NS.add(start.elapsed().as_nanos() as u64);
     Ok(schedule(
         &mut arena.sched,
         &arena.streams,
@@ -1844,6 +1961,7 @@ fn generate_pooled(
     tenants: &[SloTenant],
     config: &SloConfig,
 ) -> Result<Generated, AdmitError> {
+    let start = Instant::now();
     let shared: Arc<Vec<SloTenant>> = Arc::new(tenants.to_vec());
     let cache_ref = Arc::clone(cache);
     let config_ref = Arc::new(config.clone());
@@ -1858,6 +1976,7 @@ fn generate_pooled(
         streams.push(s);
         frontiers.push(f);
     }
+    metrics::SCHED_GENERATE_NS.add(start.elapsed().as_nanos() as u64);
     Ok((streams, frontiers))
 }
 
@@ -2193,6 +2312,52 @@ mod tests {
     }
 
     #[test]
+    fn rung_pieces_are_resolved_on_the_frontier_the_stream_ends_on() {
+        // Returns (tenants that replanned, requests whose pieces differ
+        // on the factory frontier).
+        let check = |config: &SloConfig, fleet: &[SloTenant]| -> (usize, usize) {
+            let cache = PlanCache::new();
+            let (lo, hi) = (config.lo_mbps, config.hi_mbps);
+            let (mut replanned, mut moved) = (0, 0);
+            for tenant in fleet {
+                let spec = &tenant.spec;
+                let (stream, ended_on) =
+                    tenant_requests(&cache, tenant, fleet.len(), config).unwrap();
+                let factory = cache
+                    .frontier(&spec.profile, spec.strategy, spec.n_jobs, lo, hi)
+                    .unwrap();
+                replanned += usize::from(!Arc::ptr_eq(&ended_on, &factory));
+                for r in &stream {
+                    let at = |f: &RateFrontier| -> Vec<u32> {
+                        LADDER[..3]
+                            .iter()
+                            .map(|(_, frac)| {
+                                let b = (r.bandwidth_mbps * frac).clamp(lo, hi);
+                                f.piece_index_at(b).unwrap() as u32
+                            })
+                            .collect()
+                    };
+                    assert_eq!(r.pieces[..], at(&ended_on)[..], "tenant {}", spec.id);
+                    moved += usize::from(r.pieces[..] != at(&factory)[..]);
+                }
+            }
+            (replanned, moved)
+        };
+        // A frozen tenant ends on the factory frontier it started with.
+        let frozen = test_config();
+        assert_eq!(
+            check(&frozen, &slo_fleet(&test_profiles(), 4, &frozen)),
+            (0, 0)
+        );
+        // An adaptive tenant replans mid-stream, and the pieces of its
+        // earlier requests are read off the frontier it ended on.
+        let adaptive = adapt_config();
+        let (replanned, moved) = check(&adaptive, &slo_fleet(&cloudy_profiles(), 6, &adaptive));
+        assert!(replanned > 0, "drift must trigger a replan");
+        assert!(moved > 0, "a replan must move some rung piece");
+    }
+
+    #[test]
     fn edf_with_degradation_beats_fifo_under_overload() {
         let config = test_config();
         let fleet = slo_fleet(&test_profiles(), 8, &config);
@@ -2480,6 +2645,17 @@ mod tests {
             serve_slo_serial(&cache, &fleet, &joint_without_pool, SloPolicy::Fifo),
             Err(AdmitError::BadConfig { .. })
         ));
+        let too_many_requests = SloConfig {
+            requests_per_tenant: u32::MAX as usize + 1,
+            ..SloConfig::default()
+        };
+        assert!(too_many_requests.validate().is_err());
+        let mut too_many_classes = SloConfig::default();
+        let class = too_many_classes.spec.classes[0];
+        too_many_classes.spec.classes = vec![class; 257];
+        assert!(too_many_classes.validate().is_err());
+        too_many_classes.spec.classes.truncate(256);
+        assert!(too_many_classes.validate().is_ok());
         let e = AdmitError::from(PlanError::NonMonotoneF { at: 1 });
         assert!(std::error::Error::source(&e).is_some());
         assert!(e.to_string().contains("planning failed"));
@@ -2540,6 +2716,25 @@ mod tests {
         }
     }
 
+    /// A request with only the fields the queues and the merge read.
+    fn request(
+        tenant: usize,
+        seq: usize,
+        class: usize,
+        arrival_ms: f64,
+        deadline_ms: f64,
+    ) -> SloRequest {
+        SloRequest {
+            arrival_ms,
+            bandwidth_mbps: 1.0,
+            deadline_ms,
+            tenant: tenant as u32,
+            seq: seq as u32,
+            pieces: [0; 3],
+            class: class as u8,
+        }
+    }
+
     /// An [`IndexedQueue`] and the linear-scan reference driven in
     /// lockstep through the same pushes, picks, dispatches and sheds.
     struct Lockstep {
@@ -2550,6 +2745,8 @@ mod tests {
         seqs: Vec<usize>,
         stats: DispatchStats,
         picks: u64,
+        /// Whether the last pick charged service, so the next sweeps.
+        charged: bool,
     }
 
     impl Lockstep {
@@ -2570,24 +2767,17 @@ mod tests {
                 seqs: vec![0; tcount],
                 stats: DispatchStats::default(),
                 picks: 0,
+                charged: false,
             }
         }
 
         fn push(&mut self, tenant: usize, class: usize, deadline_ms: f64) {
-            let r = SloRequest {
-                tenant,
-                seq: self.seqs[tenant],
-                class,
-                arrival_ms: 0.0,
-                bandwidth_mbps: 1.0,
-                nominal_ms: 1.0,
-                deadline_ms,
-            };
+            let r = request(tenant, self.seqs[tenant], class, 0.0, deadline_ms);
             self.seqs[tenant] += 1;
             let priority = self.classes[class].0.priority;
             self.iq.push(
                 tenant,
-                r.seq,
+                r.seq(),
                 deadline_ms,
                 priority,
                 &self.wfq,
@@ -2598,18 +2788,22 @@ mod tests {
 
         /// Pick on both sides and demand the same request; then grant
         /// its tenant `work` ms of service, or shed it on `None` — the
-        /// post-pick bookkeeping `run_indexed` does. Returns the tenant.
+        /// post-pick bookkeeping `run_indexed` does, sweeping only
+        /// after a charge. Returns the tenant.
         fn pick(&mut self, work: Option<f64>, what: &str) -> usize {
-            self.iq.sweep(&self.wfq, &mut self.stats);
+            if self.charged {
+                self.iq.sweep(&self.wfq, &mut self.stats);
+            }
             let want = dispatch_reference(&self.linear, &self.classes, &self.wfq);
             let expect = self.linear.remove(want);
             let (t, seq) = self.iq.pop_best(&mut self.stats);
             assert_eq!(
                 (t, seq),
-                (expect.tenant, expect.seq),
+                (expect.tenant(), expect.seq()),
                 "{what}: heap pick diverged from linear argmin"
             );
             self.picks += 1;
+            self.charged = work.is_some();
             if let Some(work) = work {
                 self.wfq.charge(t, work);
             }
@@ -2696,23 +2890,13 @@ mod tests {
                     .then(a.tenant.cmp(&b.tenant))
                     .then(a.seq.cmp(&b.seq))
             });
-            all.iter()
-                .map(|r| (r.tenant as u32, r.seq as u32))
-                .collect()
+            all.iter().map(|r| (r.tenant, r.seq)).collect()
         };
         let stream = |tenant: usize, arrivals: &[f64]| -> Vec<SloRequest> {
             arrivals
                 .iter()
                 .enumerate()
-                .map(|(seq, &arrival_ms)| SloRequest {
-                    tenant,
-                    seq,
-                    class: 0,
-                    arrival_ms,
-                    bandwidth_mbps: 1.0,
-                    nominal_ms: 1.0,
-                    deadline_ms: arrival_ms + 1.0,
-                })
+                .map(|(seq, &arrival_ms)| request(tenant, seq, 0, arrival_ms, arrival_ms + 1.0))
                 .collect()
         };
         // Cross-tenant ties at 2.0 and 5.0, a tie inside tenant 0, an
