@@ -48,7 +48,8 @@ fn main() {
     let reports: Vec<(String, String, ChaosReport)> =
         mcdnn_runtime::parallel_map(&platforms, |_, (model, label, net)| {
             let s = Scenario::paper_default(*model, *net);
-            (model.to_string(), label.to_string(), chaos_report(&s, &config))
+            let report = chaos_report(&s, &config).expect("valid chaos config");
+            (model.to_string(), label.to_string(), report)
         });
     for (model, label, report) in &reports {
         let scenarios: Vec<&str> = {

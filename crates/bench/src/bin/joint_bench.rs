@@ -14,8 +14,8 @@
 //!    contention levels (`joint_beats_at_two_levels`) and must move
 //!    real cuts while doing it (`joint_moves_cuts`).
 //! 2. **Pooled/serial equivalence** — the pooled joint run (8-worker
-//!    [`WorkerPool`], sharded [`PlanCache`]) must be **bit-identical**
-//!    to the single-lock serial reference (`pooled_bit_identical`):
+//!    [`WorkerPool`], shared [`PlanCache`]) must be **bit-identical**
+//!    to the serial reference (`pooled_bit_identical`):
 //!    shares derive purely from the generated streams, so virtual time
 //!    stays deterministic at any thread count.
 //! 3. **Overload sweep at C = 2** — oblivious vs joint hit rate from
@@ -67,7 +67,7 @@ fn main() {
     );
 
     // 1. Contention sweep: oblivious vs joint at each pool size.
-    let serial_cache = PlanCache::with_shards(1);
+    let serial_cache = PlanCache::new();
     let mut levels: Vec<(usize, SloReport, SloReport)> = Vec::new();
     for c in CONTENTION_LEVELS {
         let oblivious_cfg = SloConfig {

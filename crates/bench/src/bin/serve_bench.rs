@@ -1,5 +1,5 @@
 //! Multi-tenant serving benchmark: cross-core throughput of the
-//! serving engine (persistent worker pool + sharded plan cache +
+//! serving engine (persistent worker pool + shared plan cache +
 //! per-session arenas) on a mixed model-zoo fleet. Writes
 //! `BENCH_serve.json` at the repo root.
 //!
@@ -21,13 +21,11 @@
 //!    can only show contention, not scaling. The real pool run below
 //!    keeps the model honest on correctness.
 //! 3. **Real pool execution** — the same fleet through an actual
-//!    8-worker [`WorkerPool`] with a fresh sharded cache; its report
-//!    must be **bit-identical** to the serial reference (asserted).
+//!    8-worker [`WorkerPool`] with a fresh cache; its report must be
+//!    **bit-identical** to the serial reference (asserted).
 //! 4. **Cache behaviour** — cold and steady-state hit rates of the
-//!    sharded [`PlanCache`] across fleet passes; steady state must be
+//!    shared [`PlanCache`] across fleet passes; steady state must be
 //!    100% hits.
-//! 5. **Shard equivalence** — the single-lock `with_shards(1)` layout
-//!    must reproduce the sharded report bit-for-bit (asserted).
 //!
 //! Every boolean flag in the JSON is asserted `true`, so a `false`
 //! anywhere fails the run (CI also greps the JSON for `: false`).
@@ -72,7 +70,7 @@ fn main() {
     );
 
     // 4. Cache behaviour: cold pass then steady-state pass on one
-    // shared sharded cache, hit/miss deltas from the obs counters.
+    // shared cache, hit/miss deltas from the obs counters.
     mcdnn_obs::set_enabled(true);
     let shared_cache = Arc::new(PlanCache::new());
     let (hit0, miss0) = cache_counters();
@@ -84,19 +82,11 @@ fn main() {
     let cold_hit_rate = rate(hit1 - hit0, miss1 - miss0);
     let steady_hit_rate = rate(hit2 - hit1, miss2 - miss1);
     let steady_state_all_hits = miss2 == miss1;
-    // The per-thread hot memo must actually absorb repeat fetches at
-    // fleet size — a zero here means every lookup fell through to a
-    // shard lock (the direct-mapped table thrashed, as it did when it
-    // held only 8 slots).
-    let memo_hits = mcdnn_obs::counter_value("frontier.shard.memo_hits");
-    let cache_memo_hits_positive = memo_hits > 0;
     println!(
-        "cache: cold hit rate {:.2}, steady-state hit rate {:.2} ({} entries, {} shards), \
-         {memo_hits} thread-local memo hits",
+        "cache: cold hit rate {:.2}, steady-state hit rate {:.2} ({} entries)",
         cold_hit_rate,
         steady_hit_rate,
         shared_cache.len(),
-        shared_cache.shards(),
     );
 
     // 1. Per-user serial cost on the warm shared cache — timing runs
@@ -143,7 +133,7 @@ fn main() {
         "scaling: {scaling_factor:.2}x jobs/sec at 8 workers vs 1 (target >= {SCALING_TARGET:.1}x)"
     );
 
-    // 3. Real pool execution: fresh sharded cache, 8 workers, wall
+    // 3. Real pool execution: fresh cache, 8 workers, wall
     // clock reported, report bit-compared against the serial reference.
     let pool = WorkerPool::new(POOL_WORKERS);
     let pool_cache = Arc::new(PlanCache::new());
@@ -157,15 +147,6 @@ fn main() {
         pooled.total_bursts,
         serial_secs * 1e3,
         yn(pool_bit_identical),
-    );
-
-    // 5. Single-lock layout equivalence.
-    let single_cache = PlanCache::with_shards(1);
-    let single = serve_fleet_serial(&single_cache, &specs, &config).expect("fleet serves");
-    let shard_bit_identical = single == reference;
-    println!(
-        "shards: with_shards(1) reproduces the sharded report bit-for-bit: {}",
-        yn(shard_bit_identical),
     );
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
@@ -185,12 +166,9 @@ fn main() {
          \"scaling_target_met\": {scaling_target_met},\n  \
          \"pool_workers\": {POOL_WORKERS},\n  \"pool_wall_ms\": {pool_wall_ms:.1},\n  \
          \"pool_bit_identical\": {pool_bit_identical},\n  \
-         \"shard_bit_identical\": {shard_bit_identical},\n  \
-         \"cache_entries\": {},\n  \"cache_shards\": {},\n  \
+         \"cache_entries\": {},\n  \
          \"cache_cold_hit_rate\": {cold_hit_rate:.4},\n  \"cache_steady_hit_rate\": {steady_hit_rate:.4},\n  \
          \"steady_state_all_hits\": {steady_state_all_hits},\n  \
-         \"cache_memo_hits_total\": {memo_hits},\n  \
-         \"cache_memo_hits_positive\": {cache_memo_hits_positive},\n  \
          \"fleet_digest\": \"{:#018x}\"\n}}\n",
         if quick { " -- --quick" } else { "" },
         profiles.len(),
@@ -199,22 +177,16 @@ fn main() {
         reference.total_degraded_bursts,
         worker_rows.join(",\n"),
         shared_cache.len(),
-        shared_cache.shards(),
         reference.fleet_digest,
     );
     std::fs::write(path, json).expect("write json");
     println!("wrote {path}");
 
     assert!(pool_bit_identical, "pooled report diverged from serial");
-    assert!(shard_bit_identical, "single-lock report diverged from sharded");
     assert!(steady_state_all_hits, "steady-state pass missed the cache");
     assert!(
         scaling_target_met,
         "aggregate jobs/sec scaling {scaling_factor:.2}x below the {SCALING_TARGET:.1}x target"
-    );
-    assert!(
-        cache_memo_hits_positive,
-        "thread-local frontier memo never hit at fleet size {users} — direct-mapped slots thrashing"
     );
 }
 

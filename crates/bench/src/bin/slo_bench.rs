@@ -13,8 +13,8 @@
 //!    unboundedly, so under overload its tail grows without bound
 //!    while EDF sheds what cannot fit and degrades what barely can.
 //! 2. **Pooled/serial equivalence** — the pooled run (8-worker
-//!    [`WorkerPool`], sharded [`PlanCache`]) must be **bit-identical**
-//!    to the single-lock serial reference for both policies
+//!    [`WorkerPool`], shared [`PlanCache`]) must be **bit-identical**
+//!    to the serial reference for both policies
 //!    (`pooled_bit_identical`): virtual time makes the scheduler
 //!    deterministic at any thread count.
 //! 3. **Overload sweep** — hit rates for both policies from an
@@ -110,7 +110,7 @@ fn main() {
     // 1 + 2. Headline comparison, pooled against the serial reference.
     let pool = WorkerPool::new(POOL_WORKERS);
     let cache = Arc::new(PlanCache::new());
-    let serial_cache = PlanCache::with_shards(1);
+    let serial_cache = PlanCache::new();
     let started = Instant::now();
     let fifo = serve_slo(&pool, &cache, &fleet, &config, SloPolicy::Fifo).expect("fifo serves");
     let edf =

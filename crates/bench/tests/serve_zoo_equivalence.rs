@@ -1,14 +1,13 @@
-//! Zoo-wide serving equivalence: the multi-tenant engine (sharded
+//! Zoo-wide serving equivalence: the multi-tenant engine (a shared
 //! [`PlanCache`] + [`WorkerPool`]) must be **bit-identical** to the
-//! single-lock, single-thread reference path on a fleet drawn from the
-//! full real model zoo — plans, makespans, and fault/degrade histories
-//! alike (the per-user digests fold every bandwidth sample, chosen mix,
-//! ladder level, makespan bit, and fault-event field).
+//! single-thread reference path on a fleet drawn from the full real
+//! model zoo — plans, makespans, and fault/degrade histories alike (the
+//! per-user digests fold every bandwidth sample, chosen mix, ladder
+//! level, makespan bit, and fault-event field).
 //!
 //! This is the serving-layer analogue of `frontier_zoo_sweep`: it pins
-//! the concurrency/sharding machinery added for multi-tenant serving to
-//! the semantics of the original single-lock cache, over every zoo
-//! model the JPS theory admits.
+//! the concurrency machinery added for multi-tenant serving to the
+//! serial semantics, over every zoo model the JPS theory admits.
 
 use std::sync::Arc;
 
@@ -18,7 +17,7 @@ use mcdnn_runtime::WorkerPool;
 use mcdnn_sim::{fleet, serve_fleet, serve_fleet_serial, ServeConfig};
 
 #[test]
-fn pooled_sharded_serving_matches_the_single_lock_reference_zoo_wide() {
+fn pooled_serving_matches_the_serial_reference_zoo_wide() {
     let profiles = monotone_zoo_rate_profiles(SETUP_MS);
     assert!(profiles.len() >= 4, "the zoo must yield a real fleet");
 
@@ -34,9 +33,8 @@ fn pooled_sharded_serving_matches_the_single_lock_reference_zoo_wide() {
     let specs = fleet(&profiles, users, &config);
     assert_eq!(specs.len(), users);
 
-    // Reference: single lock stripe, no worker pool — the PR-4 shape.
-    let single_lock = PlanCache::with_shards(1);
-    let reference = serve_fleet_serial(&single_lock, &specs, &config).expect("fleet serves");
+    // Reference: no worker pool.
+    let reference = serve_fleet_serial(&PlanCache::new(), &specs, &config).expect("fleet serves");
 
     // The fleet must actually exercise the interesting paths, otherwise
     // "bit-identical" is vacuous.
@@ -52,7 +50,7 @@ fn pooled_sharded_serving_matches_the_single_lock_reference_zoo_wide() {
         );
     }
 
-    // Candidate: sharded cache shared by a real worker pool, at several
+    // Candidate: a fresh cache shared by a real worker pool, at several
     // pool widths (1 = pool overhead only, 8 > available cores).
     for workers in [1usize, 2, 4, 8] {
         let pool = WorkerPool::new(workers);
@@ -60,12 +58,12 @@ fn pooled_sharded_serving_matches_the_single_lock_reference_zoo_wide() {
         let pooled = serve_fleet(&pool, &cache, &specs, &config).expect("fleet serves");
         assert_eq!(
             pooled, reference,
-            "{workers}-worker sharded serving diverged from the single-lock reference"
+            "{workers}-worker serving diverged from the serial reference"
         );
     }
 
-    // A second serial lap over the warm sharded cache must also agree:
-    // cache reuse (memo or shard hits) cannot change results.
+    // A second serial lap over the warm cache must also agree: cache
+    // hits cannot change results.
     let warm = Arc::new(PlanCache::new());
     let first = serve_fleet_serial(&warm, &specs, &config).expect("fleet serves");
     let second = serve_fleet_serial(&warm, &specs, &config).expect("fleet serves");

@@ -84,9 +84,9 @@ fn pooled_indexed_dispatch_matches_serial_at_every_width() {
         ..SloConfig::default()
     };
     let fleet = slo_fleet(&profiles, profiles.len() + 3, &config);
-    let single_lock = PlanCache::with_shards(1);
+    let serial_cache = PlanCache::new();
     let serial = serve_slo_serial_with(
-        &single_lock,
+        &serial_cache,
         &fleet,
         &config,
         SloPolicy::EdfDegrade,

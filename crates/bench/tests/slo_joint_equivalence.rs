@@ -3,9 +3,8 @@
 //!
 //! The first test is the contended analogue of `serve_zoo_equivalence`:
 //! with a finite cloud pool and joint allocation switched on, the
-//! pooled engine (sharded [`PlanCache`] + [`WorkerPool`]) must stay
-//! **bit-identical** to the single-lock serial reference at every pool
-//! width — cloud shares derive purely from the generated request
+//! pooled engine (a shared [`PlanCache`] + [`WorkerPool`]) must stay
+//! **bit-identical** to the serial reference at every pool width — cloud shares derive purely from the generated request
 //! streams, so virtual time owes nothing to thread count.
 //!
 //! The second drives a deep contended fleet, where most picks are
@@ -49,11 +48,11 @@ fn pooled_contended_slo_serving_matches_the_single_lock_reference_zoo_wide() {
     let tenants = profiles.len() + 3;
     let fleet = slo_fleet(&profiles, tenants, &config);
 
-    let single_lock = PlanCache::with_shards(1);
+    let serial_cache = PlanCache::new();
     let mut references = Vec::new();
     for policy in [SloPolicy::Fifo, SloPolicy::EdfDegrade] {
         let reference =
-            serve_slo_serial(&single_lock, &fleet, &config, policy).expect("fleet serves");
+            serve_slo_serial(&serial_cache, &fleet, &config, policy).expect("fleet serves");
         // The run must actually exercise the contended paths, otherwise
         // "bit-identical" is vacuous.
         assert!(reference.admitted > 0, "{policy:?}: nothing admitted");

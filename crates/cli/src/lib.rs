@@ -191,10 +191,10 @@ degrade.* / recovery.* counters).
 
 `serve` runs a multi-tenant fleet — users drawn round-robin from the
 model zoo, each with its own seeded bandwidth walk — through the
-persistent worker pool and the shared sharded plan cache. Output is
+persistent worker pool and the shared plan cache. Output is
 deterministic in --seed (no wall times), whatever MCDNN_THREADS says.
 It accepts --emit-metrics <path> (JSON snapshot including serve.* /
-frontier.shard.* / runtime.pool.* counters).
+frontier.cache.* / runtime.pool.* counters).
 
 `serve --slo` attaches an SLO class (deadline + priority) to every
 request and runs the same seeded tenant fleet under both front-end
@@ -680,7 +680,7 @@ fn cmd_chaos(flags: &Flags) -> Result<String, CliError> {
         mcdnn_obs::set_enabled(true);
         mcdnn_obs::reset();
     }
-    let report = chaos_report(&s, &config);
+    let report = chaos_report(&s, &config).map_err(|e| err(e.to_string()))?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -837,7 +837,7 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
     let _ = writeln!(
         out,
         "\ntotals: {} bursts, {} jobs, {} faulted, {} degraded, {} hits, {} replans; \
-         plan cache {} entries / {} shards; fleet digest={:016x}",
+         plan cache {} entries; fleet digest={:016x}",
         report.total_bursts,
         report.total_jobs,
         report.total_faulted_bursts,
@@ -845,7 +845,6 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
         report.total_hits,
         report.total_replans,
         engine.cache().len(),
-        engine.cache().shards(),
         report.fleet_digest,
     );
     if let Some(path) = emit_metrics {
@@ -1513,13 +1512,13 @@ mod tests {
         let parsed = mcdnn_obs::json::parse(&snap).expect("metrics are valid JSON");
         let counters = parsed.get("counters").expect("counters object");
         let get = |key: &str| counters.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
-        // Serving volume, cache sharding, and pool execution all leave
+        // Serving volume, the plan cache, and pool execution all leave
         // their marks in one snapshot.
         assert_eq!(get("serve.users"), 5.0, "{snap}");
         assert_eq!(get("serve.bursts"), 60.0, "{snap}");
         assert!(get("serve.jobs") >= 60.0, "{snap}");
         assert!(get("serve.faulted_bursts") >= 1.0, "{snap}");
-        assert!(get("frontier.shard.misses") >= 1.0, "{snap}");
+        assert!(get("frontier.cache.miss") >= 1.0, "{snap}");
         assert!(get("runtime.pool.tasks") >= 5.0, "{snap}");
     }
 

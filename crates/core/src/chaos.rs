@@ -21,11 +21,13 @@
 
 use std::fmt::Write as _;
 
+use mcdnn_partition::PlanError;
 use mcdnn_sim::{
     chaos_drill, chaos_scenarios, ladder_decision, run_chaos_grid, ChaosDrill, ChaosRow, FaultSpec,
     RetryPolicy,
 };
 
+use crate::error::Error;
 use crate::scenario::Scenario;
 
 /// Knobs for one chaos sweep. All fields are plain data so front ends
@@ -62,6 +64,27 @@ impl Default for ChaosConfig {
             retry: RetryPolicy::default(),
             spec: FaultSpec::default(),
         }
+    }
+}
+
+impl ChaosConfig {
+    /// Check the knobs the sweep would otherwise assert on:
+    /// `jobs_per_burst ≥ 1`, `bursts ≥ 3`, a finite `target_hz > 0` and
+    /// `rho_limit` in `(0, 1]`. [`chaos_report`] calls this, so a bad
+    /// value is a [`PlanError::BadInput`] instead of a panic.
+    pub fn validate(&self) -> Result<(), PlanError> {
+        let what = if self.jobs_per_burst == 0 {
+            "jobs_per_burst must be at least 1"
+        } else if self.bursts < 3 {
+            "bursts must be at least 3"
+        } else if !(self.target_hz.is_finite() && self.target_hz > 0.0) {
+            "target_hz must be finite and > 0"
+        } else if !(self.rho_limit > 0.0 && self.rho_limit <= 1.0) {
+            "rho_limit must be in (0, 1]"
+        } else {
+            return Ok(());
+        };
+        Err(PlanError::BadInput { what })
     }
 }
 
@@ -123,8 +146,10 @@ impl ChaosReport {
 
 /// Run the full chaos sweep for one scenario: standard grid × every
 /// policy, plus one seeded drill at the healthy cut. Deterministic in
-/// `(scenario, config)`.
-pub fn chaos_report(scenario: &Scenario, config: &ChaosConfig) -> ChaosReport {
+/// `(scenario, config)`. A config that fails [`ChaosConfig::validate`]
+/// is an [`Error::Plan`].
+pub fn chaos_report(scenario: &Scenario, config: &ChaosConfig) -> Result<ChaosReport, Error> {
+    config.validate()?;
     let profile = scenario.profile();
     let healthy = ladder_decision(
         profile,
@@ -149,12 +174,12 @@ pub fn chaos_report(scenario: &Scenario, config: &ChaosConfig) -> ChaosReport {
         &config.spec,
         config.seed,
     );
-    ChaosReport {
+    Ok(ChaosReport {
         rows,
         cut: healthy.cut,
         drill,
         seed: config.seed,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -172,22 +197,23 @@ mod tests {
     fn report_is_deterministic() {
         let s = scenario();
         let cfg = ChaosConfig::default();
-        let a = chaos_report(&s, &cfg).render();
-        let b = chaos_report(&s, &cfg).render();
+        let a = chaos_report(&s, &cfg).unwrap().render();
+        let b = chaos_report(&s, &cfg).unwrap().render();
         assert_eq!(a, b, "same scenario + config must render byte-identically");
     }
 
     #[test]
     fn report_varies_with_seed() {
         let s = scenario();
-        let a = chaos_report(&s, &ChaosConfig::default());
+        let a = chaos_report(&s, &ChaosConfig::default()).unwrap();
         let b = chaos_report(
             &s,
             &ChaosConfig {
                 seed: 1234,
                 ..ChaosConfig::default()
             },
-        );
+        )
+        .unwrap();
         // The flapping scenario and the drill's fault plan both depend
         // on the seed.
         assert_ne!(a.render(), b.render());
@@ -196,7 +222,7 @@ mod tests {
     #[test]
     fn ladder_bounded_by_mobile_only_on_real_model() {
         let s = scenario();
-        let report = chaos_report(&s, &ChaosConfig::default());
+        let report = chaos_report(&s, &ChaosConfig::default()).unwrap();
         let scenarios: Vec<String> = report
             .rows
             .iter()
@@ -224,7 +250,7 @@ mod tests {
     #[test]
     fn render_mentions_digest_and_policies() {
         let s = scenario();
-        let doc = chaos_report(&s, &ChaosConfig::default()).render();
+        let doc = chaos_report(&s, &ChaosConfig::default()).unwrap().render();
         assert!(doc.contains("digest="));
         assert!(doc.contains("mobile-only"));
         assert!(doc.contains("steady"));

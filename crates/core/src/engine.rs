@@ -42,7 +42,6 @@ use crate::scenario::Scenario;
 pub struct EngineConfig {
     threads: Option<usize>,
     obs: Option<bool>,
-    cache_shards: Option<usize>,
     adaptation: Option<AdaptConfig>,
 }
 
@@ -67,13 +66,6 @@ impl EngineConfig {
         self
     }
 
-    /// Shard count of the engine's [`PlanCache`]. Unset: the cache's
-    /// standard 16-way layout. A value of 0 is clamped to 1.
-    pub fn cache_shards(mut self, n: usize) -> Self {
-        self.cache_shards = Some(n);
-        self
-    }
-
     /// Engine-wide default for online profile learning: serving entry
     /// points whose config leaves `adapt` unset run under this
     /// [`AdaptConfig`]. A config that sets its own `adapt` always wins.
@@ -90,13 +82,9 @@ impl EngineConfig {
             mcdnn_obs::set_enabled(on);
         }
         let threads = self.threads.unwrap_or_else(worker_threads).max(1);
-        let cache = match self.cache_shards {
-            Some(n) => Arc::new(PlanCache::with_shards(n.max(1))),
-            None => Arc::new(PlanCache::new()),
-        };
         Engine {
             pool: WorkerPool::new(threads),
-            cache,
+            cache: Arc::new(PlanCache::new()),
             threads,
             adaptation: self.adaptation,
         }
@@ -127,7 +115,6 @@ impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("threads", &self.threads)
-            .field("cache_shards", &self.cache.shards())
             .finish()
     }
 }
@@ -159,9 +146,8 @@ impl Engine {
         self.adaptation
     }
 
-    /// Drop every cached frontier and bump the cache generation, so
-    /// thread-local memo slots across the process go stale at once.
-    /// The hammer to [`ProfileEstimator`](mcdnn_profile::ProfileEstimator)'s
+    /// Drop every cached frontier, so the next fetch of any key
+    /// recompiles. The hammer to [`ProfileEstimator`](mcdnn_profile::ProfileEstimator)'s
     /// scalpel: adaptation invalidates one tenant at a time through
     /// versioned profiles; this invalidates everything — for cost-model
     /// recalibrations that change profiles behind the cache's back.
@@ -259,8 +245,9 @@ impl Engine {
         Ok(SloStreams::generate(&self.pool, &self.cache, tenants, &config)?)
     }
 
-    /// Run a chaos drill for a scenario ([`chaos_report`]).
-    pub fn chaos(&self, scenario: &Scenario, config: &ChaosConfig) -> ChaosReport {
+    /// Run a chaos drill for a scenario ([`chaos_report`]). A config
+    /// that fails [`ChaosConfig::validate`] is an [`Error::Plan`].
+    pub fn chaos(&self, scenario: &Scenario, config: &ChaosConfig) -> Result<ChaosReport, Error> {
         chaos_report(scenario, config)
     }
 }
@@ -296,13 +283,11 @@ mod tests {
 
     #[test]
     fn explicit_knobs_win_over_env_defaults() {
-        let engine = EngineConfig::new().threads(3).cache_shards(4).build();
+        let engine = EngineConfig::new().threads(3).build();
         assert_eq!(engine.threads(), 3);
-        assert_eq!(engine.cache().shards(), 4);
-        // Degenerate values clamp instead of panicking.
-        let engine = EngineConfig::new().threads(0).cache_shards(0).build();
+        // A degenerate value clamps instead of panicking.
+        let engine = EngineConfig::new().threads(0).build();
         assert_eq!(engine.threads(), 1);
-        assert_eq!(engine.cache().shards(), 1);
     }
 
     #[test]
@@ -331,7 +316,7 @@ mod tests {
         };
         let specs = fleet(&profiles(), 6, &config);
         let pooled = engine.serve(&specs, &config).unwrap();
-        let serial = serve_fleet_serial(&PlanCache::with_shards(1), &specs, &config).unwrap();
+        let serial = serve_fleet_serial(&PlanCache::new(), &specs, &config).unwrap();
         assert_eq!(pooled, serial);
     }
 
@@ -345,8 +330,7 @@ mod tests {
         let tenants = slo_fleet(&profiles(), 6, &config);
         for policy in [SloPolicy::Fifo, SloPolicy::EdfDegrade] {
             let pooled = engine.serve_slo(&tenants, &config, policy).unwrap();
-            let serial =
-                serve_slo_serial(&PlanCache::with_shards(1), &tenants, &config, policy).unwrap();
+            let serial = serve_slo_serial(&PlanCache::new(), &tenants, &config, policy).unwrap();
             assert_eq!(pooled, serial, "policy={policy}");
         }
     }
@@ -377,7 +361,7 @@ mod tests {
             adapt: Some(AdaptConfig::default()),
             ..config
         };
-        let reference = serve_fleet_serial(&PlanCache::with_shards(1), &specs, &explicit).unwrap();
+        let reference = serve_fleet_serial(&PlanCache::new(), &specs, &explicit).unwrap();
         assert_eq!(adaptive, reference);
         assert!(adaptive.total_replans > 0, "drift must trigger adaptation");
         // ...and an explicitly set knob always wins over the default.
@@ -403,10 +387,7 @@ mod tests {
         engine.invalidate_profiles();
         assert!(engine.cache().is_empty());
         let c = engine.frontier(p, Strategy::Jps, 4, 1.0, 100.0).unwrap();
-        assert!(
-            !Arc::ptr_eq(&a, &c),
-            "generation bump must force a recompile"
-        );
+        assert!(!Arc::ptr_eq(&a, &c), "clearing must force a recompile");
         assert_eq!(a.breakpoints(), c.breakpoints(), "same plan, fresh storage");
     }
 
@@ -445,6 +426,33 @@ mod tests {
             ..ServeConfig::default()
         };
         bad_input(engine.serve(&[spec], &config).map(drop), "serve");
+    }
+
+    #[test]
+    fn bad_chaos_configs_are_errors_not_panics() {
+        let engine = EngineConfig::new().threads(1).build();
+        let scenario = Scenario::paper_default(Model::AlexNet, NetworkModel::wifi());
+        let with = |edit: fn(&mut ChaosConfig)| {
+            let mut config = ChaosConfig::default();
+            edit(&mut config);
+            config
+        };
+        for (bad, case) in [
+            (with(|c| c.jobs_per_burst = 0), "jobs_per_burst = 0"),
+            (with(|c| c.bursts = 2), "bursts = 2"),
+            (with(|c| c.target_hz = 0.0), "target_hz = 0"),
+            (with(|c| c.target_hz = f64::INFINITY), "target_hz = inf"),
+            (with(|c| c.target_hz = f64::NAN), "target_hz = NaN"),
+            (with(|c| c.rho_limit = 0.0), "rho_limit = 0"),
+            (with(|c| c.rho_limit = 1.5), "rho_limit = 1.5"),
+            (with(|c| c.rho_limit = f64::NAN), "rho_limit = NaN"),
+        ] {
+            match engine.chaos(&scenario, &bad) {
+                Err(Error::Plan(PlanError::BadInput { .. })) => {}
+                other => panic!("{case}: expected Error::Plan(BadInput), got {other:?}"),
+            }
+        }
+        assert!(engine.chaos(&scenario, &ChaosConfig::default()).is_ok());
     }
 
     #[test]

@@ -139,9 +139,6 @@ catalogue! {
         FRONTIER_COMPILE_PROBES = "frontier.compile_probes": "planner probes made while compiling frontiers",
         FRONTIER_LOOKUPS = "frontier.lookups": "in-range frontier decisions",
         FRONTIER_OOB = "frontier.oob": "frontier decisions outside the compiled range (planned directly)",
-        FRONTIER_SHARD_HITS = "frontier.shard.hits": "cache hits served by a shard read lock",
-        FRONTIER_SHARD_MEMO_HITS = "frontier.shard.memo_hits": "cache hits served by the thread-local memo",
-        FRONTIER_SHARD_MISSES = "frontier.shard.misses": "cache misses (one per compile)",
         JOINT_ALLOCATIONS = "joint.allocations": "joint partition and cloud-share allocations",
         JOINT_ROUNDS = "joint.rounds": "best-response rounds across joint allocations",
         OBS_SPANS_DROPPED = "obs.spans_dropped": "spans not retained because the span buffer was full",

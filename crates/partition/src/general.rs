@@ -339,17 +339,7 @@ impl GeneralPlan {
             "line"
         }
     }
-
-    /// Re-plan as a [`Plan`] against the line profile (for uniform
-    /// reporting): uses the line plan when it wins, otherwise a
-    /// single-cut stand-in with the multipath `(f, g)`.
-    pub fn as_strategy_plan(&self) -> &Plan {
-        &self.line_plan
-    }
 }
-
-/// Convenience: the generic strategy enum value this module implements.
-pub const GENERAL_STRATEGY: Strategy = Strategy::Jps;
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,6 @@
 //! Proof that warm [`mcdnn_partition::PlanCache`] hits are
-//! allocation-free — on the memo path, the shard read path, and the
-//! single-lock (`with_shards(1)`) layout.
+//! allocation-free, on the thread that compiled the entry and on a
+//! fresh thread.
 //!
 //! Same counting-allocator technique as the `mcdnn-sim` arena test: a
 //! thin `System` wrapper counts the calling thread's heap allocations
@@ -66,16 +66,11 @@ fn rate_profile() -> RateProfile {
     .unwrap()
 }
 
-/// Warm the given lookup path (allocating the thread's obs slab and
-/// the thread-local memo), then count allocations across 100 further
-/// hits.
+/// Warm the lookup (compiling the entry if needed and allocating the
+/// thread's obs slab), then count allocations across 100 further hits.
 fn allocs_per_100_hits(cache: &PlanCache, rate: &RateProfile) -> u64 {
     mcdnn_obs::set_enabled(true);
     let warm = cache
-        .frontier(rate, Strategy::JpsBestMix, 6, 0.1, 100.0)
-        .unwrap();
-    // One warm *hit* before measuring, so the memo path is warm too.
-    let _ = cache
         .frontier(rate, Strategy::JpsBestMix, 6, 0.1, 100.0)
         .unwrap();
     let before = allocations();
@@ -92,27 +87,16 @@ fn allocs_per_100_hits(cache: &PlanCache, rate: &RateProfile) -> u64 {
 fn warm_cache_hits_allocate_nothing() {
     let rate = rate_profile();
 
-    // Memo-served hits on the submitting thread, sharded layout.
-    let sharded = PlanCache::new();
+    // Hits on the thread that compiled the entry.
     assert_eq!(
-        allocs_per_100_hits(&sharded, &rate),
+        allocs_per_100_hits(&PlanCache::new(), &rate),
         0,
-        "sharded memo hit must not allocate"
+        "warm hit must not allocate"
     );
 
-    // Single-lock layout (satellite: the unsharded path is equally
-    // allocation-free — no CacheKey rebuild).
-    let single = PlanCache::with_shards(1);
-    assert_eq!(
-        allocs_per_100_hits(&single, &rate),
-        0,
-        "single-shard memo hit must not allocate"
-    );
-
-    // A fresh thread never populated its memo for the *first* hit, so
-    // lookup 1 exercises the shard read path; its own warm-up inside
-    // `allocs_per_100_hits` covers the thread-local lazy init, and the
-    // measured hits are again zero-allocation.
+    // A fresh thread through the process-wide cache: its first fetch
+    // (inside `allocs_per_100_hits`) covers the thread's lazy obs set-up,
+    // and the measured hits are again zero-allocation.
     let worker = std::thread::spawn({
         let rate = rate.clone();
         move || allocs_per_100_hits(PlanCache::global(), &rate)
@@ -122,25 +106,4 @@ fn warm_cache_hits_allocate_nothing() {
         0,
         "worker-thread hits must not allocate"
     );
-
-    // Alternating the same query between two caches defeats the memo
-    // (the direct-mapped slot holds the *other* cache's entry on every
-    // fetch), so each hit below takes the shard read-lock path — which
-    // must be allocation-free too.
-    let left = PlanCache::new();
-    let right = PlanCache::new();
-    let fa = left.frontier(&rate, Strategy::Jps, 4, 0.1, 100.0).unwrap();
-    let fb = right.frontier(&rate, Strategy::Jps, 4, 0.1, 100.0).unwrap();
-    // Warm hits settle the shard read path.
-    let _ = left.frontier(&rate, Strategy::Jps, 4, 0.1, 100.0).unwrap();
-    let _ = right.frontier(&rate, Strategy::Jps, 4, 0.1, 100.0).unwrap();
-    let before = allocations();
-    for _ in 0..50 {
-        let ha = left.frontier(&rate, Strategy::Jps, 4, 0.1, 100.0).unwrap();
-        let hb = right.frontier(&rate, Strategy::Jps, 4, 0.1, 100.0).unwrap();
-        assert!(std::sync::Arc::ptr_eq(&fa, &ha));
-        assert!(std::sync::Arc::ptr_eq(&fb, &hb));
-    }
-    let shard_path = allocations() - before;
-    assert_eq!(shard_path, 0, "shard read-lock hit must not allocate");
 }

@@ -310,13 +310,6 @@ impl ProfileEstimator {
         self.observations += 1;
     }
 
-    /// Current (uncommitted) device scale estimate for `layer`:
-    /// direct evidence when the ladder has run that exact prefix,
-    /// pooled evidence otherwise.
-    pub fn device_estimate(&self, layer: usize) -> f64 {
-        self.effective_device(layer).unwrap_or(1.0)
-    }
-
     /// Direct tracker for `layer` if it has evidence, else the pooled
     /// tracker, else `None` (nothing observed yet).
     #[inline]
@@ -325,16 +318,6 @@ impl ProfileEstimator {
             .get(layer)
             .and_then(|e| e.value())
             .or_else(|| self.device_all.value())
-    }
-
-    /// Current (uncommitted) cloud scale estimate.
-    pub fn cloud_estimate(&self) -> f64 {
-        self.cloud.value().unwrap_or(1.0)
-    }
-
-    /// Current (uncommitted) upload fit, if the window supports one.
-    pub fn upload_estimate(&self) -> Option<LinearRegression> {
-        self.upload.fit()
     }
 
     /// Committed per-layer device scales (index 0..=k).

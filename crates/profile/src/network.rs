@@ -42,13 +42,6 @@ impl NetworkModel {
         NetworkModel::new(18.88, 10.0)
     }
 
-    /// Same bandwidth, different setup latency.
-    pub fn with_setup_ms(mut self, setup_ms: f64) -> Self {
-        assert!(setup_ms >= 0.0);
-        self.setup_ms = setup_ms;
-        self
-    }
-
     /// Time in milliseconds to upload `bytes`. Zero bytes means no
     /// transfer at all (local-only jobs never open a channel).
     #[inline]

@@ -126,16 +126,6 @@ where
         .collect()
 }
 
-/// [`parallel_map`] over an owned vector of inputs.
-pub fn parallel_map_owned<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    parallel_map(&items, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,11 +177,5 @@ mod tests {
     #[test]
     fn worker_threads_is_positive() {
         assert!(worker_threads() >= 1);
-    }
-
-    #[test]
-    fn owned_variant() {
-        let out = parallel_map_owned(vec![1u8, 2, 3], |_, &x| x as u32 + 10);
-        assert_eq!(out, vec![11, 12, 13]);
     }
 }

@@ -743,7 +743,7 @@ mod tests {
         let config = test_config();
         let specs = fleet(&test_profiles(), 12, &config);
 
-        let serial_cache = PlanCache::with_shards(1);
+        let serial_cache = PlanCache::new();
         let serial = serve_fleet_serial(&serial_cache, &specs, &config).unwrap();
 
         for workers in [1usize, 2, 4] {
@@ -834,7 +834,7 @@ mod tests {
     fn drift_adaptive_report_is_invariant_across_worker_counts() {
         let config = drift_config();
         let specs = fleet(&test_profiles(), 8, &config);
-        let serial = serve_fleet_serial(&PlanCache::with_shards(1), &specs, &config).unwrap();
+        let serial = serve_fleet_serial(&PlanCache::new(), &specs, &config).unwrap();
         assert!(serial.total_replans > 0, "drift must trigger adaptation");
         // Pinned: the adaptive, jittered serving history this fleet
         // produces. Any change to draw order or estimator feeds moves it.

@@ -2191,7 +2191,7 @@ mod tests {
         let config = test_config();
         let fleet = slo_fleet(&test_profiles(), 10, &config);
         for policy in [SloPolicy::Fifo, SloPolicy::EdfDegrade] {
-            let serial_cache = PlanCache::with_shards(1);
+            let serial_cache = PlanCache::new();
             let serial = serve_slo_serial(&serial_cache, &fleet, &config, policy).unwrap();
             for workers in [1usize, 2, 4, 8] {
                 let pool = WorkerPool::new(workers);
@@ -2223,7 +2223,7 @@ mod tests {
         let config = adapt_config();
         let fleet = slo_fleet(&cloudy_profiles(), 8, &config);
         for policy in [SloPolicy::Fifo, SloPolicy::EdfDegrade] {
-            let serial_cache = PlanCache::with_shards(1);
+            let serial_cache = PlanCache::new();
             let serial = serve_slo_serial(&serial_cache, &fleet, &config, policy).unwrap();
             // Pinned: the adaptive, jittered schedule of this fleet. Any
             // change to draw order or estimator feeds moves it.
@@ -2578,7 +2578,7 @@ mod tests {
             ..test_config()
         };
         let fleet = slo_fleet(&cloudy_profiles(), 8, &config);
-        let serial_cache = PlanCache::with_shards(1);
+        let serial_cache = PlanCache::new();
         let serial =
             serve_slo_serial(&serial_cache, &fleet, &config, SloPolicy::EdfDegrade).unwrap();
         for workers in [1usize, 2, 4, 8] {

@@ -91,8 +91,7 @@ fn warm_session_admits_bursts_without_allocating() {
         let (mut total, mut degraded) = (0u64, 0u64);
         for spec in &specs {
             // Warm-up: compiles the frontier, sets up the ladder, grows
-            // the arena, and allocates the thread's obs slab and cache
-            // memo.
+            // the arena, and allocates the thread's obs slab.
             let mut session = UserSession::start(&cache, spec, &config).unwrap();
             for _ in 0..32 {
                 session.admit_burst();
@@ -150,7 +149,7 @@ fn adaptive_observe_path_is_alloc_free_between_commits() {
         let cache = PlanCache::new();
         let mut session = UserSession::start(&cache, &specs[0], &config).unwrap();
         // Warm-up: fill the regression window (uploads are observed on
-        // most bursts) and settle the arena and cache memo.
+        // most bursts) and settle the arena.
         for _ in 0..96 {
             session.admit_burst();
             session.maybe_adapt(&cache).unwrap();

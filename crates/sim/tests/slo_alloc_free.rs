@@ -98,10 +98,9 @@ fn warm_slo_digest_run_allocates_nothing() {
     let cache = PlanCache::new();
     let mut arena = SloArena::new();
 
-    // Cold run sizes every buffer (streams, heaps, pricing memo) and
-    // warms the plan cache's per-thread memo and this thread's obs
-    // slab; a report run pins the digest the hot path must keep
-    // reproducing.
+    // Cold run sizes every buffer (streams, heaps, pricing memo),
+    // fills the plan cache and allocates this thread's obs slab; a
+    // report run pins the digest the hot path must keep reproducing.
     mcdnn_obs::set_enabled(true);
     let report = serve_slo_serial(&cache, &fleet, &config, SloPolicy::EdfDegrade).unwrap();
     let cold = serve_slo_digest_in(

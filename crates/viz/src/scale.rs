@@ -51,11 +51,6 @@ impl Scale {
         (self.min, self.max)
     }
 
-    /// Whether this is a log scale.
-    pub fn is_log(&self) -> bool {
-        self.log
-    }
-
     /// Tick positions for this scale (powers of 10 when log).
     pub fn ticks(&self, target: usize) -> Vec<f64> {
         if self.log {

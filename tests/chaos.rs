@@ -170,8 +170,8 @@ fn chaos_report_renders_deterministically_for_both_ci_seeds() {
             seed,
             ..ChaosConfig::default()
         };
-        let a = chaos_report(&s, &cfg).render();
-        let b = chaos_report(&s, &cfg).render();
+        let a = chaos_report(&s, &cfg).unwrap().render();
+        let b = chaos_report(&s, &cfg).unwrap().render();
         assert_eq!(a, b, "seed {seed}: report must render byte-identically");
         assert!(a.contains("digest="), "seed {seed}: digest line present");
     }
@@ -191,6 +191,7 @@ fn chaos_grid_totals_match_the_pinned_digests() {
             ..ChaosConfig::default()
         };
         let h = chaos_report(&s, &cfg)
+            .unwrap()
             .rows
             .iter()
             .fold(FNV_OFFSET, |h, r| fnv_fold(h, r.total_ms.to_bits()));
