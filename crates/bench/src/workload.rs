@@ -17,7 +17,7 @@ use mcdnn_rng::Rng;
 pub const SETUP_MS: f64 = 10.0;
 
 /// The benches' reference mobile device.
-pub fn mobile_device() -> DeviceModel {
+pub(crate) fn mobile_device() -> DeviceModel {
     DeviceModel::raspberry_pi4()
 }
 

@@ -18,11 +18,15 @@
 //! flips with float rounding, so those frontiers are held to the
 //! equal-or-tied contract on a dense grid rather than pinned. The
 //! exactness tests check that contract next to every breakpoint of the
-//! zoo frontiers, ulp by ulp, where sampled grids cannot see.
+//! zoo frontiers and of seeded random profiles, ulp by ulp, where
+//! sampled grids cannot see.
 
 use mcdnn_bench::workload::{monotone_zoo_rate_profiles, SETUP_MS};
 use mcdnn_flowshop::uniform_makespan;
+use mcdnn_graph::cluster_virtual_blocks;
+use mcdnn_models::synthetic::{random_bumpy_line, random_monotone_line};
 use mcdnn_partition::{CutMix, RateFrontier, RateProfile, Strategy};
+use mcdnn_profile::{CloudModel, DeviceModel};
 use mcdnn_rng::{fnv_fold, Rng, FNV_OFFSET};
 use mcdnn_sim::{ladder_decision, LadderDecision, LadderFrontier, LadderLevel};
 
@@ -40,6 +44,13 @@ const BAND_DENSE: i64 = 64;
 const BAND_STRIDE: i64 = 32;
 /// Dense-grid samples per re-estimated frontier.
 const PLATEAU_SAMPLES: usize = 4096;
+/// Seeded random profiles in the exactness property.
+const RANDOM_PROFILES: u64 = 10;
+/// Geometric grid steps per random frontier, on top of the breakpoints.
+const RANDOM_GRID: u32 = 512;
+/// Probe ceiling per compile: the event compile needs a few thousand at
+/// most, while a lattice audit chasing plateau ties ran to 204,612.
+const MAX_COMPILE_PROBES: u64 = 20_000;
 
 /// The `i`-th point of the decision grid on `[LO_MBPS, HI_MBPS]`.
 fn decision_mbps(i: u32) -> f64 {
@@ -195,6 +206,79 @@ fn frontier_breakpoints_match_the_planner() {
         "{} of {breakpoints} breakpoints disagree with the planner nearby, e.g. {:?}",
         failures.len(),
         &failures[..failures.len().min(5)]
+    );
+}
+
+/// A seeded random profile with its burst size and a wide bandwidth
+/// range: a monotone line or a clustered bumpy one (k drawn from 2..=40)
+/// on the reference device, every third re-estimated by
+/// [`reestimates`] so running-max plateaus tie exactly; n in 1..=64, lo
+/// in 0.01..1 Mbps and hi up to 10^4 times lo.
+fn random_case(seed: u64) -> (RateProfile, usize, f64, f64) {
+    let mut rng = Rng::seed_from_u64(seed);
+    let k = rng.gen_range(2..=40usize);
+    let input_bytes = rng.gen_range(10_000..=4_000_000usize);
+    let flops = (1_000_000, 200_000_000);
+    let line = if seed.is_multiple_of(2) {
+        random_monotone_line(&mut rng, k, input_bytes, flops, (0.3, 0.95))
+    } else {
+        cluster_virtual_blocks(&random_bumpy_line(&mut rng, k, input_bytes, flops)).0
+    };
+    let mut rate = RateProfile::evaluate(
+        &line,
+        &DeviceModel::raspberry_pi4(),
+        &CloudModel::Negligible,
+        SETUP_MS,
+    );
+    if seed % 3 == 2 {
+        rate = reestimates(&rate, seed).swap_remove(0);
+    }
+    let n = rng.gen_range(1..=64usize);
+    let lo = 0.01 * 100f64.powf(rng.f64());
+    let hi = lo * 10f64.powf(0.5 + 3.5 * rng.f64());
+    (rate, n, lo, hi)
+}
+
+#[test]
+fn random_frontiers_match_the_planner_near_every_breakpoint() {
+    // The zoo checks above cover a few shapes; the event compile's
+    // completeness argument (DESIGN §5g) claims every profile. Every ulp
+    // within ±BAND_DENSE of each breakpoint plus a geometric grid must
+    // equal or tie the planner, within a bounded probe count.
+    mcdnn_obs::set_enabled(true);
+    let (mut breakpoints, mut failures) = (0, Vec::new());
+    for seed in 0..RANDOM_PROFILES {
+        let (rate, n, lo, hi) = random_case(seed);
+        assert!(rate.check_monotone().is_ok(), "seed {seed}: not monotone");
+        for strategy in [Strategy::Jps, Strategy::JpsBestMix] {
+            let probes0 = mcdnn_obs::thread_counter_value("frontier.compile_probes");
+            let frontier = RateFrontier::compile(&rate, strategy, n, lo, hi)
+                .expect("monotone profile compiles");
+            let probes = mcdnn_obs::thread_counter_value("frontier.compile_probes") - probes0;
+            assert!(
+                probes <= MAX_COMPILE_PROBES,
+                "seed {seed} {strategy:?}: {probes} probes"
+            );
+            breakpoints += frontier.breakpoints().len() - 1;
+            let near = frontier.breakpoints()[1..].iter().flat_map(|&start| {
+                (-BAND_DENSE..=BAND_DENSE)
+                    .map(move |d| f64::from_bits((start.to_bits() as i64 + d) as u64))
+            });
+            let grid = (0..=RANDOM_GRID)
+                .map(|i| lo * (hi / lo).powf(f64::from(i) / f64::from(RANDOM_GRID)));
+            let bad = near
+                .chain(grid)
+                .filter(|&b| frontier.covers(b))
+                .find(|&b| !equal_or_tied(&frontier, b));
+            if let Some(b) = bad {
+                failures.push(format!("seed {seed} {strategy:?} n={n} b={b:e}"));
+            }
+        }
+    }
+    assert!(breakpoints > 100, "only {breakpoints} breakpoints");
+    assert!(
+        failures.is_empty(),
+        "frontier disagrees with the planner: {failures:?}"
     );
 }
 

@@ -1436,6 +1436,12 @@ mod tests {
         .unwrap_err()
         .0
         .contains("--jobs"));
+        assert!(
+            run_str(&["chaos", "--model", "alexnet", "--bandwidth", "5e-324"])
+                .unwrap_err()
+                .0
+                .contains("finite")
+        );
     }
 
     #[test]

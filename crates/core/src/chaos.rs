@@ -146,11 +146,17 @@ impl ChaosReport {
 
 /// Run the full chaos sweep for one scenario: standard grid × every
 /// policy, plus one seeded drill at the healthy cut. Deterministic in
-/// `(scenario, config)`. A config that fails [`ChaosConfig::validate`]
-/// is an [`Error::Plan`].
+/// `(scenario, config)`. A config that fails [`ChaosConfig::validate`],
+/// or a scenario with a non-finite stage time (a subnormal bandwidth
+/// makes the uploads infinite), is an [`Error::Plan`].
 pub fn chaos_report(scenario: &Scenario, config: &ChaosConfig) -> Result<ChaosReport, Error> {
     config.validate()?;
     let profile = scenario.profile();
+    let finite = |stage: &[f64]| stage.iter().all(|v| v.is_finite());
+    if !(finite(profile.f_all()) && finite(profile.g_all())) {
+        let what = "scenario stage times must be finite";
+        return Err(PlanError::BadInput { what }.into());
+    }
     let healthy = ladder_decision(
         profile,
         config.target_hz,

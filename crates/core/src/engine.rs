@@ -174,12 +174,6 @@ impl Engine {
         config
     }
 
-    /// Plan `n` jobs for a scenario — [`Scenario::plan`] through the
-    /// facade (panicking surface; see [`Engine::try_plan`]).
-    pub fn plan(&self, scenario: &Scenario, strategy: Strategy, n: usize) -> Plan {
-        scenario.plan(strategy, n)
-    }
-
     /// Plan `n` jobs for a scenario, reporting failures as the unified
     /// [`enum@Error`].
     pub fn try_plan(
@@ -304,7 +298,6 @@ mod tests {
         let scenario = Scenario::paper_default(Model::AlexNet, NetworkModel::wifi());
         let a = engine.try_plan(&scenario, Strategy::Jps, 8).unwrap();
         assert_eq!(a, scenario.plan(Strategy::Jps, 8));
-        assert_eq!(engine.plan(&scenario, Strategy::Jps, 8), a);
     }
 
     #[test]
@@ -453,6 +446,11 @@ mod tests {
             }
         }
         assert!(engine.chaos(&scenario, &ChaosConfig::default()).is_ok());
+        let starved = scenario.with_network(NetworkModel::new(5e-324, 0.0));
+        match engine.chaos(&starved, &ChaosConfig::default()) {
+            Err(Error::Plan(PlanError::BadInput { .. })) => {}
+            other => panic!("bandwidth 5e-324: expected Error::Plan(BadInput), got {other:?}"),
+        }
     }
 
     #[test]

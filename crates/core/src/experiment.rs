@@ -1,9 +1,9 @@
 //! Experiment harness: one function per table/figure of the paper's
 //! evaluation (§6), shared by the bench binaries and integration tests.
 //!
-//! Every function returns plain data rows; [`markdown_table`] and
-//! [`to_csv`] render them. The bench crate wraps each in a binary that
-//! prints the regenerated table/figure series (see `EXPERIMENTS.md`).
+//! Every function returns plain data rows; [`to_csv`] renders them.
+//! The bench crate wraps each in a binary that prints the regenerated
+//! table/figure series (see `EXPERIMENTS.md`).
 //!
 //! Sweep points are independent, so the grid-shaped experiments
 //! (strategy comparison, bandwidth sweep, ratio sweep, BF comparison)
@@ -335,21 +335,6 @@ fn binomial_le(n: usize, k: usize, limit: u128) -> bool {
 // Rendering helpers.
 // ---------------------------------------------------------------------
 
-/// Render rows as a GitHub-flavoured markdown table.
-pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "| {} |", headers.join(" | "));
-    let _ = writeln!(
-        out,
-        "|{}|",
-        headers.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-    );
-    for row in rows {
-        let _ = writeln!(out, "| {} |", row.join(" | "));
-    }
-    out
-}
-
 /// Render rows as CSV with the given header line.
 pub fn to_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut out = String::new();
@@ -486,9 +471,6 @@ mod tests {
 
     #[test]
     fn render_helpers() {
-        let md = markdown_table(&["a", "b"], &[vec!["1".into(), "2".into()]]);
-        assert!(md.contains("| a | b |"));
-        assert!(md.contains("|---|---|"));
         let csv = to_csv(&["a", "b"], &[vec!["1".into(), "2".into()]]);
         assert_eq!(csv, "a,b\n1,2\n");
     }

@@ -61,7 +61,7 @@ impl Scenario {
     }
 
     /// Same scenario at a different network.
-    pub fn with_network(&self, network: NetworkModel) -> Self {
+    pub(crate) fn with_network(&self, network: NetworkModel) -> Self {
         Scenario::new(
             self.line.clone(),
             self.mobile.clone(),

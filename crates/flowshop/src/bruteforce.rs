@@ -20,7 +20,7 @@ pub struct BruteForceResult {
 }
 
 /// Hard cap on `n` — 10! = 3.6 M permutations is the practical limit.
-pub const MAX_BRUTE_FORCE_JOBS: usize = 10;
+pub(crate) const MAX_BRUTE_FORCE_JOBS: usize = 10;
 
 /// Find the optimal order by trying every permutation.
 ///

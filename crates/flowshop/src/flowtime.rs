@@ -4,12 +4,12 @@
 //! Makespan is the throughput objective (the paper's); a user staring
 //! at per-frame results cares about mean completion. `F2 || ΣC_j` is
 //! NP-hard (Garey–Johnson–Sethi), so this module provides the two
-//! classical heuristics plus an exhaustive oracle:
+//! classical heuristics, which its tests check against an exhaustive
+//! oracle:
 //!
 //! * **SPT** on total processing time `f + g` — the single-machine
 //!   optimum's natural lift;
-//! * **NEH-style insertion** evaluating total completion directly;
-//! * [`best_flowtime_permutation`] for validation on small instances.
+//! * **NEH-style insertion** evaluating total completion directly.
 //!
 //! Johnson's order optimises the makespan and can be noticeably worse
 //! on flow time (quantified in the tests) — choosing the objective is a
@@ -28,7 +28,7 @@ pub fn total_flowtime(jobs: &[FlowJob], order: &[usize]) -> f64 {
 }
 
 /// Shortest-processing-time order on `f + g + cloud`.
-pub fn spt_order(jobs: &[FlowJob]) -> Vec<usize> {
+pub(crate) fn spt_order(jobs: &[FlowJob]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..jobs.len()).collect();
     order.sort_by(|&a, &b| {
         let ta = jobs[a].compute_ms + jobs[a].comm_ms + jobs[a].cloud_ms;
@@ -40,7 +40,7 @@ pub fn spt_order(jobs: &[FlowJob]) -> Vec<usize> {
 
 /// NEH-style insertion minimising total flow time: jobs in SPT order,
 /// each inserted at its best position.
-pub fn neh_flowtime_order(jobs: &[FlowJob]) -> Vec<usize> {
+pub(crate) fn neh_flowtime_order(jobs: &[FlowJob]) -> Vec<usize> {
     let mut order: Vec<usize> = Vec::with_capacity(jobs.len());
     for &j in &spt_order(jobs) {
         let mut best_pos = 0;
@@ -70,8 +70,9 @@ pub fn flowtime_order(jobs: &[FlowJob]) -> Vec<usize> {
     }
 }
 
-/// Exhaustive flow-time optimum (≤ 9 jobs), for validation.
-pub fn best_flowtime_permutation(jobs: &[FlowJob]) -> (Vec<usize>, f64) {
+/// Exhaustive flow-time optimum (≤ 9 jobs), the tests' oracle.
+#[cfg(test)]
+fn best_flowtime_permutation(jobs: &[FlowJob]) -> (Vec<usize>, f64) {
     assert!(jobs.len() <= 9, "flow-time brute force capped at 9 jobs");
     let n = jobs.len();
     if n == 0 {

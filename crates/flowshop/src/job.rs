@@ -42,7 +42,7 @@ impl FlowJob {
     }
 
     /// True when all stage durations are finite and non-negative.
-    pub fn is_valid(&self) -> bool {
+    pub(crate) fn is_valid(&self) -> bool {
         [self.compute_ms, self.comm_ms, self.cloud_ms]
             .iter()
             .all(|v| v.is_finite() && *v >= 0.0)
@@ -50,7 +50,7 @@ impl FlowJob {
 
     /// Communication-heavy per the paper's Alg. 1 line 2:
     /// `f(P_j) < g(P_j)`.
-    pub fn is_comm_heavy(&self) -> bool {
+    pub(crate) fn is_comm_heavy(&self) -> bool {
         self.compute_ms < self.comm_ms
     }
 }

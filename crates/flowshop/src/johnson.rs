@@ -10,7 +10,7 @@ use crate::job::FlowJob;
 
 /// Which Johnson set a job falls into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobClass {
+pub(crate) enum JobClass {
     /// `f < g`: communication dominates; scheduled early, ascending `f`.
     CommHeavy,
     /// `f ≥ g`: computation dominates; scheduled late, descending `g`.
@@ -18,7 +18,7 @@ pub enum JobClass {
 }
 
 /// Classify a job per Alg. 1 line 2.
-pub fn classify(job: &FlowJob) -> JobClass {
+pub(crate) fn classify(job: &FlowJob) -> JobClass {
     if job.is_comm_heavy() {
         JobClass::CommHeavy
     } else {
@@ -73,14 +73,6 @@ pub fn johnson_order(jobs: &[FlowJob]) -> Vec<usize> {
 /// the ablation benches.
 pub fn fifo_order(jobs: &[FlowJob]) -> Vec<usize> {
     (0..jobs.len()).collect()
-}
-
-/// Johnson's order reversed — a deliberately adversarial order used to
-/// bound how much scheduling can matter.
-pub fn reversed_johnson_order(jobs: &[FlowJob]) -> Vec<usize> {
-    let mut o = johnson_order(jobs);
-    o.reverse();
-    o
 }
 
 #[cfg(test)]
@@ -142,7 +134,8 @@ mod tests {
         assert_eq!(j, vec![1, 0]);
         assert_eq!(makespan(&js, &j), 13.0); // the paper's optimal 13
         assert_eq!(makespan(&js, &fifo_order(&js)), 17.0);
-        assert_eq!(makespan(&js, &reversed_johnson_order(&js)), 17.0);
+        let reversed: Vec<usize> = j.iter().rev().copied().collect();
+        assert_eq!(makespan(&js, &reversed), 17.0);
     }
 
     #[test]

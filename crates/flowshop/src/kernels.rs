@@ -33,30 +33,26 @@
 //! (and, in `mcdnn-sim`, against the discrete-event simulator) by unit
 //! and property tests to 1e-9.
 
-use crate::job::FlowJob;
-use crate::johnson::johnson_order;
-use crate::makespan::makespan;
-
 /// Machine-availability state of the two-stage pipeline: the instant
 /// each machine becomes free. Push homogeneous blocks in schedule
 /// order, then read [`PipelineState::makespan`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PipelineState {
+pub(crate) struct PipelineState {
     /// Mobile CPU (machine 1) free at, ms.
-    pub m1: f64,
+    pub(crate) m1: f64,
     /// Uplink (machine 2) free at, ms.
-    pub m2: f64,
+    pub(crate) m2: f64,
 }
 
 impl PipelineState {
     /// Fresh pipeline (both machines free at 0).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PipelineState::default()
     }
 
     /// Process `n` identical jobs `(f, g)` in O(1); see the module docs
     /// for the closed form. Jobs with `g == 0` never touch machine 2.
-    pub fn push_block(&mut self, n: usize, f: f64, g: f64) {
+    pub(crate) fn push_block(&mut self, n: usize, f: f64, g: f64) {
         if n == 0 {
             return;
         }
@@ -172,22 +168,24 @@ pub fn johnson_blocks_makespan(blocks: &[(usize, f64, f64)]) -> f64 {
     state.makespan()
 }
 
-/// Reference check: materialize the blocks as jobs, run Johnson's rule
-/// and the exact recurrence. Test/validation helper — the whole point
-/// of the kernels is to avoid calling this on the hot path.
-pub fn simulated_blocks_makespan(blocks: &[(usize, f64, f64)]) -> f64 {
-    let mut jobs: Vec<FlowJob> = Vec::new();
-    for &(count, f, g) in blocks {
-        for _ in 0..count {
-            jobs.push(FlowJob::two_stage(jobs.len(), f, g));
-        }
-    }
-    makespan(&jobs, &johnson_order(&jobs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::FlowJob;
+    use crate::johnson::johnson_order;
+    use crate::makespan::makespan;
+
+    /// Reference: materialize the blocks as jobs, run Johnson's rule and
+    /// the exact recurrence — what the kernels avoid on the hot path.
+    fn simulated_blocks_makespan(blocks: &[(usize, f64, f64)]) -> f64 {
+        let mut jobs: Vec<FlowJob> = Vec::new();
+        for &(count, f, g) in blocks {
+            for _ in 0..count {
+                jobs.push(FlowJob::two_stage(jobs.len(), f, g));
+            }
+        }
+        makespan(&jobs, &johnson_order(&jobs))
+    }
 
     fn assert_close(a: f64, b: f64, ctx: &str) {
         assert!((a - b).abs() < 1e-9, "{ctx}: kernel {a} vs reference {b}");

@@ -10,8 +10,8 @@
 //! Provided here, independent of any DNN notions:
 //!
 //! * [`job::FlowJob`] — a two-(or three-)stage job.
-//! * [`johnson`] — the paper's Alg. 1 (Johnson's rule), plus FIFO and
-//!   reversed orders for the scheduling ablation.
+//! * [`johnson`] — the paper's Alg. 1 (Johnson's rule), plus the FIFO
+//!   order for the scheduling ablation.
 //! * [`mod@makespan`] — exact schedule evaluation by recurrence, Gantt
 //!   traces, average completion times, and the closed form of
 //!   Proposition 4.1.
@@ -36,15 +36,13 @@ pub mod three;
 
 pub use bounds::two_stage_lower_bound;
 pub use bruteforce::{best_permutation, BruteForceResult};
-pub use flowtime::{flowtime_order, spt_order, total_flowtime};
+pub use flowtime::{flowtime_order, total_flowtime};
 pub use job::FlowJob;
-pub use johnson::{johnson_order, JobClass};
-pub use kernels::{
-    johnson_blocks_makespan, two_type_mix_makespan, uniform_makespan, PipelineState,
-};
+pub use johnson::johnson_order;
+pub use kernels::{johnson_blocks_makespan, two_type_mix_makespan, uniform_makespan};
 pub use makespan::{
     average_completion_ms, gantt, makespan, makespan_closed_form, makespan_three_stage, Gantt,
     StageInterval,
 };
 pub use release::{list_schedule_with_releases, makespan_with_releases};
-pub use three::{cds_order, johnson_case_applies, neh_order, three_stage_order};
+pub use three::three_stage_order;

@@ -9,7 +9,7 @@
 //! * exact schedule evaluation respecting releases,
 //! * **list scheduling**: whenever the mobile CPU frees up, start the
 //!   released-but-unscheduled job with the best Johnson priority,
-//! * exhaustive search for validation on tiny instances.
+//! * exhaustive search, the tests' oracle on tiny instances.
 
 use crate::job::FlowJob;
 use crate::johnson::JobClass;
@@ -85,8 +85,9 @@ pub fn list_schedule_with_releases(jobs: &[FlowJob], releases: &[f64]) -> Vec<us
     order
 }
 
-/// Exhaustive optimum under releases (≤ 9 jobs), for validation.
-pub fn best_order_with_releases(jobs: &[FlowJob], releases: &[f64]) -> (Vec<usize>, f64) {
+/// Exhaustive optimum under releases (≤ 9 jobs), the tests' oracle.
+#[cfg(test)]
+fn best_order_with_releases(jobs: &[FlowJob], releases: &[f64]) -> (Vec<usize>, f64) {
     assert!(jobs.len() <= 9, "release brute force capped at 9 jobs");
     let n = jobs.len();
     if n == 0 {

@@ -21,21 +21,9 @@ use crate::job::FlowJob;
 use crate::johnson::johnson_order;
 use crate::makespan::makespan_three_stage;
 
-/// True when Johnson's three-machine special case applies (middle
-/// machine dominated), making [`johnson_surrogate_order`] optimal.
-pub fn johnson_case_applies(jobs: &[FlowJob]) -> bool {
-    if jobs.is_empty() {
-        return true;
-    }
-    let min_f = jobs.iter().map(|j| j.compute_ms).fold(f64::INFINITY, f64::min);
-    let min_c = jobs.iter().map(|j| j.cloud_ms).fold(f64::INFINITY, f64::min);
-    let max_g = jobs.iter().map(|j| j.comm_ms).fold(0.0, f64::max);
-    min_f >= max_g || min_c >= max_g
-}
-
 /// Johnson order on the `(f + g, g + cloud)` surrogate jobs — optimal
-/// when [`johnson_case_applies`].
-pub fn johnson_surrogate_order(jobs: &[FlowJob]) -> Vec<usize> {
+/// in Johnson's special case (middle machine dominated).
+pub(crate) fn johnson_surrogate_order(jobs: &[FlowJob]) -> Vec<usize> {
     let surrogate: Vec<FlowJob> = jobs
         .iter()
         .map(|j| FlowJob::two_stage(j.id, j.compute_ms + j.comm_ms, j.comm_ms + j.cloud_ms))
@@ -44,7 +32,7 @@ pub fn johnson_surrogate_order(jobs: &[FlowJob]) -> Vec<usize> {
 }
 
 /// CDS heuristic: best of the two surrogate Johnson orders.
-pub fn cds_order(jobs: &[FlowJob]) -> Vec<usize> {
+pub(crate) fn cds_order(jobs: &[FlowJob]) -> Vec<usize> {
     let s1: Vec<FlowJob> = jobs
         .iter()
         .map(|j| FlowJob::two_stage(j.id, j.compute_ms, j.cloud_ms))
@@ -61,7 +49,7 @@ pub fn cds_order(jobs: &[FlowJob]) -> Vec<usize> {
 /// NEH heuristic: jobs sorted by decreasing total work, inserted one by
 /// one at the makespan-minimising position. `O(n³)` with the plain
 /// evaluation used here — fine at this problem's scale.
-pub fn neh_order(jobs: &[FlowJob]) -> Vec<usize> {
+pub(crate) fn neh_order(jobs: &[FlowJob]) -> Vec<usize> {
     let mut by_work: Vec<usize> = (0..jobs.len()).collect();
     by_work.sort_by(|&a, &b| {
         let wa = jobs[a].compute_ms + jobs[a].comm_ms + jobs[a].cloud_ms;
@@ -145,23 +133,13 @@ mod tests {
     }
 
     #[test]
-    fn johnson_case_detection() {
-        // Middle machine dominated by machine 1.
-        let js = jobs3(&[(10.0, 2.0, 5.0), (12.0, 1.0, 3.0)]);
-        assert!(johnson_case_applies(&js));
-        // Middle machine dominant: not the special case.
-        let js2 = jobs3(&[(1.0, 20.0, 1.0), (2.0, 15.0, 2.0)]);
-        assert!(!johnson_case_applies(&js2));
-    }
-
-    #[test]
     fn johnson_special_case_is_optimal() {
+        // Machine 1 dominates the middle machine: min f >= max g.
         let cases = [
             jobs3(&[(10.0, 2.0, 5.0), (12.0, 1.0, 3.0), (11.0, 2.0, 9.0)]),
             jobs3(&[(8.0, 3.0, 7.0), (9.0, 1.0, 4.0), (10.0, 2.0, 10.0), (8.5, 0.5, 2.0)]),
         ];
         for js in cases {
-            assert!(johnson_case_applies(&js));
             let order = johnson_surrogate_order(&js);
             let (_, opt) = best_three_stage_permutation(&js);
             assert!(

@@ -100,11 +100,6 @@ impl DnnGraph {
         &self.succ[id.0]
     }
 
-    /// Predecessors of a node.
-    pub fn predecessors(&self, id: NodeId) -> &[NodeId] {
-        &self.pred[id.0]
-    }
-
     /// All edges `(u, v)` in topological order of `u`.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.succ
@@ -157,7 +152,7 @@ impl DnnGraph {
 
     /// First node (in topo order) with more than one predecessor or
     /// successor, if any.
-    pub fn first_branch(&self) -> Option<NodeId> {
+    pub(crate) fn first_branch(&self) -> Option<NodeId> {
         (0..self.nodes.len())
             .map(NodeId)
             .find(|&id| self.succ[id.0].len() > 1 || self.pred[id.0].len() > 1)
@@ -270,7 +265,7 @@ impl GraphBuilder {
     }
 
     /// Add a layer with an explicit name.
-    pub fn add_named(&mut self, layer: LayerKind, name: impl Into<String>) -> NodeId {
+    pub(crate) fn add_named(&mut self, layer: LayerKind, name: impl Into<String>) -> NodeId {
         let id = NodeId(self.layers.len());
         self.layers.push((layer, name.into()));
         id

@@ -37,7 +37,7 @@ pub enum PoolKind {
 
 /// One DNN layer (a DAG node payload).
 ///
-/// Shape inference ([`LayerKind::infer_shape`]) maps input shape(s) to the
+/// Shape inference (`LayerKind::infer_shape`) maps input shape(s) to the
 /// output shape; [`LayerKind::flops`] and [`LayerKind::params`] give the
 /// compute and weight volume given the *input* shape.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -132,7 +132,7 @@ impl LayerKind {
     ///
     /// `Some(n)` for fixed arity; `None` for variadic layers
     /// ([`LayerKind::Concat`], [`LayerKind::Add`]) which require ≥ 2.
-    pub fn arity(&self) -> Option<usize> {
+    pub(crate) fn arity(&self) -> Option<usize> {
         match self {
             LayerKind::Input { .. } => Some(0),
             LayerKind::Concat | LayerKind::Add => None,
@@ -145,7 +145,7 @@ impl LayerKind {
     /// Returns `Err(reason)` with a human-readable message when the input
     /// is incompatible; the graph layer wraps it into
     /// [`crate::GraphError::ShapeMismatch`].
-    pub fn infer_shape(&self, inputs: &[TensorShape]) -> Result<TensorShape, String> {
+    pub(crate) fn infer_shape(&self, inputs: &[TensorShape]) -> Result<TensorShape, String> {
         match self {
             LayerKind::Input { shape } => {
                 if inputs.is_empty() {
@@ -393,16 +393,6 @@ impl LayerKind {
     pub fn maxpool(kernel: usize, stride: usize) -> Self {
         LayerKind::Pool2d {
             kind: PoolKind::Max,
-            kernel,
-            stride,
-            padding: 0,
-        }
-    }
-
-    /// Convenience: average pooling.
-    pub fn avgpool(kernel: usize, stride: usize) -> Self {
-        LayerKind::Pool2d {
-            kind: PoolKind::Avg,
             kernel,
             stride,
             padding: 0,

@@ -47,7 +47,7 @@ pub use error::GraphError;
 pub use graph::{DnnGraph, GraphBuilder, Node, NodeId};
 pub use layer::{Activation, CostClass, LayerKind, PoolKind};
 pub use parse::{parse_model, ModelError};
-pub use line::{CutPoint, LineDnn, LineLayer};
+pub use line::{LineDnn, LineLayer};
 pub use paths::{
     articulation_chain, collapse_to_line, collapse_to_line_weighted, decompose_into_paths,
     duplicate_to_multipath, segments, PathDag, Segment,

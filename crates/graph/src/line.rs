@@ -22,7 +22,7 @@ use crate::layer::LayerKind;
 ///
 /// Valid range is `0..=k`: `0` = cloud-only, `k` = local-only, and
 /// `l ∈ 1..k` cuts after compute layer `l` (1-based).
-pub type CutPoint = usize;
+pub(crate) type CutPoint = usize;
 
 /// One compute layer of a flattened line-structure DNN.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -24,7 +24,7 @@ use crate::graph::{DnnGraph, NodeId};
 
 /// Default cap on enumerated paths before [`decompose_into_paths`]
 /// refuses (guards against exponential blow-up on deep branching nets).
-pub const DEFAULT_PATH_CAP: usize = 4096;
+pub(crate) const DEFAULT_PATH_CAP: usize = 4096;
 
 /// The multi-path view of a DAG after node duplication.
 ///
@@ -88,7 +88,8 @@ pub fn decompose_into_paths(graph: &DnnGraph, cap: usize) -> Result<Vec<Vec<Node
 }
 
 /// The paper's node-duplication conversion (Fig. 9): returns the
-/// independent-path view of the DAG, capped at [`DEFAULT_PATH_CAP`].
+/// independent-path view of the DAG, capped at `DEFAULT_PATH_CAP`
+/// (4,096) paths.
 pub fn duplicate_to_multipath(graph: &DnnGraph) -> Result<PathDag, GraphError> {
     Ok(PathDag {
         paths: decompose_into_paths(graph, DEFAULT_PATH_CAP)?,

@@ -122,7 +122,7 @@ impl TensorShape {
 
     /// Flatten a feature map into a vector shape of the same element count.
     #[inline]
-    pub const fn flattened(&self) -> TensorShape {
+    pub(crate) const fn flattened(&self) -> TensorShape {
         TensorShape::Flat(self.elements())
     }
 

@@ -20,7 +20,7 @@ fn conv_1x3_like(out_channels: usize) -> L {
 
 /// Append an Inception-C style module (paper Fig. 3(a)); returns the
 /// final `Filter Concat` node.
-pub fn inception_c(b: &mut GraphBuilder, input: NodeId) -> NodeId {
+pub(crate) fn inception_c(b: &mut GraphBuilder, input: NodeId) -> NodeId {
     let relu = || L::Act(Activation::ReLU);
     // Branch 1: avg pool -> 1x1 conv.
     let b1 = b.chain(
@@ -236,7 +236,7 @@ fn reduction_b(b: &mut GraphBuilder, input: NodeId) -> NodeId {
 /// single-path equivalent (same output shape `[384, 35, 35]`, matching
 /// aggregate compute) so the stem stays a clean articulation chain —
 /// branch handling is exercised by the 14 inception/reduction modules.
-pub fn inception_v4() -> DnnGraph {
+pub(crate) fn inception_v4() -> DnnGraph {
     let mut b = DnnGraph::builder("inception_v4");
     let relu = || L::Act(Activation::ReLU);
     let i = b.input(TensorShape::chw(3, 299, 299));

@@ -181,12 +181,12 @@ pub fn graph() -> DnnGraph {
 }
 
 /// Build the ResNet-34 DAG.
-pub fn graph34() -> DnnGraph {
+pub(crate) fn graph34() -> DnnGraph {
     basic_resnet("resnet34", [3, 4, 6, 3])
 }
 
 /// Build the ResNet-50 DAG (bottleneck blocks).
-pub fn graph50() -> DnnGraph {
+pub(crate) fn graph50() -> DnnGraph {
     let mut b = DnnGraph::builder("resnet50");
     let mut prev = stem(&mut b);
     let mut in_ch = 64usize;
@@ -211,14 +211,14 @@ pub fn line() -> Result<LineDnn, GraphError> {
 }
 
 /// ResNet-34 as a line DNN.
-pub fn line34() -> Result<LineDnn, GraphError> {
+pub(crate) fn line34() -> Result<LineDnn, GraphError> {
     let collapsed = collapse_to_line(&graph34())?;
     let (clustered, _) = cluster_virtual_blocks(&collapsed);
     Ok(clustered.with_name("resnet34"))
 }
 
 /// ResNet-50 as a line DNN.
-pub fn line50() -> Result<LineDnn, GraphError> {
+pub(crate) fn line50() -> Result<LineDnn, GraphError> {
     let collapsed = collapse_to_line(&graph50())?;
     let (clustered, _) = cluster_virtual_blocks(&collapsed);
     Ok(clustered.with_name("resnet50"))

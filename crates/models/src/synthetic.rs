@@ -18,7 +18,7 @@ use crate::alexnet;
 ///
 /// Points with `y == 0` are skipped (log undefined); at least two valid
 /// points are required.
-pub fn fit_log_linear(points: &[(f64, f64)]) -> Option<(f64, f64)> {
+pub(crate) fn fit_log_linear(points: &[(f64, f64)]) -> Option<(f64, f64)> {
     let valid: Vec<(f64, f64)> = points
         .iter()
         .filter(|&&(_, y)| y > 0.0)
@@ -43,7 +43,7 @@ pub fn fit_log_linear(points: &[(f64, f64)]) -> Option<(f64, f64)> {
 
 /// AlexNet′: AlexNet (clustered) with every interior offload volume
 /// replaced by the fitted exponential `exp(a + b·l)` (paper Fig. 11).
-pub fn alexnet_prime() -> LineDnn {
+pub(crate) fn alexnet_prime() -> LineDnn {
     let base = alexnet::line().expect("alexnet is a line");
     let (clustered, _) = cluster_virtual_blocks(&base);
     let points: Vec<(f64, f64)> = (1..clustered.k())
@@ -70,29 +70,6 @@ pub fn alexnet_prime() -> LineDnn {
         })
         .collect();
     LineDnn::from_parts("alexnet_prime", clustered.input_bytes(), layers)
-}
-
-/// Ideal synthetic line DNN: per-layer FLOPs constant (`f` exactly
-/// linear), offload volume exactly exponential with the given decay
-/// factor per layer.
-pub fn exponential_line(
-    name: impl Into<String>,
-    k: usize,
-    flops_per_layer: u64,
-    input_bytes: usize,
-    decay: f64,
-) -> LineDnn {
-    assert!(k >= 1, "need at least one layer");
-    assert!((0.0..1.0).contains(&decay), "decay must be in (0,1)");
-    let layers = (1..=k)
-        .map(|l| LineLayer {
-            name: format!("l{l}"),
-            flops: flops_per_layer,
-            out_bytes: ((input_bytes as f64) * decay.powi(l as i32)).round().max(1.0) as usize,
-            nodes: vec![],
-        })
-        .collect();
-    LineDnn::from_parts(name, input_bytes, layers)
 }
 
 /// Random line DNN with non-increasing offload volume — the post-
@@ -188,19 +165,6 @@ mod tests {
             mcdnn_graph::cluster_virtual_blocks(&alexnet::line().unwrap());
         assert_eq!(p.total_flops(), clustered.total_flops());
         assert_eq!(p.k(), clustered.k());
-    }
-
-    #[test]
-    fn exponential_line_shapes() {
-        let l = exponential_line("e", 8, 1000, 1 << 20, 0.5);
-        assert_eq!(l.k(), 8);
-        for i in 1..8 {
-            let ratio = l.offload_bytes(i + 1).max(1) as f64 / l.offload_bytes(i) as f64;
-            if i + 1 < 8 {
-                assert!((ratio - 0.5).abs() < 0.01);
-            }
-        }
-        assert!(mcdnn_graph::cluster::is_strictly_decreasing_volume(&l));
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub fn graph() -> DnnGraph {
 }
 
 /// Build the VGG-19 DAG (line structure).
-pub fn graph19() -> DnnGraph {
+pub(crate) fn graph19() -> DnnGraph {
     build("vgg19", &STAGES_E)
 }
 
@@ -51,7 +51,7 @@ pub fn line() -> Result<LineDnn, GraphError> {
 }
 
 /// VGG-19 as a line DNN.
-pub fn line19() -> Result<LineDnn, GraphError> {
+pub(crate) fn line19() -> Result<LineDnn, GraphError> {
     LineDnn::from_graph(&graph19())
 }
 

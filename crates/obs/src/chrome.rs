@@ -90,11 +90,6 @@ impl ChromeTrace {
         self.instants.push(event);
     }
 
-    /// Number of instant marks so far.
-    pub fn mark_count(&self) -> usize {
-        self.instants.len()
-    }
-
     /// Add registry spans under `pid`, assigning one tid per distinct
     /// span category (tids allocated in first-seen order) and naming
     /// each row after the category.
@@ -295,7 +290,6 @@ mod tests {
             cat: "fault".to_string(),
             ts_us: 10.0,
         });
-        assert_eq!(t.mark_count(), 1);
         let doc = t.to_json();
         let parsed = json::parse(&doc).expect("valid JSON with instants");
         let arr = parsed.as_array().unwrap();

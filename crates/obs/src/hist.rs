@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Number of finite buckets; bucket `i` covers values
 /// `<= 0.001 * 2^i` ms (1 µs, 2 µs, …, ~134 s).
-pub const BUCKETS: usize = 28;
+pub(crate) const BUCKETS: usize = 28;
 
 /// Words one histogram takes in a slab.
 pub(crate) const WORDS: usize = BUCKETS + 5;
@@ -105,7 +105,7 @@ pub struct Histogram {
 }
 
 /// Upper bound (inclusive) of finite bucket `i`, in ms.
-pub fn bucket_upper_ms(i: usize) -> f64 {
+pub(crate) fn bucket_upper_ms(i: usize) -> f64 {
     0.001 * (1u64 << i) as f64
 }
 
@@ -199,13 +199,8 @@ impl Histogram {
         self.count
     }
 
-    /// Sum of all observations, ms.
-    pub fn sum_ms(&self) -> f64 {
-        self.sum_ms
-    }
-
     /// Smallest observation, ms (0 when empty).
-    pub fn min_ms(&self) -> f64 {
+    pub(crate) fn min_ms(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -214,7 +209,7 @@ impl Histogram {
     }
 
     /// Largest observation, ms (0 when empty).
-    pub fn max_ms(&self) -> f64 {
+    pub(crate) fn max_ms(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -252,20 +247,10 @@ impl Histogram {
         self.max_ms()
     }
 
-    /// Count in finite bucket `i` (values `<= bucket_upper_ms(i)`).
-    pub fn bucket_count(&self, i: usize) -> u64 {
-        self.counts[i]
-    }
-
-    /// Observations above the last finite bucket bound.
-    pub fn overflow_count(&self) -> u64 {
-        self.overflow
-    }
-
     /// Append this histogram as a JSON object to `out`. Only non-empty
     /// buckets are listed (the bounds are fixed, so sparse output loses
     /// nothing).
-    pub fn write_json(&self, out: &mut String) {
+    pub(crate) fn write_json(&self, out: &mut String) {
         use std::fmt::Write as _;
         let _ = write!(
             out,
@@ -352,7 +337,6 @@ mod tests {
         h.observe(2.0);
         h.observe(8.0);
         assert_eq!(h.count(), 3);
-        assert!((h.sum_ms() - 10.5).abs() < 1e-12);
         assert_eq!(h.min_ms(), 0.5);
         assert_eq!(h.max_ms(), 8.0);
         assert!((h.mean_ms() - 3.5).abs() < 1e-12);
@@ -387,8 +371,8 @@ mod tests {
         let mut h = Histogram::new();
         h.observe(0.001); // exactly bucket 0's bound
         h.observe(0.0015); // bucket 1 (0.002)
-        assert_eq!(h.bucket_count(0), 1);
-        assert_eq!(h.bucket_count(1), 1);
+        assert_eq!(h.counts[0], 1);
+        assert_eq!(h.counts[1], 1);
     }
 
     #[test]
@@ -397,8 +381,8 @@ mod tests {
         h.observe(1e9); // above every bound
         h.observe(-3.0); // clamped to 0, bucket 0
         h.observe(f64::NAN); // clamped to 0
-        assert_eq!(h.overflow_count(), 1);
-        assert_eq!(h.bucket_count(0), 2);
+        assert_eq!(h.overflow, 1);
+        assert_eq!(h.counts[0], 2);
         assert_eq!(h.count(), 3);
         assert_eq!(h.min_ms(), 0.0);
     }

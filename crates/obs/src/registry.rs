@@ -487,7 +487,7 @@ mod tests {
         let snap = snapshot();
         let h = snap.histogram("adapt.est_err_rel").expect("recorded");
         assert!(h.count() >= 2);
-        assert!(h.sum_ms() >= 4.0);
+        assert!(h.max_ms() >= 2.5);
         let names: Vec<&str> = snap.counters.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(names.len(), COUNTERS.len(), "every counter exported");
         assert!(names.windows(2).all(|w| w[0] < w[1]), "sorted by name");

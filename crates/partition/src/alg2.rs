@@ -72,19 +72,14 @@ pub(crate) fn search_cut(f: &[f64], g: &[f64]) -> CutSearch {
     }
 }
 
-/// The two-type mixing ratio of §5.2 / Alg. 2 line 9.
+/// The two-type mixing ratio of §5.2 / Alg. 2 line 9, over borrowed
+/// stage slices. Reads only the `l*` and `l*−1` entries.
 ///
 /// When `f(l*) > g(l*)` strictly and `l* ≥ 1`, jobs cut at `l*−1`
 /// (communication-heavy) hide uploads behind the computation of jobs
 /// cut at `l*` (computation-heavy); balancing the accumulated
 /// difference wants `⌊(f(l*) − g(l*)) / (g(l*−1) − f(l*−1))⌋` jobs of
 /// the first kind per job of the second.
-pub fn mixing_ratio(profile: &CostProfile, l_star: usize) -> Option<usize> {
-    ratio_at(profile.f_all(), profile.g_all(), l_star)
-}
-
-/// [`mixing_ratio`] over borrowed stage slices. Reads only the `l*`
-/// and `l*−1` entries.
 pub(crate) fn ratio_at(f: &[f64], g: &[f64], l_star: usize) -> Option<usize> {
     let prev = l_star.checked_sub(1)?;
     let surplus = f[l_star] - g[l_star];

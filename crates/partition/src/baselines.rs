@@ -93,11 +93,11 @@ pub(crate) fn brute_force_plan(profile: &CostProfile, n: usize) -> Plan {
 
 /// Enumeration cap for [`Strategy::BruteForce`]: above this many
 /// multisets the exact search refuses to run.
-pub const BF_CANDIDATE_LIMIT: u128 = 10_000_000;
+pub(crate) const BF_CANDIDATE_LIMIT: u128 = 10_000_000;
 
 /// Number of cut multisets `C(n + k, k)` the brute force would
 /// enumerate for this profile and job count (saturating).
-pub fn brute_force_candidates(profile: &CostProfile, n: usize) -> u128 {
+pub(crate) fn brute_force_candidates(profile: &CostProfile, n: usize) -> u128 {
     binomial(n + profile.k(), profile.k())
 }
 

@@ -4,9 +4,9 @@
 //! convex `g`, problem P2 is convex with strong duality (Lemma 5.1) and
 //! the KKT conditions give Theorem 5.2: all jobs share one cut `x*`
 //! with `f(x*) = g(x*)`. This module finds `x*` on the piecewise-linear
-//! interpolation of a discrete profile, implements the LogSumExp
-//! smoothing used in the proof, and checks the Theorem 5.3 conditions
-//! for the discrete two-type result.
+//! interpolation of a discrete profile, checks strong duality on the
+//! relaxation, and checks the Theorem 5.3 conditions for the discrete
+//! two-type result.
 
 use mcdnn_profile::CostProfile;
 
@@ -51,16 +51,6 @@ pub fn kkt_residual(profile: &CostProfile, x: f64) -> f64 {
     (interp(profile.f_all(), x) - interp(profile.g_all(), x)).abs()
 }
 
-/// The LogSumExp smoothing of `max(a, b)` used in the Theorem 5.2
-/// proof: `(1/α)·ln(exp(α·a) + exp(α·b)) → max(a, b)` as `α → ∞`.
-///
-/// Computed in the numerically-stable shifted form.
-pub fn lse_objective(alpha: f64, a: f64, b: f64) -> f64 {
-    assert!(alpha > 0.0, "alpha must be positive");
-    let m = a.max(b);
-    m + ((alpha * (a - m)).exp() + (alpha * (b - m)).exp()).ln() / alpha
-}
-
 /// The relaxed objective of P2 at a common continuous cut `x`:
 /// `max(Σf/n, Σg/n) = max(f(x), g(x))` for homogeneous cuts.
 pub fn relaxed_objective(profile: &CostProfile, x: f64) -> f64 {
@@ -76,7 +66,7 @@ pub fn theorem53_condition(profile: &CostProfile, l_star: usize) -> bool {
 }
 
 /// [`theorem53_condition`] with an explicit relative tolerance.
-pub fn theorem53_condition_tol(profile: &CostProfile, l_star: usize, tol: f64) -> bool {
+pub(crate) fn theorem53_condition_tol(profile: &CostProfile, l_star: usize, tol: f64) -> bool {
     let Some(prev) = l_star.checked_sub(1) else {
         return false;
     };
@@ -122,18 +112,6 @@ pub fn duality_gap(profile: &CostProfile, grid: usize) -> (f64, f64) {
         dual = dual.max(q);
     }
     (primal, dual)
-}
-
-/// Jensen-style check behind the paper's Fig. 8(a): for convex `g`,
-/// the *average* communication of splitting jobs across two cuts
-/// `x′ < x* < x″` is at least `g` at the matching average point, so
-/// spreading cuts away from `x*` cannot reduce the communication-side
-/// load. Returns `(g(x′) + g(x″))/2 − g((x′ + x″)/2)` — non-negative
-/// exactly when `g` is convex on the triple.
-pub fn convexity_slack(profile: &CostProfile, x_lo: f64, x_hi: f64) -> f64 {
-    let mid = 0.5 * (x_lo + x_hi);
-    0.5 * (interp(profile.g_all(), x_lo) + interp(profile.g_all(), x_hi))
-        - interp(profile.g_all(), mid)
 }
 
 #[cfg(test)]
@@ -192,33 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn lse_converges_to_max() {
-        let (a, b) = (3.0f64, 7.0f64);
-        let exact = a.max(b);
-        let mut prev_err = f64::INFINITY;
-        for alpha in [1.0, 10.0, 100.0, 1000.0] {
-            let err = (lse_objective(alpha, a, b) - exact).abs();
-            assert!(err <= prev_err, "LSE error must not grow with alpha");
-            prev_err = err;
-        }
-        assert!(prev_err < 1e-9);
-    }
-
-    #[test]
-    fn lse_upper_bounds_max() {
-        // ln(e^a + e^b) >= max: smoothing approaches from above.
-        for &(a, b) in &[(0.0, 0.0), (1.0, 5.0), (-3.0, 2.0), (100.0, 100.0)] {
-            assert!(lse_objective(2.0, a, b) >= a.max(b) - 1e-12);
-        }
-    }
-
-    #[test]
-    fn lse_is_numerically_stable_for_huge_inputs() {
-        let v = lse_objective(10.0, 1e6, 1e6 - 1.0);
-        assert!(v.is_finite() && v >= 1e6);
-    }
-
-    #[test]
     fn strong_duality_holds_for_convex_instances() {
         // Linear f, exponentially decaying (convex) g — the paper's
         // canonical shapes (§5.1, Fig. 7).
@@ -272,8 +223,13 @@ mod tests {
         let mut g: Vec<f64> = (0..=k).map(|i| 64.0 * 0.5f64.powi(i as i32)).collect();
         g[k] = 0.0;
         let convex = profile(f.clone(), g);
-        assert!(convexity_slack(&convex, 0.0, 4.0) >= 0.0);
-        assert!(convexity_slack(&convex, 1.0, 3.0) >= 0.0);
+        // Jensen: (g(x') + g(x''))/2 - g((x' + x'')/2) >= 0 on convex g.
+        let slack = |lo: f64, hi: f64| {
+            0.5 * (interp(convex.g_all(), lo) + interp(convex.g_all(), hi))
+                - interp(convex.g_all(), 0.5 * (lo + hi))
+        };
+        assert!(slack(0.0, 4.0) >= 0.0);
+        assert!(slack(1.0, 3.0) >= 0.0);
         // The Fig. 8(a) statement: averaging two off-optimum cuts keeps
         // the communication average above g at the balanced point.
         let x_star = balanced_cut_continuous(&convex);

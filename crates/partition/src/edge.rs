@@ -29,7 +29,7 @@ pub struct EdgePlan {
 }
 
 /// Materialise three-stage jobs for a cut assignment.
-pub fn edge_jobs(profile: &CostProfile, cuts: &[usize]) -> Vec<FlowJob> {
+pub(crate) fn edge_jobs(profile: &CostProfile, cuts: &[usize]) -> Vec<FlowJob> {
     cuts.iter()
         .enumerate()
         .map(|(id, &c)| FlowJob::three_stage(id, profile.f(c), profile.g(c), profile.cloud(c)))

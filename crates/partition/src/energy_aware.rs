@@ -4,9 +4,8 @@
 //! slightly slower plan that keeps the radio or the CPU quieter. Over
 //! the same candidate family as JPS (uniform cuts + adjacent two-type
 //! mixes), this module computes every plan's `(makespan, energy)` pair,
-//! extracts the Pareto-efficient set, and answers the two practical
-//! queries: minimum energy under a latency budget, and minimum latency
-//! under an energy budget.
+//! extracts the Pareto-efficient set, and answers the practical query
+//! of minimum energy under a latency budget.
 
 use mcdnn_profile::energy::EnergyModel;
 use mcdnn_profile::CostProfile;
@@ -27,14 +26,18 @@ pub struct EnergyPoint {
 
 /// Evaluate the device energy of a plan: active compute = Σf, active
 /// tx = Σg, idle for the rest of the makespan.
-pub fn plan_energy_mj(profile: &CostProfile, plan: &Plan, energy: &EnergyModel) -> f64 {
+pub(crate) fn plan_energy_mj(profile: &CostProfile, plan: &Plan, energy: &EnergyModel) -> f64 {
     let busy_f: f64 = plan.cuts.iter().map(|&c| profile.f(c)).sum();
     let busy_g: f64 = plan.cuts.iter().map(|&c| profile.g(c)).sum();
     energy.batch_mj(busy_f, busy_g, plan.makespan_ms.max(busy_f.max(busy_g)))
 }
 
 /// All candidate plans with their `(makespan, energy)` coordinates.
-pub fn candidate_points(profile: &CostProfile, n: usize, energy: &EnergyModel) -> Vec<EnergyPoint> {
+pub(crate) fn candidate_points(
+    profile: &CostProfile,
+    n: usize,
+    energy: &EnergyModel,
+) -> Vec<EnergyPoint> {
     let mut plans: Vec<Plan> = (0..=profile.k())
         .map(|l| Plan::from_cuts(Strategy::Jps, profile, vec![l; n]))
         .collect();
@@ -99,19 +102,6 @@ pub fn min_energy_plan(
         .into_iter()
         .filter(|p| p.makespan_ms <= latency_budget_ms + 1e-9)
         .min_by(|a, b| a.energy_mj.total_cmp(&b.energy_mj))
-}
-
-/// Minimum-latency plan whose energy stays within `energy_budget_mj`.
-pub fn min_latency_plan(
-    profile: &CostProfile,
-    n: usize,
-    energy: &EnergyModel,
-    energy_budget_mj: f64,
-) -> Option<EnergyPoint> {
-    candidate_points(profile, n, energy)
-        .into_iter()
-        .filter(|p| p.energy_mj <= energy_budget_mj + 1e-9)
-        .min_by(|a, b| a.makespan_ms.total_cmp(&b.makespan_ms))
 }
 
 #[cfg(test)]
@@ -184,18 +174,6 @@ mod tests {
     #[test]
     fn impossible_budget_returns_none() {
         assert!(min_energy_plan(&profile(), 10, &energy(), 0.001).is_none());
-        assert!(min_latency_plan(&profile(), 10, &energy(), 0.001).is_none());
-    }
-
-    #[test]
-    fn energy_budget_query_consistent() {
-        let p = profile();
-        let e = energy();
-        let front = pareto_front(&p, 10, &e);
-        for pt in &front {
-            let got = min_latency_plan(&p, 10, &e, pt.energy_mj + 1e-6).unwrap();
-            assert!(got.makespan_ms <= pt.makespan_ms + 1e-9);
-        }
     }
 
     #[test]

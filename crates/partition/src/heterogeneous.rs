@@ -73,6 +73,8 @@ fn group_candidates(profile: &CostProfile, count: usize) -> Vec<GroupCut> {
                 .collect();
             if let Some(ratio) = search.ratio {
                 if ratio > 0 {
+                    // Capped: ⌊c·r/(r+1)⌋ = c − 1 for every r ≥ c − 1.
+                    let ratio = ratio.min(2 * count);
                     ms.push((count * ratio) / (ratio + 1));
                 }
             }
@@ -124,13 +126,13 @@ fn evaluate(groups: &[JobGroup], decisions: &[GroupCut]) -> (Vec<FlowJob>, Vec<u
 
 /// Cap on the candidate-product size before falling back to coordinate
 /// descent.
-pub const PRODUCT_CAP: usize = 200_000;
+pub(crate) const PRODUCT_CAP: usize = 200_000;
 
 /// Joint partition + scheduling for a heterogeneous batch.
 ///
 /// Exact over the per-group candidate family when the product of
-/// candidate counts is below [`PRODUCT_CAP`]; otherwise coordinate
-/// descent over the same family (monotone improving, hence
+/// candidate counts is at most `PRODUCT_CAP` (200,000); otherwise
+/// coordinate descent over the same family (monotone improving, hence
 /// terminating).
 pub fn hetero_jps_plan(groups: &[JobGroup]) -> HeteroPlan {
     assert!(!groups.is_empty(), "need at least one group");
@@ -225,14 +227,13 @@ fn coordinate_descent(groups: &[JobGroup], candidates: &[Vec<GroupCut>]) -> Vec<
 /// only) — the validation oracle for [`hetero_jps_plan`].
 ///
 /// Panics when the total assignment count exceeds 5×10⁶.
-pub fn hetero_brute_force(groups: &[JobGroup]) -> HeteroPlan {
+#[cfg(test)]
+fn hetero_brute_force(groups: &[JobGroup]) -> HeteroPlan {
     // Count multisets per group: C(count + k, k); product across groups.
     let mut total: u128 = 1;
     for g in groups {
         let (n, k) = (g.count, g.profile.k());
         let mut c: u128 = 1;
-        let kk = k.min(n + k - k.min(n + k));
-        let _ = kk;
         for i in 0..k {
             c = c.saturating_mul((n + k - i) as u128) / (i as u128 + 1);
         }
@@ -276,6 +277,7 @@ pub fn hetero_brute_force(groups: &[JobGroup]) -> HeteroPlan {
 }
 
 /// Recursive enumeration of non-decreasing cut assignments per group.
+#[cfg(test)]
 fn search_group(
     groups: &[JobGroup],
     g: usize,
@@ -297,7 +299,6 @@ fn search_group(
         }
         return;
     }
-    let n = groups[g].count;
     let k = groups[g].profile.k();
     fn rec(
         groups: &[JobGroup],
@@ -317,7 +318,6 @@ fn search_group(
             rec(groups, g, pos + 1, c, k, acc, best);
         }
     }
-    let _ = n;
     rec(groups, g, 0, 0, k, acc, best);
 }
 
@@ -340,6 +340,17 @@ mod tests {
                 count: 2,
             },
         ]
+    }
+
+    #[test]
+    fn tiny_deficit_ratio_plans_without_overflow() {
+        // The ratio saturates at usize::MAX; groups above 12 jobs use it.
+        let groups = vec![JobGroup {
+            profile: profile(vec![0.0, 5.0, 1.0e6], vec![10.0, 5.0 + 5e-15, 0.0]),
+            count: 13,
+        }];
+        let plan = hetero_jps_plan(&groups);
+        assert_eq!(plan.jobs.len(), 13);
     }
 
     #[test]

@@ -36,9 +36,12 @@ use crate::plan::{Plan, Strategy};
 ///
 /// With ratio `r`, groups of `r` jobs at `l*−1` pair with 1 job at
 /// `l*`; remainders go to `l*` (the computation-heavy side, whose
-/// surplus the paper's condition assumes is the larger).
+/// surplus the paper's condition assumes is the larger). The ratio is
+/// capped at `2n`, above which the split no longer changes; an
+/// uncapped ratio saturates at `usize::MAX` when the deficit is tiny.
 fn split_by_ratio(n: usize, ratio: usize) -> (usize, usize) {
     // (count at l*-1, count at l*)
+    let ratio = ratio.min(2 * n);
     let group = ratio + 1;
     let full_groups = n / group;
     let remainder = n % group;
@@ -108,10 +111,11 @@ pub(crate) fn ratio_mix_at_prev(search: &CutSearch, n: usize) -> Option<usize> {
 
 /// The mix count of the proportional variant of the ratio mix
 /// (`round(n·r/(r+1))` at `l*−1`), or `None` when the ratio path
-/// degenerates.
+/// degenerates. `r` is capped at `2n`, where the count is already `n`.
 pub(crate) fn proportional_at_prev(search: &CutSearch, n: usize) -> Option<usize> {
     match (search.l_prev, search.ratio) {
         (Some(_), Some(ratio)) if ratio > 0 && n > 0 => {
+            let ratio = ratio.min(2 * n);
             Some((((n * ratio) as f64 / (ratio + 1) as f64).round() as usize).min(n))
         }
         _ => None,
@@ -264,6 +268,19 @@ mod tests {
 
     fn profile(f: Vec<f64>, g: Vec<f64>) -> CostProfile {
         CostProfile::from_vectors("t", f, g, None)
+    }
+
+    #[test]
+    fn tiny_deficit_ratio_plans_without_overflow() {
+        // g(l*-1) - f(l*-1) = 5e-15, so the ratio saturates at usize::MAX.
+        let p = profile(vec![0.0, 5.0, 1.0e6], vec![10.0, 5.0 + 5e-15, 0.0]);
+        assert_eq!(binary_search_cut(&p).ratio, Some(usize::MAX));
+        for strategy in [Strategy::Jps, Strategy::JpsBestMix] {
+            for n in [1, 6, 13] {
+                let plan = strategy.try_plan(&p, n).expect("plans");
+                assert_eq!(plan.cuts.len(), n);
+            }
+        }
     }
 
     #[test]

@@ -13,10 +13,9 @@
 //!   BF (exact joint optimum by multiset enumeration, small `n`).
 //! * [`plan`] — the uniform [`plan::Plan`] produced by every strategy:
 //!   per-job cuts, Johnson order, makespan and per-job completions.
-//! * [`continuous`] — §5.1 theory: the continuous relaxation, the
-//!   LogSumExp smoothing used in Theorem 5.2's proof, the balanced
-//!   crossing point `x*` with `f(x*) = g(x*)`, and the Theorem 5.3
-//!   condition check.
+//! * [`continuous`] — §5.1 theory: the continuous relaxation, its
+//!   strong duality, the balanced crossing point `x*` with
+//!   `f(x*) = g(x*)`, and the Theorem 5.3 condition check.
 //! * [`general`] — Algorithm 3 for general-structure DAGs: independent
 //!   path decomposition, per-path Alg. 2 cuts, duplicated nodes counted
 //!   once, and the modified Johnson schedule over path instances.
@@ -43,18 +42,16 @@ pub mod multichannel;
 pub mod plan;
 pub mod reference;
 
-pub use alg2::{binary_search_cut, mixing_ratio, CutSearch};
+pub use alg2::{binary_search_cut, CutSearch};
 pub use error::{ParseStrategyError, PlanError};
 pub use batching::{best_batch_size, evaluate_batch, BatchChoice};
-pub use continuous::{
-    balanced_cut_continuous, convexity_slack, duality_gap, lse_objective, theorem53_condition,
-};
+pub use continuous::{balanced_cut_continuous, duality_gap, theorem53_condition};
 pub use edge::{edge_jps_plan, two_stage_blind_plan, EdgePlan};
-pub use energy_aware::{min_energy_plan, min_latency_plan, pareto_front, EnergyPoint};
+pub use energy_aware::{min_energy_plan, pareto_front, EnergyPoint};
 pub use flowtime_aware::{flowtime_jps_plan, FlowtimePlan};
 pub use frontier::{CutMix, FrontierDecision, PlanCache, RateFrontier, RateProfile};
 pub use general::{general_jps_plan, multipath_cuts, GeneralPlan};
-pub use heterogeneous::{hetero_brute_force, hetero_jps_plan, HeteroPlan, JobGroup};
+pub use heterogeneous::{hetero_jps_plan, HeteroPlan, JobGroup};
 pub use joint::{joint_allocate, oblivious_allocation, JointAllocation, JointTenant};
 pub use multichannel::{makespan_multichannel, multichannel_jps_plan};
 pub use plan::{Plan, Strategy};

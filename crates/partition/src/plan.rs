@@ -232,7 +232,7 @@ impl Plan {
 ///
 /// The (negligible-by-assumption) cloud stage is carried along so
 /// three-stage evaluations can audit the assumption.
-pub fn jobs_for_cuts(profile: &CostProfile, cuts: &[usize]) -> Vec<FlowJob> {
+pub(crate) fn jobs_for_cuts(profile: &CostProfile, cuts: &[usize]) -> Vec<FlowJob> {
     cuts.iter()
         .enumerate()
         .map(|(id, &c)| FlowJob::three_stage(id, profile.f(c), profile.g(c), profile.cloud(c)))

@@ -19,8 +19,10 @@ use mcdnn_profile::CostProfile;
 use crate::alg2::binary_search_cut;
 use crate::plan::{Plan, Strategy};
 
-/// `split_by_ratio` as shipped before the kernel refactor.
+/// `split_by_ratio` as shipped before the kernel refactor, with the
+/// ratio capped at `2n` like the planner's.
 fn split_by_ratio(n: usize, ratio: usize) -> (usize, usize) {
+    let ratio = ratio.min(2 * n);
     let group = ratio + 1;
     let full_groups = n / group;
     let remainder = n % group;
@@ -64,6 +66,7 @@ pub fn jps_plan(profile: &CostProfile, n: usize) -> Plan {
     let search = binary_search_cut(profile);
     if let (Some(prev), Some(ratio)) = (search.l_prev, search.ratio) {
         if ratio > 0 && n > 0 {
+            let ratio = ratio.min(2 * n);
             let at_prev =
                 (((n * ratio) as f64 / (ratio + 1) as f64).round() as usize).min(n);
             let mut cuts = vec![prev; at_prev];

@@ -8,9 +8,9 @@
 //! This module is the sensor layer that closes the
 //! observe→estimate→replan loop:
 //!
-//! * [`Ewma`] — a debiased exponentially-weighted moving average
+//! * `Ewma` — a debiased exponentially-weighted moving average
 //!   tracking one multiplicative scale (realized / base).
-//! * [`WindowRegression`] — a fixed-capacity sliding window of
+//! * `WindowRegression` — a fixed-capacity sliding window of
 //!   `(ratio, upload_ms)` samples refit by [`crate::LinearRegression`],
 //!   re-learning the paper's `(w0, w1)` online.
 //! * [`ProfileEstimator`] — one per tenant: per-layer device scales, a
@@ -62,7 +62,7 @@ impl ProfileVersion {
 /// exactly (Kingma & Ba's Adam uses the same correction), so the
 /// estimator is trustworthy from the very first observation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Ewma {
+pub(crate) struct Ewma {
     alpha: f64,
     s: f64,
     w: f64,
@@ -71,7 +71,7 @@ pub struct Ewma {
 
 impl Ewma {
     /// New tracker with smoothing factor `alpha` in `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
+    pub(crate) fn new(alpha: f64) -> Self {
         Ewma {
             alpha: alpha.clamp(f64::MIN_POSITIVE, 1.0),
             s: 0.0,
@@ -83,7 +83,7 @@ impl Ewma {
     /// Fold one observation in. Non-finite samples are ignored — a
     /// sensor glitch must not poison the scale estimate.
     #[inline]
-    pub fn observe(&mut self, x: f64) {
+    pub(crate) fn observe(&mut self, x: f64) {
         if !x.is_finite() {
             return;
         }
@@ -94,18 +94,12 @@ impl Ewma {
 
     /// Debiased estimate, `None` before the first observation.
     #[inline]
-    pub fn value(&self) -> Option<f64> {
+    pub(crate) fn value(&self) -> Option<f64> {
         if self.n == 0 {
             None
         } else {
             Some(self.s / self.w)
         }
-    }
-
-    /// Number of observations folded in.
-    #[inline]
-    pub fn count(&self) -> u64 {
-        self.n
     }
 }
 
@@ -114,28 +108,26 @@ impl Ewma {
 /// construction; [`WindowRegression::push`] overwrites the oldest
 /// sample in place, so the steady-state observe path never allocates.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WindowRegression {
+pub(crate) struct WindowRegression {
     buf: Vec<(f64, f64)>,
     cap: usize,
     next: usize,
-    total: u64,
 }
 
 impl WindowRegression {
     /// New window holding at most `cap` samples (`cap >= 2`).
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         let cap = cap.max(2);
         WindowRegression {
             buf: Vec::with_capacity(cap),
             cap,
             next: 0,
-            total: 0,
         }
     }
 
     /// Record one sample, evicting the oldest once the window is full.
     #[inline]
-    pub fn push(&mut self, x: f64, y: f64) {
+    pub(crate) fn push(&mut self, x: f64, y: f64) {
         if !(x.is_finite() && y.is_finite()) {
             return;
         }
@@ -145,31 +137,12 @@ impl WindowRegression {
             self.buf[self.next] = (x, y);
         }
         self.next = (self.next + 1) % self.cap;
-        self.total += 1;
-    }
-
-    /// Samples currently held.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True before any sample has been recorded.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Total samples ever pushed (including evicted ones).
-    #[inline]
-    pub fn total(&self) -> u64 {
-        self.total
     }
 
     /// Least-squares fit over the current window. OLS is permutation
     /// invariant, so the physical ring order is fit directly — no
     /// reordering, no allocation. `None` while the design is degenerate.
-    pub fn fit(&self) -> Option<LinearRegression> {
+    pub(crate) fn fit(&self) -> Option<LinearRegression> {
         LinearRegression::fit(&self.buf)
     }
 }
@@ -368,7 +341,7 @@ impl ProfileEstimator {
     /// observations have arrived and at least one parameter estimate
     /// sits `gate` (relative) away from its committed value. Read-only
     /// and allocation-free — safe on the steady-state serving path.
-    pub fn gate_crossed(&self) -> bool {
+    pub(crate) fn gate_crossed(&self) -> bool {
         if self.observations < self.cfg.min_obs || !self.suspect {
             return false;
         }
@@ -461,7 +434,7 @@ mod tests {
             e.observe(4.0);
         }
         assert!((e.value().unwrap() - 4.0).abs() < 1e-12);
-        assert_eq!(e.count(), 201);
+        assert_eq!(e.n, 201);
     }
 
     #[test]
@@ -497,8 +470,7 @@ mod tests {
         }
         let r = w.fit().unwrap();
         assert!((r.w1 - 5.0).abs() < 1e-9 && (r.w0 - 1.0).abs() < 1e-9);
-        assert_eq!(w.len(), 8);
-        assert_eq!(w.total(), 16);
+        assert_eq!(w.buf.len(), 8);
     }
 
     #[test]

@@ -275,17 +275,6 @@ impl CostProfile {
         }
         crate::adapt::ProfileVersion::base(h)
     }
-
-    /// Local-only latency: run everything on the mobile device.
-    pub fn local_only_ms(&self) -> f64 {
-        self.f(self.k())
-    }
-
-    /// Cloud-only latency for one isolated job: upload the input and run
-    /// everything remotely.
-    pub fn cloud_only_ms(&self) -> f64 {
-        self.g(0) + self.cloud(0)
-    }
 }
 
 #[cfg(test)]
@@ -332,7 +321,8 @@ mod tests {
         let cloud = CloudModel::Device(DeviceModel::new("c", 2e9, 0.0));
         let p = CostProfile::evaluate(&line(), &mobile, &net, &cloud);
         assert_eq!(p.cloud_all(), &[2.0, 1.0, 0.0]);
-        assert!((p.cloud_only_ms() - 1002.0).abs() < 1e-9);
+        // Cloud only: upload the input, then run everything remotely.
+        assert!((p.g(0) + p.cloud(0) - 1002.0).abs() < 1e-9);
     }
 
     #[test]
@@ -371,18 +361,6 @@ mod tests {
         // Blazing network: offloading immediately is already balanced.
         let p = CostProfile::from_vectors("s", vec![0.0, 5.0], vec![0.0, 0.0], None);
         assert_eq!(p.l_star_linear(), 0);
-    }
-
-    #[test]
-    fn extremes() {
-        let p = CostProfile::from_vectors(
-            "s",
-            vec![0.0, 3.0, 8.0],
-            vec![10.0, 4.0, 0.0],
-            None,
-        );
-        assert_eq!(p.local_only_ms(), 8.0);
-        assert_eq!(p.cloud_only_ms(), 10.0);
     }
 
     #[test]

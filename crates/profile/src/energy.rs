@@ -44,13 +44,6 @@ impl EnergyModel {
         EnergyModel::new(6.4, 3.8, 2.7)
     }
 
-    /// Active energy of one job's mobile stages: compute for `f_ms`,
-    /// transmit for `g_ms` (idle-baseline included in both states).
-    #[inline]
-    pub fn job_active_mj(&self, f_ms: f64, g_ms: f64) -> f64 {
-        self.compute_watts * f_ms + self.tx_watts * g_ms
-    }
-
     /// Total device energy over a batch: active compute + active tx +
     /// idle for the remainder of the makespan. `busy_compute_ms` and
     /// `busy_tx_ms` may overlap (CPU computes while radio transmits),
@@ -69,12 +62,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn job_energy_formula() {
-        let e = EnergyModel::new(5.0, 3.0, 1.0);
-        assert!((e.job_active_mj(100.0, 50.0) - (500.0 + 150.0)).abs() < 1e-12);
-    }
-
-    #[test]
     fn batch_energy_includes_idle() {
         let e = EnergyModel::new(5.0, 3.0, 1.0);
         // 100 ms makespan, 40 ms computing, 30 ms transmitting.
@@ -86,8 +73,9 @@ mod tests {
     fn offloading_saves_energy_when_radio_is_cheap() {
         let e = EnergyModel::raspberry_pi4_wifi();
         // 700 ms of local compute vs 100 ms compute + 80 ms upload.
-        let local = e.job_active_mj(700.0, 0.0);
-        let offload = e.job_active_mj(100.0, 80.0);
+        let active_mj = |f_ms: f64, g_ms: f64| e.compute_watts * f_ms + e.tx_watts * g_ms;
+        let local = active_mj(700.0, 0.0);
+        let offload = active_mj(100.0, 80.0);
         assert!(offload < local);
     }
 

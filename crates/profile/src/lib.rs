@@ -30,7 +30,7 @@ pub mod measure;
 pub mod network;
 pub mod regression;
 
-pub use adapt::{AdaptConfig, Ewma, ProfileEstimator, ProfileVersion, WindowRegression};
+pub use adapt::{AdaptConfig, ProfileEstimator, ProfileVersion};
 pub use cost::{CostProfile, ProfileError};
 pub use device::{CloudModel, DeviceModel};
 pub use energy::EnergyModel;

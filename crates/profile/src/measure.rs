@@ -118,7 +118,6 @@ mod tests {
         // w0 ≈ setup latency, w1 ≈ 1 (ratio already in ms units).
         assert!((fit.w0 - 25.0).abs() < 8.0, "w0 = {}", fit.w0);
         assert!((fit.w1 - 1.0).abs() < 0.05, "w1 = {}", fit.w1);
-        assert!(fit.r_squared(&samples) > 0.99);
     }
 
     #[test]

@@ -46,34 +46,6 @@ impl LinearRegression {
         let w0 = mean_y - w1 * mean_x;
         Some(LinearRegression { w0, w1 })
     }
-
-    /// Predict `y` at `x`.
-    #[inline]
-    pub fn predict(&self, x: f64) -> f64 {
-        self.w0 + self.w1 * x
-    }
-
-    /// Coefficient of determination on a dataset.
-    pub fn r_squared(&self, points: &[(f64, f64)]) -> f64 {
-        if points.is_empty() {
-            return f64::NAN;
-        }
-        let mean_y: f64 = points.iter().map(|p| p.1).sum::<f64>() / points.len() as f64;
-        let ss_tot: f64 = points.iter().map(|p| (p.1 - mean_y).powi(2)).sum();
-        let ss_res: f64 = points
-            .iter()
-            .map(|p| (p.1 - self.predict(p.0)).powi(2))
-            .sum();
-        if ss_tot == 0.0 {
-            if ss_res == 0.0 {
-                1.0
-            } else {
-                f64::NEG_INFINITY
-            }
-        } else {
-            1.0 - ss_res / ss_tot
-        }
-    }
 }
 
 #[cfg(test)]
@@ -86,7 +58,6 @@ mod tests {
         let r = LinearRegression::fit(&pts).unwrap();
         assert!((r.w0 - 3.0).abs() < 1e-9);
         assert!((r.w1 - 2.5).abs() < 1e-9);
-        assert!((r.r_squared(&pts) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -107,7 +78,9 @@ mod tests {
         ];
         let fitted = LinearRegression::fit(&pts).unwrap();
         let sse = |r: &LinearRegression| -> f64 {
-            pts.iter().map(|p| (p.1 - r.predict(p.0)).powi(2)).sum()
+            pts.iter()
+                .map(|p| (p.1 - (r.w0 + r.w1 * p.0)).powi(2))
+                .sum()
         };
         let best = sse(&fitted);
         for dw0 in [-0.2, -0.05, 0.05, 0.2] {
@@ -146,17 +119,10 @@ mod tests {
         // tolerance scales with offset·slope_error; what matters is the
         // prediction inside the sampled band is exact.
         for p in &pts {
-            assert!((r.predict(p.0) - p.1).abs() < 1e-6);
+            assert!((r.w0 + r.w1 * p.0 - p.1).abs() < 1e-6);
         }
         // Spread at true rounding scale is still rejected, not fit.
         let flat: Vec<(f64, f64)> = (0..8).map(|_| (5.0e6, 1.0)).collect();
         assert!(LinearRegression::fit(&flat).is_none());
-    }
-
-    #[test]
-    fn r_squared_of_constant_data() {
-        let pts = [(0.0, 5.0), (1.0, 5.0), (2.0, 5.0)];
-        let r = LinearRegression { w0: 5.0, w1: 0.0 };
-        assert_eq!(r.r_squared(&pts), 1.0);
     }
 }

@@ -89,11 +89,12 @@ impl DesResult {
 ///
 /// Results are **bit-exact** with the free [`simulate`] /
 /// [`simulate_faulted`] wrappers — those are implemented as one-shot
-/// arenas over the very same event loop. After a run, read the outputs
-/// through [`DesArena::timelines`], [`DesArena::events`] and
-/// [`DesArena::fallbacks`]; they stay valid until the next run. A warm
-/// run whose job count fits the existing capacity performs no heap
-/// allocation (proven by a counting-allocator test).
+/// arenas over the very same event loop, and they return the per-job
+/// timelines. After an arena run, read the fault outputs through
+/// [`DesArena::events`] and [`DesArena::fallbacks`]; they stay valid
+/// until the next run. A warm run whose job count fits the existing
+/// capacity performs no heap allocation (proven by a counting-allocator
+/// test).
 #[derive(Debug, Default)]
 pub struct DesArena {
     uplink_free: Vec<f64>,
@@ -141,7 +142,8 @@ impl DesArena {
     }
 
     /// Timelines of the most recent run, in schedule order.
-    pub fn timelines(&self) -> &[JobTimeline] {
+    #[cfg(test)]
+    fn timelines(&self) -> &[JobTimeline] {
         &self.timelines
     }
 
@@ -329,8 +331,8 @@ pub fn simulate_faulted(
 
 impl DesArena {
     /// Run [`simulate_faulted`] in this arena; returns the makespan.
-    /// Outputs land in [`DesArena::timelines`], [`DesArena::events`]
-    /// and [`DesArena::fallbacks`]. Note `FaultPlan::link_timeline`
+    /// Fault outputs land in [`DesArena::events`] and
+    /// [`DesArena::fallbacks`]. Note `FaultPlan::link_timeline`
     /// builds its piecewise timeline per call, so a faulted run is not
     /// allocation-free even when warm.
     pub fn simulate_faulted(

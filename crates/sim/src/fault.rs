@@ -27,8 +27,8 @@
 //! remaining layers itself.
 //!
 //! Every fault and recovery decision is recorded as a [`FaultEvent`];
-//! [`format_events`] renders the canonical textual log whose
-//! [`log_digest`] the chaos tests pin across repeated seeded runs.
+//! the chaos drills render them as a canonical textual log whose
+//! digest the chaos tests pin across repeated seeded runs.
 
 use mcdnn_rng::{fnv_fold, Rng, FNV_OFFSET};
 
@@ -129,7 +129,7 @@ impl FaultPlan {
     }
 
     /// Number of consecutive upload attempts job `job` loses.
-    pub fn upload_losses(&self, job: usize) -> u32 {
+    pub(crate) fn upload_losses(&self, job: usize) -> u32 {
         self.faults
             .iter()
             .map(|f| match *f {
@@ -141,7 +141,7 @@ impl FaultPlan {
 
     /// Cloud slowdown factor for job `job` (1.0 when unafflicted;
     /// overlapping straggles multiply).
-    pub fn cloud_factor(&self, job: usize) -> f64 {
+    pub(crate) fn cloud_factor(&self, job: usize) -> f64 {
         self.faults
             .iter()
             .map(|f| match *f {
@@ -154,7 +154,7 @@ impl FaultPlan {
     /// The piecewise-constant uplink-rate timeline induced by the
     /// collapse and blackout windows (rate factor 1.0 outside them; the
     /// minimum factor wins where windows overlap).
-    pub fn link_timeline(&self) -> LinkTimeline {
+    pub(crate) fn link_timeline(&self) -> LinkTimeline {
         let windows: Vec<(f64, f64, f64)> = self
             .faults
             .iter()
@@ -262,7 +262,7 @@ impl Default for FaultSpec {
 /// wall time in a segment with factor `φ`, and makes no progress while
 /// `φ = 0`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LinkTimeline {
+pub(crate) struct LinkTimeline {
     /// `(start_ms, factor)` change points, sorted by start; the factor
     /// holds until the next point. Implicit `(0, 1.0)` head and a final
     /// segment extending to infinity.
@@ -270,13 +270,8 @@ pub struct LinkTimeline {
 }
 
 impl LinkTimeline {
-    /// The fault-free timeline (factor 1.0 everywhere).
-    pub fn nominal() -> Self {
-        LinkTimeline { points: Vec::new() }
-    }
-
     /// Build from `(from_ms, until_ms, factor)` windows.
-    pub fn from_windows(windows: &[(f64, f64, f64)]) -> Self {
+    pub(crate) fn from_windows(windows: &[(f64, f64, f64)]) -> Self {
         let mut bounds: Vec<f64> = windows
             .iter()
             .flat_map(|&(a, b, _)| [a, b])
@@ -309,23 +304,19 @@ impl LinkTimeline {
     }
 
     /// Rate factor at time `t_ms`.
-    pub fn factor_at(&self, t_ms: f64) -> f64 {
+    #[cfg(test)]
+    fn factor_at(&self, t_ms: f64) -> f64 {
         match self.points.iter().rposition(|&(s, _)| s <= t_ms) {
             Some(i) => self.points[i].1,
             None => 1.0,
         }
     }
 
-    /// True when the factor is 1.0 everywhere.
-    pub fn is_nominal(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// Completion time of a transfer needing `work_ms` of nominal link
     /// time, starting at `start_ms`: walks the segments integrating the
     /// rate. Always finite because every fault window ends (the final
     /// open segment has factor 1.0).
-    pub fn transfer_end(&self, start_ms: f64, work_ms: f64) -> f64 {
+    pub(crate) fn transfer_end(&self, start_ms: f64, work_ms: f64) -> f64 {
         if work_ms <= 0.0 {
             return start_ms;
         }
@@ -398,7 +389,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// Backoff before retry number `retry` (1-based: the delay after
     /// the `retry`-th failed attempt), exponentially grown and capped.
-    pub fn backoff_ms(&self, retry: u32) -> f64 {
+    pub(crate) fn backoff_ms(&self, retry: u32) -> f64 {
         assert!(retry >= 1, "backoff follows a failed attempt");
         let exp = self.multiplier.powi(retry as i32 - 1);
         (self.base_delay_ms * exp).min(self.max_delay_ms)
@@ -407,7 +398,7 @@ impl RetryPolicy {
     /// Worst-case time burned before giving up on a job whose every
     /// attempt times out: all attempts at `timeout_ms` plus every
     /// backoff in between.
-    pub fn exhaustion_penalty_ms(&self) -> f64 {
+    pub(crate) fn exhaustion_penalty_ms(&self) -> f64 {
         let timeouts = self.max_attempts as f64 * self.timeout_ms;
         let backoffs: f64 = (1..self.max_attempts).map(|r| self.backoff_ms(r)).sum();
         timeouts + backoffs
@@ -484,7 +475,7 @@ pub(crate) fn sort_events(events: &mut [FaultEvent]) {
 /// decimal formatting, sorted the way the substrates emit (time, then
 /// job id). Bit-identical across runs of the same fault schedule — the
 /// property [`log_digest`] lets tests pin cheaply.
-pub fn format_events(events: &[FaultEvent]) -> String {
+pub(crate) fn format_events(events: &[FaultEvent]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     for e in events {
@@ -512,7 +503,7 @@ pub fn format_events(events: &[FaultEvent]) -> String {
 
 /// FNV-1a digest of a textual log; two runs of the same fault schedule
 /// must produce equal digests (chaos determinism contract).
-pub fn log_digest(log: &str) -> u64 {
+pub(crate) fn log_digest(log: &str) -> u64 {
     log.bytes().fold(FNV_OFFSET, |h, b| fnv_fold(h, b as u64))
 }
 
@@ -522,8 +513,8 @@ mod tests {
 
     #[test]
     fn nominal_timeline_is_identity() {
-        let tl = LinkTimeline::nominal();
-        assert!(tl.is_nominal());
+        let tl = LinkTimeline::from_windows(&[]);
+        assert!(tl.points.is_empty());
         assert_eq!(tl.factor_at(0.0), 1.0);
         assert_eq!(tl.factor_at(1e9), 1.0);
         assert_eq!(tl.transfer_end(5.0, 7.0), 12.0);
@@ -584,7 +575,7 @@ mod tests {
         assert_eq!(plan.cloud_factor(3), 1.0);
         assert_eq!(plan.link_timeline().factor_at(1.5), 0.0);
         assert!(FaultPlan::none().is_empty());
-        assert!(FaultPlan::none().link_timeline().is_nominal());
+        assert!(FaultPlan::none().link_timeline().points.is_empty());
     }
 
     #[test]

@@ -42,10 +42,7 @@ pub use degrade::{
 pub use des::{
     simulate, simulate_faulted, DesArena, DesConfig, DesResult, FaultedDesResult, FaultedRun,
 };
-pub use fault::{
-    format_events, log_digest, Fault, FaultEvent, FaultEventKind, FaultPlan, FaultSpec,
-    LinkTimeline, RetryPolicy,
-};
+pub use fault::{Fault, FaultEvent, FaultEventKind, FaultPlan, FaultSpec, RetryPolicy};
 pub use executor::{
     run_pipeline, run_pipeline_faulted, ClockMode, ExecTrace, ExecutorConfig, FaultedExecTrace,
 };

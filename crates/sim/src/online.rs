@@ -53,7 +53,7 @@ pub enum BandwidthTrace {
 
 impl BandwidthTrace {
     /// Materialise the first `bursts` bandwidths.
-    pub fn realize(&self, bursts: usize) -> Vec<f64> {
+    pub(crate) fn realize(&self, bursts: usize) -> Vec<f64> {
         match self {
             BandwidthTrace::Constant(b) => vec![*b; bursts],
             BandwidthTrace::Sine { mid, amp, period } => {

@@ -15,15 +15,14 @@ mod scale;
 
 pub use bar::BarChart;
 pub use line::{LineChart, Series};
-pub use scale::{nice_ticks, Scale};
 
 /// The categorical palette shared by both chart kinds.
-pub const PALETTE: [&str; 8] = [
+pub(crate) const PALETTE: [&str; 8] = [
     "#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#76b7b2", "#edc948", "#b07aa1", "#9c755f",
 ];
 
 /// Escape text for inclusion in SVG/XML.
-pub fn escape(text: &str) -> String {
+pub(crate) fn escape(text: &str) -> String {
     text.replace('&', "&amp;")
         .replace('<', "&lt;")
         .replace('>', "&gt;")

@@ -2,7 +2,7 @@
 
 /// A linear or log₁₀ mapping from data space to pixel space.
 #[derive(Debug, Clone, Copy)]
-pub struct Scale {
+pub(crate) struct Scale {
     min: f64,
     max: f64,
     px_lo: f64,
@@ -12,7 +12,7 @@ pub struct Scale {
 
 impl Scale {
     /// Linear scale over `[min, max]` mapped to `[px_lo, px_hi]`.
-    pub fn linear(min: f64, max: f64, px_lo: f64, px_hi: f64) -> Self {
+    pub(crate) fn linear(min: f64, max: f64, px_lo: f64, px_hi: f64) -> Self {
         assert!(max > min, "degenerate domain {min}..{max}");
         Scale {
             min,
@@ -24,7 +24,7 @@ impl Scale {
     }
 
     /// Log₁₀ scale; requires strictly positive domain.
-    pub fn log10(min: f64, max: f64, px_lo: f64, px_hi: f64) -> Self {
+    pub(crate) fn log10(min: f64, max: f64, px_lo: f64, px_hi: f64) -> Self {
         assert!(min > 0.0 && max > min, "log domain must be positive, {min}..{max}");
         Scale {
             min,
@@ -36,7 +36,7 @@ impl Scale {
     }
 
     /// Map a data value to pixels (clamped to the domain).
-    pub fn px(&self, v: f64) -> f64 {
+    pub(crate) fn px(&self, v: f64) -> f64 {
         let v = v.clamp(self.min, self.max);
         let t = if self.log {
             (v.ln() - self.min.ln()) / (self.max.ln() - self.min.ln())
@@ -46,13 +46,8 @@ impl Scale {
         self.px_lo + t * (self.px_hi - self.px_lo)
     }
 
-    /// Domain bounds.
-    pub fn domain(&self) -> (f64, f64) {
-        (self.min, self.max)
-    }
-
     /// Tick positions for this scale (powers of 10 when log).
-    pub fn ticks(&self, target: usize) -> Vec<f64> {
+    pub(crate) fn ticks(&self, target: usize) -> Vec<f64> {
         if self.log {
             let lo = self.min.log10().floor() as i32;
             let hi = self.max.log10().ceil() as i32;
@@ -68,7 +63,7 @@ impl Scale {
 
 /// "Nice" tick positions covering `[min, max]` with roughly `target`
 /// intervals (1/2/5 × 10ᵏ steps).
-pub fn nice_ticks(min: f64, max: f64, target: usize) -> Vec<f64> {
+pub(crate) fn nice_ticks(min: f64, max: f64, target: usize) -> Vec<f64> {
     assert!(max > min && target >= 1);
     let raw_step = (max - min) / target as f64;
     let mag = 10f64.powf(raw_step.log10().floor());
@@ -94,7 +89,7 @@ pub fn nice_ticks(min: f64, max: f64, target: usize) -> Vec<f64> {
 }
 
 /// Compact number formatting for tick labels.
-pub fn fmt_tick(v: f64) -> String {
+pub(crate) fn fmt_tick(v: f64) -> String {
     if v == 0.0 {
         return "0".to_string();
     }
