@@ -185,6 +185,7 @@ fn main() {
         cloud_slots: 1,
         jitter_frac: 0.1,
         seed,
+        ..DesConfig::default()
     };
     let mut one_shot: Vec<f64> = Vec::new();
     let mut one_shot_s = f64::INFINITY;

@@ -343,7 +343,7 @@ fn cmd_plan(flags: &Flags) -> Result<String, CliError> {
         let _ = writeln!(out, "wrote SVG Gantt to {path}");
     }
     if let Some(path) = flags.get("trace") {
-        let trace = mcdnn_sim::to_chrome_trace(&plan.jobs(s.profile()), &plan.order);
+        let trace = mcdnn_sim::schedule_trace(&plan.jobs(s.profile()), &plan.order, 1).to_json();
         std::fs::write(path, trace).map_err(|e| err(format!("writing {path}: {e}")))?;
         let _ = writeln!(out, "wrote Chrome trace to {path} (open in Perfetto)");
     }
@@ -556,13 +556,16 @@ fn cmd_stream(flags: &Flags) -> Result<String, CliError> {
     if fps <= 0.0 {
         return Err(err("--fps must be positive"));
     }
+    let period_ms = 1000.0 / fps;
+    if !period_ms.is_finite() {
+        return Err(err(format!("--fps {fps:e} is too small: its frame period is not finite")));
+    }
     let p = s.profile();
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{model} at {} Mbps, target {fps} fps (period {:.1} ms)",
+        "{model} at {} Mbps, target {fps} fps (period {period_ms:.1} ms)",
         s.network().bandwidth_mbps,
-        1000.0 / fps
     );
     match mcdnn_sim::best_cut_for_rate(p, fps, 0.9) {
         None => {
@@ -579,7 +582,7 @@ fn cmd_stream(flags: &Flags) -> Result<String, CliError> {
                 p.f(cut),
                 p.g(cut),
                 &mcdnn_sim::StreamConfig {
-                    period_ms: 1000.0 / fps,
+                    period_ms,
                     arrival_jitter: 0.2,
                     frames: 1500,
                     warmup: 150,
@@ -1300,6 +1303,15 @@ mod tests {
         ])
         .unwrap();
         assert!(no.contains("ceiling"), "{no}");
+        // A rate so small that its period overflows is rejected, not
+        // simulated into NaN statistics.
+        for fps in ["5e-324", "1e-310"] {
+            let res = run_str(&[
+                "stream", "--model", "mobilenet_v2", "--bandwidth", "18.88", "--fps", fps,
+            ]);
+            let msg = res.unwrap_err().0;
+            assert!(msg.contains("period is not finite"), "{fps}: {msg}");
+        }
     }
 
     #[test]

@@ -31,19 +31,30 @@ pub fn best_permutation(jobs: &[FlowJob]) -> BruteForceResult {
         "brute force capped at {MAX_BRUTE_FORCE_JOBS} jobs, got {}",
         jobs.len()
     );
-    let n = jobs.len();
+    let (order, span, evaluated) = min_permutation(jobs.len(), |perm| makespan(jobs, perm));
+    BruteForceResult {
+        order,
+        makespan: span,
+        evaluated,
+    }
+}
+
+/// The one exhaustive order search behind every brute-force oracle:
+/// enumerate the `n!` orders of `0..n` by iterative Heap's algorithm
+/// and keep the first one whose `cost` is strictly lowest. Returns
+/// `(order, cost, orders evaluated)`; `n = 0` gives `([], 0.0, 0)`.
+/// Callers cap `n` themselves.
+pub(crate) fn min_permutation(
+    n: usize,
+    mut cost: impl FnMut(&[usize]) -> f64,
+) -> (Vec<usize>, f64, usize) {
     if n == 0 {
-        return BruteForceResult {
-            order: vec![],
-            makespan: 0.0,
-            evaluated: 0,
-        };
+        return (vec![], 0.0, 0);
     }
     let mut perm: Vec<usize> = (0..n).collect();
     let mut best = perm.clone();
-    let mut best_span = makespan(jobs, &perm);
+    let mut best_cost = cost(&perm);
     let mut evaluated = 1usize;
-    // Heap's algorithm, iterative.
     let mut c = vec![0usize; n];
     let mut i = 0;
     while i < n {
@@ -53,10 +64,10 @@ pub fn best_permutation(jobs: &[FlowJob]) -> BruteForceResult {
             } else {
                 perm.swap(c[i], i);
             }
-            let span = makespan(jobs, &perm);
+            let value = cost(&perm);
             evaluated += 1;
-            if span < best_span {
-                best_span = span;
+            if value < best_cost {
+                best_cost = value;
                 best.copy_from_slice(&perm);
             }
             c[i] += 1;
@@ -66,11 +77,7 @@ pub fn best_permutation(jobs: &[FlowJob]) -> BruteForceResult {
             i += 1;
         }
     }
-    BruteForceResult {
-        order: best,
-        makespan: best_span,
-        evaluated,
-    }
+    (best, best_cost, evaluated)
 }
 
 #[cfg(test)]

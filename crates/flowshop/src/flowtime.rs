@@ -74,35 +74,9 @@ pub fn flowtime_order(jobs: &[FlowJob]) -> Vec<usize> {
 #[cfg(test)]
 fn best_flowtime_permutation(jobs: &[FlowJob]) -> (Vec<usize>, f64) {
     assert!(jobs.len() <= 9, "flow-time brute force capped at 9 jobs");
-    let n = jobs.len();
-    if n == 0 {
-        return (vec![], 0.0);
-    }
-    let mut perm: Vec<usize> = (0..n).collect();
-    let mut best = perm.clone();
-    let mut best_ft = total_flowtime(jobs, &perm);
-    let mut c = vec![0usize; n];
-    let mut i = 0;
-    while i < n {
-        if c[i] < i {
-            if i % 2 == 0 {
-                perm.swap(0, i);
-            } else {
-                perm.swap(c[i], i);
-            }
-            let ft = total_flowtime(jobs, &perm);
-            if ft < best_ft {
-                best_ft = ft;
-                best.copy_from_slice(&perm);
-            }
-            c[i] += 1;
-            i = 0;
-        } else {
-            c[i] = 0;
-            i += 1;
-        }
-    }
-    (best, best_ft)
+    let (order, ft, _) =
+        crate::bruteforce::min_permutation(jobs.len(), |perm| total_flowtime(jobs, perm));
+    (order, ft)
 }
 
 #[cfg(test)]

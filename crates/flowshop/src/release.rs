@@ -89,35 +89,10 @@ pub fn list_schedule_with_releases(jobs: &[FlowJob], releases: &[f64]) -> Vec<us
 #[cfg(test)]
 fn best_order_with_releases(jobs: &[FlowJob], releases: &[f64]) -> (Vec<usize>, f64) {
     assert!(jobs.len() <= 9, "release brute force capped at 9 jobs");
-    let n = jobs.len();
-    if n == 0 {
-        return (vec![], 0.0);
-    }
-    let mut perm: Vec<usize> = (0..n).collect();
-    let mut best = perm.clone();
-    let mut best_span = makespan_with_releases(jobs, &perm, releases);
-    let mut c = vec![0usize; n];
-    let mut i = 0;
-    while i < n {
-        if c[i] < i {
-            if i % 2 == 0 {
-                perm.swap(0, i);
-            } else {
-                perm.swap(c[i], i);
-            }
-            let span = makespan_with_releases(jobs, &perm, releases);
-            if span < best_span {
-                best_span = span;
-                best.copy_from_slice(&perm);
-            }
-            c[i] += 1;
-            i = 0;
-        } else {
-            c[i] = 0;
-            i += 1;
-        }
-    }
-    (best, best_span)
+    let (order, span, _) = crate::bruteforce::min_permutation(jobs.len(), |perm| {
+        makespan_with_releases(jobs, perm, releases)
+    });
+    (order, span)
 }
 
 #[cfg(test)]

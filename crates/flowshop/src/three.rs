@@ -17,6 +17,7 @@
 //!
 //! [`three_stage_order`] runs all of the above and returns the best.
 
+use crate::bruteforce::min_permutation;
 use crate::job::FlowJob;
 use crate::johnson::johnson_order;
 use crate::makespan::makespan_three_stage;
@@ -90,35 +91,8 @@ pub fn three_stage_order(jobs: &[FlowJob]) -> Vec<usize> {
 /// Exhaustive optimum for small instances (≤ 10 jobs), for validation.
 pub fn best_three_stage_permutation(jobs: &[FlowJob]) -> (Vec<usize>, f64) {
     assert!(jobs.len() <= 10, "3-stage brute force capped at 10 jobs");
-    let n = jobs.len();
-    if n == 0 {
-        return (vec![], 0.0);
-    }
-    let mut perm: Vec<usize> = (0..n).collect();
-    let mut best = perm.clone();
-    let mut best_span = makespan_three_stage(jobs, &perm);
-    let mut c = vec![0usize; n];
-    let mut i = 0;
-    while i < n {
-        if c[i] < i {
-            if i % 2 == 0 {
-                perm.swap(0, i);
-            } else {
-                perm.swap(c[i], i);
-            }
-            let span = makespan_three_stage(jobs, &perm);
-            if span < best_span {
-                best_span = span;
-                best.copy_from_slice(&perm);
-            }
-            c[i] += 1;
-            i = 0;
-        } else {
-            c[i] = 0;
-            i += 1;
-        }
-    }
-    (best, best_span)
+    let (order, span, _) = min_permutation(jobs.len(), |perm| makespan_three_stage(jobs, perm));
+    (order, span)
 }
 
 #[cfg(test)]

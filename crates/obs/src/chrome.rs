@@ -6,8 +6,8 @@
 //! Timestamps and durations are microseconds per the format spec.
 //!
 //! Anything that can name an interval can render through this one
-//! writer: `mcdnn_sim::to_chrome_trace` feeds it Gantt intervals in
-//! virtual time, and [`ChromeTrace::add_spans`] feeds it real spans
+//! writer: `mcdnn_sim::faulted_trace` feeds it simulated stage
+//! intervals in virtual time, and [`ChromeTrace::add_spans`] feeds it real spans
 //! drained from the registry — including both in one file (use distinct
 //! `pid`s so the viewer groups virtual and wall-clock rows separately).
 

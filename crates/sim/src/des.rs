@@ -14,12 +14,16 @@
 //! Ready stages grab the earliest-available resource unit; ties resolve
 //! by job order, making the simulation deterministic. Optional
 //! multiplicative jitter models runtime variance.
+//!
+//! Faults are data: the [`FaultedRun`] in [`DesConfig::faults`] is
+//! replayed by the one event loop, and its default — the empty plan —
+//! is the fault-free run by construction.
 
 use mcdnn_flowshop::FlowJob;
 use mcdnn_obs::metrics;
 use mcdnn_rng::Rng;
 
-use crate::fault::{FaultEvent, FaultEventKind, FaultPlan, RetryPolicy};
+use crate::fault::{FaultEvent, FaultEventKind, FaultedRun};
 
 /// Simulator configuration.
 #[derive(Debug, Clone)]
@@ -32,6 +36,8 @@ pub struct DesConfig {
     pub jitter_frac: f64,
     /// RNG seed for jitter.
     pub seed: u64,
+    /// Faults to replay (default: the empty plan, the fault-free run).
+    pub faults: FaultedRun,
 }
 
 impl Default for DesConfig {
@@ -41,6 +47,7 @@ impl Default for DesConfig {
             cloud_slots: 1,
             jitter_frac: 0.0,
             seed: 0,
+            faults: FaultedRun::default(),
         }
     }
 }
@@ -58,6 +65,9 @@ pub struct JobTimeline {
     pub upload_start: f64,
     /// Upload end, ms.
     pub upload_end: f64,
+    /// Cloud stage start (equals `upload_end` when the job runs no
+    /// cloud stage), ms.
+    pub cloud_start: f64,
     /// Cloud stage end == job completion, ms.
     pub completion: f64,
 }
@@ -65,10 +75,20 @@ pub struct JobTimeline {
 /// Simulation output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DesResult {
-    /// One timeline per job, in schedule order.
+    /// One timeline per job, in schedule order. For jobs that fell back
+    /// to local execution, `upload_start..upload_end` records the link
+    /// time wasted on lost attempts and `completion` the on-device
+    /// finish.
     pub timelines: Vec<JobTimeline>,
     /// Latest completion across jobs.
     pub makespan_ms: f64,
+    /// Fault/recovery events, sorted by `(time, job)`.
+    pub events: Vec<FaultEvent>,
+    /// `(job id, start, end)` of the on-device remainder of each job
+    /// that exhausted its retry budget, in exhaustion order. The
+    /// remainders run on the mobile CPU after every scheduled compute
+    /// stage.
+    pub fallbacks: Vec<(usize, f64, f64)>,
 }
 
 impl DesResult {
@@ -79,6 +99,11 @@ impl DesResult {
         }
         self.timelines.iter().map(|t| t.completion).sum::<f64>() / self.timelines.len() as f64
     }
+
+    /// Ids of jobs that completed on-device, in exhaustion order.
+    pub fn fallback_jobs(&self) -> Vec<usize> {
+        self.fallbacks.iter().map(|&(id, _, _)| id).collect()
+    }
 }
 
 /// A reusable simulation workspace: the per-run buffers (`next-free`
@@ -87,14 +112,14 @@ impl DesResult {
 /// ([`crate::realized_makespans`], chaos grids, degradation replays)
 /// pay for allocation once instead of once per run.
 ///
-/// Results are **bit-exact** with the free [`simulate`] /
-/// [`simulate_faulted`] wrappers — those are implemented as one-shot
-/// arenas over the very same event loop, and they return the per-job
-/// timelines. After an arena run, read the fault outputs through
-/// [`DesArena::events`] and [`DesArena::fallbacks`]; they stay valid
-/// until the next run. A warm run whose job count fits the existing
-/// capacity performs no heap allocation (proven by a counting-allocator
-/// test).
+/// Results are **bit-exact** with the free [`simulate`] wrapper — it is
+/// a one-shot arena over the very same event loop, and it returns the
+/// per-job timelines. After an arena run, read the fault outputs
+/// through [`DesArena::events`] and [`DesArena::fallbacks`]; they stay
+/// valid until the next run. A warm fault-free run whose job count fits
+/// the existing capacity performs no heap allocation (proven by a
+/// counting-allocator test); a run with a non-empty plan builds its
+/// link timeline per call, so it allocates even when warm.
 #[derive(Debug, Default)]
 pub struct DesArena {
     uplink_free: Vec<f64>,
@@ -147,24 +172,50 @@ impl DesArena {
         &self.timelines
     }
 
-    /// Fault/recovery events of the most recent faulted run, sorted by
-    /// `(time, job)`. Empty after a fault-free [`DesArena::simulate`].
+    /// Fault/recovery events of the most recent run, sorted by
+    /// `(time, job)`. Empty after a run with an empty plan.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
     }
 
     /// `(job id, start, end)` of on-device fallback remainders from the
-    /// most recent faulted run, in exhaustion order.
+    /// most recent run, in exhaustion order.
     pub fn fallbacks(&self) -> &[(usize, f64, f64)] {
         &self.fallbacks
     }
 
-    /// Run the fault-free simulation in this arena; returns the
-    /// makespan. Semantics identical to the free [`simulate`].
+    /// Run the simulation in this arena; returns the makespan.
+    /// Semantics identical to the free [`simulate`].
     pub fn simulate(&mut self, jobs: &[FlowJob], order: &[usize], config: &DesConfig) -> f64 {
-        metrics::DES_RUNS.add(1);
-        metrics::DES_JOBS.add(order.len() as u64);
+        let run = &config.faults;
+        run.check();
+        if run.faults.is_empty() {
+            metrics::DES_RUNS.add(1);
+            metrics::DES_JOBS.add(order.len() as u64);
+            self.run(jobs, order, config, None)
+        } else {
+            metrics::DES_FAULTED_RUNS.add(1);
+            self.run(jobs, order, config, Some(run))
+        }
+    }
+
+    /// The event loop. `faults` is `None` for an empty plan — no
+    /// losses, a one-attempt budget, the nominal link, no straggle and
+    /// so no fallback — which is the same run with nothing to look up
+    /// and no link timeline to build. Inlined into both call sites of
+    /// [`DesArena::simulate`] so the fault-free one folds every fault
+    /// branch away.
+    #[inline(always)]
+    fn run(
+        &mut self,
+        jobs: &[FlowJob],
+        order: &[usize],
+        config: &DesConfig,
+        faults: Option<&FaultedRun>,
+    ) -> f64 {
         self.prepare(config, order.len());
+        let timeline = faults.map(|run| run.faults.link_timeline());
+        let max_attempts = faults.map_or(1, |run| run.retry.max_attempts);
         let mut rng = Rng::seed_from_u64(config.seed);
         let mut jitter = |d: f64| -> f64 {
             if config.jitter_frac == 0.0 || d == 0.0 {
@@ -175,7 +226,10 @@ impl DesArena {
             }
         };
 
-        // Next-free times per resource unit.
+        // Next-free time of the CPU; the arena holds the channels' and
+        // slots'. Fallback placeholders never exceed their final
+        // completion, so the running max is the makespan once pass 2
+        // folds the fallbacks in.
         let mut cpu_free = 0.0f64;
         let mut makespan = 0.0f64;
         for &idx in order {
@@ -185,199 +239,25 @@ impl DesArena {
             cpu_free = compute_end;
 
             let (mut upload_start, mut upload_end) = (compute_end, compute_end);
+            let mut cloud_start = compute_end;
             let mut completion = compute_end;
             if job.comm_ms > 0.0 {
-                // Earliest-free channel; ties keep the lowest index.
-                let ch = argmin(&self.uplink_free);
-                upload_start = compute_end.max(self.uplink_free[ch]);
-                upload_end = upload_start + jitter(job.comm_ms);
-                self.uplink_free[ch] = upload_end;
-                completion = upload_end;
-                if job.cloud_ms > 0.0 {
-                    let slot = argmin(&self.cloud_free);
-                    let start = upload_end.max(self.cloud_free[slot]);
-                    completion = start + jitter(job.cloud_ms);
-                    self.cloud_free[slot] = completion;
-                }
-            }
-            makespan = makespan.max(completion);
-            self.timelines.push(JobTimeline {
-                id: job.id,
-                compute_start,
-                compute_end,
-                upload_start,
-                upload_end,
-                completion,
-            });
-        }
-        makespan
-    }
-}
-
-/// Run the simulation for `jobs` processed in `order`.
-///
-/// One-shot convenience over [`DesArena`]; sweeps that simulate many
-/// schedules should hold an arena and call [`DesArena::simulate`] to
-/// amortize the buffer allocations.
-///
-/// ```
-/// use mcdnn_flowshop::FlowJob;
-/// use mcdnn_sim::{simulate, DesConfig};
-///
-/// let jobs = vec![
-///     FlowJob::two_stage(0, 4.0, 6.0),
-///     FlowJob::two_stage(1, 7.0, 2.0),
-/// ];
-/// let result = simulate(&jobs, &[0, 1], &DesConfig::default());
-/// assert_eq!(result.makespan_ms, 13.0);
-/// assert_eq!(result.timelines.len(), 2);
-/// ```
-pub fn simulate(jobs: &[FlowJob], order: &[usize], config: &DesConfig) -> DesResult {
-    let mut arena = DesArena::new();
-    let makespan_ms = arena.simulate(jobs, order, config);
-    DesResult {
-        timelines: arena.timelines,
-        makespan_ms,
-    }
-}
-
-/// Fault-injection parameters for [`simulate_faulted`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultedRun {
-    /// The fault schedule to replay.
-    pub faults: FaultPlan,
-    /// Retry policy for lost uploads.
-    pub retry: RetryPolicy,
-    /// Extra mobile compute (ms) needed to finish one job entirely
-    /// on-device once its upload is abandoned — for a job cut at `l`
-    /// this is `f(k) − f(l)`, the remaining layers' mobile time.
-    pub local_fallback_ms: f64,
-}
-
-impl Default for FaultedRun {
-    fn default() -> Self {
-        FaultedRun {
-            faults: FaultPlan::none(),
-            retry: RetryPolicy::default(),
-            local_fallback_ms: 0.0,
-        }
-    }
-}
-
-/// Output of [`simulate_faulted`]: the fault-free timelines plus the
-/// fault/recovery event log.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultedDesResult {
-    /// One timeline per job, in schedule order. For jobs that fell back
-    /// to local execution, `upload_start..upload_end` records the link
-    /// time wasted on lost attempts and `completion` the on-device
-    /// finish.
-    pub timelines: Vec<JobTimeline>,
-    /// Latest completion across jobs.
-    pub makespan_ms: f64,
-    /// Fault/recovery events, sorted by `(time, job)`.
-    pub events: Vec<FaultEvent>,
-    /// `(job id, start, end)` of the on-device remainder of each job
-    /// that exhausted its retry budget, in exhaustion order. The
-    /// remainders run on the mobile CPU after every scheduled compute
-    /// stage.
-    pub fallbacks: Vec<(usize, f64, f64)>,
-}
-
-impl FaultedDesResult {
-    /// Ids of jobs that completed on-device, in exhaustion order.
-    pub fn fallback_jobs(&self) -> Vec<usize> {
-        self.fallbacks.iter().map(|&(id, _, _)| id).collect()
-    }
-}
-
-/// [`simulate`] with a [`FaultPlan`] injected.
-///
-/// Semantics, all deterministic given `(jobs, order, config, run)`:
-///
-/// * **Rate faults** — each upload progresses through the plan's
-///   piecewise link timeline (no progress during a blackout, scaled
-///   progress during a collapse), so an upload started before a fault
-///   window stretches across it.
-/// * **Upload loss** — a lost attempt occupies its channel for the
-///   full (faulted) transfer time before the loss is detected; the
-///   retry waits out the exponential backoff and transfers again. When
-///   the attempt budget is exhausted the job falls back to the mobile
-///   CPU: its remaining layers (`local_fallback_ms`) queue *behind*
-///   every scheduled compute stage — the single CPU is never
-///   double-booked — in exhaustion order.
-/// * **Cloud straggle** — the afflicted job's cloud stage is stretched
-///   by its factor.
-///
-/// With an empty plan this reproduces [`simulate`] exactly (tested).
-///
-/// One-shot convenience over [`DesArena`]; replay loops should hold an
-/// arena and call [`DesArena::simulate_faulted`] instead.
-pub fn simulate_faulted(
-    jobs: &[FlowJob],
-    order: &[usize],
-    config: &DesConfig,
-    run: &FaultedRun,
-) -> FaultedDesResult {
-    let mut arena = DesArena::new();
-    let makespan_ms = arena.simulate_faulted(jobs, order, config, run);
-    FaultedDesResult {
-        timelines: arena.timelines,
-        makespan_ms,
-        events: arena.events,
-        fallbacks: arena.fallbacks,
-    }
-}
-
-impl DesArena {
-    /// Run [`simulate_faulted`] in this arena; returns the makespan.
-    /// Fault outputs land in [`DesArena::events`] and
-    /// [`DesArena::fallbacks`]. Note `FaultPlan::link_timeline`
-    /// builds its piecewise timeline per call, so a faulted run is not
-    /// allocation-free even when warm.
-    pub fn simulate_faulted(
-        &mut self,
-        jobs: &[FlowJob],
-        order: &[usize],
-        config: &DesConfig,
-        run: &FaultedRun,
-    ) -> f64 {
-        metrics::DES_FAULTED_RUNS.add(1);
-        assert!(run.retry.max_attempts >= 1, "need at least one attempt");
-        assert!(run.local_fallback_ms >= 0.0, "fallback time must be >= 0");
-        self.prepare(config, order.len());
-        let timeline = run.faults.link_timeline();
-        let mut rng = Rng::seed_from_u64(config.seed);
-        let mut jitter = |d: f64| -> f64 {
-            if config.jitter_frac == 0.0 || d == 0.0 {
-                d
-            } else {
-                let u: f64 = rng.gen_range(-1.0..1.0);
-                (d * (1.0 + config.jitter_frac * u)).max(0.0)
-            }
-        };
-
-        let mut cpu_free = 0.0f64;
-        for &idx in order {
-            let job = &jobs[idx];
-            let compute_start = cpu_free;
-            let compute_end = compute_start + jitter(job.compute_ms);
-            cpu_free = compute_end;
-
-            let (mut upload_start, mut upload_end) = (compute_end, compute_end);
-            let mut completion = compute_end;
-            if job.comm_ms > 0.0 {
-                let losses = run.faults.upload_losses(job.id);
+                let losses = faults.map_or(0, |run| run.faults.upload_losses(job.id));
                 let work = jitter(job.comm_ms);
                 let mut ready = compute_end;
-                let mut first_attempt_start = None;
                 let mut succeeded = false;
-                for attempt in 1..=run.retry.max_attempts {
+                for attempt in 1..=max_attempts {
+                    // Earliest-free channel; ties keep the lowest index.
                     let ch = argmin(&self.uplink_free);
                     let start = ready.max(self.uplink_free[ch]);
-                    let end = timeline.transfer_end(start, work);
+                    let end = match &timeline {
+                        Some(timeline) => timeline.transfer_end(start, work),
+                        None => start + work,
+                    };
                     self.uplink_free[ch] = end;
-                    first_attempt_start.get_or_insert(start);
+                    if attempt == 1 {
+                        upload_start = start;
+                    }
                     upload_end = end;
                     if attempt <= losses {
                         metrics::FAULT_UPLOAD_LOST.add(1);
@@ -386,8 +266,8 @@ impl DesArena {
                             job: job.id,
                             kind: FaultEventKind::UploadLost { attempt },
                         });
-                        if attempt < run.retry.max_attempts {
-                            let delay = run.retry.backoff_ms(attempt);
+                        if attempt < max_attempts {
+                            let delay = faults.map_or(0.0, |run| run.retry.backoff_ms(attempt));
                             metrics::FAULT_RETRIES.add(1);
                             self.events.push(FaultEvent {
                                 t_ms: end,
@@ -412,25 +292,9 @@ impl DesArena {
                         break;
                     }
                 }
-                upload_start = first_attempt_start.unwrap_or(compute_end);
-                if succeeded {
-                    completion = upload_end;
-                    if job.cloud_ms > 0.0 {
-                        let factor = run.faults.cloud_factor(job.id);
-                        let slot = argmin(&self.cloud_free);
-                        let start = upload_end.max(self.cloud_free[slot]);
-                        if factor > 1.0 {
-                            metrics::FAULT_CLOUD_STRAGGLES.add(1);
-                            self.events.push(FaultEvent {
-                                t_ms: start,
-                                job: job.id,
-                                kind: FaultEventKind::CloudStraggled { factor },
-                            });
-                        }
-                        completion = start + jitter(job.cloud_ms) * factor;
-                        self.cloud_free[slot] = completion;
-                    }
-                } else {
+                cloud_start = upload_end;
+                completion = upload_end;
+                if !succeeded {
                     // Budget exhausted at the last lost attempt's end.
                     metrics::FAULT_LOCAL_FALLBACKS.add(1);
                     self.events.push(FaultEvent {
@@ -438,18 +302,35 @@ impl DesArena {
                         job: job.id,
                         kind: FaultEventKind::LocalFallback,
                     });
-                    // (timeline index, ready time, remaining mobile work).
+                    let extra = faults.map_or(0.0, |run| run.local_fallback_ms);
+                    // (timeline index, ready time, remaining mobile work);
+                    // `completion` is a placeholder fixed in pass 2.
                     self.staged
-                        .push((self.timelines.len(), upload_end, jitter(run.local_fallback_ms)));
-                    completion = upload_end; // placeholder; fixed in pass 2
+                        .push((self.timelines.len(), upload_end, jitter(extra)));
+                } else if job.cloud_ms > 0.0 {
+                    let factor = faults.map_or(1.0, |run| run.faults.cloud_factor(job.id));
+                    let slot = argmin(&self.cloud_free);
+                    cloud_start = upload_end.max(self.cloud_free[slot]);
+                    if factor > 1.0 {
+                        metrics::FAULT_CLOUD_STRAGGLES.add(1);
+                        self.events.push(FaultEvent {
+                            t_ms: cloud_start,
+                            job: job.id,
+                            kind: FaultEventKind::CloudStraggled { factor },
+                        });
+                    }
+                    completion = cloud_start + jitter(job.cloud_ms) * factor;
+                    self.cloud_free[slot] = completion;
                 }
             }
+            makespan = makespan.max(completion);
             self.timelines.push(JobTimeline {
                 id: job.id,
                 compute_start,
                 compute_end,
                 upload_start,
                 upload_end,
+                cloud_start,
                 completion,
             });
         }
@@ -462,15 +343,58 @@ impl DesArena {
             cpu_free = start + extra;
             self.timelines[slot].completion = cpu_free;
             self.fallbacks.push((self.timelines[slot].id, start, cpu_free));
+            makespan = makespan.max(cpu_free);
         }
-
-        let makespan = self
-            .timelines
-            .iter()
-            .map(|t| t.completion)
-            .fold(0.0, f64::max);
         crate::fault::sort_events(&mut self.events);
         makespan
+    }
+}
+
+/// Run the simulation for `jobs` processed in `order`, replaying the
+/// faults in `config.faults`. Semantics, all deterministic given
+/// `(jobs, order, config)`:
+///
+/// * **Rate faults** — each upload progresses through the plan's
+///   piecewise link timeline (no progress during a blackout, scaled
+///   progress during a collapse), so an upload started before a fault
+///   window stretches across it.
+/// * **Upload loss** — a lost attempt occupies its channel for the
+///   full (faulted) transfer time before the loss is detected; the
+///   retry waits out the exponential backoff and transfers again. When
+///   the attempt budget is exhausted the job falls back to the mobile
+///   CPU: its remaining layers (`local_fallback_ms`) queue *behind*
+///   every scheduled compute stage — the single CPU is never
+///   double-booked — in exhaustion order.
+/// * **Cloud straggle** — the afflicted job's cloud stage is stretched
+///   by its factor.
+///
+/// An empty plan (the default) is the fault-free run: no events, no
+/// fallbacks.
+///
+/// One-shot convenience over [`DesArena`]; sweeps that simulate many
+/// schedules should hold an arena and call [`DesArena::simulate`] to
+/// amortize the buffer allocations.
+///
+/// ```
+/// use mcdnn_flowshop::FlowJob;
+/// use mcdnn_sim::{simulate, DesConfig};
+///
+/// let jobs = vec![
+///     FlowJob::two_stage(0, 4.0, 6.0),
+///     FlowJob::two_stage(1, 7.0, 2.0),
+/// ];
+/// let result = simulate(&jobs, &[0, 1], &DesConfig::default());
+/// assert_eq!(result.makespan_ms, 13.0);
+/// assert_eq!(result.timelines.len(), 2);
+/// ```
+pub fn simulate(jobs: &[FlowJob], order: &[usize], config: &DesConfig) -> DesResult {
+    let mut arena = DesArena::new();
+    let makespan_ms = arena.simulate(jobs, order, config);
+    DesResult {
+        timelines: arena.timelines,
+        makespan_ms,
+        events: arena.events,
+        fallbacks: arena.fallbacks,
     }
 }
 
@@ -674,26 +598,13 @@ mod tests {
 
     mod faulted {
         use super::*;
-        use crate::fault::{format_events, log_digest, Fault, FaultEventKind};
+        use crate::fault::{format_events, log_digest, Fault, FaultEventKind, FaultPlan};
 
-        #[test]
-        fn empty_plan_reproduces_fault_free_simulation() {
-            let js = jobs(&[(4.0, 6.0), (7.0, 2.0), (3.0, 3.0)]);
-            let order = vec![2, 0, 1];
-            for cfg in [
-                DesConfig::default(),
-                DesConfig {
-                    jitter_frac: 0.2,
-                    seed: 9,
-                    ..DesConfig::default()
-                },
-            ] {
-                let clean = simulate(&js, &order, &cfg);
-                let faulted = simulate_faulted(&js, &order, &cfg, &FaultedRun::default());
-                assert_eq!(clean.timelines, faulted.timelines);
-                assert_eq!(clean.makespan_ms, faulted.makespan_ms);
-                assert!(faulted.events.is_empty());
-                assert!(faulted.fallbacks.is_empty());
+        /// The default config replaying `run`.
+        fn with(run: FaultedRun) -> DesConfig {
+            DesConfig {
+                faults: run,
+                ..DesConfig::default()
             }
         }
 
@@ -709,7 +620,7 @@ mod tests {
                 }]),
                 ..FaultedRun::default()
             };
-            let r = simulate_faulted(&js, &[0], &DesConfig::default(), &run);
+            let r = simulate(&js, &[0], &with(run));
             assert!((r.makespan_ms - 24.0).abs() < 1e-9);
         }
 
@@ -720,7 +631,7 @@ mod tests {
                 faults: FaultPlan::new(vec![Fault::UploadLoss { job: 0, losses: 1 }]),
                 ..FaultedRun::default()
             };
-            let r = simulate_faulted(&js, &[0], &DesConfig::default(), &run);
+            let r = simulate(&js, &[0], &with(run));
             // Attempt 1: 4→10 lost; backoff 2; attempt 2: 12→18 succeeds.
             assert!((r.makespan_ms - 18.0).abs() < 1e-9);
             let kinds: Vec<_> = r.events.iter().map(|e| e.kind).collect();
@@ -748,7 +659,7 @@ mod tests {
                 local_fallback_ms: 5.0,
                 ..FaultedRun::default()
             };
-            let r = simulate_faulted(&js, &[0, 1], &DesConfig::default(), &run);
+            let r = simulate(&js, &[0, 1], &with(run));
             assert_eq!(r.fallback_jobs(), vec![0]);
             // Attempts: 4→10, 12→18, 22→28, 36→42 (backoffs 2, 4, 8).
             let exhausted_at = 42.0;
@@ -772,7 +683,7 @@ mod tests {
                 }]),
                 ..FaultedRun::default()
             };
-            let r = simulate_faulted(&js, &[0], &DesConfig::default(), &run);
+            let r = simulate(&js, &[0], &with(run));
             assert!((r.makespan_ms - (2.0 + 3.0 + 10.0)).abs() < 1e-9);
             assert_eq!(r.events.len(), 1);
         }
@@ -797,8 +708,12 @@ mod tests {
                     local_fallback_ms: 3.0,
                     ..FaultedRun::default()
                 };
-                let a = simulate_faulted(&js, &order, &cfg, &run);
-                let b = simulate_faulted(&js, &order, &cfg, &run);
+                let cfg = DesConfig {
+                    faults: run,
+                    ..cfg.clone()
+                };
+                let a = simulate(&js, &order, &cfg);
+                let b = simulate(&js, &order, &cfg);
                 assert_eq!(a, b);
                 assert_eq!(
                     log_digest(&format_events(&a.events)),
@@ -832,8 +747,12 @@ mod tests {
                     local_fallback_ms: 3.0,
                     ..FaultedRun::default()
                 };
-                let warm = arena.simulate_faulted(&js, &order, &cfg, &run);
-                let one_shot = simulate_faulted(&js, &order, &cfg, &run);
+                let cfg = DesConfig {
+                    faults: run,
+                    ..cfg.clone()
+                };
+                let warm = arena.simulate(&js, &order, &cfg);
+                let one_shot = simulate(&js, &order, &cfg);
                 assert_eq!(warm, one_shot.makespan_ms);
                 assert_eq!(arena.timelines(), &one_shot.timelines[..]);
                 assert_eq!(arena.events(), &one_shot.events[..]);
@@ -857,7 +776,7 @@ mod tests {
                     local_fallback_ms: 6.0,
                     ..FaultedRun::default()
                 };
-                let r = simulate_faulted(&js, &order, &DesConfig::default(), &run);
+                let r = simulate(&js, &order, &with(run));
                 assert!(
                     r.makespan_ms >= clean - 1e-9,
                     "seed {seed}: faulted {} < clean {clean}",

@@ -18,15 +18,19 @@
 //!
 //! Local-only jobs (`comm_ms == 0`) complete at the mobile stage and
 //! never enter the uplink queue, matching the scheduling model.
+//!
+//! Faults are data here too: the stage threads replay the
+//! [`FaultedRun`] in [`ExecutorConfig::faults`], and its default — the
+//! empty plan — is the fault-free run.
 
 use std::sync::{mpsc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use mcdnn_flowshop::FlowJob;
-use mcdnn_obs::metrics::{self, Hist};
+use mcdnn_obs::metrics;
 
-use crate::fault::{FaultEvent, FaultEventKind};
+use crate::fault::{FaultEvent, FaultEventKind, FaultedRun};
 
 /// How stage durations are realised.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,16 +46,19 @@ pub enum ClockMode {
 }
 
 /// Executor configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutorConfig {
     /// Clock mode (default: logical).
     pub clock: ClockMode,
+    /// Faults to replay (default: the empty plan, the fault-free run).
+    pub faults: FaultedRun,
 }
 
 impl Default for ExecutorConfig {
     fn default() -> Self {
         ExecutorConfig {
             clock: ClockMode::Logical,
+            faults: FaultedRun::default(),
         }
     }
 }
@@ -62,6 +69,7 @@ impl ExecutorConfig {
         assert!(us_per_virtual_ms > 0.0, "time scale must be positive");
         ExecutorConfig {
             clock: ClockMode::WallClock { us_per_virtual_ms },
+            ..ExecutorConfig::default()
         }
     }
 }
@@ -73,6 +81,11 @@ pub struct ExecTrace {
     pub completions: Vec<(usize, f64)>,
     /// Virtual makespan: latest completion.
     pub makespan_ms: f64,
+    /// Fault/recovery events, in canonical `(time, job, kind)` order.
+    pub events: Vec<FaultEvent>,
+    /// Ids of jobs that completed on-device after exhausting retries,
+    /// in exhaustion order.
+    pub fallback_jobs: Vec<usize>,
 }
 
 impl ExecTrace {
@@ -102,172 +115,29 @@ struct InFlight {
     ready_at: f64,
 }
 
-/// Execute `jobs` in `order` on the three-stage threaded pipeline and
-/// return completions in virtual milliseconds.
-pub fn run_pipeline(jobs: &[FlowJob], order: &[usize], config: &ExecutorConfig) -> ExecTrace {
-    let _span = mcdnn_obs::span("sim", "run_pipeline");
-    let scale = match config.clock {
-        ClockMode::Logical => None,
-        ClockMode::WallClock { us_per_virtual_ms } => {
-            assert!(us_per_virtual_ms > 0.0, "time scale must be positive");
-            Some(us_per_virtual_ms)
-        }
-    };
-
-    let completions: Mutex<Vec<(usize, f64)>> = Mutex::new(Vec::with_capacity(order.len()));
-    let start_cell: Mutex<Option<Instant>> = Mutex::new(None);
-
-    // Per-stage virtual-time histograms: how long each stage worked on
-    // a job (busy) and how long the job sat queued at the stage before
-    // service began (wait; exact in logical mode, not measured under
-    // wall clock where queueing is physical).
-    const BUSY_METRIC: [&Hist; 3] = [
-        &metrics::EXEC_MOBILE_BUSY_MS,
-        &metrics::EXEC_UPLINK_BUSY_MS,
-        &metrics::EXEC_CLOUD_BUSY_MS,
-    ];
-    const WAIT_METRIC: [&Hist; 3] = [
-        &metrics::EXEC_MOBILE_WAIT_MS,
-        &metrics::EXEC_UPLINK_WAIT_MS,
-        &metrics::EXEC_CLOUD_WAIT_MS,
-    ];
-
-    // Advance one stage: in logical mode return the new clock value; in
-    // wall-clock mode burn the time and return the measured instant.
-    let advance = |stage: usize, clock: &mut f64, ready_at: f64, duration: f64| -> f64 {
-        BUSY_METRIC[stage].observe(duration);
-        match scale {
-            None => {
-                // The job became ready at `ready_at` but the stage was
-                // occupied until `clock`: that gap is its queue wait.
-                WAIT_METRIC[stage].observe((*clock - ready_at).max(0.0));
-                *clock = clock.max(ready_at) + duration;
-                *clock
-            }
-            Some(us) => {
-                busy_wait(Duration::from_nanos((duration * us * 1e3) as u64));
-                let epoch = start_cell
-                    .lock()
-                    .expect("no stage panicked")
-                    .expect("mobile thread sets epoch first");
-                epoch.elapsed().as_secs_f64() * 1e6 / us
-            }
-        }
-    };
-
-    let (to_uplink_tx, to_uplink_rx) = mpsc::channel::<InFlight>();
-    let (to_cloud_tx, to_cloud_rx) = mpsc::channel::<InFlight>();
-
-    // std Receivers are Send but not Sync, so each stage thread takes
-    // ownership of its channel ends (`move`) while sharing the clock
-    // machinery and result sink by reference.
-    thread::scope(|s| {
-        let completions = &completions;
-        let start_cell = &start_cell;
-        let advance = &advance;
-        // Mobile CPU: processes compute stages in schedule order.
-        s.spawn(move || {
-            *start_cell.lock().expect("no stage panicked") = Some(Instant::now());
-            let mut clock = 0.0f64;
-            for &idx in order {
-                let job = jobs[idx];
-                let done = advance(0, &mut clock, 0.0, job.compute_ms);
-                if job.comm_ms > 0.0 {
-                    to_uplink_tx
-                        .send(InFlight {
-                            job,
-                            ready_at: done,
-                        })
-                        .expect("uplink thread alive");
-                } else {
-                    completions
-                        .lock()
-                        .expect("no stage panicked")
-                        .push((job.id, done));
-                }
-            }
-            drop(to_uplink_tx);
-        });
-        // Uplink: one transfer at a time, FIFO.
-        s.spawn(move || {
-            let mut clock = 0.0f64;
-            for msg in to_uplink_rx.iter() {
-                let done = advance(1, &mut clock, msg.ready_at, msg.job.comm_ms);
-                if msg.job.cloud_ms > 0.0 {
-                    to_cloud_tx
-                        .send(InFlight {
-                            job: msg.job,
-                            ready_at: done,
-                        })
-                        .expect("cloud thread alive");
-                } else {
-                    completions
-                        .lock()
-                        .expect("no stage panicked")
-                        .push((msg.job.id, done));
-                }
-            }
-            drop(to_cloud_tx);
-        });
-        // Cloud: executes the remainder.
-        s.spawn(move || {
-            let mut clock = 0.0f64;
-            for msg in to_cloud_rx.iter() {
-                let done = advance(2, &mut clock, msg.ready_at, msg.job.cloud_ms);
-                completions
-                    .lock()
-                    .expect("no stage panicked")
-                    .push((msg.job.id, done));
-            }
-        });
-    });
-
-    let mut completions = completions.into_inner().expect("scope joined every stage");
-    completions.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    let makespan_ms = completions.last().map_or(0.0, |c| c.1);
-    ExecTrace {
-        completions,
-        makespan_ms,
-    }
-}
-
-/// Result of one fault-injected executor run.
-#[derive(Debug, Clone)]
-pub struct FaultedExecTrace {
-    /// `(job id, completion in virtual ms)` sorted by completion.
-    pub completions: Vec<(usize, f64)>,
-    /// Virtual makespan: latest completion.
-    pub makespan_ms: f64,
-    /// Fault/recovery events, in canonical `(time, job, kind)` order.
-    pub events: Vec<FaultEvent>,
-    /// Ids of jobs that completed on-device after exhausting retries,
-    /// in exhaustion order.
-    pub fallback_jobs: Vec<usize>,
-}
-
-/// [`run_pipeline`] with a [`FaultPlan`](crate::fault::FaultPlan)
-/// injected: the uplink thread replays rate faults and lost attempts
-/// (occupying the link, backing off, retrying), the cloud thread
-/// stretches straggled stages, and jobs whose retry budget is
+/// Execute `jobs` in `order` on the three-stage threaded pipeline,
+/// replaying the faults in `config.faults`, and return completions in
+/// virtual milliseconds. The uplink thread replays rate faults and lost
+/// attempts (occupying the link, backing off, retrying), the cloud
+/// thread stretches straggled stages, and jobs whose retry budget is
 /// exhausted flow *back* to the mobile thread over a dedicated channel
 /// to finish on-device after every scheduled compute stage.
 ///
 /// In [`ClockMode::Logical`] the result matches
-/// [`simulate_faulted`](crate::des::simulate_faulted) exactly (tested,
+/// [`simulate`](crate::des::simulate) exactly (tested,
 /// single-channel/single-slot, zero jitter). Under
 /// [`ClockMode::WallClock`] stage durations (including the faulted
 /// transfer times, computed against a logical shadow clock) are burned
 /// in real time — queueing is physical, so it is a smoke-grade check
 /// only.
-pub fn run_pipeline_faulted(
-    jobs: &[FlowJob],
-    order: &[usize],
-    config: &ExecutorConfig,
-    run: &crate::des::FaultedRun,
-) -> FaultedExecTrace {
-    let _span = mcdnn_obs::span("sim", "run_pipeline_faulted");
-    assert!(run.retry.max_attempts >= 1, "need at least one attempt");
-    assert!(run.local_fallback_ms >= 0.0, "fallback time must be >= 0");
+///
+/// Each stage records per-job virtual-time histograms: how long it
+/// worked on the job (busy) and how long the job sat queued before
+/// service began, read off the logical shadow clock (wait).
+pub fn run_pipeline(jobs: &[FlowJob], order: &[usize], config: &ExecutorConfig) -> ExecTrace {
+    let _span = mcdnn_obs::span("sim", "run_pipeline");
+    let run = &config.faults;
+    run.check();
     let scale = match config.clock {
         ClockMode::Logical => None,
         ClockMode::WallClock { us_per_virtual_ms } => {
@@ -304,6 +174,9 @@ pub fn run_pipeline_faulted(
     // time, remaining on-device work).
     let (to_fallback_tx, to_fallback_rx) = mpsc::channel::<(usize, f64, f64)>();
 
+    // std Receivers are Send but not Sync, so each stage thread takes
+    // ownership of its channel ends (`move`) while sharing the clock
+    // machinery and result sinks by reference.
     thread::scope(|s| {
         let completions = &completions;
         let events = &events;
@@ -317,6 +190,9 @@ pub fn run_pipeline_faulted(
             let mut clock = 0.0f64;
             for &idx in order {
                 let job = jobs[idx];
+                // Every scheduled job is ready at 0 and waits for the
+                // computes ahead of it.
+                metrics::EXEC_MOBILE_WAIT_MS.observe(clock);
                 metrics::EXEC_MOBILE_BUSY_MS.observe(job.compute_ms);
                 clock += job.compute_ms;
                 let done = settle(job.compute_ms, clock);
@@ -338,6 +214,7 @@ pub fn run_pipeline_faulted(
             // The uplink thread closes the fallback channel when its
             // queue drains, ending this loop.
             for (id, ready_at, extra) in to_fallback_rx.iter() {
+                metrics::EXEC_MOBILE_WAIT_MS.observe((clock - ready_at).max(0.0));
                 metrics::EXEC_MOBILE_BUSY_MS.observe(extra);
                 clock = clock.max(ready_at) + extra;
                 let done = settle(extra, clock);
@@ -461,7 +338,7 @@ pub fn run_pipeline_faulted(
     let makespan_ms = completions.last().map_or(0.0, |c| c.1);
     let mut events = events.into_inner().expect("scope joined every stage");
     crate::fault::sort_events(&mut events);
-    FaultedExecTrace {
+    ExecTrace {
         completions,
         makespan_ms,
         events,
@@ -579,24 +456,7 @@ mod tests {
 
     mod faulted {
         use super::*;
-        use crate::des::{simulate_faulted, FaultedRun};
         use crate::fault::{format_events, FaultPlan, FaultSpec};
-
-        #[test]
-        fn empty_plan_matches_fault_free_executor() {
-            let js = jobs(&[(4.0, 6.0), (7.0, 2.0), (3.0, 3.0)]);
-            let order = johnson_order(&js);
-            let clean = run_pipeline(&js, &order, &ExecutorConfig::default());
-            let faulted = run_pipeline_faulted(
-                &js,
-                &order,
-                &ExecutorConfig::default(),
-                &FaultedRun::default(),
-            );
-            assert_eq!(clean.completions, faulted.completions);
-            assert!(faulted.events.is_empty());
-            assert!(faulted.fallback_jobs.is_empty());
-        }
 
         #[test]
         fn logical_faulted_executor_matches_faulted_des_exactly() {
@@ -620,9 +480,22 @@ mod tests {
                         local_fallback_ms: 4.0,
                         ..FaultedRun::default()
                     };
-                    let des = simulate_faulted(&js, &order, &DesConfig::default(), &run);
-                    let exec =
-                        run_pipeline_faulted(&js, &order, &ExecutorConfig::default(), &run);
+                    let des = simulate(
+                        &js,
+                        &order,
+                        &DesConfig {
+                            faults: run.clone(),
+                            ..DesConfig::default()
+                        },
+                    );
+                    let exec = run_pipeline(
+                        &js,
+                        &order,
+                        &ExecutorConfig {
+                            faults: run,
+                            ..ExecutorConfig::default()
+                        },
+                    );
                     assert!(
                         (exec.makespan_ms - des.makespan_ms).abs() < 1e-9,
                         "seed {seed}: exec {} vs DES {}",
@@ -660,8 +533,12 @@ mod tests {
                 local_fallback_ms: 2.0,
                 ..FaultedRun::default()
             };
-            let a = run_pipeline_faulted(&js, &order, &ExecutorConfig::default(), &run);
-            let b = run_pipeline_faulted(&js, &order, &ExecutorConfig::default(), &run);
+            let config = ExecutorConfig {
+                faults: run,
+                ..ExecutorConfig::default()
+            };
+            let a = run_pipeline(&js, &order, &config);
+            let b = run_pipeline(&js, &order, &config);
             assert_eq!(a.completions, b.completions);
             assert_eq!(format_events(&a.events), format_events(&b.events));
         }
@@ -676,8 +553,11 @@ mod tests {
                 }]),
                 ..FaultedRun::default()
             };
-            let exec =
-                run_pipeline_faulted(&js, &[0, 1], &ExecutorConfig::wall_clock(50.0), &run);
+            let config = ExecutorConfig {
+                faults: run,
+                ..ExecutorConfig::wall_clock(50.0)
+            };
+            let exec = run_pipeline(&js, &[0, 1], &config);
             assert_eq!(exec.completions.len(), 2);
             assert!(!exec.events.is_empty());
         }

@@ -4,12 +4,12 @@
 //! deployed pipeline sees rate collapse, link blackouts, dropped
 //! transfers and cloud stragglers as the common case. This module
 //! models those faults as *data* — a [`FaultPlan`] is an explicit,
-//! seed-reproducible schedule of fault windows and per-job afflictions
-//! that both the discrete-event simulator
-//! ([`simulate_faulted`](crate::des::simulate_faulted)) and the
-//! threaded executor
-//! ([`run_pipeline_faulted`](crate::executor::run_pipeline_faulted))
-//! replay bit-identically.
+//! seed-reproducible schedule of fault windows and per-job afflictions.
+//! A [`FaultedRun`] (plan, retry policy, fallback time) is a field of
+//! both substrates' configs — the discrete-event simulator's
+//! [`DesConfig`](crate::des::DesConfig) and the threaded executor's
+//! [`ExecutorConfig`](crate::executor::ExecutorConfig) — which replay it
+//! bit-identically; its default, the empty plan, is the fault-free run.
 //!
 //! Fault kinds:
 //! * [`Fault::RateCollapse`] — the uplink rate drops to a fraction of
@@ -402,6 +402,40 @@ impl RetryPolicy {
         let timeouts = self.max_attempts as f64 * self.timeout_ms;
         let backoffs: f64 = (1..self.max_attempts).map(|r| self.backoff_ms(r)).sum();
         timeouts + backoffs
+    }
+}
+
+/// The faults one pipeline run replays: a field of
+/// [`DesConfig`](crate::des::DesConfig) and of
+/// [`ExecutorConfig`](crate::executor::ExecutorConfig). The default is
+/// the empty plan, which is the fault-free run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaultedRun {
+    /// The fault schedule to replay.
+    pub faults: FaultPlan,
+    /// Retry policy for lost uploads.
+    pub retry: RetryPolicy,
+    /// Extra mobile compute (ms) needed to finish one job entirely
+    /// on-device once its upload is abandoned — for a job cut at `l`
+    /// this is `f(k) − f(l)`, the remaining layers' mobile time.
+    pub local_fallback_ms: f64,
+}
+
+impl Default for FaultedRun {
+    fn default() -> Self {
+        FaultedRun {
+            faults: FaultPlan::none(),
+            retry: RetryPolicy::default(),
+            local_fallback_ms: 0.0,
+        }
+    }
+}
+
+impl FaultedRun {
+    /// The run-wide input checks both substrates make on every run.
+    pub(crate) fn check(&self) {
+        assert!(self.retry.max_attempts >= 1, "need at least one attempt");
+        assert!(self.local_fallback_ms >= 0.0, "fallback time must be >= 0");
     }
 }
 

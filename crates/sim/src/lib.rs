@@ -39,13 +39,9 @@ pub use degrade::{
     ladder_decision, run_degraded, BurstRecord, DegradePolicy, DegradedRun, LadderDecision,
     LadderFrontier, LadderLevel,
 };
-pub use des::{
-    simulate, simulate_faulted, DesArena, DesConfig, DesResult, FaultedDesResult, FaultedRun,
-};
-pub use fault::{Fault, FaultEvent, FaultEventKind, FaultPlan, FaultSpec, RetryPolicy};
-pub use executor::{
-    run_pipeline, run_pipeline_faulted, ClockMode, ExecTrace, ExecutorConfig, FaultedExecTrace,
-};
+pub use des::{simulate, DesArena, DesConfig, DesResult};
+pub use fault::{Fault, FaultEvent, FaultEventKind, FaultPlan, FaultSpec, FaultedRun, RetryPolicy};
+pub use executor::{run_pipeline, ClockMode, ExecTrace, ExecutorConfig};
 pub use online::{run_online, BandwidthTrace, OnlineResult, ReplanPolicy};
 pub use serve::{
     fleet, run_user, serve_fleet, serve_fleet_serial, BurstOutcome, ServeConfig, ServeReport,
@@ -61,4 +57,4 @@ pub use robustness::{
     ChaosScenario, MakespanStats,
 };
 pub use stream::{best_cut_for_rate, saturation_rate_hz, simulate_stream, StreamConfig, StreamStats};
-pub use trace::{faulted_trace, schedule_trace, to_chrome_trace};
+pub use trace::{faulted_trace, schedule_trace};

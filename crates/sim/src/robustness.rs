@@ -21,8 +21,8 @@ use mcdnn_profile::CostProfile;
 use mcdnn_rng::Rng;
 
 use crate::degrade::{run_degraded, DegradePolicy};
-use crate::des::{simulate_faulted, DesArena, DesConfig, FaultedDesResult, FaultedRun};
-use crate::fault::{format_events, log_digest, FaultPlan, FaultSpec, RetryPolicy};
+use crate::des::{simulate, DesArena, DesConfig, DesResult};
+use crate::fault::{format_events, log_digest, FaultPlan, FaultSpec, FaultedRun, RetryPolicy};
 
 /// Summary statistics of realised makespans.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -210,7 +210,7 @@ pub struct ChaosDrill {
     /// The fault plan that was replayed.
     pub plan: FaultPlan,
     /// Full simulation output.
-    pub result: FaultedDesResult,
+    pub result: DesResult,
     /// Canonical textual event log, one line per fault event.
     pub log: String,
     /// FNV-1a digest of `log` — equal across runs of the same seed.
@@ -235,16 +235,19 @@ pub fn chaos_drill(
     let jobs: Vec<FlowJob> = (0..n_jobs).map(|i| FlowJob::two_stage(i, f, g)).collect();
     let order: Vec<usize> = (0..n_jobs).collect();
     let horizon = (mcdnn_flowshop::uniform_makespan(n_jobs, f, g) * 2.0).max(1.0);
-    let run = FaultedRun {
-        faults: FaultPlan::random(spec, n_jobs, horizon, seed),
-        retry: RetryPolicy::default(),
-        local_fallback_ms: profile.f(profile.k()) - f,
+    let config = DesConfig {
+        faults: FaultedRun {
+            faults: FaultPlan::random(spec, n_jobs, horizon, seed),
+            retry: RetryPolicy::default(),
+            local_fallback_ms: profile.f(profile.k()) - f,
+        },
+        ..DesConfig::default()
     };
-    let result = simulate_faulted(&jobs, &order, &DesConfig::default(), &run);
+    let result = simulate(&jobs, &order, &config);
     let log = format_events(&result.events);
     let digest = log_digest(&log);
     ChaosDrill {
-        plan: run.faults,
+        plan: config.faults.faults,
         result,
         log,
         digest,

@@ -25,10 +25,9 @@
 //! decision, frontier lookup, job-vector refill and DES run all reuse
 //! session-owned storage. The `serve_alloc_free` integration test
 //! proves this with a counting allocator. Every `fault_every`-th burst
-//! additionally replays through [`DesArena::simulate_faulted`] with a
-//! seeded [`FaultPlan`]; that path allocates (the fault plan and link
-//! timeline are built per run) and is excluded from the contract,
-//! exactly as [`DesArena`] documents.
+//! instead puts a seeded [`FaultPlan`] in its [`DesConfig`]; that run
+//! allocates (the fault plan and link timeline are built per run) and
+//! is excluded from the contract, exactly as [`DesArena`] documents.
 //!
 //! Determinism contract: a user's burst stream depends only on its
 //! spec and the [`ServeConfig`] — never on scheduling. Each summary
@@ -65,8 +64,8 @@ use mcdnn_runtime::WorkerPool;
 
 use crate::adapt::DriftSpec;
 use crate::degrade::{LadderFrontier, LadderLevel};
-use crate::des::{DesArena, DesConfig, FaultedRun};
-use crate::fault::{FaultEventKind, FaultPlan, FaultSpec, RetryPolicy};
+use crate::des::{DesArena, DesConfig};
+use crate::fault::{FaultEventKind, FaultPlan, FaultSpec, FaultedRun, RetryPolicy};
 use crate::tenant::{cut_pair, Tenant};
 
 /// Knobs shared by every user of a serving run.
@@ -402,29 +401,25 @@ impl UserSession {
             self.jobs.push(FlowJob::two_stage(j, f, g));
         }
 
-        let des = DesConfig {
-            uplink_channels: 1,
-            cloud_slots: 1,
-            jitter_frac: 0.0,
-            seed: 0,
-        };
         let faulted = self.fault_every != 0 && self.core.steps().is_multiple_of(self.fault_every);
-        let (makespan_ms, events_digest) = if faulted {
+        let mut des = DesConfig::default();
+        if faulted {
             // Seeded fault replay — the allocating exception to the
             // steady-state contract (FaultPlan + link timeline are
             // built per run).
-            let faults = FaultPlan::random(
-                &FaultSpec::default(),
-                self.n_jobs,
-                kernel_ms.max(1.0) * 2.0,
-                self.core.rng().next_u64(),
-            );
-            let run = FaultedRun {
-                faults,
+            des.faults = FaultedRun {
+                faults: FaultPlan::random(
+                    &FaultSpec::default(),
+                    self.n_jobs,
+                    kernel_ms.max(1.0) * 2.0,
+                    self.core.rng().next_u64(),
+                ),
                 retry: RetryPolicy::default(),
                 local_fallback_ms,
             };
-            let m = self.arena.simulate_faulted(&self.jobs, &self.order, &des, &run);
+        }
+        let makespan_ms = self.arena.simulate(&self.jobs, &self.order, &des);
+        let events_digest = if faulted {
             let mut d = FNV_OFFSET;
             for e in self.arena.events() {
                 d = fnv_fold(d, e.t_ms.to_bits());
@@ -443,9 +438,9 @@ impl UserSession {
                     }
                 };
             }
-            (m, d)
+            d
         } else {
-            (self.arena.simulate(&self.jobs, &self.order, &des), 0)
+            0
         };
 
         // Fold the burst into the session digest: bandwidth, cut

@@ -71,6 +71,7 @@ pub struct StreamStats {
 pub fn simulate_stream(f_ms: f64, g_ms: f64, config: &StreamConfig) -> StreamStats {
     assert!(f_ms >= 0.0 && g_ms >= 0.0, "stage times must be >= 0");
     assert!(config.period_ms > 0.0, "period must be positive");
+    assert!(config.period_ms.is_finite(), "period must be finite");
     assert!(config.frames > config.warmup, "need frames beyond warm-up");
     let mut rng = Rng::seed_from_u64(config.seed);
     let mut arrival = 0.0f64;

@@ -2,68 +2,49 @@
 //! Perfetto.
 //!
 //! Rendering goes through the unified [`mcdnn_obs::ChromeTrace`] writer
-//! (one JSON emitter for virtual Gantt intervals *and* real registry
-//! spans); this module only maps schedule intervals onto trace events.
-//! Timestamps are microseconds per the format spec; one virtual
-//! millisecond maps to 1000 µs.
+//! (one JSON emitter for virtual DES intervals *and* real registry
+//! spans); this module only maps simulated timelines onto trace
+//! events, through one builder, [`faulted_trace`]. Timestamps are
+//! microseconds per the format spec; one virtual millisecond maps to
+//! 1000 µs.
 
-use mcdnn_flowshop::{gantt, FlowJob};
+use mcdnn_flowshop::FlowJob;
 use mcdnn_obs::{ChromeTrace, InstantEvent, TraceEvent};
 
-use crate::des::FaultedDesResult;
+use crate::des::{simulate, DesConfig, DesResult};
 use crate::fault::{Fault, FaultEventKind, FaultPlan};
 
 /// Resource (thread) names shown in the trace viewer.
 const STAGE_NAMES: [&str; 3] = ["mobile CPU", "uplink", "cloud"];
 
 /// Build (without rendering) the trace of `jobs` in `order` under the
-/// given `pid`: one viewer thread per pipeline stage, one complete
-/// event per non-empty stage interval. Callers that want a combined
-/// document (e.g. the CLI's `--emit-trace`) add more rows to the
-/// returned builder before rendering.
+/// given `pid`: the fault-free DES run rendered by [`faulted_trace`],
+/// one viewer thread per pipeline stage and one complete event per
+/// non-empty stage interval. Callers that want a combined document
+/// (e.g. the CLI's `--emit-trace`) add more rows to the returned
+/// builder before rendering.
 pub fn schedule_trace(jobs: &[FlowJob], order: &[usize], pid: u32) -> ChromeTrace {
-    let g = gantt(jobs, order);
-    let mut trace = ChromeTrace::new();
-    for (tid, name) in STAGE_NAMES.iter().enumerate() {
-        trace.thread(pid, tid as u32, *name);
-    }
-    for iv in &g.intervals {
-        if iv.end <= iv.start {
-            continue;
-        }
-        trace.push(TraceEvent {
-            pid,
-            tid: iv.stage as u32,
-            name: format!("job {}", iv.job),
-            cat: format!("stage{}", iv.stage),
-            ts_us: iv.start * 1000.0,
-            dur_us: (iv.end - iv.start) * 1000.0,
-        });
-    }
-    trace
+    let result = simulate(jobs, order, &DesConfig::default());
+    faulted_trace(&result, &FaultPlan::none(), pid)
 }
 
-/// Render the schedule of `jobs` in `order` as a Chrome trace-event
-/// JSON document (thin wrapper over [`schedule_trace`]).
-pub fn to_chrome_trace(jobs: &[FlowJob], order: &[usize]) -> String {
-    schedule_trace(jobs, order, 1).to_json()
-}
-
-/// Build the trace of a fault-injected run under `pid`: the three
-/// stage rows reconstructed from the realised timelines (upload rows
+/// Build the trace of a DES run that replayed `plan` under `pid`: the
+/// three stage rows read off the realised timelines (upload rows
 /// stretch across fault windows; on-device fallback remainders render
-/// on the mobile-CPU row), a fourth "faults" row with one slice per
-/// injected fault window, and one instant flag per fault/recovery
-/// event — so the viewer shows exactly *when* each upload was lost,
-/// retried, recovered or abandoned.
-pub fn faulted_trace(result: &FaultedDesResult, plan: &FaultPlan, pid: u32) -> ChromeTrace {
+/// on the mobile-CPU row). A non-empty plan adds a fourth "faults" row
+/// with one slice per injected fault window and one instant flag per
+/// fault/recovery event — so the viewer shows exactly *when* each
+/// upload was lost, retried, recovered or abandoned.
+pub fn faulted_trace(result: &DesResult, plan: &FaultPlan, pid: u32) -> ChromeTrace {
     const FAULT_ROW: u32 = 3;
     let mut trace = ChromeTrace::new();
     for (tid, name) in STAGE_NAMES.iter().enumerate() {
         trace.thread(pid, tid as u32, *name);
     }
-    trace.thread(pid, FAULT_ROW, "faults");
-    let fallback_ids: Vec<usize> = result.fallbacks.iter().map(|&(id, _, _)| id).collect();
+    if !plan.is_empty() {
+        trace.thread(pid, FAULT_ROW, "faults");
+    }
+    let fallback_ids = result.fallback_jobs();
     for t in &result.timelines {
         if t.compute_end > t.compute_start {
             trace.push(TraceEvent {
@@ -85,17 +66,16 @@ pub fn faulted_trace(result: &FaultedDesResult, plan: &FaultPlan, pid: u32) -> C
                 dur_us: (t.upload_end - t.upload_start) * 1000.0,
             });
         }
-        // Anything after the upload is the cloud stage — unless the job
-        // fell back, in which case the remainder renders on the CPU row
-        // below from the recorded fallback interval.
-        if t.completion > t.upload_end && !fallback_ids.contains(&t.id) {
+        // A job that fell back finishes on the CPU row below, from the
+        // recorded fallback interval.
+        if t.completion > t.cloud_start && !fallback_ids.contains(&t.id) {
             trace.push(TraceEvent {
                 pid,
                 tid: 2,
                 name: format!("job {}", t.id),
                 cat: "stage2".to_string(),
-                ts_us: t.upload_end * 1000.0,
-                dur_us: (t.completion - t.upload_end) * 1000.0,
+                ts_us: t.cloud_start * 1000.0,
+                dur_us: (t.completion - t.cloud_start) * 1000.0,
             });
         }
     }
@@ -169,7 +149,7 @@ mod tests {
             FlowJob::three_stage(1, 7.0, 2.0, 1.0),
         ];
         let order = johnson_order(&jobs);
-        let trace = to_chrome_trace(&jobs, &order);
+        let trace = schedule_trace(&jobs, &order, 1).to_json();
         assert!(trace.starts_with('[') && trace.ends_with(']'));
         // 3 thread-name metadata + 5 stage events (2 compute, 2 comm,
         // 1 cloud).
@@ -186,21 +166,20 @@ mod tests {
     #[test]
     fn zero_duration_stages_skipped() {
         let jobs = vec![FlowJob::two_stage(0, 5.0, 0.0)];
-        let trace = to_chrome_trace(&jobs, &[0]);
+        let trace = schedule_trace(&jobs, &[0], 1).to_json();
         assert_eq!(trace.matches("\"ph\":\"X\"").count(), 1);
     }
 
     #[test]
     fn empty_schedule() {
-        let trace = to_chrome_trace(&[], &[]);
+        let trace = schedule_trace(&[], &[], 1).to_json();
         assert_eq!(trace.matches("\"ph\":\"X\"").count(), 0);
         assert!(trace.starts_with('[') && trace.ends_with(']'));
     }
 
     #[test]
     fn faulted_trace_shows_fault_windows_and_event_flags() {
-        use crate::des::{simulate_faulted, DesConfig, FaultedRun};
-        use crate::fault::Fault;
+        use crate::fault::FaultedRun;
 
         let jobs = vec![
             FlowJob::two_stage(0, 4.0, 6.0),
@@ -213,12 +192,15 @@ mod tests {
             },
             Fault::UploadLoss { job: 0, losses: 9 },
         ]);
-        let run = FaultedRun {
-            faults: plan.clone(),
-            local_fallback_ms: 3.0,
-            ..FaultedRun::default()
+        let config = DesConfig {
+            faults: FaultedRun {
+                faults: plan.clone(),
+                local_fallback_ms: 3.0,
+                ..FaultedRun::default()
+            },
+            ..DesConfig::default()
         };
-        let result = simulate_faulted(&jobs, &[0, 1], &DesConfig::default(), &run);
+        let result = simulate(&jobs, &[0, 1], &config);
         let doc = faulted_trace(&result, &plan, 1).to_json();
         // 4 rows: three stages + faults.
         assert_eq!(doc.matches("\"ph\":\"M\"").count(), 4);
@@ -240,12 +222,37 @@ mod tests {
     }
 
     #[test]
+    fn queued_cloud_stages_do_not_overlap() {
+        // Job 1's cloud stage waits for job 0's (2–12 ms) in the one
+        // cloud slot: it runs 12–22 ms, not from its upload end at 3.
+        let jobs = vec![
+            FlowJob::three_stage(0, 1.0, 1.0, 10.0),
+            FlowJob::three_stage(1, 1.0, 1.0, 10.0),
+        ];
+        let result = simulate(&jobs, &[0, 1], &DesConfig::default());
+        let doc = faulted_trace(&result, &FaultPlan::none(), 1).to_json();
+        let parsed = mcdnn_obs::json::parse(&doc).expect("valid JSON");
+        let cloud: Vec<(f64, f64)> = parsed
+            .as_array()
+            .unwrap()
+            .iter()
+            .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
+            .filter(|e| e.get("tid").and_then(|t| t.as_f64()) == Some(2.0))
+            .map(|e| {
+                let field = |k: &str| e.get(k).and_then(|v| v.as_f64()).unwrap();
+                (field("ts"), field("dur"))
+            })
+            .collect();
+        assert_eq!(cloud, vec![(2000.0, 10000.0), (12000.0, 10000.0)]);
+    }
+
+    #[test]
     fn events_sorted_by_timestamp() {
         let jobs = vec![
             FlowJob::two_stage(0, 4.0, 6.0),
             FlowJob::two_stage(1, 7.0, 2.0),
         ];
-        let trace = to_chrome_trace(&jobs, &[0, 1]);
+        let trace = schedule_trace(&jobs, &[0, 1], 1).to_json();
         let parsed = mcdnn_obs::json::parse(&trace).expect("valid JSON");
         let ts: Vec<f64> = parsed
             .as_array()

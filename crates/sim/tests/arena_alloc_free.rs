@@ -62,6 +62,7 @@ fn warm_arena_simulate_allocates_nothing() {
         cloud_slots: 1,
         jitter_frac: 0.1,
         seed: 42,
+        ..DesConfig::default()
     };
 
     let mut arena = DesArena::new();

@@ -9,8 +9,7 @@
 //! degradation roll, ladder decision, shared-cache-backed frontier
 //! lookup, in-place job refill and a warm `DesArena` run. Faulted
 //! bursts are excluded (`fault_every: 0`) — `FaultPlan` and the link
-//! timeline are built per run, as `DesArena::simulate_faulted`
-//! documents.
+//! timeline are built per run, as `DesArena` documents.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

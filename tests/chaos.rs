@@ -18,8 +18,8 @@ use mcdnn::prelude::*;
 use mcdnn_rng::{fnv_fold, FNV_OFFSET};
 use mcdnn_sim::{
     best_cut_for_rate, chaos_drill, chaos_scenarios, ladder_decision, run_chaos_grid,
-    run_degraded, run_pipeline_faulted, saturation_rate_hz, simulate_faulted, DegradePolicy,
-    DesConfig, FaultSpec, FaultedRun, LadderLevel, RetryPolicy,
+    run_degraded, run_pipeline, saturation_rate_hz, simulate, DegradePolicy, DesConfig,
+    ExecutorConfig, FaultSpec, FaultedRun, LadderLevel, RetryPolicy,
 };
 
 const SEEDS: [u64; 2] = [7, 1234];
@@ -67,8 +67,16 @@ fn des_and_executor_agree_on_faulted_runs() {
             retry: RetryPolicy::default(),
             local_fallback_ms: p.f(p.k()) - f,
         };
-        let des = simulate_faulted(&jobs, &order, &DesConfig::default(), &run);
-        let exec = run_pipeline_faulted(&jobs, &order, &mcdnn_sim::ExecutorConfig::default(), &run);
+        let des_config = DesConfig {
+            faults: run.clone(),
+            ..DesConfig::default()
+        };
+        let exec_config = ExecutorConfig {
+            faults: run,
+            ..ExecutorConfig::default()
+        };
+        let des = simulate(&jobs, &order, &des_config);
+        let exec = run_pipeline(&jobs, &order, &exec_config);
         assert_eq!(des.makespan_ms, exec.makespan_ms, "seed {seed}");
         assert_eq!(des.events, exec.events, "seed {seed}: event logs must match exactly");
         assert_eq!(des.fallback_jobs(), exec.fallback_jobs, "seed {seed}");
