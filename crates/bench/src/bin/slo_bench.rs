@@ -23,7 +23,8 @@
 //! 4. **Dispatch-path throughput sweep** — the indexed EDF/WFQ
 //!    dispatcher (heaps + rung-pricing memo) against the linear-scan
 //!    reference across queue depths (1x–16x overload) and fleet sizes,
-//!    measured over the scheduling loop alone on warm [`SloArena`]s.
+//!    measured over the scheduling loop alone on one warm
+//!    [`SloStreams`] per cell.
 //!    Every cell must produce the **same outcome digest** in both
 //!    modes (`dispatch_bit_identical`), and the deepest-queue cell must
 //!    clear a ≥5x speedup (`dispatch_speedup_target_met`) with a warm
@@ -44,8 +45,8 @@ use mcdnn_bench::workload::{monotone_zoo_rate_profiles, SETUP_MS};
 use mcdnn_partition::PlanCache;
 use mcdnn_runtime::WorkerPool;
 use mcdnn_sim::{
-    serve_slo, serve_slo_digest_in, serve_slo_serial, serve_slo_serial_with, slo_fleet,
-    DispatchMode, SloArena, SloConfig, SloPolicy, SloReport,
+    serve_slo, serve_slo_serial, slo_fleet, DispatchMode, DispatchStats, SloConfig, SloPolicy,
+    SloReport, SloStreams, SloTenant,
 };
 
 const POOL_WORKERS: usize = 8;
@@ -64,22 +65,23 @@ struct DispatchCell {
 }
 
 /// Best-of-three scheduling-loop time for one dispatch mode, plus the
-/// digest and the final run's stats. The arena stays warm across the
-/// timed runs, so the loop is measured without buffer churn.
+/// digest and the final run's stats. The streams are generated once
+/// per cell and stay warm across the timed runs, so the loop is
+/// measured without buffer churn.
 fn time_mode(
-    arena: &mut SloArena,
-    cache: &PlanCache,
-    fleet: &[mcdnn_sim::SloTenant],
+    run: &mut SloStreams,
+    fleet: &[SloTenant],
     config: &SloConfig,
     mode: DispatchMode,
-) -> (u64, u64, mcdnn_sim::DispatchStats) {
+) -> (u64, u64, DispatchStats) {
     let mut digest = 0u64;
     let mut best_ns = u64::MAX;
-    let mut stats = arena.stats();
+    let mut stats = run.stats();
     for _ in 0..3 {
-        digest = serve_slo_digest_in(arena, cache, fleet, config, SloPolicy::EdfDegrade, mode)
+        digest = run
+            .digest(fleet, config, SloPolicy::EdfDegrade, mode)
             .expect("fleet serves");
-        stats = arena.stats();
+        stats = run.stats();
         best_ns = best_ns.min(stats.schedule_ns.max(1));
     }
     (digest, best_ns, stats)
@@ -119,22 +121,21 @@ fn main() {
     // Serial reference runs use the pre-overhaul linear-scan dispatcher,
     // so this equality spans both the worker pool AND the dispatch-mode
     // boundary: pooled-indexed must equal serial-reference byte for byte.
-    let fifo_serial = serve_slo_serial_with(
-        &serial_cache,
-        &fleet,
-        &config,
-        SloPolicy::Fifo,
-        DispatchMode::Reference,
-    )
-    .expect("fifo serves");
-    let edf_serial = serve_slo_serial_with(
-        &serial_cache,
-        &fleet,
-        &config,
-        SloPolicy::EdfDegrade,
-        DispatchMode::Reference,
-    )
-    .expect("edf serves");
+    let mut serial = SloStreams::default();
+    serial
+        .regenerate(&serial_cache, &fleet, &config)
+        .expect("fleet generates");
+    let fifo_serial = serial
+        .schedule(&fleet, &config, SloPolicy::Fifo, DispatchMode::Reference)
+        .expect("fifo serves");
+    let edf_serial = serial
+        .schedule(
+            &fleet,
+            &config,
+            SloPolicy::EdfDegrade,
+            DispatchMode::Reference,
+        )
+        .expect("edf serves");
     let pooled_bit_identical = fifo == fifo_serial && edf == edf_serial;
     let hit_rate_improved = edf.hit_rate > fifo.hit_rate;
     let p99_improved = edf.p99_latency_ms < fifo.p99_latency_ms;
@@ -202,8 +203,7 @@ fn main() {
          {sweep_requests} requests/tenant, max_queue {sweep_max_queue}"
     );
     let mut cells: Vec<DispatchCell> = Vec::new();
-    let mut ref_arena = SloArena::new();
-    let mut idx_arena = SloArena::new();
+    let mut run = SloStreams::default();
     // Time the dispatch path itself, not the observability registry:
     // per-request observe calls cost the same in both modes and would
     // only compress the measured ratio.
@@ -217,10 +217,10 @@ fn main() {
                 ..config.clone()
             };
             let f = slo_fleet(&profiles, t, &c);
-            let (ref_digest, ref_ns, _) =
-                time_mode(&mut ref_arena, &serial_cache, &f, &c, DispatchMode::Reference);
-            let (idx_digest, idx_ns, stats) =
-                time_mode(&mut idx_arena, &serial_cache, &f, &c, DispatchMode::Indexed);
+            run.regenerate(&serial_cache, &f, &c)
+                .expect("fleet generates");
+            let (ref_digest, ref_ns, _) = time_mode(&mut run, &f, &c, DispatchMode::Reference);
+            let (idx_digest, idx_ns, stats) = time_mode(&mut run, &f, &c, DispatchMode::Indexed);
             let requests = stats.requests;
             let cell = DispatchCell {
                 tenants: t,

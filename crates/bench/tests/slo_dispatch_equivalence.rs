@@ -6,7 +6,8 @@
 //! approximate: every outcome — completions, rungs, sheds, digests —
 //! must match [`DispatchMode::Reference`] byte for byte. This sweep
 //! drives both modes over real zoo profiles across policies, overload
-//! regimes, and contention settings, then re-checks the pooled engine
+//! regimes, and contention settings — one generated stream set
+//! scheduled under both modes — then re-checks the pooled engine
 //! at every worker width against the indexed serial run (the
 //! production default after the overhaul).
 
@@ -16,7 +17,12 @@ use mcdnn_bench::workload::{monotone_zoo_cloud_rate_profiles, SETUP_MS};
 use mcdnn_partition::PlanCache;
 use mcdnn_rng::Rng;
 use mcdnn_runtime::WorkerPool;
-use mcdnn_sim::{serve_slo, serve_slo_serial_with, slo_fleet, DispatchMode, SloConfig, SloPolicy};
+use mcdnn_sim::{
+    serve_slo, serve_slo_serial, slo_fleet, DispatchMode, SloConfig, SloPolicy, SloStreams,
+};
+
+/// Both dispatchers, the reference first.
+const MODES: [DispatchMode; 2] = [DispatchMode::Reference, DispatchMode::Indexed];
 
 #[test]
 fn indexed_dispatch_is_bit_identical_to_the_reference_zoo_wide() {
@@ -55,15 +61,13 @@ fn indexed_dispatch_is_bit_identical_to_the_reference_zoo_wide() {
         },
     ];
 
+    let mut run = SloStreams::default();
     for (ci, config) in configs.iter().enumerate() {
         let fleet = slo_fleet(&profiles, profiles.len() + 3, config);
+        run.regenerate(&cache, &fleet, config).expect("generates");
         for policy in [SloPolicy::Fifo, SloPolicy::EdfDegrade] {
-            let reference =
-                serve_slo_serial_with(&cache, &fleet, config, policy, DispatchMode::Reference)
-                    .expect("fleet serves");
-            let indexed =
-                serve_slo_serial_with(&cache, &fleet, config, policy, DispatchMode::Indexed)
-                    .expect("fleet serves");
+            let [reference, indexed] =
+                MODES.map(|mode| run.schedule(&fleet, config, policy, mode).expect("serves"));
             assert!(reference.admitted > 0, "config {ci} {policy:?}: vacuous run");
             assert_eq!(
                 reference, indexed,
@@ -85,14 +89,8 @@ fn pooled_indexed_dispatch_matches_serial_at_every_width() {
     };
     let fleet = slo_fleet(&profiles, profiles.len() + 3, &config);
     let serial_cache = PlanCache::new();
-    let serial = serve_slo_serial_with(
-        &serial_cache,
-        &fleet,
-        &config,
-        SloPolicy::EdfDegrade,
-        DispatchMode::Indexed,
-    )
-    .expect("fleet serves");
+    let serial = serve_slo_serial(&serial_cache, &fleet, &config, SloPolicy::EdfDegrade)
+        .expect("fleet serves");
 
     for workers in [1usize, 2, 4, 8] {
         let pool = WorkerPool::new(workers);
@@ -114,6 +112,7 @@ fn equivalence_holds_on_randomized_fleet_shapes() {
     let profiles = monotone_zoo_cloud_rate_profiles(SETUP_MS);
     let cache = PlanCache::new();
     let mut rng = Rng::seed_from_u64(0x0EDF_0EDF);
+    let mut run = SloStreams::default();
     for trial in 0..6 {
         let config = SloConfig {
             requests_per_tenant: 20 + rng.gen_range(0usize..30),
@@ -123,13 +122,10 @@ fn equivalence_holds_on_randomized_fleet_shapes() {
         };
         let tenants = 1 + rng.gen_range(0usize..12);
         let fleet = slo_fleet(&profiles, tenants, &config);
+        run.regenerate(&cache, &fleet, &config).expect("generates");
         for policy in [SloPolicy::Fifo, SloPolicy::EdfDegrade] {
-            let reference =
-                serve_slo_serial_with(&cache, &fleet, &config, policy, DispatchMode::Reference)
-                    .expect("fleet serves");
-            let indexed =
-                serve_slo_serial_with(&cache, &fleet, &config, policy, DispatchMode::Indexed)
-                    .expect("fleet serves");
+            let [reference, indexed] =
+                MODES.map(|mode| run.schedule(&fleet, &config, policy, mode).expect("serves"));
             assert_eq!(
                 reference, indexed,
                 "trial {trial} {policy:?} (tenants={tenants}, overload={}): diverged",

@@ -9,7 +9,8 @@
 //!
 //! The second drives a deep contended fleet, where most picks are
 //! already past their deadline and the joint Normal rung's bound
-//! prunes, through both dispatch modes: the indexed loop's early exits
+//! prunes, through both dispatch modes on one generated stream set:
+//! the indexed loop's early exits
 //! must run and leave every outcome bit equal to the reference's.
 //!
 //! The third is a seeded property sweep over real zoo frontiers: the
@@ -27,8 +28,7 @@ use mcdnn_partition::{
 use mcdnn_rng::Rng;
 use mcdnn_runtime::WorkerPool;
 use mcdnn_sim::{
-    serve_slo, serve_slo_digest_in, serve_slo_serial, serve_slo_serial_with, slo_fleet,
-    DispatchMode, SloArena, SloConfig, SloPolicy,
+    serve_slo, serve_slo_serial, slo_fleet, DispatchMode, SloConfig, SloPolicy, SloStreams,
 };
 
 #[test]
@@ -97,28 +97,21 @@ fn deep_contended_dispatch_takes_its_early_exits_and_matches_the_reference() {
         };
         let fleet = slo_fleet(&profiles, profiles.len() + 3, &config);
         let policy = SloPolicy::EdfDegrade;
-        let reference =
-            serve_slo_serial_with(&cache, &fleet, &config, policy, DispatchMode::Reference)
-                .expect("fleet serves");
-        let indexed = serve_slo_serial_with(&cache, &fleet, &config, policy, DispatchMode::Indexed)
-            .expect("fleet serves");
+        let modes = [DispatchMode::Reference, DispatchMode::Indexed];
+        let mut run = SloStreams::default();
+        run.regenerate(&cache, &fleet, &config).expect("generates");
+        let [reference, indexed] =
+            modes.map(|mode| run.schedule(&fleet, &config, policy, mode).expect("serves"));
         assert!(reference.admitted > 0, "joint={joint_alloc}: vacuous run");
         assert_eq!(
             reference, indexed,
             "joint={joint_alloc}: indexed dispatch diverged from the reference"
         );
-        let mut arena = SloArena::new();
-        let digest = serve_slo_digest_in(
-            &mut arena,
-            &cache,
-            &fleet,
-            &config,
-            policy,
-            DispatchMode::Indexed,
-        )
-        .expect("fleet serves");
+        let digest = run
+            .digest(&fleet, &config, policy, DispatchMode::Indexed)
+            .expect("fleet serves");
         assert_eq!(digest, reference.digest, "joint={joint_alloc}");
-        let stats = arena.stats();
+        let stats = run.stats();
         assert!(
             stats.expired_sheds > 0 && stats.expired_sheds <= reference.shed_infeasible,
             "joint={joint_alloc}: expired picks must be shed unpriced: {stats:?}"

@@ -138,15 +138,44 @@ impl<'a> Flags<'a> {
     }
 }
 
-fn scenario(flags: &Flags) -> Result<(Model, Scenario), CliError> {
-    let model = flags.model()?;
+/// The uplink `--bandwidth` and `--setup-ms` describe, checked the way
+/// [`NetworkModel::new`] asserts: bandwidth > 0, setup >= 0.
+fn network(flags: &Flags) -> Result<NetworkModel, CliError> {
     let bandwidth = flags.parse_f64("bandwidth")?;
     if bandwidth <= 0.0 {
         return Err(err("--bandwidth must be positive"));
     }
     let setup = flags.parse_f64_or("setup-ms", 10.0)?;
-    let net = NetworkModel::new(bandwidth, setup);
-    Ok((model, Scenario::paper_default(model, net)))
+    if setup < 0.0 {
+        return Err(err("--setup-ms must not be negative"));
+    }
+    Ok(NetworkModel::new(bandwidth, setup))
+}
+
+/// Reject a profile with a stage time that is not finite: at a
+/// subnormal bandwidth every upload takes forever, and the planners
+/// assert finite jobs.
+fn finite_profile(profile: &CostProfile, net: &NetworkModel) -> Result<(), CliError> {
+    let finite = |stage: &[f64]| stage.iter().all(|v| v.is_finite());
+    if finite(profile.f_all()) && finite(profile.g_all()) {
+        return Ok(());
+    }
+    let bandwidth = net.bandwidth_mbps;
+    Err(err(format!(
+        "--bandwidth {bandwidth:e} is too small: its upload times are not finite"
+    )))
+}
+
+/// The paper's platform for `model` on `net`, with finite stage times.
+fn paper_scenario(model: Model, net: NetworkModel) -> Result<Scenario, CliError> {
+    let s = Scenario::paper_default(model, net);
+    finite_profile(s.profile(), &net)?;
+    Ok(s)
+}
+
+fn scenario(flags: &Flags) -> Result<(Model, Scenario), CliError> {
+    let model = flags.model()?;
+    Ok((model, paper_scenario(model, network(flags)?)?))
 }
 
 /// Usage text.
@@ -414,15 +443,15 @@ fn cmd_load(flags: &Flags) -> Result<String, CliError> {
         mcdnn_graph::collapse_to_line(&graph).map_err(|e| err(e.to_string()))?
     };
     let (clustered, _) = mcdnn_graph::cluster_virtual_blocks(&line);
-    let bandwidth = flags.parse_f64("bandwidth")?;
-    let setup = flags.parse_f64_or("setup-ms", 10.0)?;
+    let net = network(flags)?;
     let n = flags.parse_usize("jobs")?;
     let s = Scenario::new(
         clustered,
         DeviceModel::raspberry_pi4(),
-        NetworkModel::new(bandwidth, setup),
+        net,
         CloudModel::Device(DeviceModel::cloud_gtx1080()),
     );
+    finite_profile(s.profile(), &net)?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -483,6 +512,9 @@ fn cmd_sweep(flags: &Flags) -> Result<String, CliError> {
     if from <= 0.0 || to < from || steps < 2 {
         return Err(err("need 0 < --from <= --to and --steps >= 2"));
     }
+    // The sweep's slowest link has its largest upload times.
+    let slowest = NetworkModel::new(from, NetworkModel::wifi().setup_ms);
+    paper_scenario(model, slowest)?;
     let mbps: Vec<f64> = (0..steps)
         .map(|i| from + (to - from) * i as f64 / (steps - 1) as f64)
         .collect();
@@ -609,8 +641,7 @@ fn cmd_stream(flags: &Flags) -> Result<String, CliError> {
 fn cmd_hetero(flags: &Flags) -> Result<String, CliError> {
     let models_raw = flags.require("models")?;
     let counts_raw = flags.require("counts")?;
-    let bandwidth = flags.parse_f64("bandwidth")?;
-    let setup = flags.parse_f64_or("setup-ms", 10.0)?;
+    let net = network(flags)?;
     let models: Vec<Model> = models_raw
         .split(',')
         .map(|m| m.trim().parse().map_err(|e: String| err(e)))
@@ -626,22 +657,26 @@ fn cmd_hetero(flags: &Flags) -> Result<String, CliError> {
     if models.len() != counts.len() || models.is_empty() {
         return Err(err("--models and --counts must list the same (non-zero) number of entries"));
     }
-    let net = NetworkModel::new(bandwidth, setup);
+    if counts.iter().all(|&c| c == 0) {
+        return Err(err("--counts must include at least one job"));
+    }
     let groups: Vec<mcdnn_partition::JobGroup> = models
         .iter()
         .zip(&counts)
-        .map(|(&m, &count)| mcdnn_partition::JobGroup {
-            profile: Scenario::paper_default(m, net).profile().clone(),
-            count,
+        .map(|(&m, &count)| {
+            Ok(mcdnn_partition::JobGroup {
+                profile: paper_scenario(m, net)?.profile().clone(),
+                count,
+            })
         })
-        .collect();
+        .collect::<Result<_, CliError>>()?;
     let joint = mcdnn_partition::hetero_jps_plan(&groups);
     let separate: f64 = groups
         .iter()
         .map(|g| Strategy::JpsBestMix.plan(&g.profile, g.count).makespan_ms)
         .sum();
     let mut out = String::new();
-    let _ = writeln!(out, "heterogeneous batch at {bandwidth} Mbps:");
+    let _ = writeln!(out, "heterogeneous batch at {} Mbps:", net.bandwidth_mbps);
     for ((m, c), cut) in models.iter().zip(&counts).zip(&joint.cuts) {
         let _ = writeln!(out, "  {c} × {m}: cut {} (mix: {:?})", cut.cut, cut.mix);
     }
@@ -925,7 +960,7 @@ fn cmd_serve_slo(flags: &Flags) -> Result<String, CliError> {
     }
     // FIFO and contention-oblivious EDF always run; a configured pool
     // adds the joint cut/share allocator as a third column. All runs
-    // schedule the same streams, generated (and replanned) once.
+    // schedule the same streams, generated (and replanned) and merged once.
     let mut runs = vec![
         (mcdnn_sim::SloPolicy::Fifo, false),
         (mcdnn_sim::SloPolicy::EdfDegrade, false),
@@ -933,13 +968,18 @@ fn cmd_serve_slo(flags: &Flags) -> Result<String, CliError> {
     if cloud_servers > 0 {
         runs.push((mcdnn_sim::SloPolicy::EdfDegrade, true));
     }
-    let streams = engine
+    let mut streams = engine
         .slo_streams(&tenants, &config)
         .map_err(|e| err(format!("slo serving failed: {e}")))?;
+    let indexed = mcdnn_sim::DispatchMode::Indexed;
     let mut reports = Vec::new();
     for &(policy, joint_alloc) in &runs {
+        let run_config = mcdnn_sim::SloConfig {
+            joint_alloc,
+            ..config.clone()
+        };
         let r = streams
-            .schedule(policy, joint_alloc)
+            .schedule(&tenants, &run_config, policy, indexed)
             .map_err(|e| err(format!("slo serving failed: {e}")))?;
         let label = if r.joint_alloc {
             format!("{policy}+joint")
@@ -1330,6 +1370,96 @@ mod tests {
         .is_err());
     }
 
+    /// A small `.dnn` model written as `name` in the test directory.
+    fn tiny_dnn(name: &str) -> String {
+        let dir = std::env::temp_dir().join("mcdnn-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join(name);
+        let text = "i: input(3, 32, 32)\nc: conv(8, k=3, p=1)\nd: dense(10)\n";
+        std::fs::write(&file, text).unwrap();
+        file.to_str().unwrap().to_string()
+    }
+
+    /// `line` split on whitespace, with `FILE` standing for `file`.
+    fn argv(line: &str, file: &str) -> Vec<String> {
+        line.split_whitespace()
+            .map(|a| if a == "FILE" { file } else { a }.to_string())
+            .collect()
+    }
+
+    #[test]
+    fn bad_network_flags_are_errors() {
+        let file = tiny_dnn("network.dnn");
+        let _shared = METRICS_GATE.read().unwrap_or_else(|e| e.into_inner());
+        for line in [
+            "profile --model alexnet --bandwidth 18.88 --setup-ms -1",
+            "plan --model alexnet --bandwidth 18.88 --jobs 4 --setup-ms -1",
+            "compare --model alexnet --bandwidth 18.88 --jobs 4 --setup-ms -1",
+            "pareto --model alexnet --bandwidth 18.88 --jobs 4 --setup-ms -1",
+            "stream --model alexnet --bandwidth 18.88 --fps 5 --setup-ms -1",
+            "chaos --model alexnet --bandwidth 18.88 --setup-ms -1",
+            "load --file FILE --bandwidth 10 --jobs 2 --setup-ms -1",
+            "load --file FILE --jobs 2 --bandwidth 0",
+            "hetero --models alexnet --counts 2 --bandwidth 0",
+            "hetero --models alexnet --counts 2 --bandwidth -3",
+            "hetero --models alexnet --counts 2 --bandwidth 10 --setup-ms -5",
+            "hetero --models alexnet,resnet18 --bandwidth 10 --counts 0,0",
+        ] {
+            // The message names the flag whose value is bad, the last.
+            let flag = line.split_whitespace().rev().nth(1).unwrap();
+            let msg = run(&argv(line, &file)).unwrap_err().0;
+            assert!(msg.contains(flag), "{line}: {msg}");
+        }
+    }
+
+    /// The CLI half of the no-panic fuzz: one valid, seeded command per
+    /// subcommand that takes numeric flags, with each numeric flag's
+    /// value replaced in turn by an edge value. Every run must end in
+    /// output or a `CliError`, never a panic. (`CO` at 5e-324 Mbps
+    /// really is infinite, so a table may print `inf`.)
+    #[test]
+    fn numeric_flag_edge_values_never_panic() {
+        let file = tiny_dnn("sweep.dnn");
+        let commands = [
+            "profile --model alexnet --bandwidth 18.88 --setup-ms 10",
+            "plan --model alexnet --jobs 10 --bandwidth 18.88 --setup-ms 10",
+            "plan --model nin --jobs 4 --strategy bf --bandwidth 18.88 --setup-ms 10",
+            "compare --model resnet18 --jobs 20 --bandwidth 18.88 --setup-ms 10",
+            "sweep --model alexnet --from 2 --to 20 --steps 3 --jobs 5",
+            "pareto --model alexnet --jobs 6 --bandwidth 18.88 --setup-ms 10",
+            "load --file FILE --jobs 4 --bandwidth 18.88 --setup-ms 10",
+            "stream --model alexnet --fps 10 --bandwidth 18.88 --setup-ms 10",
+            "hetero --models alexnet,resnet18 --counts 3,2 --bandwidth 18.88 --setup-ms 10",
+            "chaos --model alexnet --jobs 4 --bursts 5 --fps 20 --rho 0.9 --seed 3 \
+             --bandwidth 18.88 --setup-ms 10",
+            "serve --users 4 --bursts 6 --from 1 --to 100 --fault-every 3 --drift 0.05 \
+             --adapt --seed 7 --setup-ms 10",
+            "serve --slo --users 4 --bursts 10 --overload 2 --queue 8 --from 1 --to 100 \
+             --cloud-servers 1 --drift 0.05 --adapt --seed 7 --setup-ms 10",
+        ];
+        const EDGES: [&str; 9] = [
+            "nan", "inf", "-inf", "0", "-1", "5e-324", "1e308", "-0", "1e-310",
+        ];
+        let _shared = METRICS_GATE.read().unwrap_or_else(|e| e.into_inner());
+        let mut panics = Vec::new();
+        for line in commands {
+            let base = argv(line, &file);
+            assert!(run(&base).is_ok(), "base command fails: {line}");
+            let numeric =
+                |&i: &usize| base[i - 1].starts_with("--") && base[i].parse::<f64>().is_ok();
+            for i in (1..base.len()).filter(numeric) {
+                for edge in EDGES {
+                    let mut args = base.clone();
+                    args[i] = edge.to_string();
+                    if std::panic::catch_unwind(|| run(&args)).is_err() {
+                        panics.push(args.join(" "));
+                    }
+                }
+            }
+        }
+        assert!(panics.is_empty(), "panics:\n{}", panics.join("\n"));
+    }
+
     #[test]
     fn chaos_reports_grid_and_digest() {
         let out = run_str(&[
@@ -1454,6 +1584,12 @@ mod tests {
                 .0
                 .contains("finite")
         );
+        // Finite on the healthy link, but the ladder divides the upload
+        // time by a degraded rate factor and overflows.
+        let overflow: Vec<&str> = "chaos --model alexnet --bandwidth 10 --setup-ms 1e308"
+            .split_whitespace()
+            .collect();
+        assert!(run_str(&overflow).unwrap_err().0.contains("finite"));
     }
 
     #[test]

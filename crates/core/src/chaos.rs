@@ -147,14 +147,22 @@ impl ChaosReport {
 /// Run the full chaos sweep for one scenario: standard grid × every
 /// policy, plus one seeded drill at the healthy cut. Deterministic in
 /// `(scenario, config)`. A config that fails [`ChaosConfig::validate`],
-/// or a scenario with a non-finite stage time (a subnormal bandwidth
-/// makes the uploads infinite), is an [`Error::Plan`].
+/// or a scenario with a stage time that is not finite, or whose upload
+/// time overflows at the sweep's slowest degraded link (a subnormal
+/// bandwidth or a huge setup latency), is an [`Error::Plan`].
 pub fn chaos_report(scenario: &Scenario, config: &ChaosConfig) -> Result<ChaosReport, Error> {
     config.validate()?;
     let profile = scenario.profile();
-    let finite = |stage: &[f64]| stage.iter().all(|v| v.is_finite());
-    if !(finite(profile.f_all()) && finite(profile.g_all())) {
-        let what = "scenario stage times must be finite";
+    let scenarios = chaos_scenarios(config.bursts, config.seed);
+    // The ladder divides each upload time by the link's rate factor.
+    let slowest = scenarios
+        .iter()
+        .flat_map(|s| &s.factors)
+        .filter(|&&x| x > 0.0)
+        .fold(1.0, |a: f64, &x| a.min(x));
+    let finite = |stage: &[f64], by: f64| stage.iter().all(|v| (v / by).is_finite());
+    if !(finite(profile.f_all(), 1.0) && finite(profile.g_all(), slowest)) {
+        let what = "scenario stage times must stay finite at every link rate the sweep uses";
         return Err(PlanError::BadInput { what }.into());
     }
     let healthy = ladder_decision(
@@ -164,7 +172,6 @@ pub fn chaos_report(scenario: &Scenario, config: &ChaosConfig) -> Result<ChaosRe
         1.0,
         config.jobs_per_burst,
     );
-    let scenarios = chaos_scenarios(config.bursts, config.seed);
     let rows = run_chaos_grid(
         profile,
         &scenarios,

@@ -226,9 +226,10 @@ impl Engine {
 
     /// Generate an SLO fleet's request streams once across the engine's
     /// pool and cache, to compare policies with
-    /// [`SloStreams::schedule`]: each schedule is byte-equal to
-    /// [`Engine::serve_slo`] with that policy, without regenerating the
-    /// streams or recompiling adaptive replans. `adapt` defaults as in
+    /// [`SloStreams::schedule`], which the caller hands the same fleet
+    /// and config: each schedule is byte-equal to [`Engine::serve_slo`]
+    /// with that policy, without regenerating or re-merging the streams
+    /// or recompiling adaptive replans. `adapt` defaults as in
     /// [`Engine::serve_slo`].
     pub fn slo_streams(
         &self,
@@ -446,10 +447,14 @@ mod tests {
             }
         }
         assert!(engine.chaos(&scenario, &ChaosConfig::default()).is_ok());
-        let starved = scenario.with_network(NetworkModel::new(5e-324, 0.0));
-        match engine.chaos(&starved, &ChaosConfig::default()) {
-            Err(Error::Plan(PlanError::BadInput { .. })) => {}
-            other => panic!("bandwidth 5e-324: expected Error::Plan(BadInput), got {other:?}"),
+        // A subnormal link makes uploads infinite; a huge setup latency
+        // overflows only once the ladder divides it by a degraded rate.
+        for (bandwidth, setup) in [(5e-324, 0.0), (18.88, 1e308)] {
+            let starved = scenario.with_network(NetworkModel::new(bandwidth, setup));
+            match engine.chaos(&starved, &ChaosConfig::default()) {
+                Err(Error::Plan(PlanError::BadInput { .. })) => {}
+                other => panic!("{bandwidth} Mbps, {setup} ms: expected BadInput, got {other:?}"),
+            }
         }
     }
 

@@ -114,12 +114,12 @@ impl DesResult {
 ///
 /// Results are **bit-exact** with the free [`simulate`] wrapper — it is
 /// a one-shot arena over the very same event loop, and it returns the
-/// per-job timelines. After an arena run, read the fault outputs
-/// through [`DesArena::events`] and [`DesArena::fallbacks`]; they stay
-/// valid until the next run. A warm fault-free run whose job count fits
-/// the existing capacity performs no heap allocation (proven by a
-/// counting-allocator test); a run with a non-empty plan builds its
-/// link timeline per call, so it allocates even when warm.
+/// per-job timelines. After an arena run, the crate reads the fault
+/// events off the arena until the next run; other callers take them
+/// from [`simulate`]'s [`DesResult`]. A warm fault-free run whose job
+/// count fits the existing capacity performs no heap allocation
+/// (proven by a counting-allocator test); a run with a non-empty plan
+/// builds its link timeline per call, so it allocates even when warm.
 #[derive(Debug, Default)]
 pub struct DesArena {
     uplink_free: Vec<f64>,
@@ -174,13 +174,14 @@ impl DesArena {
 
     /// Fault/recovery events of the most recent run, sorted by
     /// `(time, job)`. Empty after a run with an empty plan.
-    pub fn events(&self) -> &[FaultEvent] {
+    pub(crate) fn events(&self) -> &[FaultEvent] {
         &self.events
     }
 
     /// `(job id, start, end)` of on-device fallback remainders from the
     /// most recent run, in exhaustion order.
-    pub fn fallbacks(&self) -> &[(usize, f64, f64)] {
+    #[cfg(test)]
+    fn fallbacks(&self) -> &[(usize, f64, f64)] {
         &self.fallbacks
     }
 

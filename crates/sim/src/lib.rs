@@ -48,9 +48,9 @@ pub use serve::{
     UserSession, UserSpec, UserSummary,
 };
 pub use slo::{
-    serve_slo, serve_slo_digest_in, serve_slo_serial, serve_slo_serial_with, slo_fleet,
-    AdmitError, ClassSummary, DispatchMode, DispatchStats, SloArena, SloClass, SloConfig,
-    SloPolicy, SloReport, SloSpec, SloStreams, SloTenant, TenantSloSummary,
+    serve_slo, serve_slo_serial, slo_fleet, AdmitError, ClassSummary, DispatchMode,
+    DispatchStats, SloClass, SloConfig, SloPolicy, SloReport, SloSpec, SloStreams, SloTenant,
+    TenantSloSummary,
 };
 pub use robustness::{
     chaos_drill, chaos_scenarios, realized_makespans, run_chaos_grid, ChaosDrill, ChaosRow,

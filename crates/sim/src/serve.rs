@@ -281,12 +281,17 @@ impl UserSession {
             config.adapt,
         )?;
         let mid = (config.lo_mbps * config.hi_mbps).sqrt();
-        let ladder = LadderFrontier::compile(
-            &spec.profile.profile_at(mid),
-            config.target_hz,
-            config.rho_limit,
-            spec.n_jobs,
-        );
+        let at_mid = spec.profile.profile_at(mid);
+        // A degraded burst divides the ladder's upload times by its
+        // rate factor, which can be as small as 2^-53.
+        let min_factor = 0.5 * f64::EPSILON;
+        if at_mid.g_all().iter().any(|g| !(g / min_factor).is_finite()) {
+            return Err(PlanError::BadInput {
+                what: "upload times overflow on a degraded link",
+            });
+        }
+        let ladder =
+            LadderFrontier::compile(&at_mid, config.target_hz, config.rho_limit, spec.n_jobs);
         metrics::SERVE_SESSIONS.add(1);
         Ok(UserSession {
             id: spec.id,

@@ -66,14 +66,16 @@
 //!
 //! Request generation is a pure function of the tenant spec and the
 //! [`SloConfig`]; the scheduling loop itself runs serially in virtual
-//! time. [`serve_slo`] parallelizes only the per-tenant generation
-//! phase across a [`WorkerPool`] and collects it in tenant-id order,
-//! so its report is **byte-equal** to [`serve_slo_serial`] at any pool
-//! width; [`SloStreams`] splits the two phases, so one fleet's streams
-//! can be scheduled under several policies. Each report carries an
-//! FNV-1a digest folding every request's arrival, class, ladder rung,
-//! dispatch and completion bits — equal digests ⇒ bit-identical
-//! schedules.
+//! time. One [`SloStreams`] owns a run: it generates the streams,
+//! pooled across a [`WorkerPool`] and collected in tenant-id order
+//! ([`SloStreams::generate`]) or serially in place
+//! ([`SloStreams::regenerate`]), merges them once, and schedules them
+//! under as many policies as asked. [`serve_slo`] and
+//! [`serve_slo_serial`] are its one-policy forms, so the pooled report
+//! is **byte-equal** to the serial one at any pool width. Each report
+//! carries an FNV-1a digest folding every request's arrival, class,
+//! ladder rung, dispatch and completion bits — equal digests ⇒
+//! bit-identical schedules.
 //!
 //! # Dispatch path
 //!
@@ -107,11 +109,11 @@
 //! best-response scan would try misses. A pick already past its
 //! deadline is shed without pricing: no rung can complete before the
 //! pick time. The pre-overhaul linear scan is retained as
-//! [`DispatchMode::Reference`] ([`serve_slo_serial_with`]) and the two
-//! produce **byte-equal** digests; the equivalence tests pin this
-//! zoo-wide at every pool width. [`SloArena`] reuses the streams and
-//! every merge, queue, memo, outcome and digest buffer across burst
-//! windows, and [`SloArena::stats`] reports per-run [`DispatchStats`].
+//! [`DispatchMode::Reference`] and the two produce **byte-equal**
+//! digests; the equivalence tests pin this zoo-wide at every pool
+//! width. A [`SloStreams`] reuses the streams and every merge, queue,
+//! memo, outcome and digest buffer across burst windows, and
+//! [`SloStreams::stats`] reports per-run [`DispatchStats`].
 //!
 //! Observability: the scheduler exports `sched.*` counters (requests,
 //! admissions, both shed causes and the expired subset of infeasible
@@ -510,22 +512,11 @@ fn rung_cost(
     (d, u, w)
 }
 
-/// Generate one tenant's request stream. Pure in `(tenant, config)`:
-/// the stream never depends on scheduling, which is what makes pooled
-/// generation byte-equal to serial.
-fn tenant_requests(
-    cache: &PlanCache,
-    tenant: &SloTenant,
-    fleet_size: usize,
-    config: &SloConfig,
-) -> Result<(Vec<SloRequest>, Arc<RateFrontier>), AdmitError> {
-    let mut out = Vec::with_capacity(config.requests_per_tenant);
-    let frontier = tenant_requests_into(cache, tenant, fleet_size, config, &mut out)?;
-    Ok((out, frontier))
-}
-
-/// [`tenant_requests`] writing into a caller-owned buffer — the warm
-/// [`SloArena`] path regenerates streams without allocating (unless
+/// Generate one tenant's request stream into `out`, replacing what it
+/// held. Pure in `(tenant, config)`: the stream never depends on
+/// scheduling, which is what makes pooled generation byte-equal to
+/// serial. Writing into a caller-owned buffer lets a warm
+/// [`SloStreams::regenerate`] run without allocating (unless
 /// [`SloConfig::adapt`] is set; adaptive regeneration builds an
 /// estimator and may recompile frontiers).
 ///
@@ -708,7 +699,7 @@ pub enum DispatchMode {
 }
 
 /// Hot-path accounting for one scheduling run, reported through
-/// [`SloArena::stats`]. Deliberately *not* part of [`SloReport`]: the
+/// [`SloStreams::stats`]. Deliberately *not* part of [`SloReport`]: the
 /// report is byte-compared across pool widths and dispatch modes, and
 /// wall-clock nanoseconds would break that contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -954,12 +945,12 @@ impl IndexedQueue {
 
 /// Reusable buffers for the scheduling loop. Everything the loop
 /// touches per request lives here, so back-to-back burst windows on a
-/// warm arena neither allocate nor free (pinned by the
+/// warm [`SloStreams`] neither allocate nor free (pinned by the
 /// counting-allocator test).
 #[derive(Debug, Default)]
 struct SchedState {
     /// Every request as `(tenant, seq)`, in the loop's arrival order:
-    /// ascending `(arrival, tenant, seq)`.
+    /// ascending `(arrival, tenant, seq)`. Filled once per generation.
     order: Vec<(u32, u32)>,
     /// The k-way merge's heads, one `(arrival key, tenant, seq)` per
     /// stream not yet drained.
@@ -968,6 +959,7 @@ struct SchedState {
     /// the stream lengths, `tenants + 1` entries.
     off: Vec<usize>,
     /// Request `seq` of tenant `t` settles into `slots[off[t] + seq]`.
+    /// The merge sizes it; every run writes each slot exactly once.
     slots: Vec<Outcome>,
     /// Reference-mode pending queue (linear scan).
     rq: Vec<SloRequest>,
@@ -986,33 +978,6 @@ struct SchedState {
     /// Per-tenant outcome digests (digest-only runs).
     tdig: Vec<u64>,
     stats: DispatchStats,
-}
-
-/// Reusable request/outcome buffers for SLO scheduling, mirroring
-/// [`crate::des::DesArena`]: feed the same arena to
-/// [`serve_slo_digest_in`] across burst windows and the warm
-/// generation + dispatch path runs allocation-free — streams, the
-/// merged arrival order and its head heap, queues, the pricing memo,
-/// outcome slots and digest buffers are all reused. The `joint_alloc`
-/// share planner is excluded (it runs a fresh optimization per run by
-/// design).
-#[derive(Debug, Default)]
-pub struct SloArena {
-    streams: Vec<Vec<SloRequest>>,
-    frontiers: Vec<Arc<RateFrontier>>,
-    sched: SchedState,
-}
-
-impl SloArena {
-    /// A fresh, empty arena.
-    pub fn new() -> Self {
-        SloArena::default()
-    }
-
-    /// Dispatch-path statistics of the most recent run on this arena.
-    pub fn stats(&self) -> DispatchStats {
-        self.sched.stats
-    }
 }
 
 /// Pick every tenant's static cloud share for the run, indexed by
@@ -1066,8 +1031,8 @@ fn cloud_share_plan(
 /// Mutable loop state shared by both dispatch modes, so the
 /// settle-an-outcome step is literally the same code (same float
 /// expressions, same tallies) whichever queue produced the pick. The
-/// tallies and histograms go on to [`schedule`]'s once-per-run flush,
-/// and the tallies to [`summarize`].
+/// tallies and histograms go on to [`SloStreams::run`]'s once-per-run
+/// flush, and the tallies to [`summarize`].
 #[derive(Debug, Default)]
 struct LoopCtx {
     server_free: f64,
@@ -1184,65 +1149,6 @@ fn merge_streams(st: &mut SchedState, streams: &[Vec<SloRequest>]) {
     }
     st.slots.clear();
     st.slots.resize(total, SHED);
-}
-
-/// Run the virtual-time scheduling loop over the merged request
-/// streams. Serial by construction — this *is* the deterministic core.
-/// Both dispatch modes produce bit-identical outcomes (the equivalence
-/// tests pin it); only the queue structures — and therefore the
-/// wall-clock cost — differ. Tenant ids must be their positions.
-fn schedule(
-    st: &mut SchedState,
-    streams: &[Vec<SloRequest>],
-    frontiers: &[Arc<RateFrontier>],
-    tenants: &[SloTenant],
-    config: &SloConfig,
-    policy: SloPolicy,
-    mode: DispatchMode,
-) -> LoopCtx {
-    st.stats = DispatchStats::default();
-    let merge_start = Instant::now();
-    merge_streams(st, streams);
-    metrics::SCHED_MERGE_NS.add(merge_start.elapsed().as_nanos() as u64);
-    st.wfq.reset(tenants);
-    st.n_jobs.clear();
-    st.n_jobs.extend(tenants.iter().map(|t| t.spec.n_jobs));
-    cloud_share_plan(&mut st.shares, streams, frontiers, tenants, config);
-
-    // Time the dispatch loop alone: the merge and share planning above
-    // are mode-independent setup and would dilute the
-    // indexed-vs-reference ratio identically on both sides.
-    let start = Instant::now();
-    let tallies = match mode {
-        DispatchMode::Reference => run_reference(st, streams, frontiers, config, policy),
-        DispatchMode::Indexed => run_indexed(st, streams, frontiers, config, policy),
-    };
-    st.stats.requests = st.order.len() as u64;
-    st.stats.schedule_ns = start.elapsed().as_nanos() as u64;
-    // The loop tallies its outcomes anyway: flush them once per run.
-    let admitted = st.stats.dispatched;
-    metrics::SCHED_REQUESTS.add(st.stats.requests);
-    metrics::SCHED_ADMITTED.add(admitted);
-    metrics::SCHED_DEADLINE_HITS.add(tallies.hits);
-    metrics::SCHED_DEADLINE_MISSES.add(admitted - tallies.hits + tallies.shed_infeasible);
-    metrics::SCHED_DEGRADED.add(tallies.degraded);
-    metrics::SCHED_SHED_INFEASIBLE.add(tallies.shed_infeasible);
-    metrics::SCHED_SHED_EXPIRED.add(st.stats.expired_sheds);
-    metrics::SCHED_SHED_QUEUE_FULL.add(tallies.shed_queue_full);
-    metrics::SCHED_CLOUD_REQUESTS.add(tallies.cloud_requests);
-    metrics::SCHED_CLOUD_JOINT_OVERRIDES.add(tallies.joint_overrides);
-    metrics::SCHED_DISPATCH_NS.add(st.stats.schedule_ns);
-    metrics::SCHED_HEAP_PUSHES.add(st.stats.heap_pushes);
-    metrics::SCHED_HEAP_POPS.add(st.stats.heap_pops);
-    metrics::SCHED_HEAP_STALE.add(st.stats.heap_stale);
-    metrics::SCHED_PRICE_MEMO_HITS.add(st.stats.memo_hits);
-    metrics::SCHED_PRICE_MEMO_MISSES.add(st.stats.memo_misses);
-    metrics::SCHED_PRICE_MEMO_PRUNES.add(st.stats.memo_prunes);
-    metrics::SCHED_QUEUE_DEPTH.absorb(&tallies.queue_depth);
-    metrics::SCHED_SLACK_MS.absorb(&tallies.slack_ms);
-    metrics::SCHED_LATENCY_MS.absorb(&tallies.latency_ms);
-    metrics::SCHED_CLOUD_STAGE_MS.absorb(&tallies.cloud_stage_ms);
-    tallies
 }
 
 /// The request at `order` entry `(tenant, seq)`.
@@ -1897,40 +1803,6 @@ fn check_run(tenants: &[SloTenant], config: &SloConfig) -> Result<(), AdmitError
     Ok(())
 }
 
-/// Regenerate the arena's request streams serially (reusing the
-/// per-tenant buffers) and run the scheduling loop into the arena.
-fn prepare_and_schedule(
-    arena: &mut SloArena,
-    cache: &PlanCache,
-    tenants: &[SloTenant],
-    config: &SloConfig,
-    policy: SloPolicy,
-    mode: DispatchMode,
-) -> Result<LoopCtx, AdmitError> {
-    check_run(tenants, config)?;
-    if arena.streams.len() < tenants.len() {
-        arena.streams.resize_with(tenants.len(), Vec::new);
-    }
-    arena.streams.truncate(tenants.len());
-    arena.frontiers.clear();
-    let start = Instant::now();
-    for (t, out) in tenants.iter().zip(&mut arena.streams) {
-        arena
-            .frontiers
-            .push(tenant_requests_into(cache, t, tenants.len(), config, out)?);
-    }
-    metrics::SCHED_GENERATE_NS.add(start.elapsed().as_nanos() as u64);
-    Ok(schedule(
-        &mut arena.sched,
-        &arena.streams,
-        &arena.frontiers,
-        tenants,
-        config,
-        policy,
-        mode,
-    ))
-}
-
 /// Schedule the fleet with per-tenant request generation fanned out
 /// across a persistent [`WorkerPool`], dispatching through the
 /// [`DispatchMode::Indexed`] queues. Generation results come back in
@@ -1944,113 +1816,12 @@ pub fn serve_slo(
     config: &SloConfig,
     policy: SloPolicy,
 ) -> Result<SloReport, AdmitError> {
-    check_run(tenants, config)?;
-    let (streams, frontiers) = generate_pooled(pool, cache, tenants, config)?;
-    Ok(schedule_report(&streams, &frontiers, tenants, config, policy))
-}
-
-/// Every tenant's request stream and the frontier it ended on, in
-/// tenant-id order.
-type Generated = (Vec<Vec<SloRequest>>, Vec<Arc<RateFrontier>>);
-
-/// Generate the fleet's streams across `pool`. The tasks' copy of the
-/// fleet is dropped with them, before any scheduling.
-fn generate_pooled(
-    pool: &WorkerPool,
-    cache: &Arc<PlanCache>,
-    tenants: &[SloTenant],
-    config: &SloConfig,
-) -> Result<Generated, AdmitError> {
-    let start = Instant::now();
-    let shared: Arc<Vec<SloTenant>> = Arc::new(tenants.to_vec());
-    let cache_ref = Arc::clone(cache);
-    let config_ref = Arc::new(config.clone());
-    let fleet_size = shared.len();
-    let results = pool.run_indexed(fleet_size, move |i| {
-        tenant_requests(&cache_ref, &shared[i], fleet_size, &config_ref)
-    });
-    let mut streams = Vec::with_capacity(results.len());
-    let mut frontiers = Vec::with_capacity(results.len());
-    for r in results {
-        let (s, f) = r?;
-        streams.push(s);
-        frontiers.push(f);
-    }
-    metrics::SCHED_GENERATE_NS.add(start.elapsed().as_nanos() as u64);
-    Ok((streams, frontiers))
-}
-
-/// Schedule generated streams through the [`DispatchMode::Indexed`]
-/// queues and build the report.
-fn schedule_report(
-    streams: &[Vec<SloRequest>],
-    frontiers: &[Arc<RateFrontier>],
-    tenants: &[SloTenant],
-    config: &SloConfig,
-    policy: SloPolicy,
-) -> SloReport {
-    let mut st = SchedState::default();
-    let tallies = schedule(
-        &mut st,
-        streams,
-        frontiers,
+    SloStreams::generate(pool, cache, tenants, config)?.schedule(
         tenants,
         config,
         policy,
         DispatchMode::Indexed,
-    );
-    summarize(&mut st, streams, tenants, config, policy, tallies)
-}
-
-/// A fleet's request streams, generated once to be scheduled under
-/// several policies. Generation never depends on scheduling, so each
-/// [`SloStreams::schedule`] is **byte-equal** to a [`serve_slo`] call
-/// with the same fleet, config and policy — but an adaptive fleet
-/// compiles each replan once instead of once per policy compared.
-#[derive(Debug)]
-pub struct SloStreams {
-    tenants: Vec<SloTenant>,
-    config: SloConfig,
-    streams: Vec<Vec<SloRequest>>,
-    frontiers: Vec<Arc<RateFrontier>>,
-}
-
-impl SloStreams {
-    /// Generate every tenant's stream across `pool`, as [`serve_slo`]
-    /// does (byte-equal to serial generation at any width).
-    pub fn generate(
-        pool: &WorkerPool,
-        cache: &Arc<PlanCache>,
-        tenants: &[SloTenant],
-        config: &SloConfig,
-    ) -> Result<SloStreams, AdmitError> {
-        check_run(tenants, config)?;
-        let (streams, frontiers) = generate_pooled(pool, cache, tenants, config)?;
-        Ok(SloStreams {
-            tenants: tenants.to_vec(),
-            config: config.clone(),
-            streams,
-            frontiers,
-        })
-    }
-
-    /// Schedule the streams under `policy`, with the joint cut/share
-    /// allocator when `joint_alloc` (which needs a cloud pool); every
-    /// other knob is the generating config's.
-    pub fn schedule(&self, policy: SloPolicy, joint_alloc: bool) -> Result<SloReport, AdmitError> {
-        let config = SloConfig {
-            joint_alloc,
-            ..self.config.clone()
-        };
-        config.validate()?;
-        Ok(schedule_report(
-            &self.streams,
-            &self.frontiers,
-            &self.tenants,
-            &config,
-            policy,
-        ))
-    }
+    )
 }
 
 /// Schedule the fleet serially on the calling thread — the reference
@@ -2061,61 +1832,207 @@ pub fn serve_slo_serial(
     config: &SloConfig,
     policy: SloPolicy,
 ) -> Result<SloReport, AdmitError> {
-    serve_slo_serial_with(cache, tenants, config, policy, DispatchMode::Indexed)
+    let mut run = SloStreams::default();
+    run.regenerate(cache, tenants, config)?;
+    run.schedule(tenants, config, policy, DispatchMode::Indexed)
 }
 
-/// [`serve_slo_serial`] with an explicit [`DispatchMode`] — the
-/// equivalence tests and the dispatch benchmark drive both modes
-/// through this.
-pub fn serve_slo_serial_with(
-    cache: &PlanCache,
-    tenants: &[SloTenant],
-    config: &SloConfig,
-    policy: SloPolicy,
-    mode: DispatchMode,
-) -> Result<SloReport, AdmitError> {
-    serve_slo_serial_in(&mut SloArena::new(), cache, tenants, config, policy, mode)
+/// One SLO run: every tenant's request stream and the frontier it
+/// ended on, merged once into the loop's arrival order, plus every
+/// buffer the scheduling loop reuses. Generate it across a
+/// [`WorkerPool`] ([`SloStreams::generate`]) or serially into the kept
+/// buffers ([`SloStreams::regenerate`]), then schedule it under as
+/// many policies and [`DispatchMode`]s as needed. Generation never
+/// depends on scheduling, so each [`SloStreams::schedule`] is
+/// **byte-equal** to a [`serve_slo`] call with the same fleet, config
+/// and policy, while an adaptive fleet compiles each replan once
+/// instead of once per policy compared.
+///
+/// The run owns neither the fleet nor the config: scheduling borrows
+/// the ones the streams were generated from, of which only
+/// [`SloConfig::joint_alloc`] and [`SloConfig::max_queue`] may change
+/// between calls. Warm [`SloStreams::regenerate`] +
+/// [`SloStreams::digest`] calls on a fleet of stable shape reuse every
+/// buffer and allocate nothing (pinned by the counting-allocator
+/// test), except for adaptive regeneration and the `joint_alloc` share
+/// planner, which build fresh state per run by design.
+#[derive(Debug, Default)]
+pub struct SloStreams {
+    streams: Vec<Vec<SloRequest>>,
+    frontiers: Vec<Arc<RateFrontier>>,
+    sched: SchedState,
 }
 
-/// Serial scheduling into a caller-owned [`SloArena`]: warm calls with
-/// a stable fleet shape reuse every buffer, and the report is
-/// byte-identical to [`serve_slo_serial`] (reports themselves still
-/// allocate — [`serve_slo_digest_in`] is the allocation-free form).
-fn serve_slo_serial_in(
-    arena: &mut SloArena,
-    cache: &PlanCache,
-    tenants: &[SloTenant],
-    config: &SloConfig,
-    policy: SloPolicy,
-    mode: DispatchMode,
-) -> Result<SloReport, AdmitError> {
-    let tallies = prepare_and_schedule(arena, cache, tenants, config, policy, mode)?;
-    Ok(summarize(
-        &mut arena.sched,
-        &arena.streams,
-        tenants,
-        config,
-        policy,
-        tallies,
-    ))
-}
+impl SloStreams {
+    /// Generate every tenant's stream across `pool`, byte-equal to
+    /// [`SloStreams::regenerate`] at any width. Each stream is
+    /// allocated at its final length, and the tasks' copy of the fleet
+    /// is dropped with them, before any scheduling.
+    pub fn generate(
+        pool: &WorkerPool,
+        cache: &Arc<PlanCache>,
+        tenants: &[SloTenant],
+        config: &SloConfig,
+    ) -> Result<SloStreams, AdmitError> {
+        check_run(tenants, config)?;
+        let start = Instant::now();
+        let shared: Arc<Vec<SloTenant>> = Arc::new(tenants.to_vec());
+        let cache_ref = Arc::clone(cache);
+        let config_ref = Arc::new(config.clone());
+        let fleet_size = shared.len();
+        let results = pool.run_indexed(fleet_size, move |i| {
+            let mut out = Vec::with_capacity(config_ref.requests_per_tenant);
+            tenant_requests_into(&cache_ref, &shared[i], fleet_size, &config_ref, &mut out)
+                .map(|frontier| (out, frontier))
+        });
+        let mut run = SloStreams {
+            streams: Vec::with_capacity(results.len()),
+            frontiers: Vec::with_capacity(results.len()),
+            sched: SchedState::default(),
+        };
+        for r in results {
+            let (s, f) = r?;
+            run.streams.push(s);
+            run.frontiers.push(f);
+        }
+        run.merge(start);
+        Ok(run)
+    }
 
-/// Run the full generation + scheduling loop on a warm arena and fold
-/// the outcome digest **without building a report** — the hot path the
-/// counting-allocator test pins to zero heap traffic (with `joint_alloc`
-/// off; the joint share planner allocates per run by design). The
-/// digest is the same FNV-1a fold [`SloReport::digest`] carries, so a
-/// digest mismatch between modes is exactly a report mismatch.
-pub fn serve_slo_digest_in(
-    arena: &mut SloArena,
-    cache: &PlanCache,
-    tenants: &[SloTenant],
-    config: &SloConfig,
-    policy: SloPolicy,
-    mode: DispatchMode,
-) -> Result<u64, AdmitError> {
-    prepare_and_schedule(arena, cache, tenants, config, policy, mode)?;
-    Ok(fold_digests(&mut arena.sched, &arena.streams, |_, _, _| {}))
+    /// Regenerate every tenant's stream serially on the calling thread,
+    /// reusing the per-tenant buffers. If a tenant's stream fails to
+    /// generate, [`SloStreams::schedule`] rejects every fleet until the
+    /// next successful generation.
+    pub fn regenerate(
+        &mut self,
+        cache: &PlanCache,
+        tenants: &[SloTenant],
+        config: &SloConfig,
+    ) -> Result<(), AdmitError> {
+        check_run(tenants, config)?;
+        let start = Instant::now();
+        self.streams.resize_with(tenants.len(), Vec::new);
+        self.frontiers.clear();
+        for (t, out) in tenants.iter().zip(&mut self.streams) {
+            self.frontiers
+                .push(tenant_requests_into(cache, t, tenants.len(), config, out)?);
+        }
+        self.merge(start);
+        Ok(())
+    }
+
+    /// Close a generation begun at `start`: the one merge into the
+    /// loop's arrival order, which also sizes the outcome slots.
+    fn merge(&mut self, start: Instant) {
+        metrics::SCHED_GENERATE_NS.add(start.elapsed().as_nanos() as u64);
+        let start = Instant::now();
+        merge_streams(&mut self.sched, &self.streams);
+        metrics::SCHED_MERGE_NS.add(start.elapsed().as_nanos() as u64);
+    }
+
+    /// Schedule the streams under `policy` through the `mode`
+    /// dispatcher and build the report. `tenants` and `config` are the
+    /// ones the streams were generated from (see [`SloStreams`]); a
+    /// fleet of another size is an [`AdmitError::BadConfig`].
+    pub fn schedule(
+        &mut self,
+        tenants: &[SloTenant],
+        config: &SloConfig,
+        policy: SloPolicy,
+        mode: DispatchMode,
+    ) -> Result<SloReport, AdmitError> {
+        let tallies = self.run(tenants, config, policy, mode)?;
+        Ok(summarize(
+            &mut self.sched,
+            &self.streams,
+            tenants,
+            config,
+            policy,
+            tallies,
+        ))
+    }
+
+    /// [`SloStreams::schedule`] folding the outcome digest **without
+    /// building a report**: the hot path the counting-allocator test
+    /// pins to zero heap traffic. The digest is the same FNV-1a fold
+    /// [`SloReport::digest`] carries, so a digest mismatch between
+    /// modes is exactly a report mismatch.
+    pub fn digest(
+        &mut self,
+        tenants: &[SloTenant],
+        config: &SloConfig,
+        policy: SloPolicy,
+        mode: DispatchMode,
+    ) -> Result<u64, AdmitError> {
+        self.run(tenants, config, policy, mode)?;
+        Ok(fold_digests(&mut self.sched, &self.streams, |_, _, _| {}))
+    }
+
+    /// Dispatch-path statistics of the most recent schedule or digest.
+    pub fn stats(&self) -> DispatchStats {
+        self.sched.stats
+    }
+
+    /// Run the virtual-time scheduling loop over the merged streams.
+    /// Serial by construction — this *is* the deterministic core. Both
+    /// dispatch modes produce bit-identical outcomes (the equivalence
+    /// tests pin it); only the queue structures — and therefore the
+    /// wall-clock cost — differ.
+    fn run(
+        &mut self,
+        tenants: &[SloTenant],
+        config: &SloConfig,
+        policy: SloPolicy,
+        mode: DispatchMode,
+    ) -> Result<LoopCtx, AdmitError> {
+        check_run(tenants, config)?;
+        if self.streams.len() != tenants.len() || self.frontiers.len() != tenants.len() {
+            return Err(AdmitError::BadConfig {
+                what: "the fleet must be the one the streams were generated for",
+            });
+        }
+        let (st, streams, frontiers) = (&mut self.sched, &self.streams, &self.frontiers);
+        st.stats = DispatchStats::default();
+        st.wfq.reset(tenants);
+        st.n_jobs.clear();
+        st.n_jobs.extend(tenants.iter().map(|t| t.spec.n_jobs));
+        cloud_share_plan(&mut st.shares, streams, frontiers, tenants, config);
+
+        // Time the dispatch loop alone: share planning above is
+        // mode-independent setup and would dilute the
+        // indexed-vs-reference ratio identically on both sides.
+        let start = Instant::now();
+        let tallies = match mode {
+            DispatchMode::Reference => run_reference(st, streams, frontiers, config, policy),
+            DispatchMode::Indexed => run_indexed(st, streams, frontiers, config, policy),
+        };
+        st.stats.requests = st.order.len() as u64;
+        st.stats.schedule_ns = start.elapsed().as_nanos() as u64;
+        // The loop tallies its outcomes anyway: flush them once per run.
+        let admitted = st.stats.dispatched;
+        metrics::SCHED_REQUESTS.add(st.stats.requests);
+        metrics::SCHED_ADMITTED.add(admitted);
+        metrics::SCHED_DEADLINE_HITS.add(tallies.hits);
+        metrics::SCHED_DEADLINE_MISSES.add(admitted - tallies.hits + tallies.shed_infeasible);
+        metrics::SCHED_DEGRADED.add(tallies.degraded);
+        metrics::SCHED_SHED_INFEASIBLE.add(tallies.shed_infeasible);
+        metrics::SCHED_SHED_EXPIRED.add(st.stats.expired_sheds);
+        metrics::SCHED_SHED_QUEUE_FULL.add(tallies.shed_queue_full);
+        metrics::SCHED_CLOUD_REQUESTS.add(tallies.cloud_requests);
+        metrics::SCHED_CLOUD_JOINT_OVERRIDES.add(tallies.joint_overrides);
+        metrics::SCHED_DISPATCH_NS.add(st.stats.schedule_ns);
+        metrics::SCHED_HEAP_PUSHES.add(st.stats.heap_pushes);
+        metrics::SCHED_HEAP_POPS.add(st.stats.heap_pops);
+        metrics::SCHED_HEAP_STALE.add(st.stats.heap_stale);
+        metrics::SCHED_PRICE_MEMO_HITS.add(st.stats.memo_hits);
+        metrics::SCHED_PRICE_MEMO_MISSES.add(st.stats.memo_misses);
+        metrics::SCHED_PRICE_MEMO_PRUNES.add(st.stats.memo_prunes);
+        metrics::SCHED_QUEUE_DEPTH.absorb(&tallies.queue_depth);
+        metrics::SCHED_SLACK_MS.absorb(&tallies.slack_ms);
+        metrics::SCHED_LATENCY_MS.absorb(&tallies.latency_ms);
+        metrics::SCHED_CLOUD_STAGE_MS.absorb(&tallies.cloud_stage_ms);
+        Ok(tallies)
+    }
 }
 
 #[cfg(test)]
@@ -2247,29 +2164,33 @@ mod tests {
         let fleet = slo_fleet(&cloudy_profiles(), 8, &config);
         let pool = WorkerPool::new(2);
         let cache = Arc::new(PlanCache::new());
-        let streams = SloStreams::generate(&pool, &cache, &fleet, &config).unwrap();
-        for (policy, joint_alloc) in [
-            (SloPolicy::Fifo, false),
-            (SloPolicy::EdfDegrade, false),
-            (SloPolicy::EdfDegrade, true),
-        ] {
+        let mut streams = SloStreams::generate(&pool, &cache, &fleet, &config).unwrap();
+        let (fifo, edf) = (SloPolicy::Fifo, SloPolicy::EdfDegrade);
+        let indexed = DispatchMode::Indexed;
+        for (policy, joint_alloc) in [(fifo, false), (edf, false), (edf, true)] {
             let run_config = SloConfig {
                 joint_alloc,
                 ..config.clone()
             };
             let direct = serve_slo_serial(&PlanCache::new(), &fleet, &run_config, policy).unwrap();
-            let scheduled = streams.schedule(policy, joint_alloc).unwrap();
-            assert_eq!(scheduled, direct, "policy={policy} joint={joint_alloc}");
+            let scheduled = streams.schedule(&fleet, &run_config, policy, indexed);
+            assert_eq!(scheduled, Ok(direct), "policy={policy} joint={joint_alloc}");
         }
+        // Only the fleet the streams were generated for schedules.
+        let bad = |r: Result<SloReport, _>| matches!(r, Err(AdmitError::BadConfig { .. }));
+        assert!(bad(streams.schedule(&fleet[..7], &config, fifo, indexed)));
+        let mut empty = SloStreams::default();
+        assert!(bad(empty.schedule(&fleet, &config, fifo, indexed)));
         let no_pool = SloConfig {
             cloud_servers: 0,
             ..config
         };
-        let streams = SloStreams::generate(&pool, &cache, &fleet, &no_pool).unwrap();
-        assert!(matches!(
-            streams.schedule(SloPolicy::EdfDegrade, true),
-            Err(AdmitError::BadConfig { .. })
-        ));
+        let mut streams = SloStreams::generate(&pool, &cache, &fleet, &no_pool).unwrap();
+        let joint = SloConfig {
+            joint_alloc: true,
+            ..no_pool
+        };
+        assert!(bad(streams.schedule(&fleet, &joint, edf, indexed)));
     }
 
     #[test]
@@ -2321,8 +2242,9 @@ mod tests {
             let (mut replanned, mut moved) = (0, 0);
             for tenant in fleet {
                 let spec = &tenant.spec;
-                let (stream, ended_on) =
-                    tenant_requests(&cache, tenant, fleet.len(), config).unwrap();
+                let mut stream = Vec::new();
+                let ended_on =
+                    tenant_requests_into(&cache, tenant, fleet.len(), config, &mut stream).unwrap();
                 let factory = cache
                     .frontier(&spec.profile, spec.strategy, spec.n_jobs, lo, hi)
                     .unwrap();
@@ -2694,18 +2616,11 @@ mod tests {
         for config in &configs {
             for profiles in [test_profiles(), cloudy_profiles()] {
                 let fleet = slo_fleet(&profiles, 8, config);
+                let mut run = SloStreams::default();
+                run.regenerate(&cache, &fleet, config).unwrap();
                 for policy in [SloPolicy::Fifo, SloPolicy::EdfDegrade] {
-                    let reference = serve_slo_serial_with(
-                        &cache,
-                        &fleet,
-                        config,
-                        policy,
-                        DispatchMode::Reference,
-                    )
-                    .unwrap();
-                    let indexed =
-                        serve_slo_serial_with(&cache, &fleet, config, policy, DispatchMode::Indexed)
-                            .unwrap();
+                    let [reference, indexed] = [DispatchMode::Reference, DispatchMode::Indexed]
+                        .map(|mode| run.schedule(&fleet, config, policy, mode).unwrap());
                     assert_eq!(
                         reference, indexed,
                         "policy={policy} C={} joint={} overload={}",
@@ -2970,18 +2885,12 @@ mod tests {
         };
         let fleet = slo_fleet(&test_profiles(), 6, &config);
         let cache = PlanCache::new();
-        let mut arena = SloArena::new();
+        let (mut run, edf) = (SloStreams::default(), SloPolicy::EdfDegrade);
+        let indexed = DispatchMode::Indexed;
         let ns0 = mcdnn_obs::counter_value("sched.dispatch_ns");
-        let cold = serve_slo_serial_in(
-            &mut arena,
-            &cache,
-            &fleet,
-            &config,
-            SloPolicy::EdfDegrade,
-            DispatchMode::Indexed,
-        )
-        .unwrap();
-        let stats = arena.stats();
+        run.regenerate(&cache, &fleet, &config).unwrap();
+        let cold = run.schedule(&fleet, &config, edf, indexed).unwrap();
+        let stats = run.stats();
         assert_eq!(stats.requests, cold.total_requests);
         assert_eq!(stats.dispatched, cold.admitted);
         assert!(stats.schedule_ns > 0, "loop timing must be recorded");
@@ -2994,27 +2903,18 @@ mod tests {
             mcdnn_obs::counter_value("sched.dispatch_ns") > ns0,
             "dispatch time must flow into the obs registry"
         );
-        let warm = serve_slo_serial_in(
-            &mut arena,
-            &cache,
-            &fleet,
-            &config,
-            SloPolicy::EdfDegrade,
-            DispatchMode::Indexed,
-        )
-        .unwrap();
-        assert_eq!(cold, warm, "warm arena rerun must be byte-identical");
-        for mode in [DispatchMode::Indexed, DispatchMode::Reference] {
-            let digest = serve_slo_digest_in(
-                &mut arena,
-                &cache,
-                &fleet,
-                &config,
-                SloPolicy::EdfDegrade,
-                mode,
-            )
-            .unwrap();
+        // A warm regeneration merges once; scheduling never re-merges.
+        let merge_ns = || mcdnn_obs::thread_counter_value("sched.merge_ns");
+        let before = merge_ns();
+        run.regenerate(&cache, &fleet, &config).unwrap();
+        let merged = merge_ns();
+        assert!(merged > before, "generation must merge the streams");
+        for mode in [indexed, indexed, DispatchMode::Reference] {
+            let warm = run.schedule(&fleet, &config, edf, mode).unwrap();
+            assert_eq!(cold, warm, "warm {mode:?} rerun must be byte-identical");
+            let digest = run.digest(&fleet, &config, edf, mode).unwrap();
             assert_eq!(digest, cold.digest, "{mode:?} digest-only run drifted");
         }
+        assert_eq!(merge_ns(), merged, "scheduling must not merge again");
     }
 }

@@ -258,8 +258,9 @@ impl Tenant {
     /// this tenant. Only this tenant, or an identical re-run of it,
     /// could ask for a re-estimate, so it bypasses the shared
     /// [`PlanCache`], which holds factory frontiers only; SLO runs that
-    /// compare policies on one fleet share one generation through
-    /// [`SloStreams`](crate::SloStreams) instead.
+    /// compare policies on one fleet generate once into a
+    /// [`SloStreams`](crate::SloStreams) and schedule it per policy
+    /// instead.
     #[inline(never)]
     fn replan(&mut self) -> Result<(), PlanError> {
         let est = &self.adapt.as_ref().expect("replan follows a commit").1;

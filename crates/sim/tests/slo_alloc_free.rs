@@ -1,11 +1,12 @@
-//! Proof that the warm [`mcdnn_sim::SloArena`] dispatch path is
-//! allocation-free.
+//! Proof that the warm [`mcdnn_sim::SloStreams`] generation and
+//! dispatch path is allocation-free.
 //!
 //! Same counting-allocator technique as `arena_alloc_free`: a thin
 //! `System` wrapper counts the calling thread's heap allocations around
-//! a warm `serve_slo_digest_in` call — request generation, the indexed
-//! EDF/WFQ dispatch loop, the rung-pricing memo, and the outcome
-//! digest fold — with observability recording as it does by default. Report construction is
+//! a warm `regenerate` + `digest` pair — request generation, the merge
+//! into arrival order, the indexed EDF/WFQ dispatch loop, the
+//! rung-pricing memo, and the outcome digest fold — with observability
+//! recording as it does by default. Report construction is
 //! excluded on purpose (reports own `String`s), as is the joint share
 //! planner (`joint_alloc` runs a fresh optimization per run by
 //! design); the digest covers every scheduled bit regardless.
@@ -14,9 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mcdnn_partition::{PlanCache, RateProfile};
-use mcdnn_sim::{
-    serve_slo_digest_in, serve_slo_serial, slo_fleet, DispatchMode, SloArena, SloConfig, SloPolicy,
-};
+use mcdnn_sim::{serve_slo_serial, slo_fleet, DispatchMode, SloConfig, SloPolicy, SloStreams};
 
 /// Two device-only and one cloud-capable profile, mirroring the shapes
 /// the slo unit tests use.
@@ -96,38 +95,29 @@ fn warm_slo_digest_run_allocates_nothing() {
     };
     let fleet = slo_fleet(&profiles(), 12, &config);
     let cache = PlanCache::new();
-    let mut arena = SloArena::new();
+    let mut run = SloStreams::default();
+    let edf = SloPolicy::EdfDegrade;
 
     // Cold run sizes every buffer (streams, heaps, pricing memo),
     // fills the plan cache and allocates this thread's obs slab; a
     // report run pins the digest the hot path must keep reproducing.
     mcdnn_obs::set_enabled(true);
-    let report = serve_slo_serial(&cache, &fleet, &config, SloPolicy::EdfDegrade).unwrap();
-    let cold = serve_slo_digest_in(
-        &mut arena,
-        &cache,
-        &fleet,
-        &config,
-        SloPolicy::EdfDegrade,
-        DispatchMode::Indexed,
-    )
-    .unwrap();
+    let report = serve_slo_serial(&cache, &fleet, &config, edf).unwrap();
+    run.regenerate(&cache, &fleet, &config).unwrap();
+    let cold = run
+        .digest(&fleet, &config, edf, DispatchMode::Indexed)
+        .unwrap();
 
     let before = allocations();
-    let warm = serve_slo_digest_in(
-        &mut arena,
-        &cache,
-        &fleet,
-        &config,
-        SloPolicy::EdfDegrade,
-        DispatchMode::Indexed,
-    )
-    .unwrap();
+    run.regenerate(&cache, &fleet, &config).unwrap();
+    let warm = run
+        .digest(&fleet, &config, edf, DispatchMode::Indexed)
+        .unwrap();
     let after = allocations();
 
     assert_eq!(warm, cold, "same fleet, same config, same digest");
     assert_eq!(warm, report.digest, "digest fold must match the report");
     assert_eq!(after - before, 0, "warm SLO dispatch must not allocate");
-    let stats = arena.stats();
+    let stats = run.stats();
     assert!(stats.memo_hits > 0, "warm run must reuse the pricing memo");
 }
