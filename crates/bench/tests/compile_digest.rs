@@ -11,6 +11,10 @@
 //! * every ladder's decision at a dense grid of rate factors, for the
 //!   zoo and a few re-estimated profiles.
 //!
+//! A [`LazyFrontier`] queried in a seeded random order must decide
+//! like the compiled frontier at every point the exactness property
+//! checks, and compile into it bit for bit.
+//!
 //! The re-estimated profiles include running-max plateaus in `f` (a
 //! per-layer device scale that speeds up a later layer below an
 //! earlier one) — the shape an online estimator's commits produce. On
@@ -25,7 +29,9 @@ use mcdnn_bench::workload::{monotone_zoo_rate_profiles, SETUP_MS};
 use mcdnn_flowshop::uniform_makespan;
 use mcdnn_graph::cluster_virtual_blocks;
 use mcdnn_models::synthetic::{random_bumpy_line, random_monotone_line};
-use mcdnn_partition::{CutMix, RateFrontier, RateProfile, Strategy};
+use mcdnn_partition::{
+    binary_search_cut, CutMix, LazyFrontier, RateFrontier, RateProfile, Strategy,
+};
 use mcdnn_profile::{CloudModel, DeviceModel};
 use mcdnn_rng::{fnv_fold, Rng, FNV_OFFSET};
 use mcdnn_sim::{ladder_decision, LadderDecision, LadderFrontier, LadderLevel};
@@ -239,6 +245,24 @@ fn random_case(seed: u64) -> (RateProfile, usize, f64, f64) {
     (rate, n, lo, hi)
 }
 
+/// The points the exactness property checks on `frontier`: every ulp
+/// within ±`BAND_DENSE` of each breakpoint, then the geometric grid,
+/// all inside the compiled range.
+fn decision_points(frontier: &RateFrontier) -> Vec<f64> {
+    let (lo, hi) = frontier.range_mbps();
+    let near = frontier.breakpoints()[1..].iter().flat_map(|&start| {
+        (-BAND_DENSE..=BAND_DENSE).map(move |d| f64::from_bits((start.to_bits() as i64 + d) as u64))
+    });
+    let grid =
+        (0..=RANDOM_GRID).map(|i| lo * (hi / lo).powf(f64::from(i) / f64::from(RANDOM_GRID)));
+    near.chain(grid).filter(|&b| frontier.covers(b)).collect()
+}
+
+/// Planner probes this thread has made so far.
+fn compile_probes() -> u64 {
+    mcdnn_obs::thread_counter_value("frontier.compile_probes")
+}
+
 #[test]
 fn random_frontiers_match_the_planner_near_every_breakpoint() {
     // The zoo checks above cover a few shapes; the event compile's
@@ -251,24 +275,17 @@ fn random_frontiers_match_the_planner_near_every_breakpoint() {
         let (rate, n, lo, hi) = random_case(seed);
         assert!(rate.check_monotone().is_ok(), "seed {seed}: not monotone");
         for strategy in [Strategy::Jps, Strategy::JpsBestMix] {
-            let probes0 = mcdnn_obs::thread_counter_value("frontier.compile_probes");
+            let probes0 = compile_probes();
             let frontier = RateFrontier::compile(&rate, strategy, n, lo, hi)
                 .expect("monotone profile compiles");
-            let probes = mcdnn_obs::thread_counter_value("frontier.compile_probes") - probes0;
+            let probes = compile_probes() - probes0;
             assert!(
                 probes <= MAX_COMPILE_PROBES,
                 "seed {seed} {strategy:?}: {probes} probes"
             );
             breakpoints += frontier.breakpoints().len() - 1;
-            let near = frontier.breakpoints()[1..].iter().flat_map(|&start| {
-                (-BAND_DENSE..=BAND_DENSE)
-                    .map(move |d| f64::from_bits((start.to_bits() as i64 + d) as u64))
-            });
-            let grid = (0..=RANDOM_GRID)
-                .map(|i| lo * (hi / lo).powf(f64::from(i) / f64::from(RANDOM_GRID)));
-            let bad = near
-                .chain(grid)
-                .filter(|&b| frontier.covers(b))
+            let bad = decision_points(&frontier)
+                .into_iter()
                 .find(|&b| !equal_or_tied(&frontier, b));
             if let Some(b) = bad {
                 failures.push(format!("seed {seed} {strategy:?} n={n} b={b:e}"));
@@ -279,6 +296,72 @@ fn random_frontiers_match_the_planner_near_every_breakpoint() {
     assert!(
         failures.is_empty(),
         "frontier disagrees with the planner: {failures:?}"
+    );
+}
+
+#[test]
+fn lazy_beliefs_decide_and_compile_like_the_eager_frontier() {
+    // Every pinned profile and random case, both strategies: a belief
+    // queried at the exactness points in a seeded random order walks
+    // its regimes out of order, must answer every query with the
+    // compiled frontier's mix, and must compile into its pieces bit
+    // for bit. Where Alg. 2's l* differs between the range ends there
+    // are at least two regimes, so one query walks fewer probes than
+    // the eager compile makes.
+    mcdnn_obs::set_enabled(true);
+    let mut cases: Vec<(RateProfile, Vec<usize>, f64, f64)> = pinned_profiles()
+        .into_iter()
+        .map(|(rate, ns)| (rate, ns, LO_MBPS, HI_MBPS))
+        .collect();
+    cases.extend((0..RANDOM_PROFILES).map(|seed| {
+        let (rate, n, lo, hi) = random_case(seed);
+        (rate, vec![n], lo, hi)
+    }));
+    let mut rng = Rng::seed_from_u64(0x1A2F);
+    let mut multi_regime = 0;
+    for (rate, ns, lo, hi) in &cases {
+        let l_star = |b: f64| binary_search_cut(&rate.profile_at(b)).l_star;
+        let several_regimes = l_star(*lo) != l_star(*hi);
+        for strategy in [Strategy::Jps, Strategy::JpsBestMix] {
+            for &n in ns {
+                let case = format!(
+                    "{} gen {} {strategy:?} n={n}",
+                    rate.name(),
+                    rate.generation()
+                );
+                let probes0 = compile_probes();
+                let eager = RateFrontier::compile(rate, strategy, n, *lo, *hi).expect("compiles");
+                let eager_probes = compile_probes() - probes0;
+                let mut points = decision_points(&eager);
+                rng.shuffle(&mut points);
+                let mut lazy =
+                    LazyFrontier::new(rate.clone(), strategy, n, *lo, *hi).expect("compiles");
+                let probes0 = compile_probes();
+                assert_eq!(
+                    lazy.decide(points[0]),
+                    eager.decide_at(points[0]).mix,
+                    "{case}"
+                );
+                if several_regimes {
+                    multi_regime += 1;
+                    let one = compile_probes() - probes0;
+                    assert!(one < eager_probes, "{case}: {one} of {eager_probes} probes");
+                }
+                for &b in &points {
+                    assert_eq!(lazy.decide(b), eager.decide_at(b).mix, "{case} b={b:e}");
+                }
+                let compiled = lazy.into_frontier();
+                let bits = |f: &RateFrontier| -> Vec<u64> {
+                    f.breakpoints().iter().map(|b| b.to_bits()).collect()
+                };
+                assert_eq!(bits(&compiled), bits(&eager), "{case}");
+                assert_eq!(compiled.pieces(), eager.pieces(), "{case}");
+            }
+        }
+    }
+    assert!(
+        multi_regime > 100,
+        "only {multi_regime} multi-regime frontiers"
     );
 }
 

@@ -250,7 +250,7 @@ random walk of half-width w (link w/2, timing jitter w/4) while the
 planner keeps executing its beliefs; --adapt closes the loop with the
 online profile estimator (debiased EWMA per layer + sliding-window
 upload regression), which re-estimates the profile, bumps its version
-and recompiles the frontier at deterministic commit boundaries. Adds
+and replans on it at deterministic commit boundaries. Adds
 the adapt.* counters to --emit-metrics snapshots. With --drift 0,
 --adapt is byte-identical to a non-adaptive run.
 ";
@@ -1818,6 +1818,14 @@ mod tests {
             .unwrap_err()
             .0
             .contains("max_queue"));
+        // A subnormal overload overflows the arrival gap to infinity.
+        assert!(run_str(&[
+            "serve", "--slo", "--users", "4", "--bursts", "20", "--overload", "5e-324",
+            "--seed", "3",
+        ])
+        .unwrap_err()
+        .0
+        .contains("finite"));
         assert!(run_str(&["serve", "--slo", "--users", "0"])
             .unwrap_err()
             .0

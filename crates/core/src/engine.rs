@@ -229,7 +229,7 @@ impl Engine {
     /// [`SloStreams::schedule`], which the caller hands the same fleet
     /// and config: each schedule is byte-equal to [`Engine::serve_slo`]
     /// with that policy, without regenerating or re-merging the streams
-    /// or recompiling adaptive replans. `adapt` defaults as in
+    /// or rebuilding adaptive beliefs. `adapt` defaults as in
     /// [`Engine::serve_slo`].
     pub fn slo_streams(
         &self,
@@ -253,7 +253,9 @@ mod tests {
     use mcdnn_models::Model;
     use mcdnn_partition::PlanError;
     use mcdnn_profile::{CloudModel, DeviceModel, NetworkModel};
-    use mcdnn_sim::{fleet, serve_fleet_serial, serve_slo_serial, slo_fleet};
+    use mcdnn_sim::{
+        fleet, serve_fleet_serial, serve_slo_serial, slo_fleet, AdmitError, DriftSpec,
+    };
 
     fn profiles() -> Vec<RateProfile> {
         vec![
@@ -578,5 +580,109 @@ mod tests {
         let mut no_jobs = tenants.clone();
         no_jobs[0].spec.n_jobs = 0;
         bad_input(run(&no_jobs, &slo), "serve_slo n_jobs = 0");
+    }
+
+    #[test]
+    fn drift_and_adaptation_settings_are_checked() {
+        // An infinite jitter makes realized stages infinite, a faulted
+        // burst's upload then starts at t = inf, and serving never
+        // returned. A NaN jitter reported a 0 ms mean makespan; a zero
+        // window or a negative alpha ran without an error.
+        let engine = EngineConfig::new().threads(2).build();
+        let serve = ServeConfig {
+            bursts_per_user: 8,
+            fault_every: 4,
+            ..ServeConfig::default()
+        };
+        let mut specs = fleet(&profiles(), 3, &serve);
+        for spec in &mut specs {
+            spec.strategy = Strategy::JpsBestMix;
+        }
+        let slo = SloConfig {
+            requests_per_tenant: 8,
+            ..SloConfig::default()
+        };
+        let tenants = slo_fleet(&profiles(), 3, &slo);
+        let drift = DriftSpec {
+            device_walk: 0.1,
+            link_walk: 0.05,
+            ..DriftSpec::none()
+        };
+        let with_drift = |edit: fn(&mut DriftSpec)| {
+            let mut bad = drift;
+            edit(&mut bad);
+            (bad, None)
+        };
+        let with_adapt = |edit: fn(&mut AdaptConfig)| {
+            let mut bad = AdaptConfig::default();
+            edit(&mut bad);
+            (drift, Some(bad))
+        };
+        for ((drift, adapt), case) in [
+            (with_drift(|d| d.jitter = f64::INFINITY), "jitter = inf"),
+            (with_drift(|d| d.jitter = f64::NAN), "jitter = NaN"),
+            (with_drift(|d| d.device_walk = 1.0), "device_walk = 1"),
+            (with_drift(|d| d.cloud_walk = -0.1), "cloud_walk = -0.1"),
+            (with_drift(|d| d.link_walk = 2.0), "link_walk = 2"),
+            (with_drift(|d| d.slack = 0.0), "slack = 0"),
+            (with_drift(|d| d.slack = f64::NAN), "slack = NaN"),
+            (with_adapt(|a| a.window = 0), "window = 0"),
+            (with_adapt(|a| a.alpha = -1.0), "alpha = -1"),
+            (with_adapt(|a| a.alpha = f64::NAN), "alpha = NaN"),
+            (with_adapt(|a| a.gate = f64::INFINITY), "gate = inf"),
+            (with_adapt(|a| a.min_obs = 0), "min_obs = 0"),
+        ] {
+            let config = ServeConfig {
+                drift,
+                adapt,
+                ..serve
+            };
+            match engine.serve(&specs, &config) {
+                Err(Error::Plan(PlanError::BadInput { .. })) => {}
+                other => panic!("serve {case}: expected BadInput, got {other:?}"),
+            }
+            let config = SloConfig {
+                drift,
+                adapt,
+                ..slo.clone()
+            };
+            match engine.serve_slo(&tenants, &config, SloPolicy::EdfDegrade) {
+                Err(Error::Admit(AdmitError::BadConfig { .. })) => {}
+                other => panic!("serve_slo {case}: expected BadConfig, got {other:?}"),
+            }
+        }
+        let config = ServeConfig {
+            drift,
+            adapt: Some(AdaptConfig::default()),
+            ..serve
+        };
+        assert!(engine.serve(&specs, &config).is_ok());
+    }
+
+    #[test]
+    fn a_vanishing_overload_is_a_config_error() {
+        // The arrival gap `fleet_size * u_mid / overload` overflows to
+        // inf, which printed NaN latencies and a 100% hit rate.
+        let engine = EngineConfig::new().threads(2).build();
+        let slo = SloConfig {
+            requests_per_tenant: 20,
+            ..SloConfig::default()
+        };
+        let tenants = slo_fleet(&profiles(), 4, &slo);
+        for overload in [5e-324, 1e-306] {
+            let config = SloConfig {
+                overload,
+                ..slo.clone()
+            };
+            for policy in [SloPolicy::Fifo, SloPolicy::EdfDegrade] {
+                match engine.serve_slo(&tenants, &config, policy) {
+                    Err(Error::Admit(AdmitError::BadConfig { .. })) => {}
+                    other => {
+                        panic!("overload {overload} {policy}: expected BadConfig, got {other:?}")
+                    }
+                }
+            }
+        }
+        assert!(engine.serve_slo(&tenants, &slo, SloPolicy::Fifo).is_ok());
     }
 }

@@ -117,7 +117,7 @@ macro_rules! catalogue {
 catalogue! {
     counters {
         ADAPT_COMMITS = "adapt.commits": "estimator commits that crossed the confidence gate",
-        ADAPT_RECOMPILES = "adapt.recompiles": "frontier recompiles (and ladder set-ups) after a commit",
+        ADAPT_RECOMPILES = "adapt.recompiles": "beliefs built (and ladders set up) after a commit",
         DEGRADE_MOBILE_ONLY = "degrade.mobile_only": "ladder decisions that ran every layer on-device",
         DEGRADE_NORMAL = "degrade.normal": "ladder decisions at the healthy rung",
         DEGRADE_RECOVERIES = "degrade.recoveries": "bursts back at the healthy rung after a degraded one",
@@ -135,8 +135,8 @@ catalogue! {
         FAULT_UPLOAD_LOST = "fault.upload_lost": "upload attempts lost to a link fault",
         FRONTIER_CACHE_HIT = "frontier.cache.hit": "plan-cache fetches served without compiling",
         FRONTIER_CACHE_MISS = "frontier.cache.miss": "plan-cache fetches that compiled a frontier",
-        FRONTIER_COMPILE = "frontier.compile": "rate frontiers compiled",
-        FRONTIER_COMPILE_PROBES = "frontier.compile_probes": "planner probes made while compiling frontiers",
+        FRONTIER_COMPILE = "frontier.compile": "rate frontiers and beliefs built",
+        FRONTIER_COMPILE_PROBES = "frontier.compile_probes": "planner probes made while walking frontier regimes",
         FRONTIER_LOOKUPS = "frontier.lookups": "in-range frontier decisions",
         FRONTIER_OOB = "frontier.oob": "frontier decisions outside the compiled range (planned directly)",
         JOINT_ALLOCATIONS = "joint.allocations": "joint partition and cloud-share allocations",
@@ -191,7 +191,7 @@ catalogue! {
         EXEC_MOBILE_WAIT_MS = "exec.mobile.wait_ms": "executor mobile-stage queue wait per job, ms",
         EXEC_UPLINK_BUSY_MS = "exec.uplink.busy_ms": "executor uplink busy time per job, ms",
         EXEC_UPLINK_WAIT_MS = "exec.uplink.wait_ms": "executor uplink queue wait per job, ms",
-        FRONTIER_COMPILE_MS = "frontier.compile_ms": "rate-frontier compile time, ms",
+        FRONTIER_COMPILE_MS = "frontier.compile_ms": "eager rate-frontier compile time, ms",
         ONLINE_BURST_MAKESPAN_MS = "online.burst_makespan_ms": "makespan paid per online burst, ms",
         RUNTIME_WORKER_BUSY_FRAC = "runtime.worker.busy_frac": "share of a sweep worker's life spent in work",
         SCHED_CLOUD_SHARE = "sched.cloud.share": "per-tenant cloud share of a contended run",

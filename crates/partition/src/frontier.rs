@@ -48,6 +48,18 @@
 //! adjacent f64s where the probe's decision changes. One interior probe
 //! per piece confirms the result.
 //!
+//! ## One regime at a time
+//!
+//! The `l*` flips are global: they cut `[lo, hi]` into regimes, and the
+//! other two families live inside one regime each. So a regime's walk
+//! (events, splits, confirm) is a pure function of its two ends.
+//! [`LazyFrontier`] validates the profile, finds the flips and walks a
+//! regime only when a query first lands in it; [`RateFrontier::compile`]
+//! is that belief with every regime walked and equal neighbours across
+//! regime boundaries merged. A belief answers every query exactly as the
+//! compiled frontier does, so a tenant whose profile changes every few
+//! bursts pays only for the regimes its bursts reach.
+//!
 //! ## Exactness contract
 //!
 //! At every f64 in the compiled range, [`RateFrontier::plan_at`]
@@ -71,6 +83,7 @@
 //! profiles that happen to share a name never collide and a profile
 //! re-evaluated from the same model × device hits the cache.
 
+use std::ops::Range;
 use std::sync::{Arc, OnceLock, RwLock};
 
 use mcdnn_flowshop::kernels::{two_type_mix_makespan, uniform_makespan};
@@ -543,6 +556,9 @@ impl RateFrontier {
     /// so every probe sees the stage bits [`RateProfile::profile_at`]
     /// would build, without building it. The allocation count is
     /// therefore independent of the probe count.
+    ///
+    /// This is [`LazyFrontier::new`] followed by
+    /// [`LazyFrontier::into_frontier`]: every regime walked, in order.
     pub fn compile(
         profile: &RateProfile,
         strategy: Strategy,
@@ -550,48 +566,11 @@ impl RateFrontier {
         lo_mbps: f64,
         hi_mbps: f64,
     ) -> Result<RateFrontier, PlanError> {
-        let bad = |what| Err(PlanError::BadInput { what });
-        if !matches!(strategy, Strategy::Jps | Strategy::JpsBestMix) {
-            return bad("frontier compilation supports only the JPS strategies");
-        }
-        if n == 0 {
-            return bad("need at least one job");
-        }
-        if !(lo_mbps > 0.0 && lo_mbps < hi_mbps && hi_mbps.is_finite()) {
-            return bad("need 0 < lo_mbps < hi_mbps < inf");
-        }
         let started = std::time::Instant::now();
-        profile.check_monotone()?;
-        // Every probe lies in [lo, hi]. `f` and the cloud stage do not
-        // depend on the bandwidth and each `g(l; b)` is monotone in `b`,
-        // so the profile is valid at every probe iff it is valid at both
-        // ends: the checks a per-probe `CostProfile::try_new` made run
-        // here, twice per compile.
-        for b in [lo_mbps, hi_mbps] {
-            profile.try_profile_at(b).map_err(bad_stages)?;
-        }
-        let mut compiler = Compiler::new(profile, n, strategy == Strategy::JpsBestMix);
-        compiler.run(lo_mbps, hi_mbps);
-        compiler.confirm(hi_mbps);
-        let Compiler {
-            probes,
-            starts,
-            sigs,
-            ..
-        } = compiler;
-
-        metrics::FRONTIER_COMPILE.add(1);
-        metrics::FRONTIER_COMPILE_PROBES.add(probes);
+        let frontier =
+            LazyFrontier::new(profile.clone(), strategy, n, lo_mbps, hi_mbps)?.into_frontier();
         metrics::FRONTIER_COMPILE_MS.observe(started.elapsed().as_secs_f64() * 1e3);
-        Ok(RateFrontier {
-            profile: profile.clone(),
-            strategy,
-            n,
-            lo_mbps,
-            hi_mbps,
-            starts,
-            sigs,
-        })
+        Ok(frontier)
     }
 
     /// The strategy this frontier was compiled for.
@@ -670,14 +649,7 @@ impl RateFrontier {
             }
         } else {
             metrics::FRONTIER_OOB.add(1);
-            let cp = self.profile.profile_at(bandwidth_mbps);
-            let (search, cand) = winning_candidate(
-                cp.f_all(),
-                cp.g_all(),
-                self.n,
-                self.strategy == Strategy::JpsBestMix,
-            );
-            let mix = CutMix::from_candidate(search.l_prev, search.l_star, cand, self.n);
+            let mix = plan_directly(&self.profile, self.strategy, self.n, bandwidth_mbps);
             FrontierDecision {
                 mix,
                 makespan_ms: self.profile.mix_makespan(self.n, mix, bandwidth_mbps),
@@ -724,6 +696,157 @@ impl RateFrontier {
         }
         mismatches
     }
+}
+
+/// A frontier that walks each `l*` regime on its first query: what a
+/// tenant plans with between two estimator commits, when only a few
+/// bursts will query it (see the module docs).
+///
+/// [`LazyFrontier::new`] runs every check [`RateFrontier::compile`]
+/// runs, so a regime walk cannot fail later. [`LazyFrontier::decide`]
+/// returns the mix the compiled frontier's
+/// [`RateFrontier::decide_at`] returns, and allocates only when it
+/// walks a regime. [`LazyFrontier::into_frontier`] walks the rest and
+/// is that compiled frontier, bit for bit.
+#[derive(Debug)]
+pub struct LazyFrontier {
+    walker: Compiler,
+    strategy: Strategy,
+    lo_mbps: f64,
+    hi_mbps: f64,
+    /// Regime starts, ascending: `lo`, then each `l*` flip. Regime `i`
+    /// runs to one ulp below `regimes[i+1]` (the last to `hi`).
+    regimes: Vec<f64>,
+    /// The pieces of regime `i` in the walker's lists; empty until the
+    /// regime is walked, since a walk emits at least one piece.
+    walked: Vec<Range<usize>>,
+}
+
+impl LazyFrontier {
+    /// Validate `profile` as [`RateFrontier::compile`] does, with the
+    /// same errors in the same order, and find its `l*` regimes. Walks
+    /// none of them.
+    pub fn new(
+        profile: RateProfile,
+        strategy: Strategy,
+        n: usize,
+        lo_mbps: f64,
+        hi_mbps: f64,
+    ) -> Result<LazyFrontier, PlanError> {
+        let bad = |what| Err(PlanError::BadInput { what });
+        if !matches!(strategy, Strategy::Jps | Strategy::JpsBestMix) {
+            return bad("frontier compilation supports only the JPS strategies");
+        }
+        if n == 0 {
+            return bad("need at least one job");
+        }
+        if !(lo_mbps > 0.0 && lo_mbps < hi_mbps && hi_mbps.is_finite()) {
+            return bad("need 0 < lo_mbps < hi_mbps < inf");
+        }
+        profile.check_monotone()?;
+        // Every probe lies in [lo, hi]. `f` and the cloud stage do not
+        // depend on the bandwidth and each `g(l; b)` is monotone in `b`,
+        // so the profile is valid at every probe iff it is valid at both
+        // ends: the checks a per-probe `CostProfile::try_new` made run
+        // here, twice per frontier.
+        for b in [lo_mbps, hi_mbps] {
+            profile.try_profile_at(b).map_err(bad_stages)?;
+        }
+        let walker = Compiler::new(profile, n, strategy == Strategy::JpsBestMix);
+        let mut regimes: Vec<f64> = (0..walker.g.len())
+            .filter_map(|m| walker.flip(m, lo_mbps, hi_mbps))
+            .chain([lo_mbps])
+            .collect();
+        regimes.sort_unstable_by(f64::total_cmp);
+        regimes.dedup();
+        metrics::FRONTIER_COMPILE.add(1);
+        Ok(LazyFrontier {
+            walker,
+            strategy,
+            lo_mbps,
+            hi_mbps,
+            walked: vec![0..0; regimes.len()],
+            regimes,
+        })
+    }
+
+    /// The belief's profile.
+    pub fn profile(&self) -> &RateProfile {
+        &self.walker.profile
+    }
+
+    /// The winning cut structure at bandwidth `b`: the mix
+    /// [`RateFrontier::decide_at`] returns. Walks `b`'s regime on its
+    /// first query; outside the range it plans directly, as
+    /// `decide_at` does.
+    pub fn decide(&mut self, bandwidth_mbps: f64) -> CutMix {
+        if !(self.lo_mbps..=self.hi_mbps).contains(&bandwidth_mbps) {
+            metrics::FRONTIER_OOB.add(1);
+            let w = &self.walker;
+            return plan_directly(&w.profile, self.strategy, w.n, bandwidth_mbps);
+        }
+        metrics::FRONTIER_LOOKUPS.add(1);
+        let regime = self.regimes.partition_point(|s| *s <= bandwidth_mbps) - 1;
+        let Range { start, end } = self.walk(regime);
+        let piece = self.walker.starts[start..end].partition_point(|s| *s <= bandwidth_mbps);
+        self.walker.sigs[start + piece - 1]
+    }
+
+    /// Walk every regime not walked yet and merge equal pieces across
+    /// regime boundaries: the compiled frontier.
+    pub fn into_frontier(mut self) -> RateFrontier {
+        for regime in 0..self.regimes.len() {
+            self.walk(regime);
+        }
+        let w = &self.walker;
+        // The pieces in regime order, less each that continues its
+        // predecessor's mix; counted first, so a cached frontier holds
+        // no spare capacity.
+        let merged = || {
+            let mut last = None;
+            self.walked
+                .iter()
+                .flat_map(Range::clone)
+                .filter(move |&i| last.replace(w.sigs[i]) != Some(w.sigs[i]))
+        };
+        let len = merged().count();
+        let (mut starts, mut sigs) = (Vec::with_capacity(len), Vec::with_capacity(len));
+        for i in merged() {
+            starts.push(w.starts[i]);
+            sigs.push(w.sigs[i]);
+        }
+        RateFrontier {
+            n: w.n,
+            strategy: self.strategy,
+            lo_mbps: self.lo_mbps,
+            hi_mbps: self.hi_mbps,
+            starts,
+            sigs,
+            profile: self.walker.profile,
+        }
+    }
+
+    /// The pieces of `regime`, walking it first if no query has.
+    fn walk(&mut self, regime: usize) -> Range<usize> {
+        if self.walked[regime].is_empty() {
+            let a = self.regimes[regime];
+            let z = self
+                .regimes
+                .get(regime + 1)
+                .map_or(self.hi_mbps, |&next| next_down(next));
+            self.walked[regime] = self.walker.walk(a, z);
+        }
+        self.walked[regime].clone()
+    }
+}
+
+/// The planner's decision at `b`, planned directly: how a frontier
+/// answers outside its range.
+fn plan_directly(profile: &RateProfile, strategy: Strategy, n: usize, b: f64) -> CutMix {
+    let cp = profile.profile_at(b);
+    let (search, cand) =
+        winning_candidate(cp.f_all(), cp.g_all(), n, strategy == Strategy::JpsBestMix);
+    CutMix::from_candidate(search.l_prev, search.l_star, cand, n)
 }
 
 /// The compile error for a profile whose concrete stages at some
@@ -788,33 +911,52 @@ fn first_true(lo: f64, hi: f64, guess: f64, mut pred: impl FnMut(f64) -> bool) -
     f64::from_bits(hi)
 }
 
-/// The event compile of one frontier: the planner's own winner search
-/// as the probe, and the pieces emitted so far in ascending order.
-struct Compiler<'a> {
-    profile: &'a RateProfile,
+/// The event compile of one frontier's regimes: the planner's own
+/// winner search as the probe, and the pieces of every regime walked so
+/// far, each regime's ascending and contiguous, regimes in walk order.
+#[derive(Debug)]
+struct Compiler {
+    profile: RateProfile,
     n: usize,
     best_mix: bool,
     /// Upload stage at the probed bandwidth, refilled per probe.
     g: Vec<f64>,
     /// Sorted probe points of the segment being walked.
     points: Vec<f64>,
+    /// The walked regime's pieces while `confirm` re-emits them.
+    spare: Vec<(f64, CutMix)>,
     probes: u64,
+    /// Index of the walked regime's first piece.
+    from: usize,
     starts: Vec<f64>,
     sigs: Vec<CutMix>,
 }
 
-impl<'a> Compiler<'a> {
-    fn new(profile: &'a RateProfile, n: usize, best_mix: bool) -> Self {
+impl Compiler {
+    fn new(profile: RateProfile, n: usize, best_mix: bool) -> Self {
         Compiler {
+            g: vec![0.0; profile.f_ms.len()],
             profile,
             n,
             best_mix,
-            g: vec![0.0; profile.f_ms.len()],
             points: Vec::new(),
+            spare: Vec::new(),
             probes: 0,
+            from: 0,
             starts: Vec::new(),
             sigs: Vec::new(),
         }
+    }
+
+    /// Walk the `l*` regime `[a, z]` and confirm its pieces, appending
+    /// them to the lists; returns their index range.
+    fn walk(&mut self, a: f64, z: f64) -> Range<usize> {
+        let probes = self.probes;
+        self.from = self.sigs.len();
+        self.segment(a, z);
+        self.confirm(z);
+        metrics::FRONTIER_COMPILE_PROBES.add(self.probes - probes);
+        self.from..self.sigs.len()
     }
 
     /// The planner's decision at `b`, with the Alg. 2 search it ran.
@@ -832,9 +974,9 @@ impl<'a> Compiler<'a> {
         self.probe(b).1
     }
 
-    /// Start a piece at `b` unless `mix` continues the last one.
+    /// Start a piece at `b` unless `mix` continues the regime's last one.
     fn emit(&mut self, b: f64, mix: CutMix) {
-        if self.sigs.last() != Some(&mix) {
+        if self.sigs[self.from..].last() != Some(&mix) {
             self.starts.push(b);
             self.sigs.push(mix);
         }
@@ -851,7 +993,7 @@ impl<'a> Compiler<'a> {
     /// The exact f64 in `(lo, hi]` where Alg. 2's test `f(m) < g(m; b)`
     /// turns false, if it does in range.
     fn flip(&self, m: usize, lo: f64, hi: f64) -> Option<f64> {
-        let (f, profile) = (self.profile.f_ms[m], self.profile);
+        let (f, profile) = (self.profile.f_ms[m], &self.profile);
         let balanced = |b: f64| f >= profile.upload_ms_at(m, b);
         if balanced(lo) || !balanced(hi) {
             return None;
@@ -882,22 +1024,6 @@ impl<'a> Compiler<'a> {
         if at > lo && at < hi {
             self.points.push(at);
         }
-    }
-
-    /// Compile `[lo, hi]`: cut it at every `l*` flip into segments and
-    /// walk each.
-    fn run(&mut self, lo: f64, hi: f64) {
-        let mut flips: Vec<f64> = (0..self.g.len())
-            .filter_map(|m| self.flip(m, lo, hi))
-            .collect();
-        flips.sort_unstable_by(f64::total_cmp);
-        flips.dedup();
-        let mut start = lo;
-        for &flip in &flips {
-            self.segment(start, next_down(flip));
-            start = flip;
-        }
-        self.segment(start, hi);
     }
 
     /// Walk one `l*` regime `[a, z]`: probe both ends, every kink and
@@ -1043,18 +1169,22 @@ impl<'a> Compiler<'a> {
         Some(1.0 / (up + (uq - up) * (gp / (gp - gq)))).filter(|x| x.is_finite())
     }
 
-    /// The per-piece check: probe each piece's interior once. A decision
-    /// that differs there without tying the piece's makespan would mean
-    /// an event the families missed; the piece is then split around the
-    /// probe rather than trusted.
-    fn confirm(&mut self, hi: f64) {
-        let starts = std::mem::take(&mut self.starts);
-        let sigs = std::mem::take(&mut self.sigs);
-        self.starts.reserve(starts.len());
-        self.sigs.reserve(sigs.len());
-        for (i, (&s, &mix)) in starts.iter().zip(&sigs).enumerate() {
+    /// The per-piece check of the regime ending at `z`: probe each
+    /// piece's interior once. A decision that differs there without
+    /// tying the piece's makespan would mean an event the families
+    /// missed; the piece is then split around the probe rather than
+    /// trusted.
+    fn confirm(&mut self, z: f64) {
+        let mut pieces = std::mem::take(&mut self.spare);
+        pieces.clear();
+        pieces.extend(
+            self.starts
+                .drain(self.from..)
+                .zip(self.sigs.drain(self.from..)),
+        );
+        for (i, &(s, mix)) in pieces.iter().enumerate() {
             self.emit(s, mix);
-            let e = starts.get(i + 1).map_or(hi, |&t| next_down(t));
+            let e = pieces.get(i + 1).map_or(z, |&(t, _)| next_down(t));
             if next_up(s) >= e {
                 continue;
             }
@@ -1073,6 +1203,7 @@ impl<'a> Compiler<'a> {
                 self.split(m, at_m, e, at_e, true);
             }
         }
+        self.spare = pieces;
     }
 }
 
@@ -1342,7 +1473,7 @@ mod tests {
         for strategy in [Strategy::Jps, Strategy::JpsBestMix] {
             for n in [2usize, 7] {
                 let frontier = RateFrontier::compile(&rate, strategy, n, 0.05, 500.0).unwrap();
-                let mut compiler = Compiler::new(&rate, n, strategy == Strategy::JpsBestMix);
+                let mut compiler = Compiler::new(rate.clone(), n, strategy == Strategy::JpsBestMix);
                 for (i, &start) in frontier.breakpoints().iter().enumerate().skip(1) {
                     let pieces = frontier.pieces();
                     assert_eq!(

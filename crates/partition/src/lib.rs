@@ -49,7 +49,7 @@ pub use continuous::{balanced_cut_continuous, duality_gap, theorem53_condition};
 pub use edge::{edge_jps_plan, two_stage_blind_plan, EdgePlan};
 pub use energy_aware::{min_energy_plan, pareto_front, EnergyPoint};
 pub use flowtime_aware::{flowtime_jps_plan, FlowtimePlan};
-pub use frontier::{CutMix, FrontierDecision, PlanCache, RateFrontier, RateProfile};
+pub use frontier::{CutMix, FrontierDecision, LazyFrontier, PlanCache, RateFrontier, RateProfile};
 pub use general::{general_jps_plan, multipath_cuts, GeneralPlan};
 pub use heterogeneous::{hetero_jps_plan, HeteroPlan, JobGroup};
 pub use joint::{joint_allocate, oblivious_allocation, JointAllocation, JointTenant};

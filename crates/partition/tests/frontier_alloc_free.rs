@@ -1,6 +1,7 @@
-//! Proof that in-range [`RateFrontier::decide_at`] is allocation-free,
-//! and that [`RateFrontier::compile`] allocates a bounded number of
-//! times however many probes it runs.
+//! Proof that in-range [`RateFrontier::decide_at`], and
+//! [`LazyFrontier::decide`] on walked regimes, are allocation-free, and
+//! that [`RateFrontier::compile`] allocates a bounded number of times
+//! however many probes it runs.
 //!
 //! Same counting-allocator technique as `mcdnn-obs`'s `alloc_free`
 //! test, counting the calling thread's allocations. The online
@@ -13,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mcdnn_partition::{RateFrontier, RateProfile, Strategy};
+use mcdnn_partition::{LazyFrontier, RateFrontier, RateProfile, Strategy};
 
 struct CountingAlloc;
 
@@ -79,6 +80,23 @@ fn in_range_decide_at_allocates_nothing() {
 
     assert!(sum > 0.0, "lookups must produce real makespans");
     assert_eq!(after - before, 0, "in-range decide_at must not allocate");
+
+    // A belief allocates when a query first walks a regime, never again.
+    let mut belief =
+        LazyFrontier::new(rate, Strategy::JpsBestMix, 10, 0.1, 200.0).expect("monotone");
+    let grid = |i: u32| 0.1 + f64::from(i) * (200.0 - 0.1) / 10_000.0;
+    for i in 0..10_000u32 {
+        belief.decide(grid(i));
+    }
+    let before = allocations();
+    for i in 0..10_000u32 {
+        assert_eq!(belief.decide(grid(i)), frontier.decide_at(grid(i)).mix);
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "walked lookups must not allocate"
+    );
 }
 
 #[test]

@@ -20,6 +20,7 @@
 //!   depend on the executed mix (that is measurement noise, not the
 //!   trajectory).
 
+use mcdnn_profile::AdaptConfig;
 use mcdnn_rng::Rng;
 
 /// Seeded multiplicative random-walk drift on the true platform
@@ -73,6 +74,41 @@ impl Default for DriftSpec {
     fn default() -> Self {
         DriftSpec::none()
     }
+}
+
+/// Check the drift and adaptation knobs both serving configs carry:
+/// walks and jitter finite in `[0, 1)` (the CLI's `--drift` range), a
+/// finite `slack > 0`, and an [`AdaptConfig`] with `alpha` in `(0, 1]`,
+/// a finite `gate >= 0`, `window >= 2` and `min_obs >= 1`. Outside
+/// them a jitter factor can reach ±inf or NaN, and an estimator cannot
+/// fit. Returns what is wrong.
+pub(crate) fn check_drift_adapt(
+    drift: &DriftSpec,
+    adapt: Option<&AdaptConfig>,
+) -> Result<(), &'static str> {
+    let walks = [
+        drift.device_walk,
+        drift.cloud_walk,
+        drift.link_walk,
+        drift.jitter,
+    ];
+    if !walks.iter().all(|w| (0.0..1.0).contains(w)) {
+        return Err("drift walks and jitter must be finite and in [0, 1)");
+    }
+    if !(drift.slack.is_finite() && drift.slack > 0.0) {
+        return Err("drift slack must be finite and > 0");
+    }
+    let Some(cfg) = adapt else { return Ok(()) };
+    if !(cfg.alpha > 0.0 && cfg.alpha <= 1.0) {
+        return Err("adapt alpha must be in (0, 1]");
+    }
+    if !(cfg.gate.is_finite() && cfg.gate >= 0.0) {
+        return Err("adapt gate must be finite and >= 0");
+    }
+    if cfg.window < 2 || cfg.min_obs < 1 {
+        return Err("adapt window must be >= 2 and min_obs >= 1");
+    }
+    Ok(())
 }
 
 /// Truth scales are clamped into this band — a random walk left alone

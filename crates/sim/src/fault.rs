@@ -314,11 +314,15 @@ impl LinkTimeline {
 
     /// Completion time of a transfer needing `work_ms` of nominal link
     /// time, starting at `start_ms`: walks the segments integrating the
-    /// rate. Always finite because every fault window ends (the final
-    /// open segment has factor 1.0).
+    /// rate. Finite for a finite start and work, because every fault
+    /// window ends (the final open segment has factor 1.0); a
+    /// non-finite start or work returns `start_ms + work_ms` unwalked.
     pub(crate) fn transfer_end(&self, start_ms: f64, work_ms: f64) -> f64 {
         if work_ms <= 0.0 {
             return start_ms;
+        }
+        if !(start_ms.is_finite() && work_ms.is_finite()) {
+            return start_ms + work_ms;
         }
         let mut t = start_ms;
         let mut remaining = work_ms;
@@ -578,6 +582,17 @@ mod tests {
         assert!((tl.transfer_end(15.0, 8.0) - 48.0).abs() < 1e-12);
         // Start before: 10 of 12 ms done by the blackout, 2 left after.
         assert!((tl.transfer_end(0.0, 12.0) - 42.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn non_finite_transfers_return_instead_of_looping() {
+        // An infinite start once made every segment's capacity
+        // `inf - inf = NaN`, so the walk never ended.
+        let tl = LinkTimeline::from_windows(&[(10.0, 40.0, 0.5)]);
+        assert_eq!(tl.transfer_end(f64::INFINITY, 5.0), f64::INFINITY);
+        assert_eq!(tl.transfer_end(15.0, f64::INFINITY), f64::INFINITY);
+        assert!(tl.transfer_end(f64::NAN, 5.0).is_nan());
+        assert!(tl.transfer_end(15.0, f64::NAN).is_nan());
     }
 
     #[test]

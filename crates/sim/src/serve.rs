@@ -28,6 +28,9 @@
 //! instead puts a seeded [`FaultPlan`] in its [`DesConfig`]; that run
 //! allocates (the fault plan and link timeline are built per run) and
 //! is excluded from the contract, exactly as [`DesArena`] documents.
+//! So is the first burst after a commit that reaches an unwalked `l*`
+//! regime of the new belief: the walk allocates, like the commit
+//! before it.
 //!
 //! Determinism contract: a user's burst stream depends only on its
 //! spec and the [`ServeConfig`] — never on scheduling. Each summary
@@ -46,12 +49,13 @@
 //! every realized stage and, at deterministic `commit_every`
 //! boundaries, [`UserSession::maybe_adapt`] commits gated estimates,
 //! rebuilds the believed profile from the factory base (stamped with
-//! the estimator's generation), compiles it into a frontier private to
-//! the session — the shared [`PlanCache`] holds factory frontiers only
-//! — and sets the ladder up again on the new profile. A zero-drift
-//! run with adaptation enabled observes ratios of exactly 1.0, never
-//! crosses the commit gate, and stays byte-identical to an adapt-off
-//! run.
+//! the estimator's generation), makes it a belief private to the
+//! session — validated at the commit, each `l*` regime walked when a
+//! burst first lands in it; the shared [`PlanCache`] holds factory
+//! frontiers only — and sets the ladder up again on the new profile.
+//! A zero-drift run with adaptation enabled observes ratios of exactly
+//! 1.0, never crosses the commit gate, and stays byte-identical to an
+//! adapt-off run.
 
 use std::sync::Arc;
 
@@ -62,7 +66,7 @@ use mcdnn_profile::{AdaptConfig, ProfileVersion};
 use mcdnn_rng::{fnv_fold, Rng, FNV_OFFSET};
 use mcdnn_runtime::WorkerPool;
 
-use crate::adapt::DriftSpec;
+use crate::adapt::{check_drift_adapt, DriftSpec};
 use crate::degrade::{LadderFrontier, LadderLevel};
 use crate::des::{DesArena, DesConfig};
 use crate::fault::{FaultEventKind, FaultPlan, FaultSpec, FaultedRun, RetryPolicy};
@@ -116,10 +120,13 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// Check the knobs no frontier compile checks: the ladder's
-    /// `target_hz` and `rho_limit`, and `degrade_prob`.
+    /// `target_hz` and `rho_limit`, `degrade_prob`, and the drift and
+    /// adaptation settings (walks and jitter finite in `[0, 1)`, a
+    /// finite `slack > 0`, an [`AdaptConfig`] with `alpha` in `(0, 1]`,
+    /// a finite `gate >= 0`, `window >= 2` and `min_obs >= 1`).
     /// [`UserSession::start`] calls this, so every serving entry point
     /// reports a bad value as [`PlanError::BadInput`] instead of
-    /// panicking inside a pool task.
+    /// panicking, or hanging, inside a pool task.
     pub fn validate(&self) -> Result<(), PlanError> {
         if !(self.target_hz.is_finite() && self.target_hz > 0.0) {
             return Err(PlanError::BadInput {
@@ -136,7 +143,8 @@ impl ServeConfig {
                 what: "degrade_prob must be in [0, 1]",
             });
         }
-        Ok(())
+        check_drift_adapt(&self.drift, self.adapt.as_ref())
+            .map_err(|what| PlanError::BadInput { what })
     }
 }
 
@@ -253,7 +261,7 @@ impl std::fmt::Debug for UserSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("UserSession")
             .field("id", &self.id)
-            .field("model", &self.core.frontier().profile().name())
+            .field("model", &self.core.profile().name())
             .field("strategy", &self.strategy)
             .field("n_jobs", &self.n_jobs)
             .field("bursts", &self.bursts)
@@ -333,24 +341,20 @@ impl UserSession {
         // ladder with the remaining rate fraction `x`: MobileOnly runs
         // everything on-device (uniform cut k ⇒ g = 0); any other rung
         // replans through the frontier at the degraded bandwidth.
-        let frontier = self.core.frontier();
-        let profile = frontier.profile();
-        let k = profile.k();
         let (mix, level, b_eff) = if degraded {
             let decision = self.ladder.decide(x);
             if decision.level == LadderLevel::MobileOnly {
+                let k = self.core.profile().k();
                 (CutMix::Uniform { cut: k }, decision.level, bandwidth)
             } else {
                 let b_eff = (bandwidth * x).clamp(lo, hi);
-                (frontier.decide_at(b_eff).mix, decision.level, b_eff)
+                (self.core.decide(b_eff), decision.level, b_eff)
             }
         } else {
-            (
-                frontier.decide_at(bandwidth).mix,
-                LadderLevel::Normal,
-                bandwidth,
-            )
+            (self.core.decide(bandwidth), LadderLevel::Normal, bandwidth)
         };
+        let profile = self.core.profile();
+        let k = profile.k();
 
         // Believed stage times, in the mix's layout — the planner's
         // winning order (`prev` block first, then `star`), so the
@@ -499,15 +503,15 @@ impl UserSession {
     /// `commit_every` boundary and the estimator's confidence gate is
     /// crossed: the believed profile is rebuilt **from the factory
     /// base** under the committed scales, stamped with the estimator's
-    /// generation, compiled into a frontier private to this session and
-    /// the ladder set up on it. Returns `true` only when a replan
-    /// happened; without adaptation, or between boundaries, or while
-    /// the gate holds, this is a read-only, allocation-free check.
+    /// generation, made a belief private to this session (its regimes
+    /// walked as bursts reach them) and the ladder set up on it.
+    /// Returns `true` only when a replan happened; without adaptation,
+    /// or between boundaries, or while the gate holds, this is a
+    /// read-only, allocation-free check.
     ///
-    /// `cache` is unused: a re-estimated frontier never enters the
-    /// shared cache, since only this session, or an identical re-run
-    /// of it, could fetch it. The parameter stays for callers written
-    /// against this signature.
+    /// `cache` is unused: a belief never enters the shared cache, since
+    /// only this session, or an identical re-run of it, could fetch it.
+    /// The parameter stays for callers written against this signature.
     pub fn maybe_adapt(&mut self, cache: &PlanCache) -> Result<bool, PlanError> {
         let _ = cache;
         if !self.core.commit()? {
@@ -515,7 +519,7 @@ impl UserSession {
         }
         let (lo, hi) = self.core.range();
         self.ladder = LadderFrontier::compile(
-            &self.core.frontier().profile().profile_at((lo * hi).sqrt()),
+            &self.core.profile().profile_at((lo * hi).sqrt()),
             self.target_hz,
             self.rho_limit,
             self.n_jobs,
@@ -525,7 +529,7 @@ impl UserSession {
 
     /// Close the session into its summary.
     pub fn finish(self) -> UserSummary {
-        let profile = self.core.frontier().profile();
+        let profile = self.core.profile();
         UserSummary {
             id: self.id,
             model: profile.name().to_string(),
@@ -570,7 +574,7 @@ pub struct UserSummary {
     /// Bursts whose realized makespan met the drift deadline
     /// (`= bursts` whenever drift is inactive).
     pub hits: u64,
-    /// Frontier recompiles triggered by estimator commits.
+    /// Beliefs built by estimator commits.
     pub replans: u64,
     /// Mean DES makespan per burst, ms.
     pub mean_makespan_ms: f64,

@@ -142,7 +142,7 @@ use mcdnn_profile::AdaptConfig;
 use mcdnn_rng::{fnv_fold, Rng, FNV_OFFSET};
 use mcdnn_runtime::WorkerPool;
 
-use crate::adapt::DriftSpec;
+use crate::adapt::{check_drift_adapt, DriftSpec};
 use crate::degrade::LadderLevel;
 use crate::serve::{fleet_with, UserSpec};
 use crate::tenant::{cut_pair, Tenant};
@@ -315,8 +315,8 @@ pub struct SloConfig {
     pub drift: DriftSpec,
     /// Online profile learning: `Some` observes realized per-request
     /// timings in each tenant's stream and commits gated estimates at
-    /// deterministic `commit_every` sequence boundaries, recompiling
-    /// the tenant's private frontier under a bumped generation. Stream
+    /// deterministic `commit_every` sequence boundaries, rebuilding the
+    /// tenant's private belief under a bumped generation. Stream
     /// generation stays pure per tenant, so pooled and serial runs
     /// remain byte-equal. Adaptive regeneration is excluded from the
     /// warm arena's no-allocation contract.
@@ -342,7 +342,9 @@ impl Default for SloConfig {
 }
 
 impl SloConfig {
-    /// Check internal consistency; every serve entry point calls this.
+    /// Check internal consistency, and the drift and adaptation
+    /// settings as [`ServeConfig::validate`](crate::ServeConfig::validate)
+    /// does; every serve entry point calls this.
     pub fn validate(&self) -> Result<(), AdmitError> {
         if self.requests_per_tenant == 0 {
             return Err(AdmitError::BadConfig {
@@ -387,7 +389,8 @@ impl SloConfig {
                 what: "requests_per_tenant must fit u32 and SloSpec may hold at most 256 classes",
             });
         }
-        Ok(())
+        check_drift_adapt(&self.drift, self.adapt.as_ref())
+            .map_err(|what| AdmitError::BadConfig { what })
     }
 }
 
@@ -518,20 +521,22 @@ fn rung_cost(
 /// serial. Writing into a caller-owned buffer lets a warm
 /// [`SloStreams::regenerate`] run without allocating (unless
 /// [`SloConfig::adapt`] is set; adaptive regeneration builds an
-/// estimator and may recompile frontiers).
+/// estimator and beliefs, and walks their regimes).
 ///
 /// Each request is one step of the tenant's [`Tenant`] core, so with
 /// adaptation on the same drift → observe → commit → replan loop as
 /// [`UserSession`](crate::serve::UserSession) runs inside this pure
 /// per-tenant function: realized stage timings feed the estimator, and
-/// a commit at a `commit_every` sequence boundary recompiles the
-/// tenant's private frontier under a bumped generation, so the nominal
+/// a commit at a `commit_every` sequence boundary rebuilds the
+/// tenant's private belief under a bumped generation, so the nominal
 /// service times, and with them the deadlines, of later requests
 /// reflect the adapted beliefs. The scheduler itself is untouched —
 /// pooled/serial byte-equality is preserved by construction. Once the
-/// stream is complete, each request's rung pieces are resolved on the
-/// frontier the stream ended on, which is the frontier dispatch prices
-/// with; that frontier is returned.
+/// stream is complete, the belief it ended on is walked in full, since
+/// dispatch prices every piece of it; each request's rung pieces are
+/// resolved on that frontier, which is returned. A gap, last arrival
+/// or deadline that is not finite (an overload so small that the gap
+/// overflows, say) is an [`AdmitError::BadConfig`].
 fn tenant_requests_into(
     cache: &PlanCache,
     tenant: &SloTenant,
@@ -553,21 +558,28 @@ fn tenant_requests_into(
     // is `overload` × server capacity: each tenant offers occupancy at
     // rate overload / fleet_size. Always from the factory profile, so
     // arrival processes are identical across adaptive and frozen runs.
-    let mid_mix = core.frontier().decide_at(mid).mix;
+    let mid_mix = core.decide(mid);
     let u_mid = spec
         .profile
         .mix_upload_ms(spec.n_jobs, mid_mix, mid)
         .max(0.5);
     let mean_gap = fleet_size as f64 * u_mid / config.overload;
+    let bad_times = AdmitError::BadConfig {
+        what: "request arrivals and deadlines must be finite (overload too small?)",
+    };
+    if !mean_gap.is_finite() {
+        return Err(bad_times);
+    }
     let mut arrival = 0.0;
+    let mut deadlines_finite = true;
     out.clear();
     for seq in 0..config.requests_per_tenant {
         // Main-RNG order per request: arrival, bandwidth step, class.
         arrival += mean_gap * (0.5 + core.rng().f64());
         let bandwidth = core.step();
         let class = config.spec.sample(core.rng());
-        let believed = core.frontier().profile();
-        let mix = core.frontier().decide_at(bandwidth).mix;
+        let mix = core.decide(bandwidth);
+        let believed = core.profile();
         // Nominal service is contention-free: cloud work counts at unit
         // server speed (φ = 1) when a pool exists at all, so deadlines
         // stay achievable unloaded and identical across share policies.
@@ -580,10 +592,12 @@ fn tenant_requests_into(
             + believed.mix_upload_ms(spec.n_jobs, mix, bandwidth)
             + cloud_nominal;
         let slack = config.spec.classes[class].0.slack_factor;
+        let deadline_ms = arrival + slack * nominal;
+        deadlines_finite &= deadline_ms.is_finite();
         out.push(SloRequest {
             arrival_ms: arrival,
             bandwidth_mbps: bandwidth,
-            deadline_ms: arrival + slack * nominal,
+            deadline_ms,
             tenant: spec.id as u32,
             seq: seq as u32,
             pieces: [0; 3],
@@ -610,6 +624,10 @@ fn tenant_requests_into(
             core.observe(mix, bandwidth, stages, cloud);
             core.commit()?;
         }
+    }
+    // Arrivals never decrease, so the last one is finite iff all are.
+    if !(arrival.is_finite() && deadlines_finite) {
+        return Err(bad_times);
     }
     let frontier = core.into_frontier();
     let (lo, hi) = (config.lo_mbps, config.hi_mbps);

@@ -9,11 +9,20 @@
 //! factor per realized stage; the truth walk and its jitter come from
 //! the drift state's private streams, so they commute with every
 //! main-RNG draw and the core never knows which loop it serves.
+//!
+//! A commit builds a belief ([`LazyFrontier`]), not a compiled
+//! frontier: it validates the re-estimated profile and finds its `l*`
+//! regimes, and [`Tenant::decide`] walks a regime when a step first
+//! queries it. A belief serves only the steps until the next commit,
+//! which seldom reach all of its regimes. Lookups allocate nothing; a
+//! regime walk allocates, like the commit before it.
 
 use std::sync::Arc;
 
 use mcdnn_obs::metrics;
-use mcdnn_partition::{CutMix, PlanCache, PlanError, RateFrontier, Strategy};
+use mcdnn_partition::{
+    CutMix, LazyFrontier, PlanCache, PlanError, RateFrontier, RateProfile, Strategy,
+};
 use mcdnn_profile::{AdaptConfig, ProfileEstimator};
 use mcdnn_rng::Rng;
 
@@ -30,8 +39,8 @@ pub(crate) fn cut_pair(mix: CutMix) -> (usize, usize) {
     }
 }
 
-/// One tenant's serving state: frontier handles, main RNG and
-/// bandwidth walk, drift truth, estimator, commit boundary.
+/// One tenant's serving state: factory frontier and belief, main RNG
+/// and bandwidth walk, drift truth, estimator, commit boundary.
 pub(crate) struct Tenant {
     strategy: Strategy,
     n_jobs: usize,
@@ -39,10 +48,12 @@ pub(crate) struct Tenant {
     hi_mbps: f64,
     /// The factory-calibrated frontier the tenant opened with: the
     /// anchor for truth timings, estimator ratios and the drift hit
-    /// deadline. Never replaced by adaptation.
+    /// deadline, and what it plans with until its first commit. Never
+    /// replaced by adaptation.
     base: Arc<RateFrontier>,
-    /// The believed frontier the tenant plans with.
-    frontier: Arc<RateFrontier>,
+    /// The belief the last commit built, which the tenant plans with
+    /// from then on.
+    belief: Option<LazyFrontier>,
     rng: Rng,
     bandwidth: f64,
     truth: Option<DriftState>,
@@ -80,8 +91,8 @@ impl Tenant {
             n_jobs: spec.n_jobs,
             lo_mbps,
             hi_mbps,
-            base: Arc::clone(&frontier),
-            frontier,
+            base: frontier,
+            belief: None,
             rng,
             bandwidth,
             truth,
@@ -125,18 +136,34 @@ impl Tenant {
         (self.lo_mbps, self.hi_mbps)
     }
 
-    /// The believed frontier — what the tenant plans with.
+    /// The believed decision at `b`: the belief's, walking `b`'s regime
+    /// on its first query, or the factory frontier's before any commit.
     #[inline]
-    pub(crate) fn frontier(&self) -> &Arc<RateFrontier> {
-        &self.frontier
+    pub(crate) fn decide(&mut self, b: f64) -> CutMix {
+        match self.belief.as_mut() {
+            Some(belief) => belief.decide(b),
+            None => self.base.decide_at(b).mix,
+        }
     }
 
-    /// Close the tenant, keeping the believed frontier it ended on.
+    /// The believed profile — what the tenant plans with.
+    #[inline]
+    pub(crate) fn profile(&self) -> &RateProfile {
+        self.belief
+            .as_ref()
+            .map_or(self.base.profile(), LazyFrontier::profile)
+    }
+
+    /// Close the tenant into the believed frontier it ended on, walking
+    /// the regimes of its belief no step reached.
     pub(crate) fn into_frontier(self) -> Arc<RateFrontier> {
-        self.frontier
+        match self.belief {
+            Some(belief) => Arc::new(belief.into_frontier()),
+            None => self.base,
+        }
     }
 
-    /// Frontier recompiles triggered by estimator commits.
+    /// Beliefs built by estimator commits.
     pub(crate) fn replans(&self) -> u64 {
         self.replans
     }
@@ -236,8 +263,8 @@ impl Tenant {
     /// Commit gated estimates and replan, if this step sits on a
     /// `commit_every` boundary and the estimator's confidence gate is
     /// crossed ([`Tenant::replan`]). Returns `true` when it replanned;
-    /// the rebuilt believed profile is then [`Tenant::frontier`]'s, for
-    /// the caller's own recompiles. Without adaptation, between
+    /// the rebuilt believed profile is then [`Tenant::profile`], for
+    /// the caller's own set-ups. Without adaptation, between
     /// boundaries, or while the gate holds, this is a read-only,
     /// allocation-free check returning `false`.
     #[inline]
@@ -254,13 +281,13 @@ impl Tenant {
 
     /// The replan after a commit: the believed profile is rebuilt **from
     /// the factory base** under the committed scales, stamped with the
-    /// estimator's generation and compiled into a frontier private to
-    /// this tenant. Only this tenant, or an identical re-run of it,
-    /// could ask for a re-estimate, so it bypasses the shared
-    /// [`PlanCache`], which holds factory frontiers only; SLO runs that
-    /// compare policies on one fleet generate once into a
-    /// [`SloStreams`](crate::SloStreams) and schedule it per policy
-    /// instead.
+    /// estimator's generation and made a belief private to this tenant,
+    /// validated now and walked on use. Only this tenant, or an
+    /// identical re-run of it, could ask for a re-estimate, so it
+    /// bypasses the shared [`PlanCache`], which holds factory frontiers
+    /// only; SLO runs that compare policies on one fleet generate once
+    /// into a [`SloStreams`](crate::SloStreams) and schedule it per
+    /// policy instead.
     #[inline(never)]
     fn replan(&mut self) -> Result<(), PlanError> {
         let est = &self.adapt.as_ref().expect("replan follows a commit").1;
@@ -279,8 +306,8 @@ impl Tenant {
                 est.setup_ms(),
             )
             .with_generation(est.commits());
-        self.frontier = Arc::new(RateFrontier::compile(
-            &believed,
+        self.belief = Some(LazyFrontier::new(
+            believed,
             self.strategy,
             self.n_jobs,
             self.lo_mbps,
