@@ -116,8 +116,8 @@ fn main() {
         yn(plan_equivalent),
     );
 
-    // 2. Online replanning. The baseline is the work `run_online`'s
-    // legacy path does on every replanning burst: evaluate the believed
+    // 2. Online replanning. The baseline is the work a replanner
+    // without a frontier does on every burst: evaluate the believed
     // profile, plan, then evaluate the realized profile and price the
     // cuts through a materialized plan. The frontier side replays the
     // same bursts with `decide_at` + kernel pricing; its one-time

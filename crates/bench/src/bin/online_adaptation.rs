@@ -50,24 +50,16 @@ fn main() {
     let rows = mcdnn_runtime::parallel_map(&grid, |_, (model, label, trace)| {
         let line = model.line().expect("zoo model");
         let mobile = DeviceModel::raspberry_pi4();
-        let fixed = run_online(
-            &line, &mobile, trace, bursts, jobs, setup_ms, ReplanPolicy::Static,
-        );
-        let est = run_online(
-            &line,
-            &mobile,
-            trace,
-            bursts,
-            jobs,
-            setup_ms,
-            ReplanPolicy::Estimated {
-                noise_frac: 0.08,
-                seed: 7,
-            },
-        );
-        let oracle = run_online(
-            &line, &mobile, trace, bursts, jobs, setup_ms, ReplanPolicy::Oracle,
-        );
+        let run = |policy| {
+            run_online(&line, &mobile, trace, bursts, jobs, setup_ms, policy)
+                .expect("zoo models pass the frontier's monotonicity check")
+        };
+        let fixed = run(ReplanPolicy::Static);
+        let est = run(ReplanPolicy::Estimated {
+            noise_frac: 0.08,
+            seed: 7,
+        });
+        let oracle = run(ReplanPolicy::Oracle);
         let gap = fixed.total_ms() - oracle.total_ms();
         let recovered = if gap > 1e-6 {
             format!("{:.0}%", (fixed.total_ms() - est.total_ms()) / gap * 100.0)

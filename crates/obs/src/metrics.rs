@@ -153,7 +153,6 @@ catalogue! {
         PLANNER_KERNEL_EVALS = "planner.kernel_evals": "makespan-kernel evaluations over every planner",
         RECOVERY_UPLOAD_RECOVERED = "recovery.upload_recovered": "uploads that succeeded on a retry",
         RUNTIME_JOBS = "runtime.jobs": "items mapped by parallel sweeps",
-        RUNTIME_POOL_STEALS = "runtime.pool.steals": "worker-pool tasks taken from a sibling's queue",
         RUNTIME_POOL_TASKS = "runtime.pool.tasks": "tasks submitted to worker pools",
         SCHED_ADMITTED = "sched.admitted": "SLO requests dispatched",
         SCHED_CLOUD_JOINT_OVERRIDES = "sched.cloud.joint_overrides": "Normal-rung picks changed by joint allocation",

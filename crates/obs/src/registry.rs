@@ -455,7 +455,7 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
     use crate::metrics::{
-        ADAPT_EST_ERR_REL, JOINT_ROUNDS, ONLINE_BURSTS, RUNTIME_POOL_STEALS, SCHED_SLACK_MS,
+        ADAPT_EST_ERR_REL, JOINT_ROUNDS, ONLINE_BURSTS, RUNTIME_POOL_TASKS, SCHED_SLACK_MS,
     };
 
     // The registry is process-global and the test harness runs tests in
@@ -514,24 +514,24 @@ mod tests {
 
     #[test]
     fn exited_threads_fold_into_the_retired_total() {
-        // Only this test records `runtime.pool.steals` in this process.
+        // Only this test records `runtime.pool.tasks` in this process.
         set_enabled(true);
-        let before = counter_value("runtime.pool.steals");
+        let before = counter_value("runtime.pool.tasks");
         let live_slabs = || lock(&SHARED).live.len();
         let workers: Vec<_> = (0..4)
-            .map(|i| std::thread::spawn(move || RUNTIME_POOL_STEALS.add(i + 1)))
+            .map(|i| std::thread::spawn(move || RUNTIME_POOL_TASKS.add(i + 1)))
             .collect();
         for w in workers {
             w.join().expect("worker");
         }
-        assert_eq!(counter_value("runtime.pool.steals"), before + 10);
+        assert_eq!(counter_value("runtime.pool.tasks"), before + 10);
         let slabs = live_slabs();
         for _ in 0..8 {
-            std::thread::spawn(|| RUNTIME_POOL_STEALS.add(1))
+            std::thread::spawn(|| RUNTIME_POOL_TASKS.add(1))
                 .join()
                 .expect("worker");
         }
-        assert_eq!(counter_value("runtime.pool.steals"), before + 18);
+        assert_eq!(counter_value("runtime.pool.tasks"), before + 18);
         // Sibling test threads may register a few slabs meanwhile, but
         // far fewer than the eight that came and went.
         assert!(

@@ -84,7 +84,7 @@
 //! re-evaluated from the same model × device hits the cache.
 
 use std::ops::Range;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 use mcdnn_flowshop::kernels::{two_type_mix_makespan, uniform_makespan};
 use mcdnn_graph::LineDnn;
@@ -1286,16 +1286,20 @@ fn frontier_matches(
 ///
 /// 1. every lookup pre-hashes its key once (FNV-1a over the content
 ///    bits) and compares full content only where the hash matches;
-/// 2. only a genuine miss compiles — outside the lock — and publishes
-///    under the write lock, keeping whichever entry was published
-///    first.
+/// 2. a miss takes the cache's compile mutex, looks again, and only
+///    then compiles — outside the read/write lock — and publishes
+///    under the write lock. Threads that miss the same key at once
+///    wait for the first one's compile and count a hit, so each key
+///    compiles once however many workers race for it.
 ///
 /// Entries are matched by full content comparison (never by hash
-/// alone), and compilation is deterministic, so racing misses converge
-/// on equal frontiers.
+/// alone).
 #[derive(Debug, Default)]
 pub struct PlanCache {
     entries: RwLock<Vec<(u64, Arc<RateFrontier>)>>,
+    /// Held from a miss's second look through its publish. Hits never
+    /// take it.
+    compiling: Mutex<()>,
 }
 
 impl PlanCache {
@@ -1320,9 +1324,9 @@ impl PlanCache {
 
     /// Fetch (or compile and insert) the frontier for
     /// `(profile, strategy, n, lo, hi)`. A hit takes the read lock and
-    /// performs zero heap allocations; only a genuine miss compiles,
-    /// outside the lock. Errors are not cached — the monotonicity check
-    /// is cheap.
+    /// performs zero heap allocations; a miss compiles under the compile
+    /// mutex, outside the read/write lock. Errors are not cached — the
+    /// monotonicity check is cheap.
     pub fn frontier(
         &self,
         profile: &RateProfile,
@@ -1340,22 +1344,33 @@ impl PlanCache {
                 })
                 .map(|(_, fr)| Arc::clone(fr))
         };
-        let hit = find(&self.entries.read().expect("plan cache poisoned"));
-        if let Some(hit) = hit {
-            metrics::FRONTIER_CACHE_HIT.add(1);
+        let lookup = || {
+            let hit = find(&self.entries.read().expect("plan cache poisoned"));
+            if hit.is_some() {
+                metrics::FRONTIER_CACHE_HIT.add(1);
+            }
+            hit
+        };
+        if let Some(hit) = lookup() {
             return Ok(hit);
+        }
+        // The mutex guards no data, so a panicked compile leaves
+        // nothing to recover.
+        let _compiling = self
+            .compiling
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(hit) = lookup() {
+            return Ok(hit); // a racing miss compiled it meanwhile
         }
         metrics::FRONTIER_CACHE_MISS.add(1);
         let compiled = Arc::new(RateFrontier::compile(
             profile, strategy, n, lo_mbps, hi_mbps,
         )?);
-        let mut entries = self.entries.write().expect("plan cache poisoned");
-        // A racing miss published first; compilation is deterministic,
-        // so the entries are interchangeable — keep the shared one.
-        if let Some(existing) = find(&entries) {
-            return Ok(existing);
-        }
-        entries.push((hash, Arc::clone(&compiled)));
+        self.entries
+            .write()
+            .expect("plan cache poisoned")
+            .push((hash, Arc::clone(&compiled)));
         Ok(compiled)
     }
 
@@ -1698,6 +1713,38 @@ mod tests {
         });
         assert_eq!(hits, 1);
         assert_eq!(misses, 0);
+    }
+
+    #[test]
+    fn racing_misses_compile_a_key_once() {
+        mcdnn_obs::set_enabled(true);
+        const RACERS: usize = 4;
+        let cache = PlanCache::new();
+        let rate = rate_profile();
+        let start = std::sync::Barrier::new(RACERS);
+        let raced: Vec<(Arc<RateFrontier>, u64)> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..RACERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let before = mcdnn_obs::thread_counter_value("frontier.compile");
+                        start.wait();
+                        let fr = cache
+                            .frontier(&rate, Strategy::JpsBestMix, 4, 0.1, 80.0)
+                            .unwrap();
+                        let after = mcdnn_obs::thread_counter_value("frontier.compile");
+                        (fr, after - before)
+                    })
+                })
+                .collect();
+            racers
+                .into_iter()
+                .map(|racer| racer.join().expect("racer"))
+                .collect()
+        });
+        let compiles: u64 = raced.iter().map(|(_, compiles)| compiles).sum();
+        assert_eq!(compiles, 1, "one compile for one key");
+        assert!(raced.iter().all(|(fr, _)| Arc::ptr_eq(fr, &raced[0].0)));
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

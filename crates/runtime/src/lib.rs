@@ -21,7 +21,9 @@
 //!
 //! For steady-state serving loops — many small batches forever, where
 //! per-batch thread spawns would dominate — use the persistent
-//! [`WorkerPool`] in [`pool`] instead.
+//! [`WorkerPool`] in [`pool`] instead: one task queue under one lock,
+//! whose [`WorkerPool::run_indexed`] is the same index-ordered map over
+//! long-lived threads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -16,9 +16,9 @@
 
 use mcdnn_graph::LineDnn;
 use mcdnn_obs::metrics;
-use mcdnn_partition::{CutMix, Plan, PlanCache, RateProfile, Strategy};
+use mcdnn_partition::{CutMix, PlanCache, PlanError, RateProfile, Strategy};
 use mcdnn_profile::measure::{fit_comm_model, measure_uploads};
-use mcdnn_profile::{CloudModel, CostProfile, DeviceModel, NetworkModel};
+use mcdnn_profile::{CloudModel, DeviceModel, NetworkModel};
 use mcdnn_rng::Rng;
 
 /// True uplink bandwidth as a function of the burst index.
@@ -134,9 +134,10 @@ impl OnlineResult {
 /// `(line, mobile, jobs_per_burst)` is compiled once (or fetched from
 /// the cache when a previous run already compiled it), after which each
 /// burst is an O(log B) breakpoint lookup plus an O(1) kernel pricing
-/// at the true bandwidth — instead of two full profile evaluations and
-/// a planning pass per burst. Profiles the frontier cannot compile
-/// (non-monotone stage vectors) fall back to the per-burst planner.
+/// at the true bandwidth. An input the frontier cannot compile (no
+/// jobs, a non-positive bandwidth, a non-monotone profile) is the
+/// frontier's typed error, as in [`Strategy::try_plan`]; zero bursts
+/// is an empty result.
 pub fn run_online(
     line: &LineDnn,
     mobile: &DeviceModel,
@@ -145,9 +146,17 @@ pub fn run_online(
     jobs_per_burst: usize,
     setup_ms: f64,
     policy: ReplanPolicy,
-) -> OnlineResult {
+) -> Result<OnlineResult, PlanError> {
     let _span = mcdnn_obs::span("sim", "run_online");
     let truth = trace.realize(bursts);
+    let mut burst_makespans_ms = Vec::with_capacity(bursts);
+    let mut believed_mbps = Vec::with_capacity(bursts);
+    if truth.is_empty() {
+        return Ok(OnlineResult {
+            burst_makespans_ms,
+            believed_mbps,
+        });
+    }
     // Frontier range: the realized truth padded 4x both ways, so the
     // Estimated policy's noisy beliefs stay in range (out-of-range
     // lookups still answer exactly, via the direct-planning fallback).
@@ -156,24 +165,21 @@ pub fn run_online(
         lo = lo.min(b);
         hi = hi.max(b);
     }
-    let frontier = if jobs_per_burst >= 1 && lo.is_finite() && lo > 0.0 {
-        let rate = RateProfile::evaluate(line, mobile, &CloudModel::Negligible, setup_ms);
-        PlanCache::global()
-            .frontier(&rate, Strategy::JpsBestMix, jobs_per_burst, lo / 4.0, hi * 4.0)
-            .ok()
-    } else {
-        None
-    };
-    let mut burst_makespans_ms = Vec::with_capacity(bursts);
-    let mut believed_mbps = Vec::with_capacity(bursts);
+    let rate = RateProfile::evaluate(line, mobile, &CloudModel::Negligible, setup_ms);
+    let frontier = PlanCache::global().frontier(
+        &rate,
+        Strategy::JpsBestMix,
+        jobs_per_burst,
+        lo / 4.0,
+        hi * 4.0,
+    )?;
     let mut prev_mix: Option<CutMix> = None;
-    let mut prev_cuts: Option<Vec<usize>> = None;
     let mut est_rng = match policy {
         ReplanPolicy::Estimated { seed, .. } => Some(Rng::seed_from_u64(seed)),
         _ => None,
     };
 
-    for (i, &true_bw) in truth.iter().enumerate() {
+    for &true_bw in &truth {
         let believed = match policy {
             ReplanPolicy::Static => truth[0],
             ReplanPolicy::Oracle => true_bw,
@@ -185,12 +191,11 @@ pub fn run_online(
                 let net = NetworkModel::new(true_bw, setup_ms);
                 let sizes: Vec<usize> = (1..=12).map(|k| k * 50_000).collect();
                 let unit = NetworkModel::new(1.0, 0.0);
-                let samples: Vec<(f64, f64)> =
-                    measure_uploads(rng, &net, &sizes, noise_frac)
-                        .into_iter()
-                        .zip(&sizes)
-                        .map(|((_, t), &s)| (unit.ratio(s), t))
-                        .collect();
+                let samples: Vec<(f64, f64)> = measure_uploads(rng, &net, &sizes, noise_frac)
+                    .into_iter()
+                    .zip(&sizes)
+                    .map(|((_, t), &s)| (unit.ratio(s), t))
+                    .collect();
                 match fit_comm_model(&samples) {
                     Some(fit) if fit.w1 > 0.0 => 1.0 / fit.w1,
                     _ => truth[0],
@@ -200,59 +205,34 @@ pub fn run_online(
         believed_mbps.push(believed);
         metrics::ONLINE_BURSTS.add(1);
 
-        // Plan against the believed bandwidth, pay the true one.
-        let paid_ms = if let Some(fr) = &frontier {
-            // Frontier fast path: O(log B) decision, O(1) pricing.
-            // (For Static, `believed` is truth[0] every burst, so the
-            // decision is constant without a special case.)
-            let mix = fr.decide_at(believed).mix;
-            // A replan event is a burst whose cut decision actually
-            // changed — mix equality is cut-vector equality.
-            if prev_mix.is_some_and(|prev| prev != mix) {
-                metrics::ONLINE_REPLANS.add(1);
-            }
-            prev_mix = Some(mix);
-            fr.profile().mix_makespan(jobs_per_burst, mix, true_bw)
-        } else {
-            // Legacy path: full per-burst profile evaluation + planning.
-            let believed_net = NetworkModel::new(believed, setup_ms);
-            let true_net = NetworkModel::new(true_bw, setup_ms);
-            let planned_profile =
-                CostProfile::evaluate(line, mobile, &believed_net, &CloudModel::Negligible);
-            let plan = {
-                let _plan_span = mcdnn_obs::span("sim", "online_plan");
-                if i == 0 || policy != ReplanPolicy::Static {
-                    Strategy::JpsBestMix.plan(&planned_profile, jobs_per_burst)
-                } else {
-                    // Static: reuse the burst-0 cut decision (recompute cheaply
-                    // from burst 0's belief — identical every time).
-                    let first_net = NetworkModel::new(truth[0], setup_ms);
-                    let p0 =
-                        CostProfile::evaluate(line, mobile, &first_net, &CloudModel::Negligible);
-                    Strategy::JpsBestMix.plan(&p0, jobs_per_burst)
-                }
-            };
-            if prev_cuts.as_deref().is_some_and(|prev| prev != plan.cuts) {
-                metrics::ONLINE_REPLANS.add(1);
-            }
-            prev_cuts = Some(plan.cuts.clone());
-            let true_profile =
-                CostProfile::evaluate(line, mobile, &true_net, &CloudModel::Negligible);
-            Plan::from_cuts(plan.strategy, &true_profile, plan.cuts.clone()).makespan_ms
-        };
+        // Plan against the believed bandwidth, pay the true one: an
+        // O(log B) decision and O(1) pricing. (For Static, `believed`
+        // is truth[0] every burst, so the decision is constant without
+        // a special case.)
+        let mix = frontier.decide_at(believed).mix;
+        // A replan event is a burst whose cut decision actually
+        // changed — mix equality is cut-vector equality.
+        if prev_mix.is_some_and(|prev| prev != mix) {
+            metrics::ONLINE_REPLANS.add(1);
+        }
+        prev_mix = Some(mix);
+        let paid_ms = frontier
+            .profile()
+            .mix_makespan(jobs_per_burst, mix, true_bw);
         metrics::ONLINE_BURST_MAKESPAN_MS.observe(paid_ms);
         burst_makespans_ms.push(paid_ms);
     }
-    OnlineResult {
+    Ok(OnlineResult {
         burst_makespans_ms,
         believed_mbps,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mcdnn_graph::LineLayer;
+    use mcdnn_profile::CostProfile;
 
     fn line() -> LineDnn {
         LineDnn::from_parts(
@@ -306,8 +286,8 @@ mod tests {
         };
         let l = line();
         let m = mobile();
-        let oracle = run_online(&l, &m, &trace, 12, 8, 10.0, ReplanPolicy::Oracle);
-        let fixed = run_online(&l, &m, &trace, 12, 8, 10.0, ReplanPolicy::Static);
+        let oracle = run_online(&l, &m, &trace, 12, 8, 10.0, ReplanPolicy::Oracle).unwrap();
+        let fixed = run_online(&l, &m, &trace, 12, 8, 10.0, ReplanPolicy::Static).unwrap();
         assert!(
             oracle.total_ms() <= fixed.total_ms() + 1e-6,
             "oracle {} vs static {}",
@@ -328,8 +308,8 @@ mod tests {
         };
         let l = line();
         let m = mobile();
-        let oracle = run_online(&l, &m, &trace, 20, 6, 10.0, ReplanPolicy::Oracle);
-        let fixed = run_online(&l, &m, &trace, 20, 6, 10.0, ReplanPolicy::Static);
+        let oracle = run_online(&l, &m, &trace, 20, 6, 10.0, ReplanPolicy::Oracle).unwrap();
+        let fixed = run_online(&l, &m, &trace, 20, 6, 10.0, ReplanPolicy::Static).unwrap();
         let est = run_online(
             &l,
             &m,
@@ -341,7 +321,8 @@ mod tests {
                 noise_frac: 0.08,
                 seed: 7,
             },
-        );
+        )
+        .unwrap();
         assert!(est.total_ms() <= fixed.total_ms() * 1.001);
         assert!(est.total_ms() >= oracle.total_ms() * 0.999);
         // Estimation should recover most of the oracle's advantage.
@@ -364,7 +345,8 @@ mod tests {
                 noise_frac: 0.05,
                 seed: 11,
             },
-        );
+        )
+        .unwrap();
         for (believed, truth) in est.believed_mbps.iter().zip([18.0, 4.0, 18.0]) {
             assert!(
                 (believed - truth).abs() / truth < 0.2,
@@ -383,7 +365,7 @@ mod tests {
         let l = line();
         let m = mobile();
         let truth = trace.realize(12);
-        let oracle = run_online(&l, &m, &trace, 12, 8, 10.0, ReplanPolicy::Oracle);
+        let oracle = run_online(&l, &m, &trace, 12, 8, 10.0, ReplanPolicy::Oracle).unwrap();
         for (i, &bw) in truth.iter().enumerate() {
             let net = NetworkModel::new(bw, 10.0);
             let p = CostProfile::evaluate(&l, &m, &net, &CloudModel::Negligible);
@@ -400,12 +382,41 @@ mod tests {
     }
 
     #[test]
+    fn rejected_inputs_are_typed_errors_and_zero_bursts_is_empty() {
+        let trace = BandwidthTrace::Constant(8.0);
+        let (l, m) = (line(), mobile());
+        let empty = run_online(&l, &m, &trace, 0, 4, 10.0, ReplanPolicy::Static).unwrap();
+        assert!(empty.burst_makespans_ms.is_empty() && empty.believed_mbps.is_empty());
+        let no_jobs = run_online(&l, &m, &trace, 5, 0, 10.0, ReplanPolicy::Static);
+        assert!(matches!(no_jobs, Err(PlanError::BadInput { .. })));
+        let dead = BandwidthTrace::Constant(0.0);
+        let dead_link = run_online(&l, &m, &dead, 5, 4, 10.0, ReplanPolicy::Oracle);
+        assert!(matches!(dead_link, Err(PlanError::BadInput { .. })));
+        // Growing activations: uploading later costs more, which the
+        // JPS theory does not admit.
+        let growing = LineDnn::from_parts(
+            "growing",
+            100_000,
+            (1..=3)
+                .map(|i| LineLayer {
+                    name: format!("l{i}"),
+                    flops: 200_000_000,
+                    out_bytes: 100_000 << i,
+                    nodes: vec![],
+                })
+                .collect(),
+        );
+        let bumpy = run_online(&growing, &m, &trace, 5, 4, 10.0, ReplanPolicy::Oracle);
+        assert!(matches!(bumpy, Err(PlanError::NonMonotoneG { .. })));
+    }
+
+    #[test]
     fn constant_trace_makes_all_policies_equal() {
         let trace = BandwidthTrace::Constant(8.0);
         let l = line();
         let m = mobile();
-        let a = run_online(&l, &m, &trace, 5, 4, 10.0, ReplanPolicy::Static);
-        let b = run_online(&l, &m, &trace, 5, 4, 10.0, ReplanPolicy::Oracle);
+        let a = run_online(&l, &m, &trace, 5, 4, 10.0, ReplanPolicy::Static).unwrap();
+        let b = run_online(&l, &m, &trace, 5, 4, 10.0, ReplanPolicy::Oracle).unwrap();
         assert!((a.total_ms() - b.total_ms()).abs() < 1e-9);
     }
 }

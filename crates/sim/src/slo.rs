@@ -7,10 +7,12 @@
 //! from a seeded [`SloSpec`]), the front-end queue orders work
 //! earliest-deadline-first with per-tenant weighted fair queueing, and
 //! overload sheds or degrades instead of queueing unboundedly: a
-//! request whose deadline is infeasible at the current bandwidth is
-//! walked down the PR-3 degradation ladder — the cheapest
-//! [`LadderLevel`] whose projected completion fits the slack — before
-//! it is rejected.
+//! request whose deadline is infeasible at the current bandwidth walks
+//! this module's `LADDER` — the frontier's decision at 1.0, 0.5 and 0.1
+//! of the bandwidth, then mobile-only — and takes the cheapest rung
+//! whose projected completion fits the slack before it is rejected.
+//! That walk is not [`crate::LadderFrontier`]'s walk toward a target
+//! frame rate; the two share only the [`LadderLevel`] names.
 //!
 //! # Virtual-time model
 //!

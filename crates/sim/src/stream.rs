@@ -147,14 +147,10 @@ pub fn saturation_rate_hz(f_ms: f64, g_ms: f64) -> f64 {
 ///
 /// # Complexity
 ///
-/// On clustered profiles (`f` exactly non-decreasing, `g` exactly
-/// non-increasing — the paper's Theorems 5.2/5.3 shape) the feasible
-/// region is a contiguous interval: `f(l) < budget` holds on a prefix
-/// and `g(l) < budget` on a suffix, so both boundaries are found by
-/// binary search and only the feasible interval is scanned for the
-/// latency minimum. Profiles violating either monotonicity (even by a
-/// float ulp) fall back to the full linear scan; both paths return the
-/// same answer (property-tested).
+/// One pass over the `k + 1` cuts. Clustered profiles have a handful
+/// of cut points, so a search over the feasible interval would save
+/// nothing: checking that the profile is monotone enough for one is
+/// itself a full pass.
 pub fn best_cut_for_rate(profile: &CostProfile, rate_hz: f64, rho_limit: f64) -> Option<usize> {
     best_cut_in(profile.f_all(), profile.g_all(), 1.0, rate_hz, rho_limit)
 }
@@ -176,44 +172,13 @@ pub(crate) fn best_cut_in(
     let budget = rho_limit * period;
     let k = f.len() - 1;
     let g = |l: usize| g[l] / x;
-    let latency_order = |a: usize, b: usize| {
-        let la = f[a] + g(a);
-        let lb = f[b] + g(b);
-        la.total_cmp(&lb).then(a.cmp(&b))
-    };
-    // Strict (tolerance-free) monotonicity: required for the partition
-    // searches below to be valid, stronger than the profile's own
-    // 1e-12-tolerant `f_is_monotone`/`g_is_monotone` checks.
-    let strictly_clustered = (1..=k).all(|l| f[l] >= f[l - 1] && g(l) <= g(l - 1));
-    if !strictly_clustered {
-        return (0..=k)
-            .filter(|&l| f[l].max(g(l)) < budget)
-            .min_by(|&a, &b| latency_order(a, b));
-    }
-    // `f(l) < budget` is a prefix property, `g(l) < budget` a suffix
-    // property; the feasible set is their intersection [lo, hi).
-    let hi = partition_point_idx(k + 1, |l| f[l] < budget); // first f-infeasible
-    let lo = partition_point_idx(k + 1, |l| g(l) >= budget); // first g-feasible
-    if lo >= hi {
-        return None;
-    }
-    (lo..hi).min_by(|&a, &b| latency_order(a, b))
-}
-
-/// `slice::partition_point` over the index range `0..len`: the first
-/// index where `pred` flips to false (`pred` must be a prefix
-/// predicate).
-fn partition_point_idx(len: usize, mut pred: impl FnMut(usize) -> bool) -> usize {
-    let (mut lo, mut hi) = (0usize, len);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if pred(mid) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
+    (0..=k)
+        .filter(|&l| f[l].max(g(l)) < budget)
+        .min_by(|&a, &b| {
+            let la = f[a] + g(a);
+            let lb = f[b] + g(b);
+            la.total_cmp(&lb).then(a.cmp(&b))
+        })
 }
 
 #[cfg(test)]
@@ -353,90 +318,6 @@ mod tests {
         // 18 Hz, again excluded exactly at the boundary.
         assert_eq!(best_cut_for_rate(&p, 18.0, 0.9), None);
         assert_eq!(best_cut_for_rate(&p, 17.99, 0.9), Some(0));
-    }
-
-    /// The reference implementation the binary-search path must agree
-    /// with: filter every cut, take the latency minimum.
-    fn linear_scan(profile: &CostProfile, rate_hz: f64, rho_limit: f64) -> Option<usize> {
-        // Same association as the real implementation: boundary cases
-        // are ulp-sensitive to `rho*(1000/hz)` vs `(rho*1000)/hz`.
-        let budget = rho_limit * (1000.0 / rate_hz);
-        (0..=profile.k())
-            .filter(|&l| profile.f(l).max(profile.g(l)) < budget)
-            .min_by(|&a, &b| {
-                let la = profile.f(a) + profile.g(a);
-                let lb = profile.f(b) + profile.g(b);
-                la.total_cmp(&lb).then(a.cmp(&b))
-            })
-    }
-
-    #[test]
-    fn binary_search_agrees_with_linear_scan_on_random_profiles() {
-        use mcdnn_rng::Rng;
-        let mut rng = Rng::seed_from_u64(42);
-        for trial in 0..300 {
-            let k = 1 + (rng.gen_range(0..12u32) as usize);
-            // Random clustered profile: f non-decreasing from 0, g
-            // non-increasing to 0, with deliberate plateaus (equal
-            // neighbours) so boundary ties are exercised.
-            let mut f = vec![0.0f64];
-            for _ in 0..k {
-                let step = if rng.gen_bool(0.25) {
-                    0.0
-                } else {
-                    rng.gen_range(0.0..40.0)
-                };
-                f.push(f.last().unwrap() + step);
-            }
-            let mut g_rev = vec![0.0f64];
-            for _ in 0..k {
-                let step = if rng.gen_bool(0.25) {
-                    0.0
-                } else {
-                    rng.gen_range(0.0..40.0)
-                };
-                g_rev.push(g_rev.last().unwrap() + step);
-            }
-            g_rev.reverse();
-            let p = CostProfile::from_vectors(format!("rand-{trial}"), f, g_rev, None);
-            for (hz, rho) in [(20.0, 0.9), (5.0, 1.0), (60.0, 0.5), (1000.0, 0.9)] {
-                assert_eq!(
-                    best_cut_for_rate(&p, hz, rho),
-                    linear_scan(&p, hz, rho),
-                    "trial {trial} k={k} hz={hz} rho={rho}: {:?} / {:?}",
-                    p.f_all(),
-                    p.g_all()
-                );
-            }
-            // Exact-saturation `None` contract: ask for precisely the
-            // derated saturation rate of the best-bottleneck cut — the
-            // strict `<` must reject it in both implementations.
-            let bottleneck = (0..=p.k())
-                .map(|l| p.f(l).max(p.g(l)))
-                .fold(f64::INFINITY, f64::min);
-            if bottleneck > 0.0 {
-                let rho = 0.9;
-                let hz_exact = rho * 1000.0 / bottleneck;
-                let fast = best_cut_for_rate(&p, hz_exact, rho);
-                let slow = linear_scan(&p, hz_exact, rho);
-                assert_eq!(fast, slow, "saturation boundary, trial {trial}");
-            }
-        }
-    }
-
-    #[test]
-    fn non_monotone_profile_takes_the_fallback_and_agrees() {
-        // g bumps upward at cut 2: not clustered, must use the linear
-        // fallback — and still answer identically to the reference.
-        let p = CostProfile::from_vectors(
-            "bumpy",
-            vec![0.0, 10.0, 12.0, 120.0],
-            vec![50.0, 10.0, 20.0, 0.0],
-            None,
-        );
-        for (hz, rho) in [(20.0, 0.9), (5.0, 1.0), (40.0, 0.9)] {
-            assert_eq!(best_cut_for_rate(&p, hz, rho), linear_scan(&p, hz, rho));
-        }
     }
 
     #[test]

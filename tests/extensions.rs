@@ -125,8 +125,8 @@ fn online_adaptation_on_real_models() {
         amp: 8.0,
         period: 7.0,
     };
-    let fixed = run_online(&line, &mobile, &trace, 10, 5, 10.0, ReplanPolicy::Static);
-    let oracle = run_online(&line, &mobile, &trace, 10, 5, 10.0, ReplanPolicy::Oracle);
+    let fixed = run_online(&line, &mobile, &trace, 10, 5, 10.0, ReplanPolicy::Static).unwrap();
+    let oracle = run_online(&line, &mobile, &trace, 10, 5, 10.0, ReplanPolicy::Oracle).unwrap();
     assert!(oracle.total_ms() <= fixed.total_ms() + 1e-6);
 }
 
