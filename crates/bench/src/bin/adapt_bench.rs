@@ -19,7 +19,10 @@
 //!    crosses) must cost <= 2% serial fleet throughput, best-of-reps
 //!    wall clock (`zero_drift_overhead_ok`) — and the fleet digest
 //!    must be byte-identical to a non-adaptive run
-//!    (`zero_drift_byte_identical`).
+//!    (`zero_drift_byte_identical`). Both sides of the ratio are
+//!    written too, in ns per burst (`zero_drift_plain_ns_per_burst`,
+//!    `zero_drift_idle_observe_ns_per_burst`): a cheaper plain burst
+//!    raises the ratio with no change to the observe path.
 //! 3. **Pool equivalence** — the adaptive drifting fleet through a
 //!    real 8-worker pool must reproduce the serial report bit for bit
 //!    (`pool_bit_identical`): adaptation is per-session state, so
@@ -154,7 +157,8 @@ fn main() {
     // budget is retried (bounded) and the smallest overhead kept —
     // noise can only inflate the ratio, never deflate both floors.
     mcdnn_obs::set_enabled(false);
-    let mut overhead = f64::INFINITY;
+    // (overhead, plain secs, idle secs) of the attempt kept.
+    let mut kept = (f64::INFINITY, 0.0, 0.0);
     for _attempt in 0..3 {
         let mut plain_secs = 0.0;
         let mut idle_secs = 0.0;
@@ -173,15 +177,26 @@ fn main() {
             plain_secs += best.0;
             idle_secs += best.1;
         }
-        overhead = overhead.min(idle_secs / plain_secs - 1.0);
+        let overhead = idle_secs / plain_secs - 1.0;
+        if overhead < kept.0 {
+            kept = (overhead, plain_secs, idle_secs);
+        }
         if overhead <= OVERHEAD_BUDGET {
             break;
         }
     }
     mcdnn_obs::set_enabled(true);
+    // The ratio's two sides, per burst of the kept attempt's per-user
+    // minima (each session's frontier fetch and ladder set-up included),
+    // so a cheaper plain burst shows as such rather than as a costlier
+    // observe path.
+    let (overhead, plain_secs, idle_secs) = kept;
+    let per_burst_ns = |secs: f64| secs * 1e9 / (specs.len() * OVERHEAD_BURSTS) as f64;
+    let (plain_ns, idle_ns) = (per_burst_ns(plain_secs), per_burst_ns(idle_secs));
     let zero_drift_overhead_ok = overhead <= OVERHEAD_BUDGET;
     println!(
-        "zero drift: observe-path overhead {:+.2}% (budget {:.0}%), ok: {}",
+        "zero drift: observe-path overhead {:+.2}% ({plain_ns:.1} -> {idle_ns:.1} ns/burst, \
+         budget {:.0}%), ok: {}",
         overhead * 1e2,
         OVERHEAD_BUDGET * 1e2,
         yn(zero_drift_overhead_ok),
@@ -209,6 +224,8 @@ fn main() {
          \"zero_drift_byte_identical\": {zero_drift_byte_identical},\n  \
          \"zero_drift_overhead_bursts\": {OVERHEAD_BURSTS},\n  \
          \"zero_drift_overhead_pct\": {:.2},\n  \
+         \"zero_drift_plain_ns_per_burst\": {plain_ns:.1},\n  \
+         \"zero_drift_idle_observe_ns_per_burst\": {idle_ns:.1},\n  \
          \"zero_drift_overhead_budget_pct\": {:.0},\n  \
          \"zero_drift_overhead_ok\": {zero_drift_overhead_ok},\n  \
          \"fleet_digest\": \"{:#018x}\"\n}}\n",

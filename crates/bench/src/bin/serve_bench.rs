@@ -5,6 +5,12 @@
 //!
 //! What it measures:
 //!
+//! 0. **Wall-clock jobs/sec** — the headline: the whole fleet through
+//!    [`serve_fleet`] on the warm shared cache, on a fresh
+//!    [`WorkerPool`] per width from 1 to `min(8, available_parallelism)`
+//!    workers, best of 5 passes each (`wall_throughput`). Only widths
+//!    the host can run are measured, so on a small host this shows
+//!    what the pool delivers there, not the 8-way model below.
 //! 1. **Per-user serving cost** — every user's full session (frontier
 //!    fetch through the shared cache, ladder set-up, bursts through
 //!    the warm arena) timed serially, best of three reps.
@@ -46,6 +52,8 @@ use mcdnn_sim::{fleet, run_user, serve_fleet, serve_fleet_serial, ServeConfig};
 /// Aggregate 8-worker vs 1-worker throughput ratio the run must show.
 const SCALING_TARGET: f64 = 4.0;
 const POOL_WORKERS: usize = 8;
+/// Timed fleet passes per pool width; the fastest one counts.
+const WALL_PASSES: usize = 5;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -89,9 +97,26 @@ fn main() {
         shared_cache.len(),
     );
 
-    // 1. Per-user serial cost on the warm shared cache — timing runs
-    // with observability off.
+    // 0. Wall-clock jobs/sec of the real pool on the warm shared cache
+    // — timing runs with observability off.
     mcdnn_obs::set_enabled(false);
+    let available_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut wall_rows = Vec::new();
+    for w in 1..=available_parallelism.min(POOL_WORKERS) {
+        let pool = WorkerPool::new(w);
+        let mut best = f64::INFINITY;
+        for _pass in 0..WALL_PASSES {
+            let started = Instant::now();
+            let report = serve_fleet(&pool, &shared_cache, &specs, &config).expect("fleet serves");
+            best = best.min(started.elapsed().as_secs_f64());
+            assert_eq!(report, reference, "pooled pass diverged");
+        }
+        let jps = reference.total_jobs as f64 / best;
+        println!("  {w} worker(s): {jps:.0} jobs/sec (wall clock, best of {WALL_PASSES})");
+        wall_rows.push((w, jps));
+    }
+
+    // 1. Per-user serial cost on the warm shared cache.
     let mut user_secs = vec![f64::INFINITY; specs.len()];
     for _rep in 0..3 {
         for (i, spec) in specs.iter().enumerate() {
@@ -150,16 +175,21 @@ fn main() {
     );
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    let worker_rows: Vec<String> = rows
-        .iter()
-        .map(|(w, jps)| format!("    {{\"workers\": {w}, \"jobs_per_sec\": {jps:.0}}}"))
-        .collect();
+    let json_rows = |rows: &[(usize, f64)]| -> String {
+        let rows: Vec<String> = rows
+            .iter()
+            .map(|(w, jps)| format!("    {{\"workers\": {w}, \"jobs_per_sec\": {jps:.0}}}"))
+            .collect();
+        rows.join(",\n")
+    };
     let json = format!(
         "{{\n  \"generated_by\": \"cargo run -p mcdnn-bench --release --bin serve_bench{}\",\n  \
          \"scaling_model\": \"critical-path over measured per-user serial times: jobs/sec(W) = total_jobs / max worker load under LPT placement; sessions share no mutable state and the steady-state path is lock- and allocation-free (proven by the alloc/equivalence tests), so the critical path is the wall clock an unloaded W-core machine approaches. Computed this way because single-core CI runners cannot demonstrate an 8-way wall-clock speedup; the real 8-worker pool run executes regardless and must be bit-identical to the serial reference.\",\n  \
          \"users\": {users},\n  \"bursts_per_user\": {bursts},\n  \"distinct_models\": {},\n  \
          \"total_bursts\": {},\n  \"total_jobs\": {total_jobs},\n  \
          \"faulted_bursts\": {},\n  \"degraded_bursts\": {},\n  \
+         \"available_parallelism\": {available_parallelism},\n  \
+         \"wall_throughput\": [\n{}\n  ],\n  \
          \"serial_secs\": {serial_secs:.4},\n  \
          \"throughput\": [\n{}\n  ],\n  \
          \"scaling_factor_8v1\": {scaling_factor:.2},\n  \"scaling_target\": {SCALING_TARGET:.1},\n  \
@@ -175,7 +205,8 @@ fn main() {
         reference.total_bursts,
         reference.total_faulted_bursts,
         reference.total_degraded_bursts,
-        worker_rows.join(",\n"),
+        json_rows(&wall_rows),
+        json_rows(&rows),
         shared_cache.len(),
         reference.fleet_digest,
     );

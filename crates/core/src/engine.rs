@@ -51,9 +51,9 @@ impl EngineConfig {
         EngineConfig::default()
     }
 
-    /// Worker-thread count for the engine's pool. Unset: the
-    /// `MCDNN_THREADS` env var, else available parallelism. A value of
-    /// 0 is clamped to 1.
+    /// Worker-thread count for the engine's pool: the threads that run
+    /// each call, the caller included. Unset: the `MCDNN_THREADS` env
+    /// var, else available parallelism. A value of 0 is clamped to 1.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n);
         self

@@ -123,12 +123,12 @@ catalogue! {
         DEGRADE_RECOVERIES = "degrade.recoveries": "bursts back at the healthy rung after a degraded one",
         DEGRADE_REPLANS = "degrade.replans": "ladder decisions replanned at the degraded rate",
         DEGRADE_SHIFTS = "degrade.shifts": "ladder decisions shifted toward on-device cuts",
-        DES_ARENA_GROWN = "des.arena.grown": "DES arena runs that had to grow a buffer",
-        DES_ARENA_REUSED = "des.arena.reused": "DES arena runs on already-sized buffers",
-        DES_ARENA_RUNS = "des.arena.runs": "DES arena runs, faulted or not",
+        DES_ARENA_GROWN = "des.arena.grown": "DES arena runs that had to grow a buffer (a fault-free serve burst runs none)",
+        DES_ARENA_REUSED = "des.arena.reused": "DES arena runs on already-sized buffers (a fault-free serve burst runs none)",
+        DES_ARENA_RUNS = "des.arena.runs": "DES arena runs, faulted or not (a fault-free serve burst runs none)",
         DES_FAULTED_RUNS = "des.faulted_runs": "faulted discrete-event simulations",
-        DES_JOBS = "des.jobs": "jobs simulated by fault-free DES runs",
-        DES_RUNS = "des.runs": "fault-free discrete-event simulations",
+        DES_JOBS = "des.jobs": "jobs simulated by fault-free DES runs (a fault-free serve burst runs none)",
+        DES_RUNS = "des.runs": "fault-free discrete-event simulations (a fault-free serve burst runs none)",
         FAULT_CLOUD_STRAGGLES = "fault.cloud_straggles": "cloud stages slowed by a straggler fault",
         FAULT_LOCAL_FALLBACKS = "fault.local_fallbacks": "jobs finished on-device after uploads gave up",
         FAULT_RETRIES = "fault.retries": "upload retries after a lost attempt",

@@ -620,7 +620,7 @@ impl RateFrontier {
 
     /// Index into [`RateFrontier::pieces`] of the piece covering
     /// `bandwidth_mbps`, or `None` outside the compiled range. This is
-    /// the indexing half of [`RateFrontier::decide_at`]: callers that
+    /// the indexing half of [`RateFrontier::decide`]: callers that
     /// key per-piece tables (the scheduler's rung-pricing memo) resolve
     /// the piece once and cache everything derived from its mix.
     pub fn piece_index_at(&self, bandwidth_mbps: f64) -> Option<usize> {
@@ -636,24 +636,31 @@ impl RateFrontier {
         self.sigs[idx]
     }
 
-    /// O(log B) lookup: the winning cut structure and its exact kernel
-    /// makespan at bandwidth `b`. Outside the compiled range this falls
-    /// back to a direct planning pass (counted as `frontier.oob`).
-    pub fn decide_at(&self, bandwidth_mbps: f64) -> FrontierDecision {
+    /// O(log B) lookup of the winning cut structure at bandwidth `b`:
+    /// [`RateFrontier::decide_at`] without the kernel makespan, for
+    /// callers that read only the mix (the compiled counterpart of
+    /// [`LazyFrontier::decide`]). Counted as `frontier.lookups`; outside
+    /// the compiled range it falls back to a direct planning pass,
+    /// counted as `frontier.oob`.
+    pub fn decide(&self, bandwidth_mbps: f64) -> CutMix {
         if self.covers(bandwidth_mbps) {
             metrics::FRONTIER_LOOKUPS.add(1);
-            let mix = self.sig_at(bandwidth_mbps);
-            FrontierDecision {
-                mix,
-                makespan_ms: self.profile.mix_makespan(self.n, mix, bandwidth_mbps),
-            }
+            self.sig_at(bandwidth_mbps)
         } else {
             metrics::FRONTIER_OOB.add(1);
-            let mix = plan_directly(&self.profile, self.strategy, self.n, bandwidth_mbps);
-            FrontierDecision {
-                mix,
-                makespan_ms: self.profile.mix_makespan(self.n, mix, bandwidth_mbps),
-            }
+            plan_directly(&self.profile, self.strategy, self.n, bandwidth_mbps)
+        }
+    }
+
+    /// O(log B) lookup: the winning cut structure and its exact kernel
+    /// makespan at bandwidth `b` — [`RateFrontier::decide`] plus
+    /// [`RateProfile::mix_makespan`]. Outside the compiled range this
+    /// falls back to a direct planning pass (counted as `frontier.oob`).
+    pub fn decide_at(&self, bandwidth_mbps: f64) -> FrontierDecision {
+        let mix = self.decide(bandwidth_mbps);
+        FrontierDecision {
+            mix,
+            makespan_ms: self.profile.mix_makespan(self.n, mix, bandwidth_mbps),
         }
     }
 
@@ -670,9 +677,9 @@ impl RateFrontier {
     /// the compiled decision matches the planner's winner (see the
     /// module docs), including the exact recurrence `makespan_ms`.
     pub fn plan_at(&self, bandwidth_mbps: f64) -> Plan {
-        let decision = self.decide_at(bandwidth_mbps);
+        let mix = self.decide(bandwidth_mbps);
         let cp = self.profile.profile_at(bandwidth_mbps);
-        Plan::from_cuts(self.strategy, &cp, decision.mix.cuts(self.n))
+        Plan::from_cuts(self.strategy, &cp, mix.cuts(self.n))
     }
 
     /// Audit helper: sweep `samples` log-spaced bandwidths across the
@@ -704,10 +711,10 @@ impl RateFrontier {
 ///
 /// [`LazyFrontier::new`] runs every check [`RateFrontier::compile`]
 /// runs, so a regime walk cannot fail later. [`LazyFrontier::decide`]
-/// returns the mix the compiled frontier's
-/// [`RateFrontier::decide_at`] returns, and allocates only when it
-/// walks a regime. [`LazyFrontier::into_frontier`] walks the rest and
-/// is that compiled frontier, bit for bit.
+/// returns the mix the compiled frontier's [`RateFrontier::decide`]
+/// returns, and allocates only when it walks a regime.
+/// [`LazyFrontier::into_frontier`] walks the rest and is that compiled
+/// frontier, bit for bit.
 #[derive(Debug)]
 pub struct LazyFrontier {
     walker: Compiler,
@@ -776,9 +783,9 @@ impl LazyFrontier {
     }
 
     /// The winning cut structure at bandwidth `b`: the mix
-    /// [`RateFrontier::decide_at`] returns. Walks `b`'s regime on its
+    /// [`RateFrontier::decide`] returns. Walks `b`'s regime on its
     /// first query; outside the range it plans directly, as
-    /// `decide_at` does.
+    /// `RateFrontier::decide` does.
     pub fn decide(&mut self, bandwidth_mbps: f64) -> CutMix {
         if !(self.lo_mbps..=self.hi_mbps).contains(&bandwidth_mbps) {
             metrics::FRONTIER_OOB.add(1);

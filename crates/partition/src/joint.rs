@@ -236,7 +236,7 @@ pub fn oblivious_allocation(tenants: &[JointTenant<'_>], capacity: f64) -> Joint
     assert!(capacity > 0.0 && capacity.is_finite(), "need capacity > 0");
     let mixes: Vec<CutMix> = tenants
         .iter()
-        .map(|t| t.frontier.decide_at(t.bandwidth_mbps).mix)
+        .map(|t| t.frontier.decide(t.bandwidth_mbps))
         .collect();
     let costs: Vec<(f64, f64)> = tenants
         .iter()
@@ -288,7 +288,7 @@ pub fn joint_allocate(tenants: &[JointTenant<'_>], capacity: f64) -> JointAlloca
     // alone already dominates the oblivious equal split.
     let mut mixes: Vec<CutMix> = tenants
         .iter()
-        .map(|t| t.frontier.decide_at(t.bandwidth_mbps).mix)
+        .map(|t| t.frontier.decide(t.bandwidth_mbps))
         .collect();
     let mut costs: Vec<(f64, f64)> = tenants
         .iter()

@@ -4,13 +4,14 @@
 //! loop runs small batches forever, so [`WorkerPool`] keeps its threads
 //! alive. Every caller submits one batch from one thread and blocks on
 //! it, so the pool is one FIFO task queue and a shutdown flag under one
-//! `Mutex`, plus one `Condvar` the workers wait on.
-//! [`WorkerPool::run_indexed`] pushes a whole batch under one lock and
-//! wakes the workers once; each finished task wakes the submitter, which
-//! returns once the batch's count of running tasks reaches zero. Task
-//! `i` writes result slot `i` whichever worker runs it, so results come
-//! back in index order and no output or work counter depends on the
-//! pool width.
+//! `Mutex`, plus one `Condvar` the workers wait on. A pool of width `n`
+//! runs a batch on `n` threads: the submitter and `n - 1` long-lived
+//! workers. [`WorkerPool::run_indexed`] pushes a whole batch under one
+//! lock and wakes the workers once; the submitter then runs queued tasks
+//! until the queue is empty and waits for the tasks still running on
+//! workers, the last of which wakes it. Task `i` writes result slot `i`
+//! whichever thread runs it, so results come back in index order and no
+//! output or work counter depends on the pool width.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -35,8 +36,8 @@ struct Batch<R> {
     slots: Vec<Option<thread::Result<R>>>,
 }
 
-/// A fixed-size pool of long-lived worker threads. See the module docs
-/// for the queueing discipline.
+/// A fixed-width pool: long-lived worker threads that run each batch
+/// with its submitter. See the module docs for the queueing discipline.
 ///
 /// ```
 /// let pool = mcdnn_runtime::WorkerPool::new(4);
@@ -52,17 +53,19 @@ pub struct WorkerPool {
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
-            .field("workers", &self.handles.len())
+            .field("width", &(self.handles.len() + 1))
             .finish()
     }
 }
 
 impl WorkerPool {
-    /// Start a pool of `workers ≥ 1` threads.
+    /// Start a pool of width `workers ≥ 1`: `workers - 1` long-lived
+    /// threads, which run each batch with its submitter. A pool of
+    /// width 1 runs every batch on the submitting thread.
     pub fn new(workers: usize) -> WorkerPool {
         assert!(workers >= 1, "a pool needs at least one worker");
         let shared = Arc::new((Mutex::default(), Condvar::new()));
-        let handles = (0..workers)
+        let handles = (1..workers)
             .map(|me| {
                 let shared = Arc::clone(&shared);
                 thread::Builder::new()
@@ -75,7 +78,8 @@ impl WorkerPool {
     }
 
     /// Run `f(0..n)` across the pool and return results in index
-    /// order — the parallel-for of the serving loop. Blocks the caller
+    /// order — the parallel-for of the serving loop. The calling
+    /// thread runs queued tasks alongside the workers, then blocks
     /// until every index completes; if any invocation panicked, panics
     /// once they all have, and the pool stays usable. Must not be
     /// called from inside a pool task (the wait would occupy a worker).
@@ -103,16 +107,24 @@ impl WorkerPool {
                 let mut progress = progress.lock().expect("batch poisoned");
                 progress.slots[i] = Some(outcome);
                 progress.remaining -= 1;
+                let last = progress.remaining == 0;
                 drop(progress);
-                // Every task, not only the last, wakes the submitter to
-                // recheck the count: with one wake at the end, e2e_bench
-                // serving calls ran 11-17% slower on a 2-vCPU host.
-                done.notify_one();
+                if last {
+                    done.notify_one();
+                }
             }));
         }
         drop(queue);
         metrics::RUNTIME_POOL_TASKS.add(n as u64);
         ready.notify_all();
+        // The submitter works too, so its core is busy wherever the
+        // scheduler puts the workers: two workers woken together can
+        // share one core for a whole batch, which on a 2-vCPU host
+        // doubled the time of 5% to over a quarter of serve calls, a
+        // share that changed from run to run.
+        while let Some(task) = self.pop() {
+            task();
+        }
         let (progress, done) = &*batch;
         let progress = progress.lock().expect("batch poisoned");
         let mut progress = done
@@ -125,6 +137,13 @@ impl WorkerPool {
                 Err(_) => panic!("a pool task panicked"),
             })
             .collect()
+    }
+
+    /// The front queued task, if any: the submitter's share of a batch
+    /// (or of another caller's, which stores its result all the same).
+    fn pop(&self) -> Option<Task> {
+        let (queue, _) = &*self.shared;
+        queue.lock().expect("pool queue poisoned").tasks.pop_front()
     }
 }
 
@@ -170,6 +189,14 @@ mod tests {
         let out = pool.run_indexed(257, |i| (i as f64 * 0.37).sin());
         let serial: Vec<f64> = (0..257).map(|i| (i as f64 * 0.37).sin()).collect();
         assert_eq!(out, serial);
+    }
+
+    #[test]
+    fn a_width_one_pool_runs_on_the_submitter() {
+        let pool = WorkerPool::new(1);
+        let caller = thread::current().id();
+        let ran = pool.run_indexed(16, |_| thread::current().id());
+        assert!(ran.iter().all(|&id| id == caller));
     }
 
     #[test]
@@ -229,5 +256,27 @@ mod tests {
             i
         });
         assert_eq!(out, (0..64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn the_submitter_runs_tasks_alongside_the_workers() {
+        // Two tasks that each wait for the other to start: a width-2
+        // pool's one worker alone cannot finish them, the worker and
+        // the submitter can.
+        let pool = WorkerPool::new(2);
+        let started = Arc::new((Mutex::new(0), Condvar::new()));
+        let caller = thread::current().id();
+        let ran = pool.run_indexed(2, move |_| {
+            let (count, both) = &*started;
+            let mut count = count.lock().unwrap();
+            *count += 1;
+            both.notify_all();
+            let timeout = std::time::Duration::from_secs(10);
+            let (count, _) = both.wait_timeout_while(count, timeout, |c| *c < 2).unwrap();
+            (*count == 2, thread::current().id())
+        });
+        assert!(ran.iter().all(|&(met, _)| met), "a task waited alone");
+        assert_ne!(ran[0].1, ran[1].1);
+        assert!(ran.iter().any(|&(_, id)| id == caller));
     }
 }

@@ -209,7 +209,7 @@ pub fn run_online(
         // O(log B) decision and O(1) pricing. (For Static, `believed`
         // is truth[0] every burst, so the decision is constant without
         // a special case.)
-        let mix = frontier.decide_at(believed).mix;
+        let mix = frontier.decide(believed);
         // A replan event is a burst whose cut decision actually
         // changed — mix equality is cut-vector equality.
         if prev_mix.is_some_and(|prev| prev != mix) {

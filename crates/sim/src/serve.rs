@@ -10,9 +10,13 @@
 //!   `mcdnn-rng` so every run is reproducible;
 //! * each [`UserSession`] admits bursts through the **shared
 //!   [`PlanCache`]** (one frontier fetch per session — the steady-state
-//!   hit path), a per-session [`LadderFrontier`] that walks the
-//!   degradation ladder on each degraded burst, and a per-session
-//!   [`DesArena`] whose buffers live as long as the session
+//!   hit path) and a per-session [`LadderFrontier`] that walks the
+//!   degradation ladder on each degraded burst, and prices each burst:
+//!   a fault-free burst by the two-stage flow-shop recurrence
+//!   ([`mcdnn_flowshop::makespan()`]), which the DES would compute
+//!   operation for operation on it (tests here and in the DES pin the
+//!   two bit for bit), a faulted one by the one event loop, in a
+//!   per-session [`DesArena`] whose buffers live as long as the session
 //!   (thread-local by construction: a session never migrates between
 //!   workers mid-run);
 //! * [`serve_fleet`] drives every session across a persistent
@@ -20,17 +24,17 @@
 //!   so the report is byte-identical regardless of worker count.
 //!
 //! Steady-state contract: once a session is warm (frontier fetched,
-//! arena buffers grown), a fault-free [`UserSession::admit_burst`]
+//! job buffer grown), a fault-free [`UserSession::admit_burst`]
 //! performs **zero heap allocations** — bandwidth walk, ladder
-//! decision, frontier lookup, job-vector refill and DES run all reuse
+//! decision, frontier lookup, job-vector refill and pricing all reuse
 //! session-owned storage. The `serve_alloc_free` integration test
 //! proves this with a counting allocator. Every `fault_every`-th burst
-//! instead puts a seeded [`FaultPlan`] in its [`DesConfig`]; that run
-//! allocates (the fault plan and link timeline are built per run) and
-//! is excluded from the contract, exactly as [`DesArena`] documents.
-//! So is the first burst after a commit that reaches an unwalked `l*`
-//! regime of the new belief: the walk allocates, like the commit
-//! before it.
+//! instead puts a seeded [`FaultPlan`] in its [`DesConfig`] and runs
+//! the DES; that run allocates (the fault plan and link timeline are
+//! built per run) and is excluded from the contract, exactly as
+//! [`DesArena`] documents. So is the first burst after a commit that
+//! reaches an unwalked `l*` regime of the new belief: the walk
+//! allocates, like the commit before it.
 //!
 //! Determinism contract: a user's burst stream depends only on its
 //! spec and the [`ServeConfig`] — never on scheduling. Each summary
@@ -69,7 +73,7 @@ use mcdnn_runtime::WorkerPool;
 use crate::adapt::{check_drift_adapt, DriftSpec};
 use crate::degrade::{LadderFrontier, LadderLevel};
 use crate::des::{DesArena, DesConfig};
-use crate::fault::{FaultEventKind, FaultPlan, FaultSpec, FaultedRun, RetryPolicy};
+use crate::fault::{FaultEvent, FaultEventKind, FaultPlan, FaultSpec, FaultedRun, RetryPolicy};
 use crate::tenant::{cut_pair, Tenant};
 
 /// Knobs shared by every user of a serving run.
@@ -222,7 +226,8 @@ pub struct BurstOutcome {
     pub mix: CutMix,
     /// Ladder rung (Normal unless the link degraded this burst).
     pub level: LadderLevel,
-    /// DES makespan of the burst, ms.
+    /// Makespan of the burst, ms: the two-stage recurrence's, or the
+    /// DES's for a faulted burst.
     pub makespan_ms: f64,
     /// True when this burst replayed under a fault plan.
     pub faulted: bool,
@@ -326,9 +331,13 @@ impl UserSession {
 
     /// Admit one burst: walk the bandwidth trace, consult the ladder if
     /// the link degraded, take the frontier's O(log P) decision, refill
-    /// the job buffer in place and run it through the warm arena.
-    /// Zero heap allocations once warm, except on faulted bursts (see
-    /// the module docs).
+    /// the job buffer in place and price it. A fault-free burst's
+    /// makespan is the two-stage recurrence
+    /// ([`mcdnn_flowshop::makespan()`]) over the job buffer in planned
+    /// order, bit-equal to a default-config [`DesArena`] run on the
+    /// same jobs; only a faulted burst draws a fault seed, builds its
+    /// [`DesConfig`] and runs the warm arena. Zero heap allocations
+    /// once warm, except on faulted bursts (see the module docs).
     pub fn admit_burst(&mut self) -> BurstOutcome {
         // Main-RNG order per burst: bandwidth step, degrade roll, rung
         // draw (degraded bursts only), fault seed (faulted bursts only).
@@ -354,11 +363,10 @@ impl UserSession {
             (self.core.decide(bandwidth), LadderLevel::Normal, bandwidth)
         };
         let profile = self.core.profile();
-        let k = profile.k();
 
         // Believed stage times, in the mix's layout — the planner's
-        // winning order (`prev` block first, then `star`), so the
-        // 1-channel/1-slot DES reproduces the two-stage recurrence.
+        // winning order (`prev` block first, then `star`), the order
+        // the burst runs in.
         let (cut1, cut2) = cut_pair(mix);
         let first_n = match mix {
             CutMix::Uniform { .. } => self.n_jobs,
@@ -375,8 +383,6 @@ impl UserSession {
             believed[2] = profile.mobile_ms(cut2);
             believed[3] = profile.upload_ms_at(cut2, b_eff);
         }
-        let local_fallback_ms = profile.mobile_ms(k) - profile.mobile_ms(cut2);
-        let kernel_ms = profile.mix_makespan(self.n_jobs, mix, b_eff);
 
         // Executed stage times. Planning above used the believed
         // frontier; execution runs on the *true* platform — the factory
@@ -410,46 +416,35 @@ impl UserSession {
             self.jobs.push(FlowJob::two_stage(j, f, g));
         }
 
+        // Price the burst. A fault-free burst is two-stage jobs on one
+        // CPU and one uplink with no jitter, where the DES would compute
+        // the flow-shop recurrence operation for operation, so the
+        // recurrence prices it. A faulted burst replays a seeded fault
+        // plan through the DES — the allocating exception to the
+        // steady-state contract (the plan and its link timeline are
+        // built per run) — and folds its event log into the digest.
         let faulted = self.fault_every != 0 && self.core.steps().is_multiple_of(self.fault_every);
-        let mut des = DesConfig::default();
-        if faulted {
-            // Seeded fault replay — the allocating exception to the
-            // steady-state contract (FaultPlan + link timeline are
-            // built per run).
-            des.faults = FaultedRun {
-                faults: FaultPlan::random(
-                    &FaultSpec::default(),
-                    self.n_jobs,
-                    kernel_ms.max(1.0) * 2.0,
-                    self.core.rng().next_u64(),
-                ),
-                retry: RetryPolicy::default(),
-                local_fallback_ms,
+        let (makespan_ms, events_digest) = if faulted {
+            let profile = self.core.profile();
+            let local_fallback_ms = profile.mobile_ms(profile.k()) - profile.mobile_ms(cut2);
+            let horizon_ms = profile.mix_makespan(self.n_jobs, mix, b_eff).max(1.0) * 2.0;
+            let des = DesConfig {
+                faults: FaultedRun {
+                    faults: FaultPlan::random(
+                        &FaultSpec::default(),
+                        self.n_jobs,
+                        horizon_ms,
+                        self.core.rng().next_u64(),
+                    ),
+                    retry: RetryPolicy::default(),
+                    local_fallback_ms,
+                },
+                ..DesConfig::default()
             };
-        }
-        let makespan_ms = self.arena.simulate(&self.jobs, &self.order, &des);
-        let events_digest = if faulted {
-            let mut d = FNV_OFFSET;
-            for e in self.arena.events() {
-                d = fnv_fold(d, e.t_ms.to_bits());
-                d = fnv_fold(d, e.job as u64);
-                d = match e.kind {
-                    FaultEventKind::UploadLost { attempt } => fnv_fold(fnv_fold(d, 0), attempt as u64),
-                    FaultEventKind::RetryScheduled { attempt, delay_ms } => {
-                        fnv_fold(fnv_fold(fnv_fold(d, 1), attempt as u64), delay_ms.to_bits())
-                    }
-                    FaultEventKind::UploadRecovered { attempts } => {
-                        fnv_fold(fnv_fold(d, 2), attempts as u64)
-                    }
-                    FaultEventKind::LocalFallback => fnv_fold(d, 3),
-                    FaultEventKind::CloudStraggled { factor } => {
-                        fnv_fold(fnv_fold(d, 4), factor.to_bits())
-                    }
-                };
-            }
-            d
+            let makespan_ms = self.arena.simulate(&self.jobs, &self.order, &des);
+            (makespan_ms, fold_events(self.arena.events()))
         } else {
-            0
+            (mcdnn_flowshop::makespan(&self.jobs, &self.order), 0)
         };
 
         // Fold the burst into the session digest: bandwidth, cut
@@ -552,6 +547,28 @@ impl UserSession {
     }
 }
 
+/// FNV-1a fold of a faulted burst's event log: each event's time, job
+/// and kind with its fields.
+fn fold_events(events: &[FaultEvent]) -> u64 {
+    let mut d = FNV_OFFSET;
+    for e in events {
+        d = fnv_fold(d, e.t_ms.to_bits());
+        d = fnv_fold(d, e.job as u64);
+        d = match e.kind {
+            FaultEventKind::UploadLost { attempt } => fnv_fold(fnv_fold(d, 0), attempt as u64),
+            FaultEventKind::RetryScheduled { attempt, delay_ms } => {
+                fnv_fold(fnv_fold(fnv_fold(d, 1), attempt as u64), delay_ms.to_bits())
+            }
+            FaultEventKind::UploadRecovered { attempts } => {
+                fnv_fold(fnv_fold(d, 2), attempts as u64)
+            }
+            FaultEventKind::LocalFallback => fnv_fold(d, 3),
+            FaultEventKind::CloudStraggled { factor } => fnv_fold(fnv_fold(d, 4), factor.to_bits()),
+        };
+    }
+    d
+}
+
 /// One user's completed serving history.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UserSummary {
@@ -576,7 +593,7 @@ pub struct UserSummary {
     pub hits: u64,
     /// Beliefs built by estimator commits.
     pub replans: u64,
-    /// Mean DES makespan per burst, ms.
+    /// Mean burst makespan, ms.
     pub mean_makespan_ms: f64,
     /// Version of the believed profile the session ended on
     /// (generation 0 unless adaptation committed).
@@ -782,13 +799,71 @@ mod tests {
                         .mix_makespan(spec.n_jobs, out.mix, out.bandwidth_mbps);
                 assert!(
                     (out.makespan_ms - kernel).abs() <= 1e-9 * kernel.max(1.0),
-                    "DES {} vs kernel {kernel}",
+                    "priced {} vs kernel {kernel}",
                     out.makespan_ms
                 );
                 assert_eq!(out.level, LadderLevel::Normal);
                 assert!(!out.faulted);
             }
         }
+    }
+
+    #[test]
+    fn recurrence_priced_bursts_equal_the_des_bit_for_bit() {
+        // Every kind of burst a session admits: drifting, jittered
+        // stage times, beliefs rebuilt by commits, degraded and
+        // mobile-only rungs, every fifth burst faulted.
+        let config = ServeConfig {
+            bursts_per_user: 150,
+            degrade_prob: 0.2,
+            fault_every: 5,
+            ..drift_config()
+        };
+        // A device so slow that a degraded link to a cut near it loses
+        // to running every layer on-device: the ladder's bottom rung.
+        let mut profiles = test_profiles();
+        profiles.push(
+            RateProfile::from_parts(
+                "gamma",
+                vec![0.0, 90.0, 100.0],
+                vec![100_000, 10_000, 0],
+                1.0,
+                None,
+            )
+            .unwrap(),
+        );
+        let specs = fleet(&profiles, 9, &config);
+        let cache = PlanCache::new();
+        let (mut degraded, mut mobile_only, mut faulted, mut commits) = (0, 0, 0, 0);
+        for spec in &specs {
+            let mut session = UserSession::start(&cache, spec, &config).unwrap();
+            for burst in 0..config.bursts_per_user {
+                let out = session.admit_burst();
+                if out.faulted {
+                    faulted += 1;
+                } else {
+                    let des = DesArena::new().simulate(
+                        &session.jobs,
+                        &session.order,
+                        &DesConfig::default(),
+                    );
+                    assert_eq!(
+                        out.makespan_ms.to_bits(),
+                        des.to_bits(),
+                        "user {} burst {burst}: priced {} vs DES {des}",
+                        spec.id,
+                        out.makespan_ms
+                    );
+                }
+                degraded += usize::from(out.level != LadderLevel::Normal);
+                mobile_only += usize::from(out.level == LadderLevel::MobileOnly);
+                commits += usize::from(session.maybe_adapt(&cache).unwrap());
+            }
+        }
+        assert!(
+            degraded > mobile_only && mobile_only > 0 && faulted > 0 && commits > 0,
+            "{degraded} degraded, {mobile_only} mobile-only, {faulted} faulted, {commits} commits"
+        );
     }
 
     #[test]

@@ -510,7 +510,7 @@ fn rung_cost(
         let d = profile.mix_mobile_ms(n_jobs, CutMix::Uniform { cut: k });
         return (d, 0.0, 0.0);
     }
-    let mix = frontier.decide_at((b * level_frac).clamp(lo, hi)).mix;
+    let mix = frontier.decide((b * level_frac).clamp(lo, hi));
     let d = profile.mix_mobile_ms(n_jobs, mix);
     let u = profile.mix_upload_ms(n_jobs, mix, b);
     let w = profile.mix_cloud_ms(n_jobs, mix);

@@ -142,7 +142,7 @@ impl Tenant {
     pub(crate) fn decide(&mut self, b: f64) -> CutMix {
         match self.belief.as_mut() {
             Some(belief) => belief.decide(b),
-            None => self.base.decide_at(b).mix,
+            None => self.base.decide(b),
         }
     }
 
