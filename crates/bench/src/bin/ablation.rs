@@ -15,16 +15,18 @@ use mcdnn_bench::{banner, fmt_ms};
 use mcdnn_flowshop::makespan_three_stage;
 use mcdnn_graph::cluster_virtual_blocks;
 use mcdnn_partition::Strategy;
+use mcdnn_runtime::{worker_threads, WorkerPool};
 use mcdnn_sim::{simulate, DesConfig};
 
 fn main() {
-    scheduling_ablation();
-    partition_ablation();
+    let pool = WorkerPool::new(worker_threads());
+    scheduling_ablation(&pool);
+    partition_ablation(&pool);
     clustering_ablation();
-    cloud_stage_audit();
+    cloud_stage_audit(&pool);
 }
 
-fn scheduling_ablation() {
+fn scheduling_ablation(pool: &WorkerPool) {
     banner(
         "Ablation 1 (scheduling)",
         "Johnson's rule vs FIFO vs reversed on identical cuts",
@@ -37,7 +39,8 @@ fn scheduling_ablation() {
             grid.push((model, label, net));
         }
     }
-    let rows = mcdnn_runtime::parallel_map(&grid, |_, &(model, label, net)| {
+    let rows = pool.run_indexed(grid.len(), move |i| {
+        let (model, label, net) = grid[i];
         let s = Scenario::paper_default(model, net);
         let plan = Strategy::JpsBestMix.plan(s.profile(), 100);
         let jobs = plan.jobs(s.profile());
@@ -61,7 +64,7 @@ fn scheduling_ablation() {
     }
 }
 
-fn partition_ablation() {
+fn partition_ablation(pool: &WorkerPool) {
     banner(
         "Ablation 2 (partition restriction)",
         "common cut vs ratio mix vs best mix vs exact optimum (n = 6)",
@@ -70,7 +73,8 @@ fn partition_ablation() {
     println!("|---|---|---|---|---|");
     let n = 6;
     let models = [Model::AlexNet, Model::AlexNetPrime, Model::MobileNetV2];
-    let rows = mcdnn_runtime::parallel_map(&models, |_, &model| {
+    let rows = pool.run_indexed(models.len(), move |i| {
+        let model = models[i];
         let s = Scenario::paper_default(model, NetworkModel::wifi());
         let p = s.profile();
         let common = (0..=p.k())
@@ -106,7 +110,7 @@ fn clustering_ablation() {
     }
 }
 
-fn cloud_stage_audit() {
+fn cloud_stage_audit(pool: &WorkerPool) {
     banner(
         "Ablation 4 (negligible-cloud reduction)",
         "2-stage model error vs explicit 3-stage simulation",
@@ -119,7 +123,8 @@ fn cloud_stage_audit() {
             grid.push((model, label, net));
         }
     }
-    let rows = mcdnn_runtime::parallel_map(&grid, |_, &(model, label, net)| {
+    let rows = pool.run_indexed(grid.len(), move |i| {
+        let (model, label, net) = grid[i];
         let s = Scenario::paper_default(model, net);
         let plan = s.plan(Strategy::Jps, 100);
         let jobs = plan.jobs(s.profile());

@@ -21,6 +21,7 @@
 
 use mcdnn::prelude::*;
 use mcdnn_bench::{banner, fmt_ms};
+use mcdnn_runtime::{worker_threads, WorkerPool};
 use mcdnn_sim::DegradePolicy;
 
 fn main() {
@@ -45,12 +46,17 @@ fn main() {
 
     println!("| model | net | scenario | frozen | ladder | lagged | mobile-only | ladder vs oracle |");
     println!("|---|---|---|---|---|---|---|---|");
-    let reports: Vec<(String, String, ChaosReport)> =
-        mcdnn_runtime::parallel_map(&platforms, |_, (model, label, net)| {
+    // Platforms run in order, each fanning its scenario grid out on
+    // the pool (a pool task must not submit a batch of its own).
+    let pool = WorkerPool::new(worker_threads());
+    let reports: Vec<(String, String, ChaosReport)> = platforms
+        .iter()
+        .map(|(model, label, net)| {
             let s = Scenario::paper_default(*model, *net);
-            let report = chaos_report(&s, &config).expect("valid chaos config");
+            let report = chaos_report(&pool, &s, &config).expect("valid chaos config");
             (model.to_string(), label.to_string(), report)
-        });
+        })
+        .collect();
     for (model, label, report) in &reports {
         let scenarios: Vec<&str> = {
             let mut names: Vec<&str> = Vec::new();

@@ -9,6 +9,7 @@
 use mcdnn::experiment::bf_comparison;
 use mcdnn::prelude::*;
 use mcdnn_bench::{banner, fmt_ms, fmt_opt_ms};
+use mcdnn_runtime::{worker_threads, WorkerPool};
 
 fn main() {
     banner(
@@ -19,11 +20,12 @@ fn main() {
     // Powers of two as on the paper's x-axis; BF is skipped where the
     // multiset enumeration exceeds the guard.
     let ns = [2usize, 4, 8, 16, 32, 128, 512];
+    let pool = WorkerPool::new(worker_threads());
     for model in [Model::AlexNet, Model::AlexNetPrime] {
         println!("### {model}\n");
         println!("| n | JPS ms | BF ms | gap % |");
         println!("|---|---|---|---|");
-        for row in bf_comparison(model, &ns, NetworkModel::wifi()) {
+        for row in bf_comparison(&pool, model, &ns, NetworkModel::wifi()) {
             let gap = row
                 .bf_ms
                 .map(|bf| format!("{:.2}", (row.jps_ms / bf - 1.0) * 100.0))

@@ -9,6 +9,7 @@
 use mcdnn::experiment::{latency_comparison, PAPER_NETWORKS};
 use mcdnn::prelude::*;
 use mcdnn_bench::{banner, fmt_ms};
+use mcdnn_runtime::{worker_threads, WorkerPool};
 
 fn main() {
     banner(
@@ -18,7 +19,8 @@ fn main() {
 
     let n = 100;
     let models = Model::EVALUATED;
-    let rows = latency_comparison(&models, n);
+    let pool = WorkerPool::new(worker_threads());
+    let rows = latency_comparison(&pool, &models, n);
     // CSV artifact.
     let csv_rows: Vec<Vec<String>> = rows
         .iter()

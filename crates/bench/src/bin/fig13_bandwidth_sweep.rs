@@ -8,6 +8,7 @@
 use mcdnn::experiment::{bandwidth_sweep, benefit_range};
 use mcdnn::prelude::*;
 use mcdnn_bench::{banner, fmt_ms};
+use mcdnn_runtime::{worker_threads, WorkerPool};
 
 fn main() {
     banner(
@@ -17,9 +18,10 @@ fn main() {
 
     let mbps: Vec<f64> = (1..=80).map(|b| b as f64).collect();
     let n = 100;
+    let pool = WorkerPool::new(worker_threads());
     std::fs::create_dir_all("results/csv").ok();
     for model in [Model::AlexNet, Model::MobileNetV2] {
-        let rows = bandwidth_sweep(model, &mbps, n);
+        let rows = bandwidth_sweep(&pool, model, &mbps, n);
         let csv_rows: Vec<Vec<String>> = rows
             .iter()
             .map(|r| {

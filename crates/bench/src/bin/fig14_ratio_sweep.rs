@@ -8,6 +8,7 @@
 use mcdnn::experiment::ratio_sweep;
 use mcdnn::prelude::*;
 use mcdnn_bench::banner;
+use mcdnn_runtime::{worker_threads, WorkerPool};
 
 fn main() {
     banner(
@@ -16,6 +17,7 @@ fn main() {
     );
 
     let n = 100;
+    let pool = WorkerPool::new(worker_threads());
     let bandwidths = [9.0, 10.0, 11.0];
     let cases = [
         (Model::ResNet18, (1..=9).map(|i| i as f64).collect::<Vec<_>>()),
@@ -32,7 +34,7 @@ fn main() {
         }
         println!();
         println!("|---|---|---|---|");
-        let rows = ratio_sweep(model, &bandwidths, &ratios, n);
+        let rows = ratio_sweep(&pool, model, &bandwidths, &ratios, n);
         std::fs::create_dir_all("results/csv").ok();
         let csv_rows: Vec<Vec<String>> = rows
             .iter()

@@ -14,6 +14,7 @@ use mcdnn::experiment::{
 };
 use mcdnn::prelude::*;
 use mcdnn_bench::banner;
+use mcdnn_runtime::{worker_threads, WorkerPool};
 use mcdnn_viz::{BarChart, LineChart, Series};
 
 fn main() {
@@ -26,7 +27,8 @@ fn main() {
 
     // Fig. 12: one bar chart per network.
     let n = 100;
-    let rows = latency_comparison(&Model::EVALUATED, n);
+    let pool = WorkerPool::new(worker_threads());
+    let rows = latency_comparison(&pool, &Model::EVALUATED, n);
     for preset in PAPER_NETWORKS {
         let mut chart = BarChart::new(
             format!(
@@ -74,7 +76,7 @@ fn main() {
     // Fig. 13: log-y bandwidth sweeps.
     let mbps: Vec<f64> = (1..=80).map(|b| b as f64).collect();
     for model in [Model::AlexNet, Model::MobileNetV2] {
-        let rows = bandwidth_sweep(model, &mbps, n);
+        let rows = bandwidth_sweep(&pool, model, &mbps, n);
         let series_of = |label: &str, f: fn(&mcdnn::experiment::BandwidthRow) -> f64| {
             Series::new(
                 label,
@@ -106,7 +108,7 @@ fn main() {
     ];
     for (model, ratios) in cases {
         let bandwidths = [9.0, 10.0, 11.0];
-        let rows = ratio_sweep(model, &bandwidths, &ratios, n);
+        let rows = ratio_sweep(&pool, model, &bandwidths, &ratios, n);
         let mut chart = LineChart::new(
             format!("Fig. 14 — {model}: makespan vs comp/comm job ratio, n = {n}"),
             "ratio (computation-heavy / communication-heavy)",

@@ -5,6 +5,7 @@
 
 use mcdnn::prelude::*;
 use mcdnn_bench::banner;
+use mcdnn_runtime::{worker_threads, WorkerPool};
 use mcdnn_sim::{run_online, BandwidthTrace, ReplanPolicy};
 
 fn main() {
@@ -47,7 +48,9 @@ fn main() {
     }
     // Each (model, trace, policy) run is independent: fan the grid out
     // over the worker pool and print the finished rows in grid order.
-    let rows = mcdnn_runtime::parallel_map(&grid, |_, (model, label, trace)| {
+    let pool = WorkerPool::new(worker_threads());
+    let rows = pool.run_indexed(grid.len(), move |i| {
+        let (model, label, trace) = &grid[i];
         let line = model.line().expect("zoo model");
         let mobile = DeviceModel::raspberry_pi4();
         let run = |policy| {

@@ -8,6 +8,7 @@
 use mcdnn::experiment::{reduction_table, PAPER_NETWORKS};
 use mcdnn::prelude::*;
 use mcdnn_bench::banner;
+use mcdnn_runtime::{worker_threads, WorkerPool};
 
 fn main() {
     banner(
@@ -15,7 +16,8 @@ fn main() {
         "JPS >= PO everywhere; reductions grow with bandwidth; ResNet ~0 at 3G",
     );
 
-    let rows = reduction_table(&Model::EVALUATED, 100);
+    let pool = WorkerPool::new(worker_threads());
+    let rows = reduction_table(&pool, &Model::EVALUATED, 100);
     std::fs::create_dir_all("results/csv").ok();
     let csv_rows: Vec<Vec<String>> = rows
         .iter()

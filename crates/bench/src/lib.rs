@@ -21,9 +21,11 @@
 //! repo root records paper-vs-measured per experiment. `planner_bench`
 //! times the O(1)-kernel planner hot path against the pre-refactor
 //! reference implementation and writes `BENCH_planner.json` at the repo
-//! root. Sweep-style binaries fan their scenario grids out over a
-//! `std`-only worker pool ([`mcdnn_runtime::parallel_map`]); set
-//! `MCDNN_THREADS=1` for fully serial runs.
+//! root. Sweep-style binaries build one
+//! [`WorkerPool`](mcdnn_runtime::WorkerPool) of
+//! [`worker_threads`](mcdnn_runtime::worker_threads) in `main` and fan
+//! their scenario grids out on it; set `MCDNN_THREADS=1` for fully
+//! serial runs.
 
 pub mod workload;
 

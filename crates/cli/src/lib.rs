@@ -213,10 +213,11 @@ counts and per-stage busy/wait histograms).
 `chaos` fault-sweeps the model: a scenario × degradation-policy grid
 (total makespan vs the oracle that knew the fault schedule), then one
 seeded random fault drill whose event log and FNV-1a digest are
-deterministic in --seed. It accepts --emit-trace <path> (Chrome trace
-of the drill: stage rows, fault windows, one flag per fault/recovery
-event) and --emit-metrics <path> (JSON snapshot including fault.* /
-degrade.* / recovery.* counters).
+deterministic in --seed. The grid runs on the worker pool, and the
+output is the same whatever MCDNN_THREADS says. It accepts
+--emit-trace <path> (Chrome trace of the drill: stage rows, fault
+windows, one flag per fault/recovery event) and --emit-metrics <path>
+(JSON snapshot including fault.* / degrade.* / recovery.* counters).
 
 `serve` runs a multi-tenant fleet — users drawn round-robin from the
 model zoo, each with its own seeded bandwidth walk — through the
@@ -518,7 +519,7 @@ fn cmd_sweep(flags: &Flags) -> Result<String, CliError> {
     let mbps: Vec<f64> = (0..steps)
         .map(|i| from + (to - from) * i as f64 / (steps - 1) as f64)
         .collect();
-    let rows = mcdnn::experiment::bandwidth_sweep(model, &mbps, n);
+    let rows = mcdnn::experiment::bandwidth_sweep(engine_for(steps).pool(), model, &mbps, n);
     let mut out = String::new();
     let _ = writeln!(out, "{model}, {n} jobs — per-job latency (ms)");
     let _ = writeln!(out, "| Mbps | LO | CO | PO | JPS |");
@@ -718,7 +719,8 @@ fn cmd_chaos(flags: &Flags) -> Result<String, CliError> {
         mcdnn_obs::set_enabled(true);
         mcdnn_obs::reset();
     }
-    let report = chaos_report(&s, &config).map_err(|e| err(e.to_string()))?;
+    let engine = engine_for(mcdnn_sim::chaos_scenarios(config.bursts, config.seed).len());
+    let report = engine.chaos(&s, &config).map_err(|e| err(e.to_string()))?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -743,6 +745,16 @@ fn cmd_chaos(flags: &Flags) -> Result<String, CliError> {
         let _ = writeln!(out, "wrote metrics snapshot to {path}");
     }
     Ok(out)
+}
+
+/// An engine whose pool width honours `MCDNN_THREADS` (else the
+/// hardware), capped at `tasks`, the most tasks one of the command's
+/// batches holds: a wider pool would only start idle threads. Output is
+/// byte-identical at any width.
+fn engine_for(tasks: usize) -> Engine {
+    EngineConfig::new()
+        .threads(mcdnn_runtime::worker_threads().min(tasks).max(1))
+        .build()
 }
 
 /// Rate profiles for every zoo model the JPS theory admits on the
@@ -818,11 +830,7 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
     // profile the JPS theory admits on the reference platform.
     let profiles = zoo_rate_profiles(setup, false);
     let specs = mcdnn_sim::fleet(&profiles, users, &config);
-    // The thread count honours MCDNN_THREADS, capped at the fleet size;
-    // output is byte-identical at any width.
-    let engine = EngineConfig::new()
-        .threads(mcdnn_runtime::worker_threads().min(users).max(1))
-        .build();
+    let engine = engine_for(users);
     let report = engine
         .serve(&specs, &config)
         .map_err(|e| err(format!("serving failed: {e}")))?;
@@ -923,12 +931,7 @@ fn cmd_serve_slo(flags: &Flags) -> Result<String, CliError> {
     // pre-contention Negligible-cloud profiles keep output byte-stable.
     let profiles = zoo_rate_profiles(setup, cloud_servers > 0);
     let tenants = mcdnn_sim::slo_fleet(&profiles, tenants_n, &config);
-    // Explicit thread count still honours MCDNN_THREADS: worker_threads
-    // is the env/hardware resolution the builder would do itself, only
-    // capped at the fleet size. Output is byte-identical either way.
-    let engine = EngineConfig::new()
-        .threads(mcdnn_runtime::worker_threads().min(tenants_n).max(1))
-        .build();
+    let engine = engine_for(tenants_n);
 
     let mut out = String::new();
     let _ = writeln!(

@@ -8,20 +8,23 @@
 //! 1. pick the healthy streaming cut for the target rate via the
 //!    degradation ladder at factor 1.0,
 //! 2. sweep the standard scenario grid × every
-//!    [`DegradePolicy`](mcdnn_sim::DegradePolicy)
-//!    ([`mcdnn_sim::run_chaos_grid`]) and report each policy's total
-//!    makespan relative to the oracle that knew the fault schedule,
+//!    [`DegradePolicy`](mcdnn_sim::DegradePolicy) on the caller's
+//!    worker pool ([`mcdnn_sim::run_chaos_grid`]) and report each
+//!    policy's total makespan relative to the oracle that knew the
+//!    fault schedule,
 //! 3. replay one seeded random fault plan through the DES
 //!    ([`mcdnn_sim::chaos_drill`]) and package the canonical event log
 //!    plus its FNV-1a digest — the artifact the determinism CI job
 //!    diffs across repeated runs of the same seed.
 //!
 //! Everything here is deterministic in `(scenario, config)`: same
-//! inputs, byte-identical [`ChaosReport::render`] output.
+//! inputs, byte-identical [`ChaosReport::render`] output at any pool
+//! width.
 
 use std::fmt::Write as _;
 
 use mcdnn_partition::PlanError;
+use mcdnn_runtime::WorkerPool;
 use mcdnn_sim::{
     chaos_drill, chaos_scenarios, ladder_decision, run_chaos_grid, ChaosDrill, ChaosRow, FaultSpec,
     RetryPolicy,
@@ -145,12 +148,17 @@ impl ChaosReport {
 }
 
 /// Run the full chaos sweep for one scenario: standard grid × every
-/// policy, plus one seeded drill at the healthy cut. Deterministic in
-/// `(scenario, config)`. A config that fails [`ChaosConfig::validate`],
+/// policy, one grid scenario per `pool` task, plus one seeded drill at
+/// the healthy cut. Deterministic in `(scenario, config)`, whatever the
+/// pool's width. A config that fails [`ChaosConfig::validate`],
 /// or a scenario with a stage time that is not finite, or whose upload
 /// time overflows at the sweep's slowest degraded link (a subnormal
 /// bandwidth or a huge setup latency), is an [`Error::Plan`].
-pub fn chaos_report(scenario: &Scenario, config: &ChaosConfig) -> Result<ChaosReport, Error> {
+pub fn chaos_report(
+    pool: &WorkerPool,
+    scenario: &Scenario,
+    config: &ChaosConfig,
+) -> Result<ChaosReport, Error> {
     config.validate()?;
     let profile = scenario.profile();
     let scenarios = chaos_scenarios(config.bursts, config.seed);
@@ -173,6 +181,7 @@ pub fn chaos_report(scenario: &Scenario, config: &ChaosConfig) -> Result<ChaosRe
         config.jobs_per_burst,
     );
     let rows = run_chaos_grid(
+        pool,
         profile,
         &scenarios,
         config.jobs_per_burst,
@@ -206,27 +215,25 @@ mod tests {
         Scenario::paper_default(Model::AlexNet, NetworkModel::wifi())
     }
 
+    fn report(config: &ChaosConfig) -> ChaosReport {
+        chaos_report(&WorkerPool::new(2), &scenario(), config).unwrap()
+    }
+
     #[test]
     fn report_is_deterministic() {
-        let s = scenario();
         let cfg = ChaosConfig::default();
-        let a = chaos_report(&s, &cfg).unwrap().render();
-        let b = chaos_report(&s, &cfg).unwrap().render();
+        let a = report(&cfg).render();
+        let b = report(&cfg).render();
         assert_eq!(a, b, "same scenario + config must render byte-identically");
     }
 
     #[test]
     fn report_varies_with_seed() {
-        let s = scenario();
-        let a = chaos_report(&s, &ChaosConfig::default()).unwrap();
-        let b = chaos_report(
-            &s,
-            &ChaosConfig {
-                seed: 1234,
-                ..ChaosConfig::default()
-            },
-        )
-        .unwrap();
+        let a = report(&ChaosConfig::default());
+        let b = report(&ChaosConfig {
+            seed: 1234,
+            ..ChaosConfig::default()
+        });
         // The flapping scenario and the drill's fault plan both depend
         // on the seed.
         assert_ne!(a.render(), b.render());
@@ -234,8 +241,7 @@ mod tests {
 
     #[test]
     fn ladder_bounded_by_mobile_only_on_real_model() {
-        let s = scenario();
-        let report = chaos_report(&s, &ChaosConfig::default()).unwrap();
+        let report = report(&ChaosConfig::default());
         let scenarios: Vec<String> = report
             .rows
             .iter()
@@ -262,8 +268,7 @@ mod tests {
 
     #[test]
     fn render_mentions_digest_and_policies() {
-        let s = scenario();
-        let doc = chaos_report(&s, &ChaosConfig::default()).unwrap().render();
+        let doc = report(&ChaosConfig::default()).render();
         assert!(doc.contains("digest="));
         assert!(doc.contains("mobile-only"));
         assert!(doc.contains("steady"));

@@ -42,7 +42,6 @@ use crate::scenario::Scenario;
 pub struct EngineConfig {
     threads: Option<usize>,
     obs: Option<bool>,
-    adaptation: Option<AdaptConfig>,
 }
 
 impl EngineConfig {
@@ -52,8 +51,9 @@ impl EngineConfig {
     }
 
     /// Worker-thread count for the engine's pool: the threads that run
-    /// each call, the caller included. Unset: the `MCDNN_THREADS` env
-    /// var, else available parallelism. A value of 0 is clamped to 1.
+    /// each call, the caller included — serving, SLO generation and the
+    /// chaos grid alike. Unset: the `MCDNN_THREADS` env var, else
+    /// available parallelism. A value of 0 is clamped to 1.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n);
         self
@@ -63,15 +63,6 @@ impl EngineConfig {
     /// Unset: leave the registry as-is (its own `MCDNN_OBS` default).
     pub fn obs(mut self, on: bool) -> Self {
         self.obs = Some(on);
-        self
-    }
-
-    /// Engine-wide default for online profile learning: serving entry
-    /// points whose config leaves `adapt` unset run under this
-    /// [`AdaptConfig`]. A config that sets its own `adapt` always wins.
-    /// Unset: no adaptation unless a config asks for it.
-    pub fn adaptation(mut self, cfg: AdaptConfig) -> Self {
-        self.adaptation = Some(cfg);
         self
     }
 
@@ -86,7 +77,6 @@ impl EngineConfig {
             pool: WorkerPool::new(threads),
             cache: Arc::new(PlanCache::new()),
             threads,
-            adaptation: self.adaptation,
         }
     }
 }
@@ -102,7 +92,6 @@ pub struct Engine {
     pool: WorkerPool,
     cache: Arc<PlanCache>,
     threads: usize,
-    adaptation: Option<AdaptConfig>,
 }
 
 impl Default for Engine {
@@ -141,9 +130,12 @@ impl Engine {
         &self.cache
     }
 
-    /// The engine-wide adaptation default, if one was configured.
+    /// Always `None`: adaptation is set per call, through
+    /// [`ServeConfig::adapt`] and [`SloConfig::adapt`]. It exists only
+    /// because the frozen end-to-end benchmark (`e2e_bench`) calls it;
+    /// delete it when that benchmark next changes.
     pub fn adaptation(&self) -> Option<AdaptConfig> {
-        self.adaptation
+        None
     }
 
     /// Drop every cached frontier, so the next fetch of any key
@@ -153,25 +145,6 @@ impl Engine {
     /// recalibrations that change profiles behind the cache's back.
     pub fn invalidate_profiles(&self) {
         self.cache.clear();
-    }
-
-    /// Apply the engine-wide adaptation default to a serve config that
-    /// leaves `adapt` unset.
-    fn with_adapt_default_serve(&self, config: &ServeConfig) -> ServeConfig {
-        let mut config = *config;
-        if config.adapt.is_none() {
-            config.adapt = self.adaptation;
-        }
-        config
-    }
-
-    /// [`Engine::with_adapt_default_serve`] for an SLO config.
-    fn with_adapt_default_slo(&self, config: &SloConfig) -> SloConfig {
-        let mut config = config.clone();
-        if config.adapt.is_none() {
-            config.adapt = self.adaptation;
-        }
-        config
     }
 
     /// Plan `n` jobs for a scenario, reporting failures as the unified
@@ -201,27 +174,21 @@ impl Engine {
     }
 
     /// Serve a multi-tenant fleet across the engine's pool
-    /// ([`mcdnn_sim::serve_fleet`] with the engine's cache). A config
-    /// that leaves `adapt` unset inherits the engine-wide
-    /// [`EngineConfig::adaptation`] default.
+    /// ([`mcdnn_sim::serve_fleet`] with the engine's cache).
     pub fn serve(&self, specs: &[UserSpec], config: &ServeConfig) -> Result<ServeReport, Error> {
-        let config = self.with_adapt_default_serve(config);
-        Ok(serve_fleet(&self.pool, &self.cache, specs, &config)?)
+        Ok(serve_fleet(&self.pool, &self.cache, specs, config)?)
     }
 
     /// Run the SLO admission-control + deadline scheduler over a tenant
     /// fleet ([`mcdnn_sim::serve_slo`] with the engine's pool and
-    /// cache). Byte-equal to the serial path at any thread count. A
-    /// config that leaves `adapt` unset inherits the engine-wide
-    /// [`EngineConfig::adaptation`] default.
+    /// cache). Byte-equal to the serial path at any thread count.
     pub fn serve_slo(
         &self,
         tenants: &[SloTenant],
         config: &SloConfig,
         policy: SloPolicy,
     ) -> Result<SloReport, Error> {
-        let config = self.with_adapt_default_slo(config);
-        Ok(serve_slo(&self.pool, &self.cache, tenants, &config, policy)?)
+        Ok(serve_slo(&self.pool, &self.cache, tenants, config, policy)?)
     }
 
     /// Generate an SLO fleet's request streams once across the engine's
@@ -229,21 +196,25 @@ impl Engine {
     /// [`SloStreams::schedule`], which the caller hands the same fleet
     /// and config: each schedule is byte-equal to [`Engine::serve_slo`]
     /// with that policy, without regenerating or re-merging the streams
-    /// or rebuilding adaptive beliefs. `adapt` defaults as in
-    /// [`Engine::serve_slo`].
+    /// or rebuilding adaptive beliefs.
     pub fn slo_streams(
         &self,
         tenants: &[SloTenant],
         config: &SloConfig,
     ) -> Result<SloStreams, Error> {
-        let config = self.with_adapt_default_slo(config);
-        Ok(SloStreams::generate(&self.pool, &self.cache, tenants, &config)?)
+        Ok(SloStreams::generate(
+            &self.pool,
+            &self.cache,
+            tenants,
+            config,
+        )?)
     }
 
-    /// Run a chaos drill for a scenario ([`chaos_report`]). A config
-    /// that fails [`ChaosConfig::validate`] is an [`Error::Plan`].
+    /// Run a chaos drill for a scenario ([`chaos_report`]), its grid on
+    /// the engine's pool. A config that fails [`ChaosConfig::validate`]
+    /// is an [`Error::Plan`].
     pub fn chaos(&self, scenario: &Scenario, config: &ChaosConfig) -> Result<ChaosReport, Error> {
-        chaos_report(scenario, config)
+        chaos_report(&self.pool, scenario, config)
     }
 }
 
@@ -332,47 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_adaptation_default_flows_into_serving() {
-        use mcdnn_sim::DriftSpec;
-        let drift = DriftSpec {
-            device_walk: 0.08,
-            link_walk: 0.04,
-            jitter: 0.02,
-            ..DriftSpec::none()
-        };
-        let config = ServeConfig {
-            bursts_per_user: 80,
-            drift,
-            ..ServeConfig::default()
-        };
-        let specs = fleet(&profiles(), 4, &config);
-        let engine = EngineConfig::new()
-            .threads(2)
-            .adaptation(AdaptConfig::default())
-            .build();
-        assert_eq!(engine.adaptation(), Some(AdaptConfig::default()));
-        // The engine's default fills the unset `adapt` knob...
-        let adaptive = engine.serve(&specs, &config).unwrap();
-        let explicit = ServeConfig {
-            adapt: Some(AdaptConfig::default()),
-            ..config
-        };
-        let reference = serve_fleet_serial(&PlanCache::new(), &specs, &explicit).unwrap();
-        assert_eq!(adaptive, reference);
-        assert!(adaptive.total_replans > 0, "drift must trigger adaptation");
-        // ...and an explicitly set knob always wins over the default.
-        let frozen_engine = EngineConfig::new()
-            .threads(2)
-            .adaptation(AdaptConfig {
-                gate: 1e12,
-                ..AdaptConfig::default()
-            })
-            .build();
-        let overridden = frozen_engine.serve(&specs, &explicit).unwrap();
-        assert_eq!(overridden, reference);
-    }
-
-    #[test]
     fn invalidate_profiles_evicts_every_cached_frontier() {
         let engine = EngineConfig::new().threads(1).build();
         let p = &profiles()[0];
@@ -458,6 +388,23 @@ mod tests {
                 other => panic!("{bandwidth} Mbps, {setup} ms: expected BadInput, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn chaos_runs_its_grid_on_the_engine_pool() {
+        // A width-1 pool runs every task on the caller, so the grid's
+        // seven scenarios show up in this thread's pool-task count, and
+        // the report reads the same at width 4.
+        let scenario = Scenario::paper_default(Model::AlexNet, NetworkModel::wifi());
+        let config = ChaosConfig::default();
+        let serial = EngineConfig::new().threads(1).obs(true).build();
+        let before = mcdnn_obs::thread_counter_value("runtime.pool.tasks");
+        let report = serial.chaos(&scenario, &config).unwrap();
+        let tasks = mcdnn_obs::thread_counter_value("runtime.pool.tasks") - before;
+        assert_eq!(tasks, 7, "one pool task per chaos scenario");
+        let pooled = EngineConfig::new().threads(4).build();
+        let wide = pooled.chaos(&scenario, &config).unwrap();
+        assert_eq!(report.render(), wide.render());
     }
 
     #[test]

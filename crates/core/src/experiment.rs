@@ -6,16 +6,18 @@
 //! table/figure series (see `EXPERIMENTS.md`).
 //!
 //! Sweep points are independent, so the grid-shaped experiments
-//! (strategy comparison, bandwidth sweep, ratio sweep, BF comparison)
-//! fan out across cores with [`mcdnn_runtime::parallel_map`] — output
-//! order is preserved, so rows land exactly as the serial loops
-//! produced them. Set `MCDNN_THREADS=1` to force serial execution.
+//! (strategy comparison, reduction table, bandwidth sweep, ratio sweep,
+//! BF comparison) fan out on the [`WorkerPool`] their caller passes —
+//! results come back in index order, so rows land exactly as the
+//! serial loops produced them. A pool of width 1 (`MCDNN_THREADS=1` in
+//! the bench binaries) runs them serially on the caller.
 
 use std::fmt::Write as _;
 
 use mcdnn_models::Model;
 use mcdnn_partition::{binary_search_cut, Strategy};
 use mcdnn_profile::{CloudModel, CostProfile, DeviceModel, NetworkModel};
+use mcdnn_runtime::WorkerPool;
 
 use crate::scenario::Scenario;
 
@@ -113,8 +115,8 @@ pub struct LatencyRow {
 }
 
 /// Fig. 12(a–c): per-job latency of each strategy for every model at
-/// every paper network, with `n` jobs.
-pub fn latency_comparison(models: &[Model], n: usize) -> Vec<LatencyRow> {
+/// every paper network, with `n` jobs, one grid point per `pool` task.
+pub fn latency_comparison(pool: &WorkerPool, models: &[Model], n: usize) -> Vec<LatencyRow> {
     let strategies = [
         Strategy::CloudOnly,
         Strategy::LocalOnly,
@@ -125,7 +127,8 @@ pub fn latency_comparison(models: &[Model], n: usize) -> Vec<LatencyRow> {
         .iter()
         .flat_map(|&preset| models.iter().map(move |&m| (preset, m)))
         .collect();
-    let groups = mcdnn_runtime::parallel_map(&grid, |_, &(preset, model)| {
+    let groups = pool.run_indexed(grid.len(), move |i| {
+        let (preset, model) = grid[i];
         let scenario = Scenario::paper_default(model, preset.model());
         strategies
             .iter()
@@ -157,13 +160,15 @@ pub struct ReductionRow {
     pub jps_reduction_pct: f64,
 }
 
-/// Table 1: latency reduction ratio compared with LO (%).
-pub fn reduction_table(models: &[Model], n: usize) -> Vec<ReductionRow> {
+/// Table 1: latency reduction ratio compared with LO (%), one grid
+/// point per `pool` task.
+pub fn reduction_table(pool: &WorkerPool, models: &[Model], n: usize) -> Vec<ReductionRow> {
     let grid: Vec<(NetworkPreset, Model)> = PAPER_NETWORKS
         .iter()
         .flat_map(|&preset| models.iter().map(move |&m| (preset, m)))
         .collect();
-    mcdnn_runtime::parallel_map(&grid, |_, &(preset, model)| {
+    pool.run_indexed(grid.len(), move |i| {
+        let (preset, model) = grid[i];
         let scenario = Scenario::paper_default(model, preset.model());
         let lo = scenario.plan(Strategy::LocalOnly, n).makespan_ms;
         let po = scenario.plan(Strategy::PartitionOnly, n).makespan_ms;
@@ -198,10 +203,17 @@ pub struct BandwidthRow {
 }
 
 /// Fig. 13: per-job latency under bandwidths `mbps` for `n` jobs.
-/// Sweep points are evaluated in parallel (order preserved).
-pub fn bandwidth_sweep(model: Model, mbps: &[f64], n: usize) -> Vec<BandwidthRow> {
+/// Sweep points are evaluated on `pool` (order preserved).
+pub fn bandwidth_sweep(
+    pool: &WorkerPool,
+    model: Model,
+    mbps: &[f64],
+    n: usize,
+) -> Vec<BandwidthRow> {
     let base = Scenario::paper_default(model, NetworkModel::wifi());
-    mcdnn_runtime::parallel_map(mbps, |_, &b| {
+    let mbps = mbps.to_vec();
+    pool.run_indexed(mbps.len(), move |i| {
+        let b = mbps[i];
         let s = base.with_network(NetworkModel::new(b, NetworkModel::wifi().setup_ms));
         BandwidthRow {
             bandwidth_mbps: b,
@@ -243,10 +255,18 @@ pub struct RatioRow {
 
 /// Fig. 14: makespan of `n` jobs as the mix between the two adjacent
 /// cut types varies, at each bandwidth. Bandwidth points are evaluated
-/// in parallel (order preserved).
-pub fn ratio_sweep(model: Model, mbps: &[f64], ratios: &[f64], n: usize) -> Vec<RatioRow> {
+/// on `pool` (order preserved).
+pub fn ratio_sweep(
+    pool: &WorkerPool,
+    model: Model,
+    mbps: &[f64],
+    ratios: &[f64],
+    n: usize,
+) -> Vec<RatioRow> {
     let base = Scenario::paper_default(model, NetworkModel::wifi());
-    let groups = mcdnn_runtime::parallel_map(mbps, |_, &b| {
+    let (mbps, ratios) = (mbps.to_vec(), ratios.to_vec());
+    let groups = pool.run_indexed(mbps.len(), move |i| {
+        let b = mbps[i];
         let s = base.with_network(NetworkModel::new(b, NetworkModel::wifi().setup_ms));
         let profile = s.profile();
         let search = binary_search_cut(profile);
@@ -296,17 +316,25 @@ pub struct BfCompareRow {
     pub bf_ms: Option<f64>,
 }
 
-/// Fig. 11: JPS vs the exact joint optimum on AlexNet / AlexNet′.
+/// Fig. 11: JPS vs the exact joint optimum on AlexNet / AlexNet′, one
+/// job count per `pool` task.
 ///
 /// BF enumerates `C(n + k, k)` cut multisets; it is skipped where that
 /// exceeds the guard (the paper likewise only runs BF on small inputs).
-pub fn bf_comparison(model: Model, ns: &[usize], network: NetworkModel) -> Vec<BfCompareRow> {
+pub fn bf_comparison(
+    pool: &WorkerPool,
+    model: Model,
+    ns: &[usize],
+    network: NetworkModel,
+) -> Vec<BfCompareRow> {
     let scenario = Scenario::paper_default(model, network);
     let k = scenario.profile().k();
     // BF points grow combinatorially with n while JPS points stay
-    // trivial — exactly the skewed workload the dynamic work queue
+    // trivial — exactly the skewed workload the pool's one queue
     // balances.
-    mcdnn_runtime::parallel_map(ns, |_, &n| {
+    let ns = ns.to_vec();
+    pool.run_indexed(ns.len(), move |i| {
+        let n = ns[i];
         let jps = scenario.plan(Strategy::Jps, n).makespan_ms;
         let feasible = binomial_le(n + k, k, 2_000_000);
         let bf = feasible.then(|| scenario.plan(Strategy::BruteForce, n).makespan_ms);
@@ -349,6 +377,10 @@ pub fn to_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
 mod tests {
     use super::*;
 
+    fn pool() -> WorkerPool {
+        WorkerPool::new(2)
+    }
+
     #[test]
     fn layer_table_shapes() {
         let rows = layer_time_table(Model::AlexNet, NetworkModel::wifi());
@@ -371,7 +403,7 @@ mod tests {
 
     #[test]
     fn latency_comparison_covers_grid() {
-        let rows = latency_comparison(&[Model::AlexNet, Model::ResNet18], 10);
+        let rows = latency_comparison(&pool(), &[Model::AlexNet, Model::ResNet18], 10);
         // 2 models × 3 networks × 4 strategies.
         assert_eq!(rows.len(), 24);
         // JPS never loses.
@@ -393,7 +425,7 @@ mod tests {
     #[test]
     fn co_is_catastrophic_at_3g() {
         // Paper: CO at 3G costs > 4000 ms per job for every model.
-        let rows = latency_comparison(&[Model::AlexNet], 10);
+        let rows = latency_comparison(&pool(), &[Model::AlexNet], 10);
         let co_3g = rows
             .iter()
             .find(|r| r.network == "3G" && r.strategy == Strategy::CloudOnly)
@@ -403,7 +435,7 @@ mod tests {
 
     #[test]
     fn reduction_table_bounds() {
-        let rows = reduction_table(&Model::EVALUATED, 20);
+        let rows = reduction_table(&pool(), &Model::EVALUATED, 20);
         assert_eq!(rows.len(), 12);
         for r in &rows {
             assert!((0.0..=100.0).contains(&r.po_reduction_pct), "{r:?}");
@@ -418,7 +450,7 @@ mod tests {
     #[test]
     fn bandwidth_sweep_shapes() {
         let mbps: Vec<f64> = (1..=16).map(|i| i as f64 * 5.0).collect();
-        let rows = bandwidth_sweep(Model::AlexNet, &mbps, 10);
+        let rows = bandwidth_sweep(&pool(), Model::AlexNet, &mbps, 10);
         // LO flat; CO and JPS non-increasing with bandwidth.
         for w in rows.windows(2) {
             assert!((w[0].lo_ms - w[1].lo_ms).abs() < 1e-9);
@@ -435,7 +467,7 @@ mod tests {
     fn benefit_range_covers_paper_band() {
         // Paper: JPS speeds up AlexNet across [1, 20] Mbps at least.
         let mbps: Vec<f64> = (1..=40).map(|i| i as f64 * 2.0).collect();
-        let rows = bandwidth_sweep(Model::AlexNet, &mbps, 50);
+        let rows = bandwidth_sweep(&pool(), Model::AlexNet, &mbps, 50);
         let range = benefit_range(&rows, 1e-6);
         assert!(range.contains(&2.0));
         assert!(range.contains(&20.0));
@@ -444,7 +476,7 @@ mod tests {
     #[test]
     fn ratio_sweep_has_interior_optimum_structure() {
         let ratios: Vec<f64> = (1..=9).map(|i| i as f64).collect();
-        let rows = ratio_sweep(Model::ResNet18, &[9.0, 10.0, 11.0], &ratios, 60);
+        let rows = ratio_sweep(&pool(), Model::ResNet18, &[9.0, 10.0, 11.0], &ratios, 60);
         assert_eq!(rows.len(), 27);
         for r in &rows {
             assert_eq!(r.comp_heavy_jobs + r.comm_heavy_jobs, 60);
@@ -454,7 +486,12 @@ mod tests {
 
     #[test]
     fn bf_comparison_jps_close_to_optimal() {
-        let rows = bf_comparison(Model::AlexNetPrime, &[2, 4, 8], NetworkModel::wifi());
+        let rows = bf_comparison(
+            &pool(),
+            Model::AlexNetPrime,
+            &[2, 4, 8],
+            NetworkModel::wifi(),
+        );
         for r in &rows {
             let bf = r.bf_ms.expect("BF feasible for tiny n");
             assert!(r.jps_ms >= bf - 1e-9);

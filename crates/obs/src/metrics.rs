@@ -152,8 +152,7 @@ catalogue! {
         PLANNER_JPS_CANDIDATES = "planner.jps.candidates": "kernel evaluations of JPS plans",
         PLANNER_KERNEL_EVALS = "planner.kernel_evals": "makespan-kernel evaluations over every planner",
         RECOVERY_UPLOAD_RECOVERED = "recovery.upload_recovered": "uploads that succeeded on a retry",
-        RUNTIME_JOBS = "runtime.jobs": "items mapped by parallel sweeps",
-        RUNTIME_POOL_TASKS = "runtime.pool.tasks": "tasks submitted to worker pools",
+        RUNTIME_POOL_TASKS = "runtime.pool.tasks": "tasks submitted to worker pools, sweep and serving alike",
         SCHED_ADMITTED = "sched.admitted": "SLO requests dispatched",
         SCHED_CLOUD_JOINT_OVERRIDES = "sched.cloud.joint_overrides": "Normal-rung picks changed by joint allocation",
         SCHED_CLOUD_REQUESTS = "sched.cloud.requests": "dispatched requests with a cloud stage",
@@ -166,8 +165,8 @@ catalogue! {
         SCHED_HEAP_PUSHES = "sched.heap.pushes": "indexed-dispatch heap pushes",
         SCHED_HEAP_STALE = "sched.heap.stale": "heap pops discarded as stale",
         SCHED_MERGE_NS = "sched.merge_ns": "wall time of merging SLO streams into arrival order, ns",
-        SCHED_PRICE_MEMO_HITS = "sched.price_memo.hits": "rung prices served by the pricing memo",
-        SCHED_PRICE_MEMO_MISSES = "sched.price_memo.misses": "rung prices computed and memoized",
+        SCHED_PRICE_MEMO_HITS = "sched.price_memo.hits": "pricing-memo lookups (a rung, or a joint rung's row) answered in full",
+        SCHED_PRICE_MEMO_MISSES = "sched.price_memo.misses": "pricing-memo lookups that priced a slot (a frontier piece or the local cut) first",
         SCHED_PRICE_MEMO_PRUNES = "sched.price_memo.prunes": "rungs skipped by the memo's lower bound",
         SCHED_REQUESTS = "sched.requests": "SLO requests generated",
         SCHED_SHED_EXPIRED = "sched.shed_expired": "infeasible sheds picked after their deadline, shed unpriced",
@@ -192,7 +191,6 @@ catalogue! {
         EXEC_UPLINK_WAIT_MS = "exec.uplink.wait_ms": "executor uplink queue wait per job, ms",
         FRONTIER_COMPILE_MS = "frontier.compile_ms": "eager rate-frontier compile time, ms",
         ONLINE_BURST_MAKESPAN_MS = "online.burst_makespan_ms": "makespan paid per online burst, ms",
-        RUNTIME_WORKER_BUSY_FRAC = "runtime.worker.busy_frac": "share of a sweep worker's life spent in work",
         SCHED_CLOUD_SHARE = "sched.cloud.share": "per-tenant cloud share of a contended run",
         SCHED_CLOUD_STAGE_MS = "sched.cloud.stage_ms": "cloud stage time of dispatched requests, ms",
         SCHED_LATENCY_MS = "sched.latency_ms": "arrival-to-completion latency of dispatched requests, ms",

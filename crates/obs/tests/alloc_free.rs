@@ -53,7 +53,7 @@ fn warm_recording_allocates_nothing_enabled_or_disabled() {
     // Warm up with recording on: the first record allocates this
     // thread's slab, and the first span sizes the span buffer.
     mcdnn_obs::set_enabled(true);
-    metrics::RUNTIME_JOBS.add(1);
+    metrics::SERVE_BURSTS.add(1);
     metrics::SCHED_LATENCY_MS.observe(0.5);
     {
         let _s = mcdnn_obs::span("alloc", "warmup");
@@ -62,12 +62,12 @@ fn warm_recording_allocates_nothing_enabled_or_disabled() {
     // Enabled: 10k warm counter adds and histogram observations.
     let before = allocations();
     for i in 0..10_000u32 {
-        metrics::RUNTIME_JOBS.add(1);
+        metrics::SERVE_BURSTS.add(1);
         metrics::SCHED_LATENCY_MS.observe(f64::from(i) * 0.01);
     }
     let enabled = allocations() - before;
     assert_eq!(
-        mcdnn_obs::thread_counter_value("runtime.jobs"),
+        mcdnn_obs::thread_counter_value("serve.bursts"),
         10_001,
         "every warm add landed in this thread's slab"
     );
@@ -77,7 +77,7 @@ fn warm_recording_allocates_nothing_enabled_or_disabled() {
     let before = allocations();
     for _ in 0..10_000 {
         let _s = mcdnn_obs::span("alloc", "fast-path");
-        metrics::RUNTIME_JOBS.add(1);
+        metrics::SERVE_BURSTS.add(1);
         metrics::SCHED_LATENCY_MS.observe(0.5);
     }
     let disabled = allocations() - before;

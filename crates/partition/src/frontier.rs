@@ -84,7 +84,7 @@
 //! re-evaluated from the same model × device hits the cache.
 
 use std::ops::Range;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use mcdnn_flowshop::kernels::{two_type_mix_makespan, uniform_makespan};
 use mcdnn_graph::LineDnn;
@@ -1321,12 +1321,6 @@ impl PlanCache {
     /// next changes.
     pub fn with_shards(_shards: usize) -> Self {
         PlanCache::new()
-    }
-
-    /// The process-wide cache shared by the simulation loops.
-    pub fn global() -> &'static PlanCache {
-        static GLOBAL: OnceLock<PlanCache> = OnceLock::new();
-        GLOBAL.get_or_init(PlanCache::new)
     }
 
     /// Fetch (or compile and insert) the frontier for

@@ -86,24 +86,24 @@ fn allocs_per_100_hits(cache: &PlanCache, rate: &RateProfile) -> u64 {
 #[test]
 fn warm_cache_hits_allocate_nothing() {
     let rate = rate_profile();
+    let cache = PlanCache::new();
 
     // Hits on the thread that compiled the entry.
     assert_eq!(
-        allocs_per_100_hits(&PlanCache::new(), &rate),
+        allocs_per_100_hits(&cache, &rate),
         0,
         "warm hit must not allocate"
     );
 
-    // A fresh thread through the process-wide cache: its first fetch
-    // (inside `allocs_per_100_hits`) covers the thread's lazy obs set-up,
-    // and the measured hits are again zero-allocation.
-    let worker = std::thread::spawn({
-        let rate = rate.clone();
-        move || allocs_per_100_hits(PlanCache::global(), &rate)
+    // A fresh thread on the same cache: its first fetch (inside
+    // `allocs_per_100_hits`) covers the thread's lazy obs set-up, and
+    // its measured hits on the entry the test thread compiled are again
+    // zero-allocation.
+    let worker = std::thread::scope(|scope| {
+        scope
+            .spawn(|| allocs_per_100_hits(&cache, &rate))
+            .join()
+            .expect("worker thread")
     });
-    assert_eq!(
-        worker.join().expect("worker thread"),
-        0,
-        "worker-thread hits must not allocate"
-    );
+    assert_eq!(worker, 0, "worker-thread hits must not allocate");
 }

@@ -1,8 +1,8 @@
-//! A persistent worker pool for steady-state serving loops.
+//! A persistent worker pool: the workspace's one parallel map.
 //!
-//! [`crate::parallel_map`] spawns scoped threads per sweep; a serving
-//! loop runs small batches forever, so [`WorkerPool`] keeps its threads
-//! alive. Every caller submits one batch from one thread and blocks on
+//! Sweeps run a few large batches and serving loops run small batches
+//! forever, so [`WorkerPool`] keeps its threads alive between batches.
+//! Every caller submits one batch from one thread and blocks on
 //! it, so the pool is one FIFO task queue and a shutdown flag under one
 //! `Mutex`, plus one `Condvar` the workers wait on. A pool of width `n`
 //! runs a batch on `n` threads: the submitter and `n - 1` long-lived
@@ -78,11 +78,12 @@ impl WorkerPool {
     }
 
     /// Run `f(0..n)` across the pool and return results in index
-    /// order — the parallel-for of the serving loop. The calling
-    /// thread runs queued tasks alongside the workers, then blocks
-    /// until every index completes; if any invocation panicked, panics
-    /// once they all have, and the pool stays usable. Must not be
-    /// called from inside a pool task (the wait would occupy a worker).
+    /// order — the parallel-for of every sweep and serving loop. The
+    /// calling thread runs queued tasks alongside the workers, then
+    /// blocks until every index completes; if any invocation panicked,
+    /// panics once they all have, and the pool stays usable. Must not
+    /// be called from inside a pool task (the wait would occupy a
+    /// worker).
     pub fn run_indexed<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send + 'static,
@@ -186,9 +187,11 @@ mod tests {
     #[test]
     fn run_indexed_preserves_order_and_matches_serial() {
         let pool = WorkerPool::new(4);
-        let out = pool.run_indexed(257, |i| (i as f64 * 0.37).sin());
-        let serial: Vec<f64> = (0..257).map(|i| (i as f64 * 0.37).sin()).collect();
-        assert_eq!(out, serial);
+        for n in [1, 257] {
+            let out = pool.run_indexed(n, |i| (i as f64 * 0.37).sin());
+            let serial: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+            assert_eq!(out, serial, "n = {n}");
+        }
     }
 
     #[test]

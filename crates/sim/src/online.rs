@@ -16,7 +16,7 @@
 
 use mcdnn_graph::LineDnn;
 use mcdnn_obs::metrics;
-use mcdnn_partition::{CutMix, PlanCache, PlanError, RateProfile, Strategy};
+use mcdnn_partition::{CutMix, PlanError, RateFrontier, RateProfile, Strategy};
 use mcdnn_profile::measure::{fit_comm_model, measure_uploads};
 use mcdnn_profile::{CloudModel, DeviceModel, NetworkModel};
 use mcdnn_rng::Rng;
@@ -129,15 +129,13 @@ impl OnlineResult {
 /// `trace`, replanning per `policy`. `setup_ms` is the channel setup
 /// latency of the link.
 ///
-/// Replanning goes through the process-wide
-/// [`PlanCache`]: the bandwidth frontier of
-/// `(line, mobile, jobs_per_burst)` is compiled once (or fetched from
-/// the cache when a previous run already compiled it), after which each
-/// burst is an O(log B) breakpoint lookup plus an O(1) kernel pricing
-/// at the true bandwidth. An input the frontier cannot compile (no
-/// jobs, a non-positive bandwidth, a non-monotone profile) is the
-/// frontier's typed error, as in [`Strategy::try_plan`]; zero bursts
-/// is an empty result.
+/// Replanning goes through the bandwidth frontier of
+/// `(line, mobile, jobs_per_burst)`, compiled once per run
+/// ([`RateFrontier::compile`]), after which each burst is an O(log B)
+/// breakpoint lookup plus an O(1) kernel pricing at the true bandwidth.
+/// An input the frontier cannot compile (no jobs, a non-positive
+/// bandwidth, a non-monotone profile) is the frontier's typed error, as
+/// in [`Strategy::try_plan`]; zero bursts is an empty result.
 pub fn run_online(
     line: &LineDnn,
     mobile: &DeviceModel,
@@ -166,7 +164,7 @@ pub fn run_online(
         hi = hi.max(b);
     }
     let rate = RateProfile::evaluate(line, mobile, &CloudModel::Negligible, setup_ms);
-    let frontier = PlanCache::global().frontier(
+    let frontier = RateFrontier::compile(
         &rate,
         Strategy::JpsBestMix,
         jobs_per_burst,

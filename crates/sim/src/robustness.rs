@@ -9,7 +9,7 @@
 //!
 //! The rest of the module is the **chaos harness**: a named grid of
 //! fault scenarios ([`chaos_scenarios`]) swept over every degradation
-//! policy in parallel ([`run_chaos_grid`], reporting each policy's
+//! policy on a worker pool ([`run_chaos_grid`], reporting each policy's
 //! total makespan relative to the oracle that knew the fault schedule
 //! in advance), plus a seeded single-run drill ([`chaos_drill`]) that
 //! replays a random [`FaultPlan`] through the
@@ -19,6 +19,7 @@
 use mcdnn_flowshop::FlowJob;
 use mcdnn_profile::CostProfile;
 use mcdnn_rng::Rng;
+use mcdnn_runtime::WorkerPool;
 
 use crate::degrade::{run_degraded, DegradePolicy};
 use crate::des::{simulate, DesArena, DesConfig, DesResult};
@@ -154,11 +155,11 @@ pub struct ChaosRow {
     pub vs_oracle: f64,
 }
 
-/// Sweep every scenario × policy combination, scenarios in parallel
-/// via `mcdnn-runtime`. Row order is deterministic: scenarios in input
-/// order, policies in `[Frozen, Ladder, LaggedLadder, MobileOnly]`
-/// order within each.
+/// Sweep every scenario × policy combination, one scenario per `pool`
+/// task. Row order is deterministic: scenarios in input order, policies
+/// in `[Frozen, Ladder, LaggedLadder, MobileOnly]` order within each.
 pub fn run_chaos_grid(
+    pool: &WorkerPool,
     profile: &CostProfile,
     scenarios: &[ChaosScenario],
     jobs_per_burst: usize,
@@ -173,17 +174,19 @@ pub fn run_chaos_grid(
         DegradePolicy::LaggedLadder,
         DegradePolicy::MobileOnly,
     ];
-    let per_scenario = mcdnn_runtime::parallel_map(scenarios, |_, sc| {
+    let (profile, scenarios, retry) = (profile.clone(), scenarios.to_vec(), *retry);
+    let per_scenario = pool.run_indexed(scenarios.len(), move |i| {
+        let sc = &scenarios[i];
         let totals: Vec<f64> = POLICIES
             .iter()
             .map(|&policy| {
                 let run = run_degraded(
-                    profile,
+                    &profile,
                     &sc.factors,
                     jobs_per_burst,
                     target_hz,
                     rho_limit,
-                    retry,
+                    &retry,
                     policy,
                 );
                 run.total_ms
@@ -334,7 +337,8 @@ mod tests {
     fn chaos_grid_ladder_never_loses_to_mobile_only() {
         let p = profile();
         let scenarios = chaos_scenarios(9, 7);
-        let rows = run_chaos_grid(&p, &scenarios, 6, 20.0, 0.9, &RetryPolicy::default());
+        let pool = WorkerPool::new(2);
+        let rows = run_chaos_grid(&pool, &p, &scenarios, 6, 20.0, 0.9, &RetryPolicy::default());
         assert_eq!(rows.len(), scenarios.len() * 4);
         for sc in &scenarios {
             let total = |policy: DegradePolicy| {
@@ -371,9 +375,12 @@ mod tests {
     fn chaos_grid_rows_are_reproducible() {
         let p = profile();
         let scenarios = chaos_scenarios(6, 3);
-        let a = run_chaos_grid(&p, &scenarios, 4, 20.0, 0.9, &RetryPolicy::default());
-        let b = run_chaos_grid(&p, &scenarios, 4, 20.0, 0.9, &RetryPolicy::default());
-        assert_eq!(a, b, "parallel sweep must stay deterministic");
+        let grid = |pool: &WorkerPool| {
+            run_chaos_grid(pool, &p, &scenarios, 4, 20.0, 0.9, &RetryPolicy::default())
+        };
+        let a = grid(&WorkerPool::new(1));
+        let b = grid(&WorkerPool::new(3));
+        assert_eq!(a, b, "the sweep must not depend on the pool width");
     }
 
     #[test]

@@ -105,8 +105,10 @@
 //! entries discarded lazily at pop. Only a dispatch that charged
 //! service can move an over-share bit, so only the pick after one
 //! re-checks the tenants that are over their share *and* have queued
-//! work. Ladder pricing is memoized per run in a table keyed `(tenant,
-//! rung, frontier piece)`, and a rung whose lower bound misses the
+//! work. Ladder pricing is memoized per run in one row per tenant, a
+//! slot per frontier piece plus one for the local cut — a price depends
+//! only on the cut structure, so rungs that land on the same piece
+//! share its slot — and a rung whose lower bound misses the
 //! deadline is skipped — the joint Normal rung when every piece its
 //! best-response scan would try misses. A pick already past its
 //! deadline is shed without pricing: no rung can complete before the
@@ -743,9 +745,12 @@ pub struct DispatchStats {
     /// they indexed was already dispatched, shed, or changed its
     /// over-share bit (indexed mode only).
     pub heap_stale: u64,
-    /// Rung pricings answered by the per-run memo (indexed mode only).
+    /// Memo lookups answered in full: a rung's slot, or the whole row
+    /// a joint Normal rung scans, already priced (indexed mode only).
     pub memo_hits: u64,
-    /// Rung pricings computed and installed (indexed mode only).
+    /// Memo lookups that priced a slot first (indexed mode only). Rungs
+    /// that land on the same frontier piece share its slot, so a run
+    /// has at most one miss per slot plus one per joint row.
     pub memo_misses: u64,
     /// Rungs skipped because the memoized lower bound already misses
     /// the deadline (indexed mode only).
@@ -769,15 +774,14 @@ fn deadline_key(d: f64) -> u64 {
     }
 }
 
-/// Memoized price of one (tenant, rung, piece) key, or of one row of
-/// a tenant's joint best-response scan: everything about the cut
-/// structure that does not depend on the request's actual bandwidth.
-/// The uplink term is recomputed per request from the cached mix with
-/// the exact original expression, so completions stay bit-identical to
-/// the reference path.
+/// Memoized price of one cut structure of a tenant — a frontier piece
+/// or the local cut: everything about it that does not depend on the
+/// request's actual bandwidth. The uplink term is recomputed per
+/// request from the cached mix with the exact original expression, so
+/// completions stay bit-identical to the reference path.
 #[derive(Debug, Clone, Copy)]
 struct RungSlot {
-    /// Cut structure of the rung's frontier piece.
+    /// The cut structure: a frontier piece, or the local cut.
     mix: CutMix,
     /// Device prefix work, ms.
     d: f64,
@@ -988,13 +992,11 @@ struct SchedState {
     wfq: Wfq,
     n_jobs: Vec<usize>,
     shares: Vec<f64>,
-    /// Per-run rung-pricing memo, `rung_off[t]`-based rows of
-    /// `LADDER × (pieces + 1 local)` slots.
-    rung_slots: Vec<Option<RungSlot>>,
-    rung_off: Vec<usize>,
-    /// Per-tenant piece prices for the joint best-response scan.
-    jp: Vec<Option<RungSlot>>,
-    jp_off: Vec<usize>,
+    /// Per-run pricing memo: tenant `t`'s row is
+    /// `prices[price_off[t]..price_off[t + 1]]`, one slot per frontier
+    /// piece and a last one for the local cut, each priced on first use.
+    prices: Vec<Option<RungSlot>>,
+    price_off: Vec<usize>,
     /// Per-tenant outcome digests (digest-only runs).
     tdig: Vec<u64>,
     stats: DispatchStats,
@@ -1303,23 +1305,17 @@ fn run_indexed(
     let n = st.order.len();
     st.iq.reset(tcount);
 
-    // Size the per-run pricing memo: LADDER × (pieces + 1 local) slots
-    // per tenant, plus the joint piece rows.
-    st.rung_off.clear();
-    st.jp_off.clear();
-    let (mut roff, mut joff) = (0usize, 0usize);
+    // Size the per-run pricing memo: pieces + 1 (local) slots per
+    // tenant.
+    st.price_off.clear();
+    let mut off = 0usize;
     for f in frontiers {
-        st.rung_off.push(roff);
-        st.jp_off.push(joff);
-        roff += LADDER.len() * (f.pieces().len() + 1);
-        joff += f.pieces().len() + 1;
+        st.price_off.push(off);
+        off += f.pieces().len() + 1;
     }
-    st.rung_off.push(roff);
-    st.jp_off.push(joff);
-    st.rung_slots.clear();
-    st.rung_slots.resize(roff, None);
-    st.jp.clear();
-    st.jp.resize(joff, None);
+    st.price_off.push(off);
+    st.prices.clear();
+    st.prices.resize(off, None);
 
     while next < n || queued > 0 {
         while next < n && at(streams, st.order[next]).arrival_ms <= cx.server_free {
@@ -1401,44 +1397,34 @@ fn run_indexed(
     cx
 }
 
-/// Price one cut structure's slack-invariant terms for the memo.
-fn price_mix(
-    profile: &RateProfile,
+/// Slot `i` of a tenant's memo row — frontier piece `i`, or the local
+/// cut at `i == pieces` — priced on first use; `true` when this call
+/// priced it.
+fn memo_slot(
+    row: &mut [Option<RungSlot>],
+    i: usize,
+    frontier: &RateFrontier,
     nj: usize,
-    mix: CutMix,
     phi: f64,
     config: &SloConfig,
-) -> RungSlot {
-    RungSlot {
+) -> (RungSlot, bool) {
+    if let Some(s) = row[i] {
+        return (s, false);
+    }
+    let profile = frontier.profile();
+    let mix = frontier
+        .pieces()
+        .get(i)
+        .copied()
+        .unwrap_or(CutMix::Uniform { cut: profile.k() });
+    let s = RungSlot {
         mix,
         d: profile.mix_mobile_ms(nj, mix),
         ct: cloud_time_of(profile.mix_cloud_ms(nj, mix), phi, config.cloud_servers),
         u_lo: profile.mix_upload_ms(nj, mix, config.hi_mbps),
-    }
-}
-
-/// Price one rung's slack-invariant terms for the memo. The mobile-only
-/// rung has no uplink or cloud stage at all, as [`rung_cost`] prices it.
-fn price_rung(
-    frontier: &RateFrontier,
-    nj: usize,
-    frac: f64,
-    piece: usize,
-    phi: f64,
-    config: &SloConfig,
-) -> RungSlot {
-    let profile = frontier.profile();
-    if frac == 0.0 {
-        let mix = CutMix::Uniform { cut: profile.k() };
-        RungSlot {
-            mix,
-            d: profile.mix_mobile_ms(nj, mix),
-            ct: 0.0,
-            u_lo: 0.0,
-        }
-    } else {
-        price_mix(profile, nj, frontier.pieces()[piece], phi, config)
-    }
+    };
+    row[i] = Some(s);
+    (s, true)
 }
 
 /// Memoized ladder walk — the indexed-mode replacement for the inline
@@ -1458,51 +1444,39 @@ fn price_ladder(
     let tid = r.tenant();
     let frontier = &frontiers[tid];
     let profile = frontier.profile();
-    let nj = st.n_jobs[tid];
-    let phi = st.shares[tid];
-    let pieces_len = frontier.pieces().len();
-    let cols = pieces_len + 1;
+    let (nj, phi) = (st.n_jobs[tid], st.shares[tid]);
+    let row = &mut st.prices[st.price_off[tid]..st.price_off[tid + 1]];
+    let stats = &mut st.stats;
+    let local = row.len() - 1;
     // Bitwise-sound lower bound on a cut structure's completion: the
     // completion expression below with `u` replaced by the smaller
     // memoized `u_lo`. IEEE addition rounds monotonically, so
     // lb <= completion.
     let lb = |s: &RungSlot| t.max(r.arrival_ms + s.d) + s.u_lo + s.ct;
-    let (jlo, jhi) = (st.jp_off[tid], st.jp_off[tid + 1]);
     for (rung_idx, (level, frac)) in LADDER.iter().enumerate() {
-        let piece = if *frac == 0.0 {
-            pieces_len
+        let mobile_only = *frac == 0.0;
+        let piece = if mobile_only {
+            local
         } else {
             r.pieces[rung_idx] as usize
         };
-        let si = st.rung_off[tid] + rung_idx * cols + piece;
-        let slot = match st.rung_slots[si] {
-            Some(s) => {
-                st.stats.memo_hits += 1;
-                s
-            }
-            None => {
-                st.stats.memo_misses += 1;
-                let s = price_rung(frontier, nj, *frac, piece, phi, config);
-                st.rung_slots[si] = Some(s);
-                s
-            }
-        };
+        let (mut slot, missed) = memo_slot(row, piece, frontier, nj, phi, config);
+        stats.memo_misses += u64::from(missed);
+        stats.memo_hits += u64::from(!missed);
+        if mobile_only {
+            // No uplink or cloud stage at all, as [`rung_cost`] prices it.
+            (slot.ct, slot.u_lo) = (0.0, 0.0);
+        }
         let joint_normal =
             *level == LadderLevel::Normal && config.joint_alloc && config.cloud_servers > 0;
         if joint_normal {
-            if st.jp[jlo].is_none() {
-                st.stats.memo_misses += 1;
-                for (k, row) in st.jp[jlo..jhi].iter_mut().enumerate() {
-                    let mix = frontier
-                        .pieces()
-                        .get(k)
-                        .copied()
-                        .unwrap_or(CutMix::Uniform { cut: profile.k() });
-                    *row = Some(price_mix(profile, nj, mix, phi, config));
-                }
-            } else {
-                st.stats.memo_hits += 1;
+            // The best-response scan reads the whole row: one lookup.
+            let mut missed = false;
+            for i in 0..row.len() {
+                missed |= memo_slot(row, i, frontier, nj, phi, config).1;
             }
+            stats.memo_misses += u64::from(missed);
+            stats.memo_hits += u64::from(!missed);
         }
         if policy == SloPolicy::EdfDegrade {
             // A pruned rung is exactly a rung the reference walk would
@@ -1510,19 +1484,18 @@ fn price_ladder(
             // minimum over the scan's rows, the frontier's own piece
             // among them, so it is pruned when every row's bound misses.
             let pruned = if joint_normal {
-                st.jp[jlo..jhi]
-                    .iter()
-                    .all(|e| lb(e.as_ref().expect("joint rows filled above")) > r.deadline_ms)
+                row.iter()
+                    .all(|e| lb(e.as_ref().expect("joint row priced above")) > r.deadline_ms)
             } else {
                 lb(&slot) > r.deadline_ms
             };
             if pruned {
-                st.stats.memo_prunes += 1;
+                stats.memo_prunes += 1;
                 continue;
             }
         }
         let mut d = slot.d;
-        let mut u = if *frac == 0.0 {
+        let mut u = if mobile_only {
             0.0
         } else {
             profile.mix_upload_ms(nj, slot.mix, r.bandwidth_mbps)
@@ -1533,8 +1506,8 @@ fn price_ladder(
             // The reference best-response scan over pieces + local,
             // with the bandwidth-independent terms read from the memo.
             let mut best = t.max(r.arrival_ms + d) + u + ct;
-            for e in &st.jp[jlo..jhi] {
-                let e = e.as_ref().expect("joint rows filled above");
+            for e in row.iter() {
+                let e = e.as_ref().expect("joint row priced above");
                 let uu = profile.mix_upload_ms(nj, e.mix, r.bandwidth_mbps);
                 let cc = t.max(r.arrival_ms + e.d) + uu + e.ct;
                 if cc < best {

@@ -7,9 +7,10 @@
 //!
 //! The measured window covers the full admission path: bandwidth walk,
 //! degradation roll, ladder decision, shared-cache-backed frontier
-//! lookup, in-place job refill and a warm `DesArena` run. Faulted
-//! bursts are excluded (`fault_every: 0`) — `FaultPlan` and the link
-//! timeline are built per run, as `DesArena` documents.
+//! lookup, in-place job refill and the two-stage flow-shop recurrence
+//! that prices a fault-free burst (no DES run). Faulted bursts are
+//! excluded (`fault_every: 0`) — they run the DES, whose `FaultPlan`
+//! and link timeline are built per run, as `DesArena` documents.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -89,8 +90,8 @@ fn warm_session_admits_bursts_without_allocating() {
         let cache = PlanCache::new();
         let (mut total, mut degraded) = (0u64, 0u64);
         for spec in &specs {
-            // Warm-up: compiles the frontier, sets up the ladder, grows
-            // the arena, and allocates the thread's obs slab.
+            // Warm-up: compiles the frontier, sets up the ladder, sizes
+            // the job buffer, and allocates the thread's obs slab.
             let mut session = UserSession::start(&cache, spec, &config).unwrap();
             for _ in 0..32 {
                 session.admit_burst();
@@ -148,7 +149,7 @@ fn adaptive_observe_path_is_alloc_free_between_commits() {
         let cache = PlanCache::new();
         let mut session = UserSession::start(&cache, &specs[0], &config).unwrap();
         // Warm-up: fill the regression window (uploads are observed on
-        // most bursts) and settle the arena.
+        // most bursts).
         for _ in 0..96 {
             session.admit_burst();
             session.maybe_adapt(&cache).unwrap();

@@ -85,11 +85,20 @@ fn des_and_executor_agree_on_faulted_runs() {
 
 #[test]
 fn ladder_never_loses_to_mobile_only_on_real_models() {
+    let engine = Engine::default();
     for model in [Model::AlexNet, Model::MobileNetV2, Model::ResNet18] {
         for net in [NetworkModel::four_g(), NetworkModel::wifi()] {
             let s = Scenario::paper_default(model, net);
             let scenarios = chaos_scenarios(9, SEEDS[0]);
-            let rows = run_chaos_grid(s.profile(), &scenarios, 6, 15.0, 0.9, &RetryPolicy::default());
+            let rows = run_chaos_grid(
+                engine.pool(),
+                s.profile(),
+                &scenarios,
+                6,
+                15.0,
+                0.9,
+                &RetryPolicy::default(),
+            );
             for sc in &scenarios {
                 let total = |policy: DegradePolicy| {
                     rows.iter()
@@ -173,13 +182,14 @@ fn link_dying_mid_stream_falls_to_mobile_only_and_recovers() {
 #[test]
 fn chaos_report_renders_deterministically_for_both_ci_seeds() {
     let s = alexnet_wifi();
+    let engine = Engine::default();
     for seed in SEEDS {
         let cfg = ChaosConfig {
             seed,
             ..ChaosConfig::default()
         };
-        let a = chaos_report(&s, &cfg).unwrap().render();
-        let b = chaos_report(&s, &cfg).unwrap().render();
+        let a = chaos_report(engine.pool(), &s, &cfg).unwrap().render();
+        let b = chaos_report(engine.pool(), &s, &cfg).unwrap().render();
         assert_eq!(a, b, "seed {seed}: report must render byte-identically");
         assert!(a.contains("digest="), "seed {seed}: digest line present");
     }
@@ -193,12 +203,13 @@ fn chaos_grid_totals_match_the_pinned_digests() {
     // moves shows up here.
     let s = alexnet_wifi();
     let digests: [u64; 2] = [0x2777_a037_255c_35da, 0x850c_a2ee_9cef_c34b];
+    let engine = Engine::default();
     for (seed, pinned) in SEEDS.into_iter().zip(digests) {
         let cfg = ChaosConfig {
             seed,
             ..ChaosConfig::default()
         };
-        let h = chaos_report(&s, &cfg)
+        let h = chaos_report(engine.pool(), &s, &cfg)
             .unwrap()
             .rows
             .iter()

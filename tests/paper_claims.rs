@@ -235,8 +235,9 @@ fn claim_co_exceeds_4s_at_3g() {
 #[test]
 fn claim_fig13_benefit_range() {
     let mbps: Vec<f64> = (1..=20).map(|b| b as f64).collect();
+    let engine = Engine::default();
     for model in [Model::AlexNet, Model::MobileNetV2] {
-        let rows = bandwidth_sweep(model, &mbps, 50);
+        let rows = bandwidth_sweep(engine.pool(), model, &mbps, 50);
         let range = benefit_range(&rows, 1e-6);
         assert_eq!(range.len(), mbps.len(), "{model}: gaps in [1, 20] Mbps");
     }
@@ -247,7 +248,14 @@ fn claim_fig13_benefit_range() {
 #[test]
 fn claim_fig14_ratio_shifts() {
     let ratios: Vec<f64> = (2..=10).map(|i| i as f64 / 10.0).collect();
-    let rows = ratio_sweep(Model::GoogLeNet, &[9.0, 10.0, 11.0], &ratios, 100);
+    let engine = Engine::default();
+    let rows = ratio_sweep(
+        engine.pool(),
+        Model::GoogLeNet,
+        &[9.0, 10.0, 11.0],
+        &ratios,
+        100,
+    );
     let best_at = |b: f64| {
         rows.iter()
             .filter(|r| r.bandwidth_mbps == b)
