@@ -30,11 +30,14 @@ use mcdnn_flowshop::uniform_makespan;
 use mcdnn_graph::cluster_virtual_blocks;
 use mcdnn_models::synthetic::{random_bumpy_line, random_monotone_line};
 use mcdnn_partition::{
-    binary_search_cut, CutMix, LazyFrontier, RateFrontier, RateProfile, Strategy,
+    binary_search_cut, CutMix, FrontierCursor, LazyFrontier, RateFrontier, RateProfile, Strategy,
 };
 use mcdnn_profile::{CloudModel, DeviceModel};
 use mcdnn_rng::{fnv_fold, Rng, FNV_OFFSET};
 use mcdnn_sim::{ladder_decision, LadderDecision, LadderFrontier, LadderLevel};
+
+mod common;
+use common::reestimates;
 
 const LO_MBPS: f64 = 1.0;
 const HI_MBPS: f64 = 100.0;
@@ -98,25 +101,6 @@ fn fold_ladders(mut h: u64, rate: &RateProfile, ns: &[usize]) -> u64 {
         }
     }
     h
-}
-
-/// Deterministic re-estimates of `base`: seeded per-layer device
-/// scales (later layers sped up below earlier ones project onto
-/// running-max plateaus), one front-loaded slowdown whose plateau
-/// spans most of the model, and shifted upload and setup estimates.
-fn reestimates(base: &RateProfile, seed: u64) -> Vec<RateProfile> {
-    let layers = base.k() + 1;
-    let mut rng = Rng::seed_from_u64(seed);
-    let seeded: Vec<f64> = (0..layers).map(|_| 0.5 + 1.1 * rng.f64()).collect();
-    let front_loaded: Vec<f64> = (0..layers)
-        .map(|l| if l == 1 { 3.0 } else { 0.7 })
-        .collect();
-    vec![
-        base.reestimated(&seeded, 1.0, 1.3, SETUP_MS * 0.8)
-            .with_generation(1),
-        base.reestimated(&front_loaded, 1.2, 0.8, SETUP_MS * 1.4)
-            .with_generation(2),
-    ]
 }
 
 /// The pinned profile set with the burst sizes each is folded at: the
@@ -336,9 +320,10 @@ fn lazy_beliefs_decide_and_compile_like_the_eager_frontier() {
                 rng.shuffle(&mut points);
                 let mut lazy =
                     LazyFrontier::new(rate.clone(), strategy, n, *lo, *hi).expect("compiles");
+                let mut cursor = FrontierCursor::default();
                 let probes0 = compile_probes();
                 assert_eq!(
-                    lazy.decide(points[0]),
+                    lazy.decide_from(&mut cursor, points[0]),
                     eager.decide_at(points[0]).mix,
                     "{case}"
                 );
@@ -348,7 +333,8 @@ fn lazy_beliefs_decide_and_compile_like_the_eager_frontier() {
                     assert!(one < eager_probes, "{case}: {one} of {eager_probes} probes");
                 }
                 for &b in &points {
-                    assert_eq!(lazy.decide(b), eager.decide_at(b).mix, "{case} b={b:e}");
+                    let mix = lazy.decide_from(&mut cursor, b);
+                    assert_eq!(mix, eager.decide_at(b).mix, "{case} b={b:e}");
                 }
                 let compiled = lazy.into_frontier();
                 let bits = |f: &RateFrontier| -> Vec<u64> {

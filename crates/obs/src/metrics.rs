@@ -137,7 +137,7 @@ catalogue! {
         FRONTIER_CACHE_MISS = "frontier.cache.miss": "plan-cache fetches that compiled a frontier",
         FRONTIER_COMPILE = "frontier.compile": "rate frontiers and beliefs built",
         FRONTIER_COMPILE_PROBES = "frontier.compile_probes": "planner probes made while walking frontier regimes",
-        FRONTIER_LOOKUPS = "frontier.lookups": "in-range frontier decisions",
+        FRONTIER_LOOKUPS = "frontier.lookups": "in-range frontier decisions (a cursor's recorded when it is dropped: a serving session's when it ends, an SLO tenant's when its stream is complete)",
         FRONTIER_OOB = "frontier.oob": "frontier decisions outside the compiled range (planned directly)",
         JOINT_ALLOCATIONS = "joint.allocations": "joint partition and cloud-share allocations",
         JOINT_ROUNDS = "joint.rounds": "best-response rounds across joint allocations",
@@ -173,10 +173,10 @@ catalogue! {
         SCHED_SHED_INFEASIBLE = "sched.shed_infeasible": "requests shed because no rung met the deadline",
         SCHED_SHED_QUEUE_FULL = "sched.shed_queue_full": "requests shed at a full tenant queue",
         SCHED_SUMMARY_NS = "sched.summary_ns": "wall time of SLO report summaries, ns",
-        SERVE_BURSTS = "serve.bursts": "bursts admitted by serving sessions",
-        SERVE_DEGRADED_BURSTS = "serve.degraded_bursts": "served bursts below the healthy rung",
-        SERVE_FAULTED_BURSTS = "serve.faulted_bursts": "served bursts replayed under a fault plan",
-        SERVE_JOBS = "serve.jobs": "jobs in served bursts",
+        SERVE_BURSTS = "serve.bursts": "bursts admitted by serving sessions (recorded when the session ends)",
+        SERVE_DEGRADED_BURSTS = "serve.degraded_bursts": "served bursts that saw a degraded link and walked the ladder (recorded when the session ends)",
+        SERVE_FAULTED_BURSTS = "serve.faulted_bursts": "served bursts replayed under a fault plan (recorded when the session ends)",
+        SERVE_JOBS = "serve.jobs": "jobs in served bursts (recorded when the session ends)",
         SERVE_SESSIONS = "serve.sessions": "serving sessions started",
         SERVE_USERS = "serve.users": "users run to completion",
     }

@@ -11,7 +11,33 @@
 //! curves is **piecewise constant in `b`**. Instead of re-running the
 //! full planning pass per burst, [`RateFrontier::compile`] computes the
 //! breakpoint list once and [`RateFrontier::plan_at`] answers any
-//! bandwidth with a binary search.
+//! bandwidth with a piece search.
+//!
+//! ## One piece search, with a cursor
+//!
+//! Piece `i` is the half-open interval `[starts[i], starts[i+1])`, so
+//! the piece holding `b` is the one `i` with `starts[i] <= b <
+//! starts[i+1]`: a test that either holds or does not, whatever piece
+//! it is tried on. A [`FrontierCursor`] remembers the piece its last
+//! lookup landed on, and [`RateFrontier::decide_from`] tries that piece
+//! and its neighbour toward `b` before it binary-searches. A serving
+//! tenant's bandwidth walks by at most ±25% per burst, so its lookups
+//! land on the same or the next piece almost always (94% of
+//! serve-steady's): amortized O(1) on walking traffic, O(log P) after
+//! a jump, and the same piece and mix as the search either way. The cursor-less forms
+//! ([`RateFrontier::decide`], [`RateFrontier::decide_at`],
+//! [`RateFrontier::makespan_at`], [`RateFrontier::piece_index_at`]) are
+//! that lookup from no piece, which is the plain binary search: lookups
+//! that do not walk (the SLO loop resolving each request's rung pieces)
+//! gain nothing from a cursor, and chaining them through one serializes
+//! searches the CPU would otherwise overlap. A [`LazyFrontier`] answers
+//! through the same search, twice: over its regime starts, then over
+//! the pieces of the regime found.
+//!
+//! A cursor also tallies its in-range lookups and folds them into
+//! `frontier.lookups` when it is dropped, so a tenant that owns one
+//! writes that counter once per stream instead of once per burst. A
+//! cursor-less lookup counts as it returns.
 //!
 //! ## Compiling from the theorem's events
 //!
@@ -519,6 +545,71 @@ pub struct FrontierDecision {
     pub makespan_ms: f64,
 }
 
+/// One caller's place in a frontier: the piece its last lookup landed
+/// on, where the next lookup starts (see the module docs), and the
+/// in-range lookups it has made since it was created.
+///
+/// A fresh cursor (`FrontierCursor::default()`) points at no piece, so
+/// its first lookup is the plain search. A cursor belongs to one
+/// frontier or belief at a time; one carried to another still answers
+/// exactly, since every piece it tries is tested, but starts nowhere
+/// useful. Dropping it adds its lookups to `frontier.lookups`.
+#[derive(Debug)]
+pub struct FrontierCursor {
+    /// The belief regime of the last lookup: [`LazyFrontier`] only, and
+    /// always one already walked.
+    regime: usize,
+    /// The piece of the last lookup: an index into a compiled
+    /// frontier's pieces, or into the pieces of `regime`.
+    piece: usize,
+    /// In-range lookups not yet folded into the registry.
+    lookups: u64,
+}
+
+impl Default for FrontierCursor {
+    fn default() -> Self {
+        FrontierCursor {
+            regime: usize::MAX,
+            piece: usize::MAX,
+            lookups: 0,
+        }
+    }
+}
+
+impl Drop for FrontierCursor {
+    fn drop(&mut self) {
+        if self.lookups > 0 {
+            metrics::FRONTIER_LOOKUPS.add(self.lookups);
+        }
+    }
+}
+
+/// The piece of `starts` holding `b`, where `starts` ascends, piece `i`
+/// is `[starts[i], starts[i+1])`, the last piece has no upper end, and
+/// `starts[0] <= b`: `hint`, then its neighbour toward `b`, then a
+/// binary search. Every try is the piece's own interval test, so the
+/// answer is `partition_point`'s whatever `hint` is; a `hint` past the
+/// end goes straight to the search.
+#[inline]
+fn find_piece(starts: &[f64], hint: usize, b: f64) -> usize {
+    if let Some(&start) = starts.get(hint) {
+        if start <= b {
+            let up = hint + 1;
+            match starts.get(up) {
+                Some(&end) if b >= end => {
+                    if starts.get(up + 1).is_none_or(|&next| b < next) {
+                        return up;
+                    }
+                }
+                _ => return hint,
+            }
+        } else if hint > 0 && starts[hint - 1] <= b {
+            return hint - 1;
+        }
+    }
+    starts.partition_point(|s| *s <= b) - 1
+}
+
 /// The compiled bandwidth frontier of one `(profile, strategy, n)`
 /// triple: sorted breakpoints and the optimal [`CutMix`] on each
 /// interval. See the module docs for the exactness contract.
@@ -620,39 +711,57 @@ impl RateFrontier {
 
     /// Index into [`RateFrontier::pieces`] of the piece covering
     /// `bandwidth_mbps`, or `None` outside the compiled range. This is
-    /// the indexing half of [`RateFrontier::decide`]: callers that
-    /// key per-piece tables (the scheduler's rung-pricing memo) resolve
-    /// the piece once and cache everything derived from its mix.
+    /// the indexing half of [`RateFrontier::decide`], searched from no
+    /// piece and not counted: callers that key per-piece tables (the
+    /// scheduler's rung-pricing memo) resolve the piece once and cache
+    /// everything derived from its mix.
     pub fn piece_index_at(&self, bandwidth_mbps: f64) -> Option<usize> {
-        if self.covers(bandwidth_mbps) {
-            Some(self.starts.partition_point(|s| *s <= bandwidth_mbps) - 1)
-        } else {
-            None
+        self.piece_from(usize::MAX, bandwidth_mbps)
+    }
+
+    /// The piece holding `b` searched from piece `hint`, or `None`
+    /// outside the compiled range.
+    #[inline]
+    fn piece_from(&self, hint: usize, bandwidth_mbps: f64) -> Option<usize> {
+        self.covers(bandwidth_mbps)
+            .then(|| find_piece(&self.starts, hint, bandwidth_mbps))
+    }
+
+    /// The winning cut structure at bandwidth `b`, looked up from the
+    /// piece `cursor` last landed on, which then points at `b`'s piece:
+    /// amortized O(1) while `b` walks, O(log P) after a jump, and the
+    /// mix [`RateFrontier::decide`] returns either way (see the module
+    /// docs). The lookup counts into `cursor`, which folds its count
+    /// into `frontier.lookups` when dropped. Outside the compiled range
+    /// it plans directly, counted as `frontier.oob` at once, and leaves
+    /// `cursor` where it was.
+    #[inline]
+    pub fn decide_from(&self, cursor: &mut FrontierCursor, bandwidth_mbps: f64) -> CutMix {
+        match self.piece_from(cursor.piece, bandwidth_mbps) {
+            Some(piece) => {
+                cursor.piece = piece;
+                cursor.lookups += 1;
+                self.sigs[piece]
+            }
+            None => {
+                metrics::FRONTIER_OOB.add(1);
+                plan_directly(&self.profile, self.strategy, self.n, bandwidth_mbps)
+            }
         }
     }
 
-    fn sig_at(&self, bandwidth_mbps: f64) -> CutMix {
-        let idx = self.starts.partition_point(|s| *s <= bandwidth_mbps) - 1;
-        self.sigs[idx]
-    }
-
-    /// O(log B) lookup of the winning cut structure at bandwidth `b`:
-    /// [`RateFrontier::decide_at`] without the kernel makespan, for
-    /// callers that read only the mix (the compiled counterpart of
-    /// [`LazyFrontier::decide`]). Counted as `frontier.lookups`; outside
-    /// the compiled range it falls back to a direct planning pass,
-    /// counted as `frontier.oob`.
+    /// O(log P) lookup of the winning cut structure at bandwidth `b`:
+    /// [`RateFrontier::decide_from`] from a fresh cursor, so a binary
+    /// search over the piece starts, counted as one `frontier.lookups`
+    /// as it returns. [`RateFrontier::decide_at`] without the kernel
+    /// makespan, for callers that read only the mix. Outside the
+    /// compiled range it falls back to a direct planning pass, counted
+    /// as `frontier.oob`.
     pub fn decide(&self, bandwidth_mbps: f64) -> CutMix {
-        if self.covers(bandwidth_mbps) {
-            metrics::FRONTIER_LOOKUPS.add(1);
-            self.sig_at(bandwidth_mbps)
-        } else {
-            metrics::FRONTIER_OOB.add(1);
-            plan_directly(&self.profile, self.strategy, self.n, bandwidth_mbps)
-        }
+        self.decide_from(&mut FrontierCursor::default(), bandwidth_mbps)
     }
 
-    /// O(log B) lookup: the winning cut structure and its exact kernel
+    /// O(log P) lookup: the winning cut structure and its exact kernel
     /// makespan at bandwidth `b` — [`RateFrontier::decide`] plus
     /// [`RateProfile::mix_makespan`]. Outside the compiled range this
     /// falls back to a direct planning pass (counted as `frontier.oob`).
@@ -710,9 +819,10 @@ impl RateFrontier {
 /// bursts will query it (see the module docs).
 ///
 /// [`LazyFrontier::new`] runs every check [`RateFrontier::compile`]
-/// runs, so a regime walk cannot fail later. [`LazyFrontier::decide`]
-/// returns the mix the compiled frontier's [`RateFrontier::decide`]
-/// returns, and allocates only when it walks a regime.
+/// runs, so a regime walk cannot fail later.
+/// [`LazyFrontier::decide_from`] returns the mix the compiled
+/// frontier's [`RateFrontier::decide`] returns, and allocates only when
+/// it walks a regime.
 /// [`LazyFrontier::into_frontier`] walks the rest and is that compiled
 /// frontier, bit for bit.
 #[derive(Debug)]
@@ -782,21 +892,30 @@ impl LazyFrontier {
         &self.walker.profile
     }
 
-    /// The winning cut structure at bandwidth `b`: the mix
-    /// [`RateFrontier::decide`] returns. Walks `b`'s regime on its
-    /// first query; outside the range it plans directly, as
-    /// `RateFrontier::decide` does.
-    pub fn decide(&mut self, bandwidth_mbps: f64) -> CutMix {
+    /// The winning cut structure at bandwidth `b`: the mix the compiled
+    /// frontier's [`RateFrontier::decide`] returns, looked up as
+    /// [`RateFrontier::decide_from`] looks it up, from where `cursor`
+    /// last landed — first among the regimes, then among the pieces of
+    /// the regime found. Walks `b`'s regime on its first query, so the
+    /// cursor only ever points into a walked regime. Counts and, outside
+    /// the range, plans directly as `decide_from` does.
+    pub fn decide_from(&mut self, cursor: &mut FrontierCursor, bandwidth_mbps: f64) -> CutMix {
         if !(self.lo_mbps..=self.hi_mbps).contains(&bandwidth_mbps) {
             metrics::FRONTIER_OOB.add(1);
             let w = &self.walker;
             return plan_directly(&w.profile, self.strategy, w.n, bandwidth_mbps);
         }
-        metrics::FRONTIER_LOOKUPS.add(1);
-        let regime = self.regimes.partition_point(|s| *s <= bandwidth_mbps) - 1;
+        cursor.lookups += 1;
+        let regime = find_piece(&self.regimes, cursor.regime, bandwidth_mbps);
         let Range { start, end } = self.walk(regime);
-        let piece = self.walker.starts[start..end].partition_point(|s| *s <= bandwidth_mbps);
-        self.walker.sigs[start + piece - 1]
+        let hint = if regime == cursor.regime {
+            cursor.piece
+        } else {
+            usize::MAX
+        };
+        let piece = find_piece(&self.walker.starts[start..end], hint, bandwidth_mbps);
+        (cursor.regime, cursor.piece) = (regime, piece);
+        self.walker.sigs[start + piece]
     }
 
     /// Walk every regime not walked yet and merge equal pieces across
@@ -1861,5 +1980,105 @@ mod tests {
                 rate.upload_ms_at(2, b)
             )
         );
+    }
+
+    /// Seeded monotone profiles of 3 to 12 layers: `f` rising from 0 and
+    /// the bytes falling to 0 in random steps, so frontiers of a few to
+    /// dozens of pieces over several `l*` regimes.
+    fn random_profiles() -> Vec<RateProfile> {
+        let mut rng = mcdnn_rng::Rng::seed_from_u64(0xC0_2503);
+        (0..24)
+            .map(|i| {
+                let k = rng.gen_range(3usize..=12);
+                let (mut f, mut bytes) = (vec![0.0], vec![0usize; k + 1]);
+                for _ in 0..k {
+                    f.push(f.last().unwrap() + 0.5 + 20.0 * rng.f64());
+                }
+                let mut left = 50_000 + rng.gen_range(0usize..400_000);
+                for slot in bytes.iter_mut().take(k) {
+                    *slot = left;
+                    left -= rng.gen_range(0usize..=left);
+                }
+                RateProfile::from_parts(format!("cursor-{i}"), f, bytes, 2.0, None).unwrap()
+            })
+            .collect()
+    }
+
+    /// Every piece start with its ulp neighbours, both range ends, and a
+    /// seeded walk of the serving law with degraded jumps.
+    fn cursor_queries(starts: &[f64], lo: f64, hi: f64, seed: u64) -> Vec<f64> {
+        let mut out = vec![lo, next_up(lo), hi, next_down(hi)];
+        for &s in &starts[1..] {
+            out.extend([next_down(s), s, next_up(s), s, next_down(s)]);
+        }
+        let mut rng = mcdnn_rng::Rng::seed_from_u64(seed);
+        let mut b = lo * (hi / lo).powf(rng.f64());
+        for _ in 0..500 {
+            b = (b * (1.0 + 0.25 * (rng.f64() * 2.0 - 1.0))).clamp(lo, hi);
+            out.push(b);
+            if rng.f64() < 0.2 {
+                out.push((b * rng.f64()).clamp(lo, hi));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn a_cursor_lands_on_the_searched_piece_from_any_start() {
+        // `find_piece` from every hint, a compiled frontier's cursor and
+        // a belief's (regime, piece) cursor all equal `partition_point`
+        // at every query, bit for bit.
+        let (lo, hi) = (0.5, 200.0);
+        let mut profiles = random_profiles();
+        profiles.push(rate_profile());
+        let mut seed = 0;
+        let mut several_regimes = 0;
+        for rate in &profiles {
+            for strategy in [Strategy::Jps, Strategy::JpsBestMix] {
+                for n in [2, 5, 8] {
+                    seed += 1;
+                    let eager = RateFrontier::compile(rate, strategy, n, lo, hi).unwrap();
+                    let starts = eager.breakpoints();
+                    let searched = |b: f64| starts.partition_point(|s| *s <= b) - 1;
+                    let queries = cursor_queries(starts, lo, hi, seed);
+                    let mut cursor = FrontierCursor::default();
+                    for &b in &queries {
+                        for hint in (0..=starts.len()).chain([usize::MAX]) {
+                            assert_eq!(find_piece(starts, hint, b), searched(b), "hint {hint}");
+                        }
+                        assert_eq!(
+                            eager.decide_from(&mut cursor, b),
+                            eager.pieces()[searched(b)]
+                        );
+                        assert_eq!(cursor.piece, searched(b), "b={b:e}");
+                    }
+                    assert_eq!(cursor.lookups, queries.len() as u64);
+
+                    let mut belief = LazyFrontier::new(rate.clone(), strategy, n, lo, hi).unwrap();
+                    several_regimes += usize::from(belief.regimes.len() > 1);
+                    let mut queries = cursor_queries(&belief.regimes, lo, hi, seed);
+                    queries.extend(cursor_queries(starts, lo, hi, seed + 1000));
+                    let mut cursor = FrontierCursor::default();
+                    for &b in &queries {
+                        let mix = belief.decide_from(&mut cursor, b);
+                        assert_eq!(mix, eager.decide(b), "b={b:e}");
+                        let regime = belief.regimes.partition_point(|s| *s <= b) - 1;
+                        let walked = belief.walked[regime].clone();
+                        let piece = belief.walker.starts[walked].partition_point(|s| *s <= b) - 1;
+                        assert_eq!((cursor.regime, cursor.piece), (regime, piece), "b={b:e}");
+                    }
+                }
+            }
+        }
+        assert!(several_regimes > 0, "some belief has more than one regime");
+
+        // A frontier of one piece: every query is piece 0.
+        let one = RateFrontier::compile(&rate_profile(), Strategy::Jps, 4, 50.0, 60.0).unwrap();
+        assert_eq!(one.num_pieces(), 1);
+        let mut cursor = FrontierCursor::default();
+        for b in cursor_queries(one.breakpoints(), 50.0, 60.0, 7) {
+            one.decide_from(&mut cursor, b);
+            assert_eq!(cursor.piece, 0);
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! Proof that in-range [`RateFrontier::decide_at`], and
-//! [`LazyFrontier::decide`] on walked regimes, are allocation-free, and
+//! [`LazyFrontier::decide_from`] on walked regimes, are allocation-free, and
 //! that [`RateFrontier::compile`] allocates a bounded number of times
 //! however many probes it runs.
 //!
@@ -14,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mcdnn_partition::{LazyFrontier, RateFrontier, RateProfile, Strategy};
+use mcdnn_partition::{FrontierCursor, LazyFrontier, RateFrontier, RateProfile, Strategy};
 
 struct CountingAlloc;
 
@@ -85,12 +85,14 @@ fn in_range_decide_at_allocates_nothing() {
     let mut belief =
         LazyFrontier::new(rate, Strategy::JpsBestMix, 10, 0.1, 200.0).expect("monotone");
     let grid = |i: u32| 0.1 + f64::from(i) * (200.0 - 0.1) / 10_000.0;
+    let mut cursor = FrontierCursor::default();
     for i in 0..10_000u32 {
-        belief.decide(grid(i));
+        belief.decide_from(&mut cursor, grid(i));
     }
     let before = allocations();
     for i in 0..10_000u32 {
-        assert_eq!(belief.decide(grid(i)), frontier.decide_at(grid(i)).mix);
+        let mix = belief.decide_from(&mut cursor, grid(i));
+        assert_eq!(mix, frontier.decide_at(grid(i)).mix);
     }
     assert_eq!(
         allocations() - before,

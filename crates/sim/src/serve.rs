@@ -237,6 +237,11 @@ pub struct BurstOutcome {
 /// shares (frontier handles, RNG, drift, estimator) plus what only
 /// bursts need. See the module docs for the steady-state allocation
 /// contract.
+///
+/// A session tallies its bursts, jobs, faulted and degraded bursts, and
+/// its core its frontier lookups; all of them fold into `serve.*` and
+/// `frontier.lookups` once, when the session is dropped — at
+/// [`UserSession::finish`], or wherever it ends early.
 pub struct UserSession {
     id: usize,
     n_jobs: usize,
@@ -330,9 +335,10 @@ impl UserSession {
     }
 
     /// Admit one burst: walk the bandwidth trace, consult the ladder if
-    /// the link degraded, take the frontier's O(log P) decision, refill
-    /// the job buffer in place and price it. A fault-free burst's
-    /// makespan is the two-stage recurrence
+    /// the link degraded, look the frontier's decision up from the
+    /// piece the last lookup landed on (amortized O(1) while the
+    /// bandwidth walks), refill the job buffer in place and price it.
+    /// A fault-free burst's makespan is the two-stage recurrence
     /// ([`mcdnn_flowshop::makespan()`]) over the job buffer in planned
     /// order, bit-equal to a default-config [`DesArena`] run on the
     /// same jobs; only a faulted burst draws a fault seed, builds its
@@ -471,20 +477,8 @@ impl UserSession {
         self.bursts += 1;
         self.jobs_done += self.n_jobs as u64;
         self.makespan_sum_ms += makespan_ms;
-        if faulted {
-            self.faulted_bursts += 1;
-        }
-        if degraded {
-            self.degraded_bursts += 1;
-        }
-        metrics::SERVE_BURSTS.add(1);
-        metrics::SERVE_JOBS.add(self.n_jobs as u64);
-        if faulted {
-            metrics::SERVE_FAULTED_BURSTS.add(1);
-        }
-        if degraded {
-            metrics::SERVE_DEGRADED_BURSTS.add(1);
-        }
+        self.faulted_bursts += u64::from(faulted);
+        self.degraded_bursts += u64::from(degraded);
         BurstOutcome {
             bandwidth_mbps: bandwidth,
             mix,
@@ -522,7 +516,8 @@ impl UserSession {
         Ok(true)
     }
 
-    /// Close the session into its summary.
+    /// Close the session into its summary; dropping it folds its
+    /// tallies into the registry.
     pub fn finish(self) -> UserSummary {
         let profile = self.core.profile();
         UserSummary {
@@ -544,6 +539,17 @@ impl UserSession {
             profile_version: profile.version(),
             digest: self.digest,
         }
+    }
+}
+
+impl Drop for UserSession {
+    /// Fold the session's burst tallies into the registry; its core's
+    /// cursors fold its frontier lookups as they drop.
+    fn drop(&mut self) {
+        metrics::SERVE_BURSTS.add(self.bursts);
+        metrics::SERVE_JOBS.add(self.jobs_done);
+        metrics::SERVE_FAULTED_BURSTS.add(self.faulted_bursts);
+        metrics::SERVE_DEGRADED_BURSTS.add(self.degraded_bursts);
     }
 }
 
@@ -983,5 +989,44 @@ mod tests {
             6,
             "every 5th of 10 bursts × 3 users"
         );
+    }
+
+    #[test]
+    fn a_session_folds_its_tallies_once_however_it_ends() {
+        // Nothing reaches the registry while the session admits bursts;
+        // dropping it, finished or not, folds every burst it admitted.
+        mcdnn_obs::set_enabled(true);
+        let config = ServeConfig {
+            bursts_per_user: 0,
+            degrade_prob: 0.0, // every burst looks its mix up
+            fault_every: 3,
+            ..ServeConfig::default()
+        };
+        let specs = fleet(&test_profiles(), 2, &config);
+        let cache = PlanCache::new();
+        let names = [
+            "serve.bursts",
+            "serve.jobs",
+            "serve.faulted_bursts",
+            "frontier.lookups",
+        ];
+        let read = || names.map(mcdnn_obs::thread_counter_value);
+        for (spec, finish) in specs.iter().zip([false, true]) {
+            let mut session = UserSession::start(&cache, spec, &config).unwrap();
+            let before = read();
+            for _ in 0..7 {
+                session.admit_burst();
+            }
+            assert_eq!(read(), before, "tallies lag until the session ends");
+            let n = spec.n_jobs as u64;
+            if finish {
+                assert_eq!(session.finish().bursts, 7);
+            } else {
+                drop(session);
+            }
+            let after = read();
+            let folded: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+            assert_eq!(folded, [7, 7 * n, 2, 7], "finished: {finish}");
+        }
     }
 }

@@ -16,12 +16,22 @@
 //! queries it. A belief serves only the steps until the next commit,
 //! which seldom reach all of its regimes. Lookups allocate nothing; a
 //! regime walk allocates, like the commit before it.
+//!
+//! Every lookup starts from a [`FrontierCursor`] the tenant keeps: the
+//! piece its last lookup landed on, which the bandwidth walk seldom
+//! leaves by more than one piece. The planning cursor reads the factory
+//! frontier until the first commit and each belief after it (a commit
+//! starts a fresh one); under drift the hit test has its own cursor on
+//! the factory frontier. Every query is clamped into the compiled
+//! range, so every lookup is in range. The cursors tally their lookups
+//! and fold them into `frontier.lookups` when they are dropped: when
+//! the tenant ends, and for a replaced planning cursor at its commit.
 
 use std::sync::Arc;
 
 use mcdnn_obs::metrics;
 use mcdnn_partition::{
-    CutMix, LazyFrontier, PlanCache, PlanError, RateFrontier, RateProfile, Strategy,
+    CutMix, FrontierCursor, LazyFrontier, PlanCache, PlanError, RateFrontier, RateProfile, Strategy,
 };
 use mcdnn_profile::{AdaptConfig, ProfileEstimator};
 use mcdnn_rng::Rng;
@@ -54,6 +64,11 @@ pub(crate) struct Tenant {
     /// The belief the last commit built, which the tenant plans with
     /// from then on.
     belief: Option<LazyFrontier>,
+    /// Where the last planning lookup landed: in `base` until the first
+    /// commit, in the current belief from then on.
+    plan_cursor: FrontierCursor,
+    /// Where the last drift hit test landed in `base`.
+    hit_cursor: FrontierCursor,
     rng: Rng,
     bandwidth: f64,
     truth: Option<DriftState>,
@@ -93,6 +108,8 @@ impl Tenant {
             hi_mbps,
             base: frontier,
             belief: None,
+            plan_cursor: FrontierCursor::default(),
+            hit_cursor: FrontierCursor::default(),
             rng,
             bandwidth,
             truth,
@@ -137,12 +154,13 @@ impl Tenant {
     }
 
     /// The believed decision at `b`: the belief's, walking `b`'s regime
-    /// on its first query, or the factory frontier's before any commit.
+    /// on its first query, or the factory frontier's before any commit;
+    /// looked up from the planning cursor.
     #[inline]
     pub(crate) fn decide(&mut self, b: f64) -> CutMix {
         match self.belief.as_mut() {
-            Some(belief) => belief.decide(b),
-            None => self.base.decide(b),
+            Some(belief) => belief.decide_from(&mut self.plan_cursor, b),
+            None => self.base.decide_from(&mut self.plan_cursor, b),
         }
     }
 
@@ -155,7 +173,8 @@ impl Tenant {
     }
 
     /// Close the tenant into the believed frontier it ended on, walking
-    /// the regimes of its belief no step reached.
+    /// the regimes of its belief no step reached. Its cursors fold their
+    /// lookups as it closes.
     pub(crate) fn into_frontier(self) -> Arc<RateFrontier> {
         match self.belief {
             Some(belief) => Arc::new(belief.into_frontier()),
@@ -215,12 +234,17 @@ impl Tenant {
 
     /// Drift hit metric: a step hits when its realized makespan stays
     /// within `slack ×` the factory frontier's optimum at bandwidth `b`
-    /// — a fixed reference, identical for adaptive and frozen runs.
+    /// ([`RateFrontier::makespan_at`], looked up from the hit cursor) —
+    /// a fixed reference, identical for adaptive and frozen runs.
     /// Always a hit without drift.
     #[inline]
-    pub(crate) fn hit(&self, makespan_ms: f64, b: f64) -> bool {
+    pub(crate) fn hit(&mut self, makespan_ms: f64, b: f64) -> bool {
         match self.truth.as_ref() {
-            Some(t) => makespan_ms <= t.spec().slack * self.base.makespan_at(b),
+            Some(t) => {
+                let mix = self.base.decide_from(&mut self.hit_cursor, b);
+                let optimum = self.base.profile().mix_makespan(self.base.n(), mix, b);
+                makespan_ms <= t.spec().slack * optimum
+            }
             None => true,
         }
     }
@@ -313,6 +337,7 @@ impl Tenant {
             self.lo_mbps,
             self.hi_mbps,
         )?);
+        self.plan_cursor = FrontierCursor::default();
         metrics::ADAPT_RECOMPILES.add(1);
         metrics::ADAPT_STALENESS_BURSTS.observe((self.steps - self.last_replan) as f64);
         self.last_replan = self.steps;

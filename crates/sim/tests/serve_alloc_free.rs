@@ -17,7 +17,7 @@ use std::cell::Cell;
 
 use mcdnn_partition::{PlanCache, RateProfile};
 use mcdnn_profile::AdaptConfig;
-use mcdnn_sim::{fleet, DriftSpec, ServeConfig, UserSession};
+use mcdnn_sim::{fleet, DriftSpec, LadderLevel, ServeConfig, UserSession};
 
 struct CountingAlloc;
 
@@ -76,6 +76,17 @@ fn warm_session_admits_bursts_without_allocating() {
             None,
         )
         .unwrap(),
+        // The two above run on-device at the nominal rate, so their
+        // ladder walks stay on the healthy rung; this one offloads at
+        // cut 2 and replans on-device when the link degrades.
+        RateProfile::from_parts(
+            "serve-alloc-3",
+            vec![0.0, 2.0, 5.0, 40.0],
+            vec![100_000, 20_000, 5_000, 0],
+            1.0,
+            None,
+        )
+        .unwrap(),
     ];
     let config = ServeConfig {
         bursts_per_user: 0, // sessions driven by hand below
@@ -83,7 +94,7 @@ fn warm_session_admits_bursts_without_allocating() {
         fault_every: 0,
         ..ServeConfig::default()
     };
-    let specs = fleet(&profiles, 2, &config);
+    let specs = fleet(&profiles, profiles.len(), &config);
 
     mcdnn_obs::set_enabled(true);
     let worker = std::thread::spawn(move || {
@@ -96,13 +107,14 @@ fn warm_session_admits_bursts_without_allocating() {
             for _ in 0..32 {
                 session.admit_burst();
             }
-            let degraded0 = mcdnn_obs::thread_counter_value("serve.degraded_bursts");
+            // Only a ladder walk sets a level below the healthy rung;
+            // the tally is a register, so counting allocates nothing.
             let before = allocations();
             for _ in 0..200 {
-                session.admit_burst();
+                let burst = session.admit_burst();
+                degraded += u64::from(burst.level != LadderLevel::Normal);
             }
             total += allocations() - before;
-            degraded += mcdnn_obs::thread_counter_value("serve.degraded_bursts") - degraded0;
         }
         (total, degraded)
     });
