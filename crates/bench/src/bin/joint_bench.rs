@@ -72,11 +72,11 @@ fn main() {
     for c in CONTENTION_LEVELS {
         let oblivious_cfg = SloConfig {
             cloud_servers: c,
-            ..base.clone()
+            ..base
         };
         let joint_cfg = SloConfig {
             joint_alloc: true,
-            ..oblivious_cfg.clone()
+            ..oblivious_cfg
         };
         let oblivious = serve_slo_serial(&serial_cache, &fleet, &oblivious_cfg, SloPolicy::EdfDegrade)
             .expect("oblivious serves");
@@ -105,7 +105,7 @@ fn main() {
     let equivalence_cfg = SloConfig {
         cloud_servers: 2,
         joint_alloc: true,
-        ..base.clone()
+        ..base
     };
     let pool = WorkerPool::new(POOL_WORKERS);
     let cache = Arc::new(PlanCache::new());
@@ -128,11 +128,11 @@ fn main() {
         let oblivious_cfg = SloConfig {
             overload,
             cloud_servers: 2,
-            ..base.clone()
+            ..base
         };
         let joint_cfg = SloConfig {
             joint_alloc: true,
-            ..oblivious_cfg.clone()
+            ..oblivious_cfg
         };
         let o = serve_slo_serial(&serial_cache, &fleet, &oblivious_cfg, SloPolicy::EdfDegrade)
             .expect("oblivious serves");

@@ -172,7 +172,7 @@ fn main() {
     for overload in [0.5, 1.0, 2.0, 4.0] {
         let c = SloConfig {
             overload,
-            ..config.clone()
+            ..config
         };
         let f = serve_slo_serial(&serial_cache, &fleet, &c, SloPolicy::Fifo).expect("fifo serves");
         let e = serve_slo_serial(&serial_cache, &fleet, &c, SloPolicy::EdfDegrade)
@@ -214,7 +214,7 @@ fn main() {
                 overload,
                 requests_per_tenant: sweep_requests,
                 max_queue: sweep_max_queue,
-                ..config.clone()
+                ..config
             };
             let f = slo_fleet(&profiles, t, &c);
             run.regenerate(&serial_cache, &f, &c)

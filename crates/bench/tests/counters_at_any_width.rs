@@ -52,7 +52,8 @@ fn drift() -> DriftSpec {
 /// One run on a fresh `workers`-wide engine, scoped by a reset; returns
 /// the metrics snapshot as parsed JSON.
 fn snapshot_of(workers: usize, run: &dyn Fn(&Engine)) -> Json {
-    let engine = EngineConfig::new().threads(workers).obs(true).build();
+    mcdnn_obs::set_enabled(true);
+    let engine = EngineConfig::new().threads(workers).build();
     mcdnn_obs::reset();
     run(&engine);
     let snapshot = mcdnn_obs::snapshot().to_json();

@@ -31,7 +31,8 @@ fn drift() -> DriftSpec {
 /// `(name, total)` of each named counter after `run` on a fresh
 /// two-wide engine, scoped by a reset.
 fn totals(names: &[&'static str], run: &dyn Fn(&Engine)) -> Vec<(&'static str, u64)> {
-    let engine = EngineConfig::new().threads(2).obs(true).build();
+    mcdnn_obs::set_enabled(true);
+    let engine = EngineConfig::new().threads(2).build();
     mcdnn_obs::reset();
     run(&engine);
     let snapshot = mcdnn_obs::snapshot();

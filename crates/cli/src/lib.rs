@@ -699,7 +699,6 @@ fn cmd_chaos(flags: &Flags) -> Result<String, CliError> {
         target_hz: flags.parse_f64_or("fps", 20.0)?,
         rho_limit: flags.parse_f64_or("rho", 0.9)?,
         seed: flags.parse_u64_or("seed", 7)?,
-        ..ChaosConfig::default()
     };
     if config.jobs_per_burst == 0 {
         return Err(err("--jobs must be at least 1"));
@@ -979,7 +978,7 @@ fn cmd_serve_slo(flags: &Flags) -> Result<String, CliError> {
     for &(policy, joint_alloc) in &runs {
         let run_config = mcdnn_sim::SloConfig {
             joint_alloc,
-            ..config.clone()
+            ..config
         };
         let r = streams
             .schedule(&tenants, &run_config, policy, indexed)

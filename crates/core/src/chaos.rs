@@ -27,7 +27,6 @@ use mcdnn_partition::PlanError;
 use mcdnn_runtime::WorkerPool;
 use mcdnn_sim::{
     chaos_drill, chaos_scenarios, ladder_decision, run_chaos_grid, ChaosDrill, ChaosRow, FaultSpec,
-    RetryPolicy,
 };
 
 use crate::error::Error;
@@ -48,12 +47,8 @@ pub struct ChaosConfig {
     /// [`mcdnn_sim::best_cut_for_rate`].
     pub rho_limit: f64,
     /// Seed for the flapping scenario and the drill's random fault
-    /// plan.
+    /// plan, drawn from the default [`FaultSpec`].
     pub seed: u64,
-    /// Retry/backoff policy for lost uploads.
-    pub retry: RetryPolicy,
-    /// Fault mix for the seeded drill.
-    pub spec: FaultSpec,
 }
 
 impl Default for ChaosConfig {
@@ -64,8 +59,6 @@ impl Default for ChaosConfig {
             target_hz: 20.0,
             rho_limit: 0.9,
             seed: 7,
-            retry: RetryPolicy::default(),
-            spec: FaultSpec::default(),
         }
     }
 }
@@ -187,13 +180,12 @@ pub fn chaos_report(
         config.jobs_per_burst,
         config.target_hz,
         config.rho_limit,
-        &config.retry,
     );
     let drill = chaos_drill(
         profile,
         healthy.cut,
         config.jobs_per_burst,
-        &config.spec,
+        &FaultSpec::default(),
         config.seed,
     );
     Ok(ChaosReport {

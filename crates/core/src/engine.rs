@@ -1,14 +1,14 @@
 //! The typed front door of the serving stack.
 //!
-//! Before this module, runtime knobs were an env-var scatter: thread
-//! count came from `MCDNN_THREADS`, observability from `MCDNN_OBS`,
-//! and every caller wired its own `WorkerPool` + [`PlanCache`] pair.
-//! [`EngineConfig`] replaces that with an explicit builder —
-//! environment variables remain the *defaults layer* (an unset knob
+//! Before this module, every caller wired its own `WorkerPool` +
+//! [`PlanCache`] pair and took its thread count from `MCDNN_THREADS`.
+//! [`EngineConfig`] replaces that with an explicit builder — the
+//! environment variable remains the *defaults layer* (an unset width
 //! falls back to exactly the old behaviour), but programs state their
 //! configuration in code and get one [`Engine`] owning the pool and
 //! the shared plan cache for planning, serving, SLO scheduling and
-//! chaos drills.
+//! chaos drills. Recording is process-wide, so it stays with
+//! `mcdnn_obs::set_enabled` and its `MCDNN_OBS` default.
 //!
 //! ```
 //! use mcdnn::{Engine, EngineConfig};
@@ -35,13 +35,12 @@ use crate::chaos::{chaos_report, ChaosConfig, ChaosReport};
 use crate::error::Error;
 use crate::scenario::Scenario;
 
-/// Builder for [`Engine`]: every knob is optional, and an unset knob
-/// falls back to the environment-variable default the stack has always
-/// honoured (`MCDNN_THREADS`, `MCDNN_OBS`), then to the hardware.
+/// Builder for [`Engine`]: its one knob, the pool width, is optional,
+/// and unset it falls back to the `MCDNN_THREADS` default the stack has
+/// always honoured, then to the hardware.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineConfig {
     threads: Option<usize>,
-    obs: Option<bool>,
 }
 
 impl EngineConfig {
@@ -59,19 +58,9 @@ impl EngineConfig {
         self
     }
 
-    /// Turn the `mcdnn-obs` registry on or off for the whole process.
-    /// Unset: leave the registry as-is (its own `MCDNN_OBS` default).
-    pub fn obs(mut self, on: bool) -> Self {
-        self.obs = Some(on);
-        self
-    }
-
-    /// Resolve every knob (explicit → env → hardware) and build the
+    /// Resolve the width (explicit → env → hardware) and build the
     /// engine.
     pub fn build(self) -> Engine {
-        if let Some(on) = self.obs {
-            mcdnn_obs::set_enabled(on);
-        }
         let threads = self.threads.unwrap_or_else(worker_threads).max(1);
         Engine {
             pool: WorkerPool::new(threads),
@@ -109,11 +98,6 @@ impl std::fmt::Debug for Engine {
 }
 
 impl Engine {
-    /// Shorthand for [`EngineConfig::new`].
-    pub fn builder() -> EngineConfig {
-        EngineConfig::new()
-    }
-
     /// Resolved worker-thread count.
     pub fn threads(&self) -> usize {
         self.threads
@@ -397,7 +381,8 @@ mod tests {
         // the report reads the same at width 4.
         let scenario = Scenario::paper_default(Model::AlexNet, NetworkModel::wifi());
         let config = ChaosConfig::default();
-        let serial = EngineConfig::new().threads(1).obs(true).build();
+        mcdnn_obs::set_enabled(true);
+        let serial = EngineConfig::new().threads(1).build();
         let before = mcdnn_obs::thread_counter_value("runtime.pool.tasks");
         let report = serial.chaos(&scenario, &config).unwrap();
         let tasks = mcdnn_obs::thread_counter_value("runtime.pool.tasks") - before;
@@ -521,7 +506,7 @@ mod tests {
         };
         let unbounded = SloConfig {
             hi_mbps: f64::INFINITY,
-            ..slo.clone()
+            ..slo
         };
         bad_input(run(&tenants, &unbounded), "serve_slo hi = inf");
         let mut no_jobs = tenants.clone();
@@ -533,8 +518,7 @@ mod tests {
     fn drift_and_adaptation_settings_are_checked() {
         // An infinite jitter makes realized stages infinite, a faulted
         // burst's upload then starts at t = inf, and serving never
-        // returned. A NaN jitter reported a 0 ms mean makespan; a zero
-        // window or a negative alpha ran without an error.
+        // returned. A NaN jitter reported a 0 ms mean makespan.
         let engine = EngineConfig::new().threads(2).build();
         let serve = ServeConfig {
             bursts_per_user: 8,
@@ -558,41 +542,21 @@ mod tests {
         let with_drift = |edit: fn(&mut DriftSpec)| {
             let mut bad = drift;
             edit(&mut bad);
-            (bad, None)
+            bad
         };
-        let with_adapt = |edit: fn(&mut AdaptConfig)| {
-            let mut bad = AdaptConfig::default();
-            edit(&mut bad);
-            (drift, Some(bad))
-        };
-        for ((drift, adapt), case) in [
+        for (drift, case) in [
             (with_drift(|d| d.jitter = f64::INFINITY), "jitter = inf"),
             (with_drift(|d| d.jitter = f64::NAN), "jitter = NaN"),
             (with_drift(|d| d.device_walk = 1.0), "device_walk = 1"),
             (with_drift(|d| d.cloud_walk = -0.1), "cloud_walk = -0.1"),
             (with_drift(|d| d.link_walk = 2.0), "link_walk = 2"),
-            (with_drift(|d| d.slack = 0.0), "slack = 0"),
-            (with_drift(|d| d.slack = f64::NAN), "slack = NaN"),
-            (with_adapt(|a| a.window = 0), "window = 0"),
-            (with_adapt(|a| a.alpha = -1.0), "alpha = -1"),
-            (with_adapt(|a| a.alpha = f64::NAN), "alpha = NaN"),
-            (with_adapt(|a| a.gate = f64::INFINITY), "gate = inf"),
-            (with_adapt(|a| a.min_obs = 0), "min_obs = 0"),
         ] {
-            let config = ServeConfig {
-                drift,
-                adapt,
-                ..serve
-            };
+            let config = ServeConfig { drift, ..serve };
             match engine.serve(&specs, &config) {
                 Err(Error::Plan(PlanError::BadInput { .. })) => {}
                 other => panic!("serve {case}: expected BadInput, got {other:?}"),
             }
-            let config = SloConfig {
-                drift,
-                adapt,
-                ..slo.clone()
-            };
+            let config = SloConfig { drift, ..slo };
             match engine.serve_slo(&tenants, &config, SloPolicy::EdfDegrade) {
                 Err(Error::Admit(AdmitError::BadConfig { .. })) => {}
                 other => panic!("serve_slo {case}: expected BadConfig, got {other:?}"),
@@ -619,7 +583,7 @@ mod tests {
         for overload in [5e-324, 1e-306] {
             let config = SloConfig {
                 overload,
-                ..slo.clone()
+                ..slo
             };
             for policy in [SloPolicy::Fifo, SloPolicy::EdfDegrade] {
                 match engine.serve_slo(&tenants, &config, policy) {

@@ -24,9 +24,9 @@
 //! tenant's bandwidth walks by at most ±25% per burst, so its lookups
 //! land on the same or the next piece almost always (94% of
 //! serve-steady's): amortized O(1) on walking traffic, O(log P) after
-//! a jump, and the same piece and mix as the search either way. The cursor-less forms
-//! ([`RateFrontier::decide`], [`RateFrontier::decide_at`],
-//! [`RateFrontier::makespan_at`], [`RateFrontier::piece_index_at`]) are
+//! a jump, and the same piece and mix as the search either way. The
+//! cursor-less forms ([`RateFrontier::decide`],
+//! [`RateFrontier::decide_at`], [`RateFrontier::piece_index_at`]) are
 //! that lookup from no piece, which is the plain binary search: lookups
 //! that do not walk (the SLO loop resolving each request's rung pieces)
 //! gain nothing from a cursor, and chaining them through one serializes
@@ -771,14 +771,6 @@ impl RateFrontier {
             mix,
             makespan_ms: self.profile.mix_makespan(self.n, mix, bandwidth_mbps),
         }
-    }
-
-    /// Slack query: the optimal burst makespan at bandwidth `b`, ms —
-    /// [`RateFrontier::decide_at`] without materializing the mix.
-    /// Deadline schedulers call this to price a burst before admitting
-    /// it.
-    pub fn makespan_at(&self, bandwidth_mbps: f64) -> f64 {
-        self.decide_at(bandwidth_mbps).makespan_ms
     }
 
     /// The full materialized [`Plan`] at bandwidth `b` — identical to

@@ -16,10 +16,9 @@
 //! * [`ProfileEstimator`] — one per tenant: per-layer device scales, a
 //!   cloud scale, and the upload regression, with **confidence gating**
 //!   — estimates accumulate freely, but a commit (and hence a plan
-//!   invalidation) only happens once `min_obs` observations have
-//!   arrived *and* some committed parameter would move by at least the
-//!   relative `gate`. Between commits the serving path is read-only
-//!   and allocation-free.
+//!   invalidation) only happens once 8 observations have arrived *and*
+//!   some committed parameter would move by at least 5% (relative).
+//!   Between commits the serving path is read-only and allocation-free.
 //! * [`ProfileVersion`] — the monotone (generation, content digest)
 //!   pair that stamps a re-estimated profile: reported per user in the
 //!   serving reports and part of the profile's content key, so it can
@@ -147,36 +146,26 @@ impl WindowRegression {
     }
 }
 
-/// Knobs for the online estimator and its commit gate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptConfig {
-    /// EWMA smoothing factor for the device and cloud scale trackers.
-    pub alpha: f64,
-    /// Relative movement a committed parameter must show before a
-    /// commit (and the frontier recompile it triggers) is allowed.
-    /// `0.05` means "ignore drift under 5%".
-    pub gate: f64,
-    /// Minimum observations before the first commit may happen.
-    pub min_obs: u64,
-    /// Sliding-window capacity for the upload `(w0, w1)` regression.
-    pub window: usize,
-    /// Commit cadence: the gate is only consulted every this many
-    /// bursts, a deterministic boundary so pooled and serial runs see
-    /// identical commit points.
-    pub commit_every: usize,
-}
+/// EWMA smoothing factor for the device and cloud scale trackers.
+const ALPHA: f64 = 0.2;
+/// Relative movement a committed parameter must show before a commit
+/// (and the frontier recompile it triggers) is allowed: drift under 5%
+/// is ignored.
+const GATE: f64 = 0.05;
+/// Minimum observations before the first commit may happen.
+const MIN_OBS: u64 = 8;
+/// Sliding-window capacity for the upload `(w0, w1)` regression.
+const WINDOW: usize = 64;
 
-impl Default for AdaptConfig {
-    fn default() -> Self {
-        AdaptConfig {
-            alpha: 0.2,
-            gate: 0.05,
-            min_obs: 8,
-            window: 64,
-            commit_every: 16,
-        }
-    }
-}
+/// Online adaptation switched on: `Some(AdaptConfig::default())` in a
+/// serving config gives each tenant a [`ProfileEstimator`]. It carries
+/// no settings; the estimator's are fixed — EWMA smoothing α = 0.2, a
+/// 5% relative commit gate, at least 8 observations before the first
+/// commit and a 64-sample upload regression window — and the serving
+/// loops consult the gate every 16 steps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[non_exhaustive]
+pub struct AdaptConfig;
 
 /// One tenant's online view of its device, cloud, and link: EWMA scale
 /// trackers per layer plus the sliding-window upload regression, and
@@ -185,7 +174,6 @@ impl Default for AdaptConfig {
 /// [`ProfileEstimator::commit`] that passes the confidence gate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileEstimator {
-    cfg: AdaptConfig,
     /// Per-layer device scale trackers, index 0..=k (index 0 is the
     /// empty prefix and stays at scale 1). Tracker `i` holds only
     /// *direct* evidence — realized prefixes that ended exactly at
@@ -206,12 +194,12 @@ pub struct ProfileEstimator {
     base_setup_ms: f64,
     observations: u64,
     commits: u64,
-    /// Set the moment any sample lands `gate / 2` (relative) away from
+    /// Set the moment any sample lands `GATE / 2` (relative) away from
     /// its committed value, cleared on commit. While false the full
     /// gate scan is provably redundant — a debiased EWMA is a convex
     /// combination of its samples, so if every sample since the last
-    /// commit sits within `gate / 2` of the committed value the
-    /// smoothed estimate cannot be `gate` away — which keeps the
+    /// commit sits within `GATE / 2` of the committed value the
+    /// smoothed estimate cannot be `GATE` away — which keeps the
     /// boundary check O(1) on the undisturbed serving path.
     suspect: bool,
 }
@@ -220,13 +208,12 @@ impl ProfileEstimator {
     /// New estimator for a `k`-layer profile whose base network model
     /// has intercept `base_setup_ms`. All committed scales start at 1
     /// (trust the factory calibration until told otherwise).
-    pub fn new(k: usize, base_setup_ms: f64, cfg: AdaptConfig) -> Self {
+    pub fn new(k: usize, base_setup_ms: f64) -> Self {
         ProfileEstimator {
-            cfg,
-            device: vec![Ewma::new(cfg.alpha); k + 1],
-            device_all: Ewma::new(cfg.alpha),
-            cloud: Ewma::new(cfg.alpha),
-            upload: WindowRegression::new(cfg.window),
+            device: vec![Ewma::new(ALPHA); k + 1],
+            device_all: Ewma::new(ALPHA),
+            cloud: Ewma::new(ALPHA),
+            upload: WindowRegression::new(WINDOW),
             committed_device: vec![1.0; k + 1],
             committed_cloud: 1.0,
             committed_w0: base_setup_ms,
@@ -236,11 +223,6 @@ impl ProfileEstimator {
             commits: 0,
             suspect: false,
         }
-    }
-
-    /// The config this estimator runs under.
-    pub fn config(&self) -> &AdaptConfig {
-        &self.cfg
     }
 
     /// Record a realized mobile stage: the prefix up to `cut` ran at
@@ -313,11 +295,6 @@ impl ProfileEstimator {
         self.committed_w1
     }
 
-    /// Observations folded in so far.
-    pub fn observations(&self) -> u64 {
-        self.observations
-    }
-
     /// Commits performed so far — the generation a profile rebuilt from
     /// this estimator should carry.
     pub fn commits(&self) -> u64 {
@@ -327,22 +304,22 @@ impl ProfileEstimator {
     #[inline]
     fn moved(&self, est: f64, committed: f64) -> bool {
         let denom = committed.abs().max(1e-9);
-        (est - committed).abs() / denom >= self.cfg.gate
+        (est - committed).abs() / denom >= GATE
     }
 
     /// Half-gate deviation test used to arm [`Self::suspect`].
     #[inline]
     fn deviates(&self, sample: f64, committed: f64) -> bool {
         let denom = committed.abs().max(1e-9);
-        (sample - committed).abs() / denom >= self.cfg.gate * 0.5
+        (sample - committed).abs() / denom >= GATE * 0.5
     }
 
-    /// Would a commit right now change anything? True once `min_obs`
+    /// Would a commit right now change anything? True once [`MIN_OBS`]
     /// observations have arrived and at least one parameter estimate
-    /// sits `gate` (relative) away from its committed value. Read-only
+    /// sits [`GATE`] (relative) away from its committed value. Read-only
     /// and allocation-free — safe on the steady-state serving path.
     pub(crate) fn gate_crossed(&self) -> bool {
-        if self.observations < self.cfg.min_obs || !self.suspect {
+        if self.observations < MIN_OBS || !self.suspect {
             return false;
         }
         for layer in 1..self.device.len() {
@@ -361,7 +338,7 @@ impl ProfileEstimator {
             // Gate the intercept against the base setup scale so a
             // near-zero committed w0 cannot make the test hair-trigger.
             let w0_denom = self.base_setup_ms.abs().max(1e-9);
-            if (fit.w0 - self.committed_w0).abs() / w0_denom >= self.cfg.gate
+            if (fit.w0 - self.committed_w0).abs() / w0_denom >= GATE
                 || self.moved(fit.w1, self.committed_w1)
             {
                 return true;
@@ -475,12 +452,7 @@ mod tests {
 
     #[test]
     fn estimator_gates_until_confident_and_moved() {
-        let cfg = AdaptConfig {
-            min_obs: 8,
-            gate: 0.05,
-            ..AdaptConfig::default()
-        };
-        let mut est = ProfileEstimator::new(4, 10.0, cfg);
+        let mut est = ProfileEstimator::new(4, 10.0);
         // Large drift but too few observations: gated.
         for _ in 0..4 {
             est.observe_device(4, 1.5);
@@ -488,7 +460,7 @@ mod tests {
         assert!(!est.gate_crossed());
         assert!(!est.commit());
         // Enough observations of a sub-gate drift: still gated.
-        let mut est2 = ProfileEstimator::new(4, 10.0, cfg);
+        let mut est2 = ProfileEstimator::new(4, 10.0);
         for _ in 0..20 {
             est2.observe_device(4, 1.02);
         }
@@ -508,7 +480,7 @@ mod tests {
 
     #[test]
     fn upload_regression_recovers_link_parameters() {
-        let mut est = ProfileEstimator::new(2, 40.0, AdaptConfig::default());
+        let mut est = ProfileEstimator::new(2, 40.0);
         // Link slowed to 80% rate and setup grew to 55 ms: realized
         // t = 55 + r / 0.8.
         for i in 0..32 {
@@ -523,9 +495,8 @@ mod tests {
 
     #[test]
     fn version_is_deterministic_and_moves_only_on_commit() {
-        let cfg = AdaptConfig::default();
-        let mut a = ProfileEstimator::new(3, 10.0, cfg);
-        let mut b = ProfileEstimator::new(3, 10.0, cfg);
+        let mut a = ProfileEstimator::new(3, 10.0);
+        let mut b = ProfileEstimator::new(3, 10.0);
         let v0 = a.version();
         assert_eq!(v0.generation, 0);
         for i in 0..32 {
@@ -546,9 +517,20 @@ mod tests {
 
     #[test]
     fn config_default_is_sane() {
-        let c = AdaptConfig::default();
-        assert!(c.alpha > 0.0 && c.alpha <= 1.0);
-        assert!(c.gate > 0.0 && c.gate < 1.0);
-        assert!(c.min_obs >= 1 && c.window >= 2 && c.commit_every >= 1);
+        const {
+            assert!(ALPHA > 0.0 && ALPHA <= 1.0);
+            assert!(GATE > 0.0 && GATE < 1.0);
+            assert!(MIN_OBS >= 1 && WINDOW >= 2);
+        }
+        // A fresh estimator runs on the constants: a full-width upload
+        // window, and no commit before `MIN_OBS` observations.
+        let mut est = ProfileEstimator::new(2, 10.0);
+        assert_eq!(est.upload.cap, WINDOW);
+        for _ in 1..MIN_OBS {
+            est.observe_cloud(2.0);
+        }
+        assert!(!est.gate_crossed());
+        est.observe_cloud(2.0);
+        assert!(est.gate_crossed());
     }
 }

@@ -6,7 +6,7 @@
 //! planner believes; [`DriftSpec`] makes the believed model wrong in a
 //! controlled, reproducible way. Each session owns a `DriftState`
 //! whose walks are driven by RNG streams derived from the session seed
-//! and the drift seed — never from the session's main RNG — so a run
+//! and a fixed drift seed — never from the session's main RNG — so a run
 //! with `DriftSpec::none()` draws exactly the values it drew before
 //! drift existed and stays byte-identical to earlier releases.
 //!
@@ -20,8 +20,16 @@
 //!   depend on the executed mix (that is measurement noise, not the
 //!   trajectory).
 
-use mcdnn_profile::AdaptConfig;
 use mcdnn_rng::Rng;
+
+/// Deadline slack of the drift hit metric: a burst hits when its
+/// realized makespan is within this multiple of the factory frontier's
+/// optimal makespan at the burst's bandwidth.
+pub(crate) const DRIFT_SLACK: f64 = 1.5;
+
+/// Drift seed, folded with each session's seed so every session walks
+/// its own trajectory.
+const DRIFT_SEED: u64 = 0xD21F;
 
 /// Seeded multiplicative random-walk drift on the true platform
 /// parameters. All walk magnitudes are per-burst half-widths: a
@@ -38,13 +46,6 @@ pub struct DriftSpec {
     /// Per-stage multiplicative measurement jitter half-width
     /// (0 = realized times are exactly base × scale).
     pub jitter: f64,
-    /// Deadline slack for the drift hit metric: a burst hits when its
-    /// realized makespan is within `slack ×` the factory frontier's
-    /// optimal makespan at the burst's bandwidth.
-    pub slack: f64,
-    /// Drift seed, folded with each session's seed so every session
-    /// walks its own trajectory.
-    pub seed: u64,
 }
 
 impl DriftSpec {
@@ -56,8 +57,6 @@ impl DriftSpec {
             cloud_walk: 0.0,
             link_walk: 0.0,
             jitter: 0.0,
-            slack: 1.5,
-            seed: 0xD21F,
         }
     }
 
@@ -76,16 +75,10 @@ impl Default for DriftSpec {
     }
 }
 
-/// Check the drift and adaptation knobs both serving configs carry:
-/// walks and jitter finite in `[0, 1)` (the CLI's `--drift` range), a
-/// finite `slack > 0`, and an [`AdaptConfig`] with `alpha` in `(0, 1]`,
-/// a finite `gate >= 0`, `window >= 2` and `min_obs >= 1`. Outside
-/// them a jitter factor can reach ±inf or NaN, and an estimator cannot
-/// fit. Returns what is wrong.
-pub(crate) fn check_drift_adapt(
-    drift: &DriftSpec,
-    adapt: Option<&AdaptConfig>,
-) -> Result<(), &'static str> {
+/// Check the drift both serving configs carry: walks and jitter finite
+/// in `[0, 1)` (the CLI's `--drift` range). Outside it a jitter factor
+/// can reach ±inf or NaN. Returns what is wrong.
+pub(crate) fn check_drift(drift: &DriftSpec) -> Result<(), &'static str> {
     let walks = [
         drift.device_walk,
         drift.cloud_walk,
@@ -94,19 +87,6 @@ pub(crate) fn check_drift_adapt(
     ];
     if !walks.iter().all(|w| (0.0..1.0).contains(w)) {
         return Err("drift walks and jitter must be finite and in [0, 1)");
-    }
-    if !(drift.slack.is_finite() && drift.slack > 0.0) {
-        return Err("drift slack must be finite and > 0");
-    }
-    let Some(cfg) = adapt else { return Ok(()) };
-    if !(cfg.alpha > 0.0 && cfg.alpha <= 1.0) {
-        return Err("adapt alpha must be in (0, 1]");
-    }
-    if !(cfg.gate.is_finite() && cfg.gate >= 0.0) {
-        return Err("adapt gate must be finite and >= 0");
-    }
-    if cfg.window < 2 || cfg.min_obs < 1 {
-        return Err("adapt window must be >= 2 and min_obs >= 1");
     }
     Ok(())
 }
@@ -134,10 +114,10 @@ pub(crate) struct DriftState {
 
 impl DriftState {
     /// Truth state for one session. The two streams are derived from
-    /// `(session_seed, spec.seed)` with distinct tweaks so neither
+    /// `(session_seed, DRIFT_SEED)` with distinct tweaks so neither
     /// collides with the session's main RNG nor with each other.
     pub(crate) fn new(spec: &DriftSpec, session_seed: u64) -> Self {
-        let base = session_seed ^ spec.seed.rotate_left(17);
+        let base = session_seed ^ DRIFT_SEED.rotate_left(17);
         DriftState {
             spec: *spec,
             walk_rng: Rng::seed_from_u64(base ^ 0xA5A5_5A5A_0D21_F001),
@@ -171,11 +151,6 @@ impl DriftState {
             return 1.0;
         }
         1.0 + self.spec.jitter * (self.noise_rng.f64() * 2.0 - 1.0)
-    }
-
-    /// The spec this state walks under.
-    pub(crate) fn spec(&self) -> &DriftSpec {
-        &self.spec
     }
 }
 
@@ -229,6 +204,6 @@ mod tests {
         let mut j = DriftState::new(&jittery, 7);
         let f = j.jitter_factor();
         assert!((0.8..=1.2).contains(&f));
-        assert_eq!(j.spec().jitter, 0.2);
+        assert_eq!(j.spec.jitter, 0.2);
     }
 }

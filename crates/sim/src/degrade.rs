@@ -37,7 +37,7 @@ use mcdnn_flowshop::uniform_makespan;
 use mcdnn_obs::metrics;
 use mcdnn_profile::{CostProfile, ProfileError};
 
-use crate::fault::RetryPolicy;
+use crate::fault::exhaustion_penalty_ms;
 use crate::stream::best_cut_in;
 
 /// Which rung of the degradation ladder a decision landed on.
@@ -155,18 +155,8 @@ impl LadderFrontier {
     }
 
     /// Number of layers `k`.
-    pub fn k(&self) -> usize {
+    fn k(&self) -> usize {
         self.f.len() - 1
-    }
-
-    /// The job count per burst this ladder decides for.
-    pub fn n_jobs(&self) -> usize {
-        self.n_jobs
-    }
-
-    /// The decision at a healthy link (`x = 1.0`) — the frozen cut.
-    pub fn healthy(&self) -> LadderDecision {
-        self.healthy
     }
 
     /// The ladder decision for `rate_factor`, emitting its `degrade.*`
@@ -303,15 +293,9 @@ pub struct DegradedRun {
 
 /// Price one burst that *commits* to `cut` while the true factor is
 /// `factor`. A cut with `g > 0` under a blackout burns the full retry
-/// budget per the policy, then finishes every job on-device.
-fn burst_cost_parts(
-    f_cut: f64,
-    f_k: f64,
-    g_cut: f64,
-    factor: f64,
-    n: usize,
-    retry: &RetryPolicy,
-) -> f64 {
+/// budget ([`exhaustion_penalty_ms`]), then finishes every job
+/// on-device.
+fn burst_cost_parts(f_cut: f64, f_k: f64, g_cut: f64, factor: f64, n: usize) -> f64 {
     if g_cut <= 0.0 {
         return n as f64 * f_cut;
     }
@@ -319,7 +303,7 @@ fn burst_cost_parts(
         // Blackout with offloading committed: attempts all time out,
         // then the remaining layers of every job run on-device.
         metrics::FAULT_LOCAL_FALLBACKS.add(n as u64);
-        return retry.exhaustion_penalty_ms() + n as f64 * f_cut + n as f64 * (f_k - f_cut);
+        return exhaustion_penalty_ms() + n as f64 * f_cut + n as f64 * (f_k - f_cut);
     }
     uniform_makespan(n, f_cut, g_cut / factor)
 }
@@ -336,13 +320,12 @@ pub fn run_degraded(
     jobs_per_burst: usize,
     target_hz: f64,
     rho_limit: f64,
-    retry: &RetryPolicy,
     policy: DegradePolicy,
 ) -> DegradedRun {
     let _span = mcdnn_obs::span("sim", "run_degraded");
     let ladder = LadderFrontier::compile(profile, target_hz, rho_limit, jobs_per_burst);
     let k = ladder.k();
-    let frozen_cut = ladder.healthy().cut;
+    let frozen_cut = ladder.healthy.cut;
     let mut bursts = Vec::with_capacity(factors.len());
     let mut total = 0.0f64;
     let mut prev_level = LadderLevel::Normal;
@@ -370,7 +353,6 @@ pub fn run_degraded(
             profile.g(cut),
             factor,
             jobs_per_burst,
-            retry,
         );
         total += makespan_ms;
         bursts.push(BurstRecord {
@@ -473,11 +455,9 @@ mod tests {
     fn run_degraded_ladder_beats_frozen_under_blackout() {
         let p = profile();
         let factors = [1.0, 1.0, 0.0, 0.0, 0.3, 1.0];
-        let retry = RetryPolicy::default();
-        let ladder = run_degraded(&p, &factors, 6, 20.0, 0.9, &retry, DegradePolicy::Ladder);
-        let frozen = run_degraded(&p, &factors, 6, 20.0, 0.9, &retry, DegradePolicy::Frozen);
-        let mobile =
-            run_degraded(&p, &factors, 6, 20.0, 0.9, &retry, DegradePolicy::MobileOnly);
+        let ladder = run_degraded(&p, &factors, 6, 20.0, 0.9, DegradePolicy::Ladder);
+        let frozen = run_degraded(&p, &factors, 6, 20.0, 0.9, DegradePolicy::Frozen);
+        let mobile = run_degraded(&p, &factors, 6, 20.0, 0.9, DegradePolicy::MobileOnly);
         assert!(
             ladder.total_ms < frozen.total_ms,
             "ladder {} must beat frozen {} through the blackout",
@@ -502,17 +482,8 @@ mod tests {
         // A single surprise blackout burst: the lagged policy commits
         // to an offloading cut and burns the retry budget.
         let factors = [1.0, 0.0, 1.0];
-        let retry = RetryPolicy::default();
-        let oracle = run_degraded(&p, &factors, 6, 20.0, 0.9, &retry, DegradePolicy::Ladder);
-        let lagged = run_degraded(
-            &p,
-            &factors,
-            6,
-            20.0,
-            0.9,
-            &retry,
-            DegradePolicy::LaggedLadder,
-        );
+        let oracle = run_degraded(&p, &factors, 6, 20.0, 0.9, DegradePolicy::Ladder);
+        let lagged = run_degraded(&p, &factors, 6, 20.0, 0.9, DegradePolicy::LaggedLadder);
         assert!(
             lagged.total_ms > oracle.total_ms,
             "lag must cost something: lagged {} vs oracle {}",
@@ -539,15 +510,14 @@ mod tests {
     fn degraded_runs_are_deterministic() {
         let p = profile();
         let factors = [1.0, 0.4, 0.0, 0.7];
-        let retry = RetryPolicy::default();
         for policy in [
             DegradePolicy::Frozen,
             DegradePolicy::Ladder,
             DegradePolicy::LaggedLadder,
             DegradePolicy::MobileOnly,
         ] {
-            let a = run_degraded(&p, &factors, 5, 20.0, 0.9, &retry, policy);
-            let b = run_degraded(&p, &factors, 5, 20.0, 0.9, &retry, policy);
+            let a = run_degraded(&p, &factors, 5, 20.0, 0.9, policy);
+            let b = run_degraded(&p, &factors, 5, 20.0, 0.9, policy);
             assert_eq!(a, b, "{policy} must be deterministic");
         }
     }

@@ -23,7 +23,7 @@ use mcdnn_flowshop::FlowJob;
 use mcdnn_obs::metrics;
 use mcdnn_rng::Rng;
 
-use crate::fault::{FaultEvent, FaultEventKind, FaultedRun};
+use crate::fault::{backoff_ms, FaultEvent, FaultEventKind, FaultedRun, MAX_ATTEMPTS};
 
 /// Simulator configuration.
 #[derive(Debug, Clone)]
@@ -216,7 +216,7 @@ impl DesArena {
     ) -> f64 {
         self.prepare(config, order.len());
         let timeline = faults.map(|run| run.faults.link_timeline());
-        let max_attempts = faults.map_or(1, |run| run.retry.max_attempts);
+        let max_attempts = faults.map_or(1, |_| MAX_ATTEMPTS);
         // Seeded only when jitter is on: a run without jitter draws
         // nothing, so it needs no generator.
         let mut rng = (config.jitter_frac != 0.0).then(|| Rng::seed_from_u64(config.seed));
@@ -271,7 +271,7 @@ impl DesArena {
                             kind: FaultEventKind::UploadLost { attempt },
                         });
                         if attempt < max_attempts {
-                            let delay = faults.map_or(0.0, |run| run.retry.backoff_ms(attempt));
+                            let delay = backoff_ms(attempt);
                             metrics::FAULT_RETRIES.add(1);
                             self.events.push(FaultEvent {
                                 t_ms: end,
@@ -716,7 +716,6 @@ mod tests {
             let run = FaultedRun {
                 faults: FaultPlan::new(vec![Fault::UploadLoss { job: 0, losses: 9 }]),
                 local_fallback_ms: 5.0,
-                ..FaultedRun::default()
             };
             let r = simulate(&js, &[0, 1], &with(run));
             assert_eq!(r.fallback_jobs(), vec![0]);
@@ -765,7 +764,6 @@ mod tests {
                 let run = FaultedRun {
                     faults: FaultPlan::random(&spec, 4, 60.0, seed),
                     local_fallback_ms: 3.0,
-                    ..FaultedRun::default()
                 };
                 let cfg = DesConfig {
                     faults: run,
@@ -804,7 +802,6 @@ mod tests {
                         seed,
                     ),
                     local_fallback_ms: 3.0,
-                    ..FaultedRun::default()
                 };
                 let cfg = DesConfig {
                     faults: run,
@@ -833,7 +830,6 @@ mod tests {
                         seed,
                     ),
                     local_fallback_ms: 6.0,
-                    ..FaultedRun::default()
                 };
                 let r = simulate(&js, &order, &with(run));
                 assert!(

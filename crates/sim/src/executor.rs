@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use mcdnn_flowshop::FlowJob;
 use mcdnn_obs::metrics;
 
-use crate::fault::{FaultEvent, FaultEventKind, FaultedRun};
+use crate::fault::{backoff_ms, FaultEvent, FaultEventKind, FaultedRun, MAX_ATTEMPTS};
 
 /// How stage durations are realised.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -232,7 +232,7 @@ pub fn run_pipeline(jobs: &[FlowJob], order: &[usize], config: &ExecutorConfig) 
                 let mut ready = msg.ready_at;
                 let mut succeeded = false;
                 let mut last_end = msg.ready_at;
-                for attempt in 1..=run.retry.max_attempts {
+                for attempt in 1..=MAX_ATTEMPTS {
                     let start = ready.max(clock);
                     let end = timeline.transfer_end(start, msg.job.comm_ms);
                     metrics::EXEC_UPLINK_WAIT_MS.observe((clock - ready).max(0.0));
@@ -247,8 +247,8 @@ pub fn run_pipeline(jobs: &[FlowJob], order: &[usize], config: &ExecutorConfig) 
                             job: msg.job.id,
                             kind: FaultEventKind::UploadLost { attempt },
                         });
-                        if attempt < run.retry.max_attempts {
-                            let delay = run.retry.backoff_ms(attempt);
+                        if attempt < MAX_ATTEMPTS {
+                            let delay = backoff_ms(attempt);
                             metrics::FAULT_RETRIES.add(1);
                             ev.push(FaultEvent {
                                 t_ms: last_end,
@@ -478,7 +478,6 @@ mod tests {
                     let run = FaultedRun {
                         faults: FaultPlan::random(&spec, js.len(), 80.0, seed),
                         local_fallback_ms: 4.0,
-                        ..FaultedRun::default()
                     };
                     let des = simulate(
                         &js,
@@ -531,7 +530,6 @@ mod tests {
             let run = FaultedRun {
                 faults: FaultPlan::random(&FaultSpec::default(), 3, 40.0, 99),
                 local_fallback_ms: 2.0,
-                ..FaultedRun::default()
             };
             let config = ExecutorConfig {
                 faults: run,

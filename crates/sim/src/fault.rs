@@ -5,7 +5,7 @@
 //! transfers and cloud stragglers as the common case. This module
 //! models those faults as *data* — a [`FaultPlan`] is an explicit,
 //! seed-reproducible schedule of fault windows and per-job afflictions.
-//! A [`FaultedRun`] (plan, retry policy, fallback time) is a field of
+//! A [`FaultedRun`] (plan and fallback time) is a field of
 //! both substrates' configs — the discrete-event simulator's
 //! [`DesConfig`](crate::des::DesConfig) and the threaded executor's
 //! [`ExecutorConfig`](crate::executor::ExecutorConfig) — which replay it
@@ -21,10 +21,11 @@
 //! * [`Fault::CloudStraggle`] — a specific job's cloud stage runs
 //!   slower by a factor (multi-tenant interference).
 //!
-//! Recovery is modelled by [`RetryPolicy`] (exponential backoff with a
-//! cap and an attempt budget) plus the local-fallback path: when the
-//! attempt budget is exhausted the mobile device finishes the job's
-//! remaining layers itself.
+//! Recovery is a fixed retry policy — exponential backoff from 2 ms,
+//! doubling per retry and capped at 64 ms, within a budget of four
+//! attempts — plus the local-fallback path: when the attempt budget is
+//! exhausted the mobile device finishes the job's remaining layers
+//! itself.
 //!
 //! Every fault and recovery decision is recorded as a [`FaultEvent`];
 //! the chaos drills render them as a canonical textual log whose
@@ -360,85 +361,54 @@ impl LinkTimeline {
     }
 }
 
-/// Retry-with-exponential-backoff policy for lost uploads.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Delay before the first retry, ms.
-    pub base_delay_ms: f64,
-    /// Multiplier applied per further retry.
-    pub multiplier: f64,
-    /// Backoff cap, ms.
-    pub max_delay_ms: f64,
-    /// Total attempt budget (first try included); exhausting it
-    /// triggers the local fallback.
-    pub max_attempts: u32,
-    /// Time after which one attempt is declared dead when the link
-    /// carries nothing at all, ms (used by the degradation ladder to
-    /// price out a blackout burst).
-    pub timeout_ms: f64,
+/// Delay before the first retry of a lost upload, ms.
+const RETRY_BASE_MS: f64 = 2.0;
+/// Backoff multiplier per further retry.
+const RETRY_MULTIPLIER: f64 = 2.0;
+/// Backoff cap, ms.
+const RETRY_CAP_MS: f64 = 64.0;
+/// Upload attempt budget, first try included; exhausting it triggers
+/// the local fallback.
+pub(crate) const MAX_ATTEMPTS: u32 = 4;
+/// Time after which one attempt is declared dead when the link carries
+/// nothing at all, ms (the degradation ladder prices a blackout burst
+/// with it).
+const ATTEMPT_TIMEOUT_MS: f64 = 100.0;
+
+/// Backoff before retry number `retry` (1-based: the delay after the
+/// `retry`-th failed attempt), exponentially grown and capped.
+pub(crate) fn backoff_ms(retry: u32) -> f64 {
+    assert!(retry >= 1, "backoff follows a failed attempt");
+    let exp = RETRY_MULTIPLIER.powi(retry as i32 - 1);
+    (RETRY_BASE_MS * exp).min(RETRY_CAP_MS)
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            base_delay_ms: 2.0,
-            multiplier: 2.0,
-            max_delay_ms: 64.0,
-            max_attempts: 4,
-            timeout_ms: 100.0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before retry number `retry` (1-based: the delay after
-    /// the `retry`-th failed attempt), exponentially grown and capped.
-    pub(crate) fn backoff_ms(&self, retry: u32) -> f64 {
-        assert!(retry >= 1, "backoff follows a failed attempt");
-        let exp = self.multiplier.powi(retry as i32 - 1);
-        (self.base_delay_ms * exp).min(self.max_delay_ms)
-    }
-
-    /// Worst-case time burned before giving up on a job whose every
-    /// attempt times out: all attempts at `timeout_ms` plus every
-    /// backoff in between.
-    pub(crate) fn exhaustion_penalty_ms(&self) -> f64 {
-        let timeouts = self.max_attempts as f64 * self.timeout_ms;
-        let backoffs: f64 = (1..self.max_attempts).map(|r| self.backoff_ms(r)).sum();
-        timeouts + backoffs
-    }
+/// Worst-case time burned before giving up on a job whose every
+/// attempt times out: all attempts at [`ATTEMPT_TIMEOUT_MS`] plus every
+/// backoff in between.
+pub(crate) fn exhaustion_penalty_ms() -> f64 {
+    let timeouts = MAX_ATTEMPTS as f64 * ATTEMPT_TIMEOUT_MS;
+    let backoffs: f64 = (1..MAX_ATTEMPTS).map(backoff_ms).sum();
+    timeouts + backoffs
 }
 
 /// The faults one pipeline run replays: a field of
 /// [`DesConfig`](crate::des::DesConfig) and of
 /// [`ExecutorConfig`](crate::executor::ExecutorConfig). The default is
 /// the empty plan, which is the fault-free run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultedRun {
     /// The fault schedule to replay.
     pub faults: FaultPlan,
-    /// Retry policy for lost uploads.
-    pub retry: RetryPolicy,
     /// Extra mobile compute (ms) needed to finish one job entirely
     /// on-device once its upload is abandoned — for a job cut at `l`
     /// this is `f(k) − f(l)`, the remaining layers' mobile time.
     pub local_fallback_ms: f64,
 }
 
-impl Default for FaultedRun {
-    fn default() -> Self {
-        FaultedRun {
-            faults: FaultPlan::none(),
-            retry: RetryPolicy::default(),
-            local_fallback_ms: 0.0,
-        }
-    }
-}
-
 impl FaultedRun {
-    /// The run-wide input checks both substrates make on every run.
+    /// The run-wide input check both substrates make on every run.
     pub(crate) fn check(&self) {
-        assert!(self.retry.max_attempts >= 1, "need at least one attempt");
         assert!(self.local_fallback_ms >= 0.0, "fallback time must be >= 0");
     }
 }
@@ -682,13 +652,12 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_caps() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.backoff_ms(1), 2.0);
-        assert_eq!(p.backoff_ms(2), 4.0);
-        assert_eq!(p.backoff_ms(6), 64.0);
-        assert_eq!(p.backoff_ms(20), 64.0, "cap holds");
+        assert_eq!(backoff_ms(1), 2.0);
+        assert_eq!(backoff_ms(2), 4.0);
+        assert_eq!(backoff_ms(6), 64.0);
+        assert_eq!(backoff_ms(20), 64.0, "cap holds");
         // 4 timeouts + backoffs 2 + 4 + 8.
-        assert!((p.exhaustion_penalty_ms() - (400.0 + 14.0)).abs() < 1e-12);
+        assert!((exhaustion_penalty_ms() - (400.0 + 14.0)).abs() < 1e-12);
     }
 
     #[test]

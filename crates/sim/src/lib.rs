@@ -40,7 +40,7 @@ pub use degrade::{
     LadderFrontier, LadderLevel,
 };
 pub use des::{simulate, DesArena, DesConfig, DesResult};
-pub use fault::{Fault, FaultEvent, FaultEventKind, FaultPlan, FaultSpec, FaultedRun, RetryPolicy};
+pub use fault::{Fault, FaultEvent, FaultEventKind, FaultPlan, FaultSpec, FaultedRun};
 pub use executor::{run_pipeline, ClockMode, ExecTrace, ExecutorConfig};
 pub use online::{run_online, BandwidthTrace, OnlineResult, ReplanPolicy};
 pub use serve::{
@@ -49,8 +49,7 @@ pub use serve::{
 };
 pub use slo::{
     serve_slo, serve_slo_serial, slo_fleet, AdmitError, ClassSummary, DispatchMode,
-    DispatchStats, SloClass, SloConfig, SloPolicy, SloReport, SloSpec, SloStreams, SloTenant,
-    TenantSloSummary,
+    DispatchStats, SloConfig, SloPolicy, SloReport, SloStreams, SloTenant, TenantSloSummary,
 };
 pub use robustness::{
     chaos_drill, chaos_scenarios, realized_makespans, run_chaos_grid, ChaosDrill, ChaosRow,

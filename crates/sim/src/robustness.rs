@@ -23,7 +23,7 @@ use mcdnn_runtime::WorkerPool;
 
 use crate::degrade::{run_degraded, DegradePolicy};
 use crate::des::{simulate, DesArena, DesConfig, DesResult};
-use crate::fault::{format_events, log_digest, FaultPlan, FaultSpec, FaultedRun, RetryPolicy};
+use crate::fault::{format_events, log_digest, FaultPlan, FaultSpec, FaultedRun};
 
 /// Summary statistics of realised makespans.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -165,7 +165,6 @@ pub fn run_chaos_grid(
     jobs_per_burst: usize,
     target_hz: f64,
     rho_limit: f64,
-    retry: &RetryPolicy,
 ) -> Vec<ChaosRow> {
     let _span = mcdnn_obs::span("sim", "run_chaos_grid");
     const POLICIES: [DegradePolicy; 4] = [
@@ -174,7 +173,7 @@ pub fn run_chaos_grid(
         DegradePolicy::LaggedLadder,
         DegradePolicy::MobileOnly,
     ];
-    let (profile, scenarios, retry) = (profile.clone(), scenarios.to_vec(), *retry);
+    let (profile, scenarios) = (profile.clone(), scenarios.to_vec());
     let per_scenario = pool.run_indexed(scenarios.len(), move |i| {
         let sc = &scenarios[i];
         let totals: Vec<f64> = POLICIES
@@ -186,7 +185,6 @@ pub fn run_chaos_grid(
                     jobs_per_burst,
                     target_hz,
                     rho_limit,
-                    &retry,
                     policy,
                 );
                 run.total_ms
@@ -241,7 +239,6 @@ pub fn chaos_drill(
     let config = DesConfig {
         faults: FaultedRun {
             faults: FaultPlan::random(spec, n_jobs, horizon, seed),
-            retry: RetryPolicy::default(),
             local_fallback_ms: profile.f(profile.k()) - f,
         },
         ..DesConfig::default()
@@ -338,7 +335,7 @@ mod tests {
         let p = profile();
         let scenarios = chaos_scenarios(9, 7);
         let pool = WorkerPool::new(2);
-        let rows = run_chaos_grid(&pool, &p, &scenarios, 6, 20.0, 0.9, &RetryPolicy::default());
+        let rows = run_chaos_grid(&pool, &p, &scenarios, 6, 20.0, 0.9);
         assert_eq!(rows.len(), scenarios.len() * 4);
         for sc in &scenarios {
             let total = |policy: DegradePolicy| {
@@ -375,9 +372,7 @@ mod tests {
     fn chaos_grid_rows_are_reproducible() {
         let p = profile();
         let scenarios = chaos_scenarios(6, 3);
-        let grid = |pool: &WorkerPool| {
-            run_chaos_grid(pool, &p, &scenarios, 4, 20.0, 0.9, &RetryPolicy::default())
-        };
+        let grid = |pool: &WorkerPool| run_chaos_grid(pool, &p, &scenarios, 4, 20.0, 0.9);
         let a = grid(&WorkerPool::new(1));
         let b = grid(&WorkerPool::new(3));
         assert_eq!(a, b, "the sweep must not depend on the pool width");

@@ -50,8 +50,8 @@
 //! stage times come from the factory profile under the truth scales.
 //! With [`ServeConfig::adapt`] set, a
 //! [`ProfileEstimator`](mcdnn_profile::ProfileEstimator) observes
-//! every realized stage and, at deterministic `commit_every`
-//! boundaries, [`UserSession::maybe_adapt`] commits gated estimates,
+//! every realized stage and, at deterministic boundaries every 16
+//! bursts, [`UserSession::maybe_adapt`] commits gated estimates,
 //! rebuilds the believed profile from the factory base (stamped with
 //! the estimator's generation), makes it a belief private to the
 //! session — validated at the commit, each `l*` regime walked when a
@@ -70,10 +70,10 @@ use mcdnn_profile::{AdaptConfig, ProfileVersion};
 use mcdnn_rng::{fnv_fold, Rng, FNV_OFFSET};
 use mcdnn_runtime::WorkerPool;
 
-use crate::adapt::{check_drift_adapt, DriftSpec};
+use crate::adapt::{check_drift, DriftSpec};
 use crate::degrade::{LadderFrontier, LadderLevel};
 use crate::des::{DesArena, DesConfig};
-use crate::fault::{FaultEvent, FaultEventKind, FaultPlan, FaultSpec, FaultedRun, RetryPolicy};
+use crate::fault::{FaultEvent, FaultEventKind, FaultPlan, FaultSpec, FaultedRun};
 use crate::tenant::{cut_pair, Tenant};
 
 /// Knobs shared by every user of a serving run.
@@ -124,10 +124,8 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// Check the knobs no frontier compile checks: the ladder's
-    /// `target_hz` and `rho_limit`, `degrade_prob`, and the drift and
-    /// adaptation settings (walks and jitter finite in `[0, 1)`, a
-    /// finite `slack > 0`, an [`AdaptConfig`] with `alpha` in `(0, 1]`,
-    /// a finite `gate >= 0`, `window >= 2` and `min_obs >= 1`).
+    /// `target_hz` and `rho_limit`, `degrade_prob`, and the drift
+    /// (walks and jitter finite in `[0, 1)`).
     /// [`UserSession::start`] calls this, so every serving entry point
     /// reports a bad value as [`PlanError::BadInput`] instead of
     /// panicking, or hanging, inside a pool task.
@@ -147,8 +145,7 @@ impl ServeConfig {
                 what: "degrade_prob must be in [0, 1]",
             });
         }
-        check_drift_adapt(&self.drift, self.adapt.as_ref())
-            .map_err(|what| PlanError::BadInput { what })
+        check_drift(&self.drift).map_err(|what| PlanError::BadInput { what })
     }
 }
 
@@ -296,7 +293,7 @@ impl UserSession {
             config.lo_mbps,
             config.hi_mbps,
             &config.drift,
-            config.adapt,
+            config.adapt.is_some(),
         )?;
         let mid = (config.lo_mbps * config.hi_mbps).sqrt();
         let at_mid = spec.profile.profile_at(mid);
@@ -442,7 +439,6 @@ impl UserSession {
                         horizon_ms,
                         self.core.rng().next_u64(),
                     ),
-                    retry: RetryPolicy::default(),
                     local_fallback_ms,
                 },
                 ..DesConfig::default()
@@ -489,8 +485,8 @@ impl UserSession {
     }
 
     /// Commit gated estimates and replan if this burst sits on a
-    /// `commit_every` boundary and the estimator's confidence gate is
-    /// crossed: the believed profile is rebuilt **from the factory
+    /// commit boundary (every 16 bursts) and the estimator's confidence
+    /// gate is crossed: the believed profile is rebuilt **from the factory
     /// base** under the committed scales, stamped with the estimator's
     /// generation, made a belief private to this session (its regimes
     /// walked as bursts reach them) and the ladder set up on it.

@@ -4,7 +4,7 @@
 //! sessions cost"; this module adds the missing control plane: *which*
 //! requests run *when* once the fleet contends for a shared uplink.
 //! Every request carries an SLO class (deadline slack + priority drawn
-//! from a seeded [`SloSpec`]), the front-end queue orders work
+//! from a fixed three-class mix), the front-end queue orders work
 //! earliest-deadline-first with per-tenant weighted fair queueing, and
 //! overload sheds or degrades instead of queueing unboundedly: a
 //! request whose deadline is infeasible at the current bandwidth walks
@@ -146,7 +146,7 @@ use mcdnn_profile::AdaptConfig;
 use mcdnn_rng::{fnv_fold, Rng, FNV_OFFSET};
 use mcdnn_runtime::WorkerPool;
 
-use crate::adapt::{check_drift_adapt, DriftSpec};
+use crate::adapt::{check_drift, DriftSpec};
 use crate::degrade::LadderLevel;
 use crate::serve::{fleet_with, UserSpec};
 use crate::tenant::{cut_pair, Tenant};
@@ -193,75 +193,56 @@ impl From<PlanError> for AdmitError {
     }
 }
 
-/// One service class: how much slack a request of this class gets and
-/// how it ranks against other classes at equal deadlines.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SloClass {
-    /// Display name ("interactive", "standard", "batch", ...).
-    pub name: &'static str,
+/// One service class: how much slack a request of this class gets, how
+/// it ranks against other classes at equal deadlines, and how often
+/// requests draw it.
+struct SloClass {
+    /// Display name.
+    name: &'static str,
     /// Deadline = arrival + `slack_factor` × the request's nominal
     /// unloaded service time (device + uplink at its own bandwidth).
-    pub slack_factor: f64,
+    slack_factor: f64,
     /// Tie-break rank at equal deadlines; lower wins.
-    pub priority: u8,
+    priority: u8,
+    /// Sampling weight.
+    weight: f64,
 }
 
-/// The seeded class mix requests draw from: each class paired with its
-/// sampling weight.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SloSpec {
-    /// `(class, sampling weight)` pairs; weights need not sum to 1.
-    pub classes: Vec<(SloClass, f64)>,
-}
+/// The class mix every request draws from: half interactive (tight
+/// 1.5× slack), a third standard, the rest batch (loose 8× slack).
+const CLASSES: [SloClass; 3] = [
+    SloClass {
+        name: "interactive",
+        slack_factor: 1.5,
+        priority: 0,
+        weight: 0.5,
+    },
+    SloClass {
+        name: "standard",
+        slack_factor: 3.0,
+        priority: 1,
+        weight: 0.3,
+    },
+    SloClass {
+        name: "batch",
+        slack_factor: 8.0,
+        priority: 2,
+        weight: 0.2,
+    },
+];
 
-impl Default for SloSpec {
-    /// Three-class mix: half interactive (tight 1.5× slack), a third
-    /// standard, the rest batch (loose 8× slack).
-    fn default() -> Self {
-        SloSpec {
-            classes: vec![
-                (
-                    SloClass {
-                        name: "interactive",
-                        slack_factor: 1.5,
-                        priority: 0,
-                    },
-                    0.5,
-                ),
-                (
-                    SloClass {
-                        name: "standard",
-                        slack_factor: 3.0,
-                        priority: 1,
-                    },
-                    0.3,
-                ),
-                (
-                    SloClass {
-                        name: "batch",
-                        slack_factor: 8.0,
-                        priority: 2,
-                    },
-                    0.2,
-                ),
-            ],
+/// Sample a class index from the weighted mix: one draw scaled by the
+/// total weight, then each class's weight subtracted in class order.
+fn sample_class(rng: &mut Rng) -> usize {
+    let total: f64 = CLASSES.iter().map(|c| c.weight).sum();
+    let mut x = rng.f64() * total;
+    for (i, c) in CLASSES.iter().enumerate() {
+        x -= c.weight;
+        if x <= 0.0 {
+            return i;
         }
     }
-}
-
-impl SloSpec {
-    /// Sample a class index from the weighted mix.
-    pub fn sample(&self, rng: &mut Rng) -> usize {
-        let total: f64 = self.classes.iter().map(|(_, w)| w).sum();
-        let mut x = rng.f64() * total;
-        for (i, (_, w)) in self.classes.iter().enumerate() {
-            x -= w;
-            if x <= 0.0 {
-                return i;
-            }
-        }
-        self.classes.len() - 1
-    }
+    CLASSES.len() - 1
 }
 
 /// Front-end queue discipline.
@@ -286,7 +267,7 @@ impl std::fmt::Display for SloPolicy {
 }
 
 /// Knobs shared by every tenant of an SLO scheduling run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloConfig {
     /// Requests each tenant offers before its stream ends.
     pub requests_per_tenant: usize,
@@ -300,8 +281,6 @@ pub struct SloConfig {
     /// Queue bound for [`SloPolicy::EdfDegrade`]; arrivals past it are
     /// shed on the spot. FIFO ignores it (that is the point).
     pub max_queue: usize,
-    /// The seeded class mix.
-    pub spec: SloSpec,
     /// Seed for fleet generation; per-tenant streams derive from it.
     pub seed: u64,
     /// Shared cloud compute servers the fleet contends for. `0` (the
@@ -319,8 +298,8 @@ pub struct SloConfig {
     pub drift: DriftSpec,
     /// Online profile learning: `Some` observes realized per-request
     /// timings in each tenant's stream and commits gated estimates at
-    /// deterministic `commit_every` sequence boundaries, rebuilding the
-    /// tenant's private belief under a bumped generation. Stream
+    /// deterministic sequence boundaries (every 16 requests), rebuilding
+    /// the tenant's private belief under a bumped generation. Stream
     /// generation stays pure per tenant, so pooled and serial runs
     /// remain byte-equal. Adaptive regeneration is excluded from the
     /// warm arena's no-allocation contract.
@@ -335,7 +314,6 @@ impl Default for SloConfig {
             hi_mbps: 100.0,
             overload: 2.0,
             max_queue: 64,
-            spec: SloSpec::default(),
             seed: 0x510_5EED,
             cloud_servers: 0,
             joint_alloc: false,
@@ -370,31 +348,17 @@ impl SloConfig {
                 what: "max_queue must be >= 1",
             });
         }
-        let total: f64 = self.spec.classes.iter().map(|(_, w)| w).sum();
-        if self.spec.classes.is_empty() || !total.is_finite() || total <= 0.0 {
-            return Err(AdmitError::BadConfig {
-                what: "SloSpec needs classes with positive total weight",
-            });
-        }
-        for (c, w) in &self.spec.classes {
-            if !c.slack_factor.is_finite() || c.slack_factor <= 0.0 || *w < 0.0 {
-                return Err(AdmitError::BadConfig {
-                    what: "class slack_factor must be > 0 and weights >= 0",
-                });
-            }
-        }
         if self.joint_alloc && self.cloud_servers == 0 {
             return Err(AdmitError::BadConfig {
                 what: "joint_alloc requires cloud_servers >= 1",
             });
         }
-        if u32::try_from(self.requests_per_tenant).is_err() || self.spec.classes.len() > 256 {
+        if u32::try_from(self.requests_per_tenant).is_err() {
             return Err(AdmitError::BadConfig {
-                what: "requests_per_tenant must fit u32 and SloSpec may hold at most 256 classes",
+                what: "requests_per_tenant must fit u32",
             });
         }
-        check_drift_adapt(&self.drift, self.adapt.as_ref())
-            .map_err(|what| AdmitError::BadConfig { what })
+        check_drift(&self.drift).map_err(|what| AdmitError::BadConfig { what })
     }
 }
 
@@ -442,7 +406,7 @@ pub(crate) struct SloRequest {
     /// [`LADDER`]) at this request's bandwidth, on the frontier its
     /// stream ended on; set once the stream is complete.
     pieces: [u32; 3],
-    /// Index into [`SloSpec::classes`].
+    /// Index into [`CLASSES`].
     class: u8,
 }
 
@@ -531,7 +495,7 @@ fn rung_cost(
 /// adaptation on the same drift → observe → commit → replan loop as
 /// [`UserSession`](crate::serve::UserSession) runs inside this pure
 /// per-tenant function: realized stage timings feed the estimator, and
-/// a commit at a `commit_every` sequence boundary rebuilds the
+/// a commit at a sequence boundary (every 16 requests) rebuilds the
 /// tenant's private belief under a bumped generation, so the nominal
 /// service times, and with them the deadlines, of later requests
 /// reflect the adapted beliefs. The scheduler itself is untouched —
@@ -555,7 +519,7 @@ fn tenant_requests_into(
         config.lo_mbps,
         config.hi_mbps,
         &config.drift,
-        config.adapt,
+        config.adapt.is_some(),
     )?;
     let mid = (config.lo_mbps * config.hi_mbps).sqrt();
     // Calibrate arrivals so the fleet's total offered uplink occupancy
@@ -581,7 +545,7 @@ fn tenant_requests_into(
         // Main-RNG order per request: arrival, bandwidth step, class.
         arrival += mean_gap * (0.5 + core.rng().f64());
         let bandwidth = core.step();
-        let class = config.spec.sample(core.rng());
+        let class = sample_class(core.rng());
         let mix = core.decide(bandwidth);
         let believed = core.profile();
         // Nominal service is contention-free: cloud work counts at unit
@@ -595,7 +559,7 @@ fn tenant_requests_into(
         let nominal = believed.mix_mobile_ms(spec.n_jobs, mix)
             + believed.mix_upload_ms(spec.n_jobs, mix, bandwidth)
             + cloud_nominal;
-        let slack = config.spec.classes[class].0.slack_factor;
+        let slack = CLASSES[class].slack_factor;
         let deadline_ms = arrival + slack * nominal;
         deadlines_finite &= deadline_ms.is_finite();
         out.push(SloRequest {
@@ -651,14 +615,14 @@ fn tenant_requests_into(
 /// everyone still under theirs. [`DispatchMode::Indexed`] computes the
 /// same argmin from indexed queues; this O(n) scan is the semantic
 /// ground truth the heap path is proven byte-equal against.
-fn dispatch_reference(queue: &[SloRequest], classes: &[(SloClass, f64)], wfq: &Wfq) -> usize {
+fn dispatch_reference(queue: &[SloRequest], wfq: &Wfq) -> usize {
     let mut best = 0usize;
     let mut best_key = (u8::MAX, f64::INFINITY, u8::MAX, usize::MAX, usize::MAX);
     for (i, r) in queue.iter().enumerate() {
         let key = (
             u8::from(wfq.over(r.tenant())),
             r.deadline_ms,
-            classes[r.class()].0.priority,
+            CLASSES[r.class()].priority,
             r.tenant(),
             r.seq(),
         );
@@ -1216,7 +1180,7 @@ fn run_reference(
         let t = cx.server_free;
         let idx = match policy {
             SloPolicy::Fifo => 0, // `order` is arrival order and admits in order
-            SloPolicy::EdfDegrade => dispatch_reference(&st.rq, &config.spec.classes, &st.wfq),
+            SloPolicy::EdfDegrade => dispatch_reference(&st.rq, &st.wfq),
         };
         let r = st.rq.remove(idx);
         metrics::SCHED_SLACK_MS.observe((r.deadline_ms - t).max(0.0));
@@ -1327,7 +1291,7 @@ fn run_indexed(
                     st.slots[st.off[tid] + seq] = SHED;
                 } else {
                     let r = &streams[tid][seq];
-                    let priority = config.spec.classes[r.class()].0.priority;
+                    let priority = CLASSES[r.class()].priority;
                     st.iq
                         .push(tid, seq, r.deadline_ms, priority, &st.wfq, &mut st.stats);
                     queued += 1;
@@ -1610,11 +1574,9 @@ fn summarize(
         })
         .collect();
 
-    let mut classes: Vec<ClassSummary> = config
-        .spec
-        .classes
+    let mut classes: Vec<ClassSummary> = CLASSES
         .iter()
-        .map(|(c, _)| ClassSummary {
+        .map(|c| ClassSummary {
             name: c.name,
             requests: 0,
             hits: 0,
@@ -1724,7 +1686,7 @@ pub struct TenantSloSummary {
 /// Per-class deadline accounting.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassSummary {
-    /// Class name from the [`SloSpec`].
+    /// Class name: "interactive", "standard" or "batch".
     pub name: &'static str,
     /// Requests of this class offered.
     pub requests: u64,
@@ -1771,7 +1733,7 @@ pub struct SloReport {
     pub p99_latency_ms: f64,
     /// Per-tenant summaries in id order.
     pub tenants: Vec<TenantSloSummary>,
-    /// Per-class deadline accounting, in [`SloSpec`] order.
+    /// Per-class deadline accounting: interactive, standard, batch.
     pub classes: Vec<ClassSummary>,
     /// FNV-1a fold of the tenant digests in id order.
     pub digest: u64,
@@ -1871,11 +1833,11 @@ impl SloStreams {
         let start = Instant::now();
         let shared: Arc<Vec<SloTenant>> = Arc::new(tenants.to_vec());
         let cache_ref = Arc::clone(cache);
-        let config_ref = Arc::new(config.clone());
+        let config = *config;
         let fleet_size = shared.len();
         let results = pool.run_indexed(fleet_size, move |i| {
-            let mut out = Vec::with_capacity(config_ref.requests_per_tenant);
-            tenant_requests_into(&cache_ref, &shared[i], fleet_size, &config_ref, &mut out)
+            let mut out = Vec::with_capacity(config.requests_per_tenant);
+            tenant_requests_into(&cache_ref, &shared[i], fleet_size, &config, &mut out)
                 .map(|frontier| (out, frontier))
         });
         let mut run = SloStreams {
@@ -2121,7 +2083,6 @@ mod tests {
                 cloud_walk: 0.05,
                 link_walk: 0.04,
                 jitter: 0.02,
-                ..DriftSpec::none()
             },
             adapt: Some(AdaptConfig::default()),
             ..SloConfig::default()
@@ -2163,7 +2124,7 @@ mod tests {
         for (policy, joint_alloc) in [(fifo, false), (edf, false), (edf, true)] {
             let run_config = SloConfig {
                 joint_alloc,
-                ..config.clone()
+                ..config
             };
             let direct = serve_slo_serial(&PlanCache::new(), &fleet, &run_config, policy).unwrap();
             let scheduled = streams.schedule(&fleet, &run_config, policy, indexed);
@@ -2204,7 +2165,7 @@ mod tests {
             serve_slo_serial(&PlanCache::new(), &fleet, &config, SloPolicy::EdfDegrade).unwrap();
         let frozen_config = SloConfig {
             adapt: None,
-            ..config.clone()
+            ..config
         };
         let frozen =
             serve_slo_serial(&PlanCache::new(), &fleet, &frozen_config, SloPolicy::EdfDegrade)
@@ -2465,7 +2426,7 @@ mod tests {
         };
         let joint_cfg = SloConfig {
             joint_alloc: true,
-            ..oblivious_cfg.clone()
+            ..oblivious_cfg
         };
         let fleet = slo_fleet(&cloudy_profiles(), 10, &oblivious_cfg);
         let cache = PlanCache::new();
@@ -2565,12 +2526,6 @@ mod tests {
             ..SloConfig::default()
         };
         assert!(too_many_requests.validate().is_err());
-        let mut too_many_classes = SloConfig::default();
-        let class = too_many_classes.spec.classes[0];
-        too_many_classes.spec.classes = vec![class; 257];
-        assert!(too_many_classes.validate().is_err());
-        too_many_classes.spec.classes.truncate(256);
-        assert!(too_many_classes.validate().is_ok());
         let e = AdmitError::from(PlanError::NonMonotoneF { at: 1 });
         assert!(std::error::Error::source(&e).is_some());
         assert!(e.to_string().contains("planning failed"));
@@ -2646,7 +2601,6 @@ mod tests {
     /// An [`IndexedQueue`] and the linear-scan reference driven in
     /// lockstep through the same pushes, picks, dispatches and sheds.
     struct Lockstep {
-        classes: Vec<(SloClass, f64)>,
         wfq: Wfq,
         iq: IndexedQueue,
         linear: Vec<SloRequest>,
@@ -2663,7 +2617,6 @@ mod tests {
             let mut iq = IndexedQueue::default();
             iq.reset(tcount);
             Lockstep {
-                classes: SloConfig::default().spec.classes,
                 wfq: Wfq {
                     service: vec![0.0; tcount],
                     total_weight: weights.iter().sum(),
@@ -2682,7 +2635,7 @@ mod tests {
         fn push(&mut self, tenant: usize, class: usize, deadline_ms: f64) {
             let r = request(tenant, self.seqs[tenant], class, 0.0, deadline_ms);
             self.seqs[tenant] += 1;
-            let priority = self.classes[class].0.priority;
+            let priority = CLASSES[class].priority;
             self.iq.push(
                 tenant,
                 r.seq(),
@@ -2702,7 +2655,7 @@ mod tests {
             if self.charged {
                 self.iq.sweep(&self.wfq, &mut self.stats);
             }
-            let want = dispatch_reference(&self.linear, &self.classes, &self.wfq);
+            let want = dispatch_reference(&self.linear, &self.wfq);
             let expect = self.linear.remove(want);
             let (t, seq) = self.iq.pop_best(&mut self.stats);
             assert_eq!(
@@ -2768,7 +2721,7 @@ mod tests {
             let tcount = 2 + (rng.f64() * 6.0) as usize;
             let weights: Vec<f64> = (0..tcount).map(|_| 0.25 + 4.0 * rng.f64()).collect();
             let mut q = Lockstep::new(weights);
-            let classes = q.classes.len();
+            let classes = CLASSES.len();
             for step in 0..600 {
                 if q.linear.is_empty() || rng.f64() < 0.55 {
                     let tenant = (rng.f64() * tcount as f64) as usize % tcount;

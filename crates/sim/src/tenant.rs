@@ -33,11 +33,16 @@ use mcdnn_obs::metrics;
 use mcdnn_partition::{
     CutMix, FrontierCursor, LazyFrontier, PlanCache, PlanError, RateFrontier, RateProfile, Strategy,
 };
-use mcdnn_profile::{AdaptConfig, ProfileEstimator};
+use mcdnn_profile::ProfileEstimator;
 use mcdnn_rng::Rng;
 
-use crate::adapt::{DriftSpec, DriftState};
+use crate::adapt::{DriftSpec, DriftState, DRIFT_SLACK};
 use crate::serve::UserSpec;
+
+/// Commit cadence: an adapting tenant consults its estimator's gate
+/// every this many steps, a deterministic boundary so pooled and serial
+/// runs see identical commit points.
+const COMMIT_EVERY: usize = 16;
 
 /// The `(first, second)` cut of a mix: `(cut, cut)` for a uniform
 /// decision, `(prev, star)` for a two-type mix.
@@ -72,7 +77,7 @@ pub(crate) struct Tenant {
     rng: Rng,
     bandwidth: f64,
     truth: Option<DriftState>,
-    adapt: Option<(AdaptConfig, ProfileEstimator)>,
+    adapt: Option<ProfileEstimator>,
     steps: usize,
     last_replan: usize,
     replans: u64,
@@ -81,26 +86,23 @@ pub(crate) struct Tenant {
 impl Tenant {
     /// Open a tenant: fetch its factory frontier from the shared cache,
     /// seed the main RNG from the spec and draw the initial bandwidth.
-    /// Drift and adaptation state exist only when configured.
+    /// Drift state exists only when `drift` is active, an estimator only
+    /// when `adapt` is set.
     pub(crate) fn start(
         cache: &PlanCache,
         spec: &UserSpec,
         lo_mbps: f64,
         hi_mbps: f64,
         drift: &DriftSpec,
-        adapt: Option<AdaptConfig>,
+        adapt: bool,
     ) -> Result<Tenant, PlanError> {
         let frontier =
             cache.frontier(&spec.profile, spec.strategy, spec.n_jobs, lo_mbps, hi_mbps)?;
         let mut rng = Rng::seed_from_u64(spec.seed);
         let bandwidth = lo_mbps * (hi_mbps / lo_mbps).powf(rng.f64());
         let truth = drift.is_active().then(|| DriftState::new(drift, spec.seed));
-        let adapt = adapt.map(|cfg| {
-            (
-                cfg,
-                ProfileEstimator::new(spec.profile.k(), spec.profile.setup_ms(), cfg),
-            )
-        });
+        let adapt = adapt
+            .then(|| ProfileEstimator::new(spec.profile.k(), spec.profile.setup_ms()));
         Ok(Tenant {
             strategy: spec.strategy,
             n_jobs: spec.n_jobs,
@@ -233,20 +235,18 @@ impl Tenant {
     }
 
     /// Drift hit metric: a step hits when its realized makespan stays
-    /// within `slack ×` the factory frontier's optimum at bandwidth `b`
-    /// ([`RateFrontier::makespan_at`], looked up from the hit cursor) —
-    /// a fixed reference, identical for adaptive and frozen runs.
-    /// Always a hit without drift.
+    /// within [`DRIFT_SLACK`] × the factory frontier's optimum at
+    /// bandwidth `b` (its decision, looked up from the hit cursor, priced
+    /// by [`RateProfile::mix_makespan`]) — a fixed reference, identical
+    /// for adaptive and frozen runs. Always a hit without drift.
     #[inline]
     pub(crate) fn hit(&mut self, makespan_ms: f64, b: f64) -> bool {
-        match self.truth.as_ref() {
-            Some(t) => {
-                let mix = self.base.decide_from(&mut self.hit_cursor, b);
-                let optimum = self.base.profile().mix_makespan(self.base.n(), mix, b);
-                makespan_ms <= t.spec().slack * optimum
-            }
-            None => true,
+        if self.truth.is_none() {
+            return true;
         }
+        let mix = self.base.decide_from(&mut self.hit_cursor, b);
+        let optimum = self.base.profile().mix_makespan(self.base.n(), mix, b);
+        makespan_ms <= DRIFT_SLACK * optimum
     }
 
     /// Feed one step's realized stage times back through the estimator:
@@ -260,7 +260,7 @@ impl Tenant {
     /// adaptation; allocation-free (in-place EWMA and ring writes).
     #[inline]
     pub(crate) fn observe(&mut self, mix: CutMix, b: f64, stages: [f64; 4], cloud: Option<f64>) {
-        let Some((_, est)) = self.adapt.as_mut() else {
+        let Some(est) = self.adapt.as_mut() else {
             return;
         };
         let base = self.base.profile();
@@ -285,7 +285,7 @@ impl Tenant {
     }
 
     /// Commit gated estimates and replan, if this step sits on a
-    /// `commit_every` boundary and the estimator's confidence gate is
+    /// [`COMMIT_EVERY`] boundary and the estimator's confidence gate is
     /// crossed ([`Tenant::replan`]). Returns `true` when it replanned;
     /// the rebuilt believed profile is then [`Tenant::profile`], for
     /// the caller's own set-ups. Without adaptation, between
@@ -293,11 +293,10 @@ impl Tenant {
     /// allocation-free check returning `false`.
     #[inline]
     pub(crate) fn commit(&mut self) -> Result<bool, PlanError> {
-        let Some((cfg, est)) = self.adapt.as_mut() else {
+        let Some(est) = self.adapt.as_mut() else {
             return Ok(false);
         };
-        let every = cfg.commit_every;
-        if every == 0 || !self.steps.is_multiple_of(every) || !est.commit() {
+        if !self.steps.is_multiple_of(COMMIT_EVERY) || !est.commit() {
             return Ok(false);
         }
         self.replan().map(|()| true)
@@ -314,7 +313,7 @@ impl Tenant {
     /// policy instead.
     #[inline(never)]
     fn replan(&mut self) -> Result<(), PlanError> {
-        let est = &self.adapt.as_ref().expect("replan follows a commit").1;
+        let est = self.adapt.as_ref().expect("replan follows a commit");
         metrics::ADAPT_COMMITS.add(1);
         let base = self.base.profile();
         if let Some(truth) = self.truth.as_ref() {

@@ -196,7 +196,6 @@ mod tests {
             faults: FaultedRun {
                 faults: plan.clone(),
                 local_fallback_ms: 3.0,
-                ..FaultedRun::default()
             },
             ..DesConfig::default()
         };

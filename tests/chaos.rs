@@ -19,7 +19,7 @@ use mcdnn_rng::{fnv_fold, FNV_OFFSET};
 use mcdnn_sim::{
     best_cut_for_rate, chaos_drill, chaos_scenarios, ladder_decision, run_chaos_grid,
     run_degraded, run_pipeline, saturation_rate_hz, simulate, DegradePolicy, DesConfig,
-    ExecutorConfig, FaultSpec, FaultedRun, LadderLevel, RetryPolicy,
+    ExecutorConfig, FaultSpec, FaultedRun, LadderLevel,
 };
 
 const SEEDS: [u64; 2] = [7, 1234];
@@ -64,7 +64,6 @@ fn des_and_executor_agree_on_faulted_runs() {
         let order: Vec<usize> = (0..6).collect();
         let run = FaultedRun {
             faults: drill.plan.clone(),
-            retry: RetryPolicy::default(),
             local_fallback_ms: p.f(p.k()) - f,
         };
         let des_config = DesConfig {
@@ -90,15 +89,7 @@ fn ladder_never_loses_to_mobile_only_on_real_models() {
         for net in [NetworkModel::four_g(), NetworkModel::wifi()] {
             let s = Scenario::paper_default(model, net);
             let scenarios = chaos_scenarios(9, SEEDS[0]);
-            let rows = run_chaos_grid(
-                engine.pool(),
-                s.profile(),
-                &scenarios,
-                6,
-                15.0,
-                0.9,
-                &RetryPolicy::default(),
-            );
+            let rows = run_chaos_grid(engine.pool(), s.profile(), &scenarios, 6, 15.0, 0.9);
             for sc in &scenarios {
                 let total = |policy: DegradePolicy| {
                     rows.iter()
@@ -146,8 +137,8 @@ fn rate_at_exact_saturation_hits_none_contract_and_degrades() {
     );
     // ...and the degraded stream still never does worse than mobile-only.
     let factors = vec![1.0; 6];
-    let ladder = run_degraded(p, &factors, 6, ceiling, 1.0, &RetryPolicy::default(), DegradePolicy::Ladder);
-    let mobile = run_degraded(p, &factors, 6, ceiling, 1.0, &RetryPolicy::default(), DegradePolicy::MobileOnly);
+    let ladder = run_degraded(p, &factors, 6, ceiling, 1.0, DegradePolicy::Ladder);
+    let mobile = run_degraded(p, &factors, 6, ceiling, 1.0, DegradePolicy::MobileOnly);
     assert!(ladder.total_ms <= mobile.total_ms + 1e-9);
 }
 
@@ -158,7 +149,7 @@ fn link_dying_mid_stream_falls_to_mobile_only_and_recovers() {
     // Healthy at 15 fps, then the uplink dies for two bursts, then
     // recovers.
     let factors = [1.0, 1.0, 0.0, 0.0, 1.0, 1.0];
-    let run = run_degraded(p, &factors, 6, 15.0, 0.9, &RetryPolicy::default(), DegradePolicy::Ladder);
+    let run = run_degraded(p, &factors, 6, 15.0, 0.9, DegradePolicy::Ladder);
     assert_eq!(run.bursts.len(), factors.len());
     let healthy_level = run.bursts[0].level;
     assert_eq!(run.bursts[1].level, healthy_level);
@@ -173,7 +164,7 @@ fn link_dying_mid_stream_falls_to_mobile_only_and_recovers() {
     assert_eq!(run.bursts[4].level, healthy_level, "recovery must restore the healthy rung");
     assert_eq!(run.bursts[5].level, healthy_level);
     // The dead bursts each cost the mobile-only price, never more.
-    let mobile = run_degraded(p, &factors, 6, 15.0, 0.9, &RetryPolicy::default(), DegradePolicy::MobileOnly);
+    let mobile = run_degraded(p, &factors, 6, 15.0, 0.9, DegradePolicy::MobileOnly);
     for (l, m) in run.bursts.iter().zip(&mobile.bursts) {
         assert!(l.makespan_ms <= m.makespan_ms + 1e-9, "burst {}", l.burst);
     }
