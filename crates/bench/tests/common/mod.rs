@@ -16,9 +16,7 @@ pub fn reestimates(base: &RateProfile, seed: u64) -> Vec<RateProfile> {
         .map(|l| if l == 1 { 3.0 } else { 0.7 })
         .collect();
     vec![
-        base.reestimated(&seeded, 1.0, 1.3, SETUP_MS * 0.8)
-            .with_generation(1),
-        base.reestimated(&front_loaded, 1.2, 0.8, SETUP_MS * 1.4)
-            .with_generation(2),
+        base.reestimated(&seeded, 1.0, 1.3, SETUP_MS * 0.8),
+        base.reestimated(&front_loaded, 1.2, 0.8, SETUP_MS * 1.4),
     ]
 }

@@ -104,8 +104,8 @@ fn fold_ladders(mut h: u64, rate: &RateProfile, ns: &[usize]) -> u64 {
 }
 
 /// The pinned profile set with the burst sizes each is folded at: the
-/// zoo at every `n ∈ 1..=8`, then two re-estimates of every third zoo
-/// profile at `n ∈ {2, 5, 8}`.
+/// zoo's base profiles at every `n ∈ 1..=8`, then their
+/// [`pinned_reestimates`].
 fn pinned_profiles() -> Vec<(RateProfile, Vec<usize>)> {
     let zoo = monotone_zoo_rate_profiles(SETUP_MS);
     assert!(zoo.len() >= 8, "the zoo must supply a real fleet");
@@ -113,6 +113,14 @@ fn pinned_profiles() -> Vec<(RateProfile, Vec<usize>)> {
         .iter()
         .map(|rate| (rate.clone(), (1..=8).collect()))
         .collect();
+    out.extend(pinned_reestimates(&zoo));
+    out
+}
+
+/// Two re-estimates of every third profile of `zoo`, each at `n ∈ {2,
+/// 5, 8}`.
+fn pinned_reestimates(zoo: &[RateProfile]) -> Vec<(RateProfile, Vec<usize>)> {
+    let mut out = Vec::new();
     let mut plateaus = 0;
     for (i, base) in zoo.iter().enumerate().step_by(3) {
         for re in reestimates(base, 0xD1F7 + i as u64) {
@@ -303,16 +311,12 @@ fn lazy_beliefs_decide_and_compile_like_the_eager_frontier() {
     }));
     let mut rng = Rng::seed_from_u64(0x1A2F);
     let mut multi_regime = 0;
-    for (rate, ns, lo, hi) in &cases {
+    for (i, (rate, ns, lo, hi)) in cases.iter().enumerate() {
         let l_star = |b: f64| binary_search_cut(&rate.profile_at(b)).l_star;
         let several_regimes = l_star(*lo) != l_star(*hi);
         for strategy in [Strategy::Jps, Strategy::JpsBestMix] {
             for &n in ns {
-                let case = format!(
-                    "{} gen {} {strategy:?} n={n}",
-                    rate.name(),
-                    rate.generation()
-                );
+                let case = format!("case {i} ({}) {strategy:?} n={n}", rate.name());
                 let probes0 = compile_probes();
                 let eager = RateFrontier::compile(rate, strategy, n, *lo, *hi).expect("compiles");
                 let eager_probes = compile_probes() - probes0;
@@ -353,10 +357,8 @@ fn lazy_beliefs_decide_and_compile_like_the_eager_frontier() {
 
 #[test]
 fn reestimated_frontiers_match_the_planner_on_a_dense_grid() {
-    for (rate, ns) in pinned_profiles()
-        .iter()
-        .filter(|(rate, _)| rate.generation() > 0)
-    {
+    let zoo = monotone_zoo_rate_profiles(SETUP_MS);
+    for (i, (rate, ns)) in pinned_reestimates(&zoo).iter().enumerate() {
         for strategy in [Strategy::Jps, Strategy::JpsBestMix] {
             for &n in ns {
                 let frontier = RateFrontier::compile(rate, strategy, n, LO_MBPS, HI_MBPS)
@@ -364,9 +366,8 @@ fn reestimated_frontiers_match_the_planner_on_a_dense_grid() {
                 assert_eq!(
                     frontier.audit_against_planner(PLATEAU_SAMPLES),
                     0,
-                    "{} gen {} {strategy:?} n={n}",
-                    rate.name(),
-                    rate.generation()
+                    "{} re-estimate {i} {strategy:?} n={n}",
+                    rate.name()
                 );
             }
         }
@@ -395,8 +396,7 @@ fn plateau_profile_compiles_to_few_pieces_and_probes() {
         10.0,
         None,
     )
-    .expect("valid profile")
-    .with_generation(7);
+    .expect("valid profile");
     let n = 6;
     mcdnn_obs::set_enabled(true);
     let probes0 = mcdnn_obs::thread_counter_value("frontier.compile_probes");

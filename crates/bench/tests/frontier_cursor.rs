@@ -159,14 +159,10 @@ fn belief_cursor_lookups_equal_the_compiled_search() {
     let zoo = monotone_zoo_rate_profiles(SETUP_MS);
     let mut seed = 0xBE_11EF;
     for (i, base) in zoo.iter().enumerate() {
-        for rate in reestimates(base, 0x5EED + i as u64) {
+        for (j, rate) in reestimates(base, 0x5EED + i as u64).into_iter().enumerate() {
             for strategy in [Strategy::Jps, Strategy::JpsBestMix] {
                 for n in JOBS {
-                    let case = format!(
-                        "{} gen {} {strategy:?} n={n}",
-                        rate.name(),
-                        rate.generation()
-                    );
+                    let case = format!("{} re-estimate {j} {strategy:?} n={n}", rate.name());
                     let eager = RateFrontier::compile(&rate, strategy, n, LO_MBPS, HI_MBPS)
                         .expect("compiles");
                     seed += 1;

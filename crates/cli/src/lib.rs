@@ -874,7 +874,9 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
             u.degraded_bursts,
             u.hits,
             u.replans,
-            u.profile_version.generation,
+            // `gen`: the commits behind the belief the session ended
+            // on, one per replan.
+            u.replans,
             u.mean_makespan_ms,
             u.digest,
         );

@@ -123,10 +123,10 @@ impl Engine {
     }
 
     /// Drop every cached frontier, so the next fetch of any key
-    /// recompiles. The hammer to [`ProfileEstimator`](mcdnn_profile::ProfileEstimator)'s
-    /// scalpel: adaptation invalidates one tenant at a time through
-    /// versioned profiles; this invalidates everything — for cost-model
-    /// recalibrations that change profiles behind the cache's back.
+    /// recompiles — for cost-model recalibrations that change profiles
+    /// behind the cache's back. Adaptation needs no invalidation: a
+    /// [`ProfileEstimator`](mcdnn_profile::ProfileEstimator) commit
+    /// replans its own tenant on a private belief, outside the cache.
     pub fn invalidate_profiles(&self) {
         self.cache.clear();
     }

@@ -68,7 +68,7 @@ pub mod prelude {
     pub use mcdnn_partition::{Plan, PlanError, Strategy};
     pub use mcdnn_profile::{
         AdaptConfig, CloudModel, CostProfile, DeviceModel, NetworkModel, ProfileError,
-        ProfileEstimator, ProfileVersion,
+        ProfileEstimator,
     };
     pub use mcdnn_sim::{simulate, DesConfig, DriftSpec, ExecutorConfig};
 }

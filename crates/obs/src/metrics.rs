@@ -116,8 +116,7 @@ macro_rules! catalogue {
 
 catalogue! {
     counters {
-        ADAPT_COMMITS = "adapt.commits": "estimator commits that crossed the confidence gate",
-        ADAPT_RECOMPILES = "adapt.recompiles": "beliefs built (and ladders set up) after a commit",
+        ADAPT_COMMITS = "adapt.commits": "estimator commits that crossed the confidence gate, each replanned into a belief (and a serve session's ladder set up on it)",
         DEGRADE_MOBILE_ONLY = "degrade.mobile_only": "ladder decisions that ran every layer on-device",
         DEGRADE_NORMAL = "degrade.normal": "ladder decisions at the healthy rung",
         DEGRADE_RECOVERIES = "degrade.recoveries": "bursts back at the healthy rung after a degraded one",

@@ -115,7 +115,7 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use mcdnn_flowshop::kernels::{two_type_mix_makespan, uniform_makespan};
 use mcdnn_graph::LineDnn;
 use mcdnn_obs::metrics;
-use mcdnn_profile::{CloudModel, CostProfile, DeviceModel, ProfileError, ProfileVersion};
+use mcdnn_profile::{CloudModel, CostProfile, DeviceModel, ProfileError};
 use mcdnn_rng::{fnv_fold, FNV_OFFSET};
 
 use crate::alg2::{ratio_at, CutSearch};
@@ -128,6 +128,10 @@ use crate::plan::{Plan, Strategy};
 /// setup, cloud times) from which the concrete profile at any bandwidth
 /// `b` is reproduced **bit-identically** to
 /// [`CostProfile::evaluate`] under `NetworkModel::new(b, setup_ms)`.
+///
+/// A profile is its content: every frontier compiled from it is a pure
+/// function of these vectors, so the name is a label only and a
+/// re-estimate ([`RateProfile::reestimated`]) is just another profile.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RateProfile {
     name: String,
@@ -135,13 +139,6 @@ pub struct RateProfile {
     bytes: Vec<usize>,
     cloud_ms: Vec<f64>,
     setup_ms: f64,
-    /// Re-estimation generation: 0 for a factory-calibrated profile,
-    /// bumped by each committed online re-estimate (see
-    /// [`RateProfile::reestimated`]). Part of the cache key, so a
-    /// tenant's commit can never alias a stale cached frontier even if
-    /// the re-estimated stage vectors happen to round back to the old
-    /// bits.
-    generation: u64,
 }
 
 impl RateProfile {
@@ -169,7 +166,6 @@ impl RateProfile {
             bytes,
             cloud_ms,
             setup_ms,
-            generation: 0,
         }
     }
 
@@ -201,7 +197,6 @@ impl RateProfile {
             bytes,
             cloud_ms,
             setup_ms,
-            generation: 0,
         };
         // g at any bandwidth has the same zero pattern; probe at 1 Mbps.
         rate.try_profile_at(1.0).map(|_| rate)
@@ -222,31 +217,6 @@ impl RateProfile {
         self.setup_ms
     }
 
-    /// Re-estimation generation (0 = factory calibration).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The same profile stamped with an explicit generation — how an
-    /// online estimator marks the profile it rebuilt after its
-    /// `generation`-th commit. The stamp participates in cache keys and
-    /// [`PartialEq`], so even a re-estimate whose stage vectors round
-    /// back to the previous bits reads as a distinct profile.
-    pub fn with_generation(self, generation: u64) -> Self {
-        RateProfile { generation, ..self }
-    }
-
-    /// Monotone version stamp: the generation plus an FNV-1a digest of
-    /// the full content (stage bits, bytes, setup, generation) — the
-    /// key identity the plan cache discriminates on. Equal versions ⇒
-    /// bit-identical profiles.
-    pub fn version(&self) -> ProfileVersion {
-        ProfileVersion {
-            generation: self.generation,
-            digest: profile_digest(self),
-        }
-    }
-
     /// Rebuild this profile under committed estimator scales: per-layer
     /// device multipliers (`device_scales[l]` scales `f(l)`; index 0 is
     /// ignored — `f(0) = 0` by construction), one cloud multiplier, a
@@ -264,10 +234,6 @@ impl RateProfile {
     ///   estimate cannot make the mobile prefix time decrease in `l`);
     /// * bytes scale uniformly and round, which preserves the
     ///   non-increasing upload-volume property and `bytes[k] = 0`.
-    ///
-    /// The returned profile keeps this profile's generation; callers
-    /// stamp the estimator's commit count via
-    /// [`RateProfile::with_generation`].
     pub fn reestimated(
         &self,
         device_scales: &[f64],
@@ -311,7 +277,6 @@ impl RateProfile {
             bytes,
             cloud_ms,
             setup_ms: if setup_ms.is_finite() { setup_ms.max(0.0) } else { self.setup_ms },
-            generation: self.generation,
         }
     }
 
@@ -1325,12 +1290,18 @@ impl Compiler {
     }
 }
 
-/// FNV-1a digest of a profile's content — stage bits, bytes, setup,
-/// generation; name excluded. The digest half of
-/// [`RateProfile::version`] and the profile part of the cache key.
-fn profile_digest(profile: &RateProfile) -> u64 {
-    let mut h = FNV_OFFSET;
-    h = fnv_fold(h, profile.f_ms.len() as u64);
+/// FNV-1a hash of a cache query — profile stage bits, bytes and setup,
+/// strategy, job count, range — computed once per lookup with zero
+/// allocation. The profile *name* is deliberately excluded: the cache
+/// is keyed by content (see the module docs).
+fn content_hash(
+    profile: &RateProfile,
+    strategy: Strategy,
+    n: usize,
+    lo_mbps: f64,
+    hi_mbps: f64,
+) -> u64 {
+    let mut h = fnv_fold(FNV_OFFSET, profile.f_ms.len() as u64);
     for v in &profile.f_ms {
         h = fnv_fold(h, v.to_bits());
     }
@@ -1341,23 +1312,6 @@ fn profile_digest(profile: &RateProfile) -> u64 {
         h = fnv_fold(h, v.to_bits());
     }
     h = fnv_fold(h, profile.setup_ms.to_bits());
-    fnv_fold(h, profile.generation)
-}
-
-/// Content hash of a cache query — profile stage bits + generation,
-/// strategy, job count, range — computed once per lookup with zero
-/// allocation. The profile *name* is deliberately excluded: the cache
-/// is keyed by content (see the module docs). The generation *is*
-/// included, so a tenant's re-estimated profile keys a fresh entry
-/// rather than aliasing its predecessor's.
-fn content_hash(
-    profile: &RateProfile,
-    strategy: Strategy,
-    n: usize,
-    lo_mbps: f64,
-    hi_mbps: f64,
-) -> u64 {
-    let mut h = profile_digest(profile);
     h = fnv_fold(h, strategy as u64);
     h = fnv_fold(h, n as u64);
     h = fnv_fold(h, lo_mbps.to_bits());
@@ -1366,11 +1320,9 @@ fn content_hash(
 
 /// Bitwise content equality of two profiles, name excluded — the
 /// collision check behind the pre-hash. Borrows both sides; nothing is
-/// materialized. Generations must match: an estimator commit is a new
-/// identity even when the rebuilt stage vectors are bit-equal.
+/// materialized.
 fn profile_content_eq(a: &RateProfile, b: &RateProfile) -> bool {
-    a.generation == b.generation
-        && a.f_ms.len() == b.f_ms.len()
+    a.f_ms.len() == b.f_ms.len()
         && a.setup_ms.to_bits() == b.setup_ms.to_bits()
         && a.bytes == b.bytes
         && a.f_ms.iter().zip(&b.f_ms).all(|(x, y)| x.to_bits() == y.to_bits())
@@ -1411,7 +1363,10 @@ fn frontier_matches(
 ///    compiles once however many workers race for it.
 ///
 /// Entries are matched by full content comparison (never by hash
-/// alone).
+/// alone). A frontier is a pure function of its key, so profiles with
+/// equal content share one entry whatever their names, a re-estimate
+/// bit-equal to its base included. Serving fetches factory profiles
+/// only; a tenant's re-estimates stay in its private beliefs.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     entries: RwLock<Vec<(u64, Arc<RateFrontier>)>>,
@@ -1741,13 +1696,31 @@ mod tests {
     fn cache_shares_compiled_frontiers_by_content() {
         let cache = PlanCache::new();
         let rate = rate_profile();
-        let a = cache
-            .frontier(&rate, Strategy::JpsBestMix, 6, 0.1, 100.0)
-            .unwrap();
-        let b = cache
-            .frontier(&rate, Strategy::JpsBestMix, 6, 0.1, 100.0)
-            .unwrap();
+        let fetch = |p: &RateProfile| {
+            cache
+                .frontier(p, Strategy::JpsBestMix, 6, 0.1, 100.0)
+                .unwrap()
+        };
+        let a = fetch(&rate);
+        let b = fetch(&rate);
         assert!(Arc::ptr_eq(&a, &b), "second fetch must be a cache hit");
+        assert_eq!(cache.len(), 1);
+        // Another name, same content: the same entry.
+        let renamed = RateProfile::from_parts(
+            "renamed",
+            vec![0.0, 4.0, 7.0, 20.0],
+            vec![120_000, 60_000, 20_000, 0],
+            2.0,
+            None,
+        )
+        .unwrap();
+        let by_name = fetch(&renamed);
+        assert!(Arc::ptr_eq(&a, &by_name), "the name is not part of the key");
+        // A neutral re-estimate rebuilds the base bit for bit, so it is
+        // the base profile and hits its entry.
+        let neutral = rate.reestimated(&[1.0; 4], 1.0, 1.0, rate.setup_ms());
+        assert_eq!(neutral, rate);
+        assert!(Arc::ptr_eq(&a, &fetch(&neutral)));
         assert_eq!(cache.len(), 1);
         // Same name, different content: distinct entry.
         let other = RateProfile::from_parts(
@@ -1758,10 +1731,13 @@ mod tests {
             None,
         )
         .unwrap();
-        let c = cache
-            .frontier(&other, Strategy::JpsBestMix, 6, 0.1, 100.0)
-            .unwrap();
+        let c = fetch(&other);
         assert!(!Arc::ptr_eq(&a, &c));
+        assert_eq!(cache.len(), 2);
+        // Both entries keep hitting after the second insert.
+        let first = fetch(&rate);
+        assert!(Arc::ptr_eq(&a, &first), "the first entry survives");
+        assert!(Arc::ptr_eq(&c, &fetch(&other)));
         assert_eq!(cache.len(), 2);
         cache.clear();
         assert!(cache.is_empty());
@@ -1857,63 +1833,6 @@ mod tests {
         assert_eq!(compiles, 1, "one compile for one key");
         assert!(raced.iter().all(|(fr, _)| Arc::ptr_eq(fr, &raced[0].0)));
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn a_generation_bump_misses_once_and_other_entries_keep_hitting() {
-        // The drift-adaptation contract: when tenant A's estimator
-        // commits (bumping A's profile generation), A's next fetch must
-        // recompile rather than serve the stale generation, while
-        // tenant B's entry and A's *old* generation keep hitting.
-        mcdnn_obs::set_enabled(true);
-        let cache = PlanCache::new();
-        let a0 = rate_profile();
-        let b0 = RateProfile::from_parts(
-            "tenant-b",
-            vec![0.0, 3.0, 9.0, 15.0],
-            vec![90_000, 40_000, 10_000, 0],
-            1.5,
-            None,
-        )
-        .unwrap();
-        let fa0 = cache.frontier(&a0, Strategy::Jps, 6, 0.1, 80.0).unwrap();
-        let fb0 = cache.frontier(&b0, Strategy::Jps, 6, 0.1, 80.0).unwrap();
-
-        // Tenant A commits: same stage content, bumped generation.
-        let a1 = a0.clone().with_generation(1);
-        assert_ne!(a0.version(), a1.version());
-        assert_eq!(a1.version().generation, 1);
-        let miss0 = mcdnn_obs::thread_counter_value("frontier.cache.miss");
-        let fa1 = cache.frontier(&a1, Strategy::Jps, 6, 0.1, 80.0).unwrap();
-        assert_eq!(
-            mcdnn_obs::thread_counter_value("frontier.cache.miss") - miss0,
-            1,
-            "the bumped generation is a new key: must compile, not serve gen 0"
-        );
-        assert!(
-            !Arc::ptr_eq(&fa0, &fa1),
-            "stale generation must not resurface for the bumped tenant"
-        );
-        assert_eq!(
-            fa0.breakpoints(),
-            fa1.breakpoints(),
-            "identical stage content recompiles to an identical frontier"
-        );
-
-        // Tenant B and A's old generation still hit the same entries.
-        let hit1 = mcdnn_obs::thread_counter_value("frontier.cache.hit");
-        let miss1 = mcdnn_obs::thread_counter_value("frontier.cache.miss");
-        let fb1 = cache.frontier(&b0, Strategy::Jps, 6, 0.1, 80.0).unwrap();
-        let fa0_again = cache.frontier(&a0, Strategy::Jps, 6, 0.1, 80.0).unwrap();
-        assert!(Arc::ptr_eq(&fb0, &fb1), "other tenants' frontiers stay shared");
-        assert!(Arc::ptr_eq(&fa0, &fa0_again), "the old generation is not clobbered");
-        assert_eq!(mcdnn_obs::thread_counter_value("frontier.cache.hit") - hit1, 2);
-        assert_eq!(
-            mcdnn_obs::thread_counter_value("frontier.cache.miss") - miss1,
-            0,
-            "neither fetch after the bump may miss"
-        );
-        assert_eq!(cache.len(), 3);
     }
 
     #[test]

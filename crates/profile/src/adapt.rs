@@ -15,43 +15,18 @@
 //!   re-learning the paper's `(w0, w1)` online.
 //! * [`ProfileEstimator`] — one per tenant: per-layer device scales, a
 //!   cloud scale, and the upload regression, with **confidence gating**
-//!   — estimates accumulate freely, but a commit (and hence a plan
-//!   invalidation) only happens once 8 observations have arrived *and*
-//!   some committed parameter would move by at least 5% (relative).
-//!   Between commits the serving path is read-only and allocation-free.
-//! * [`ProfileVersion`] — the monotone (generation, content digest)
-//!   pair that stamps a re-estimated profile: reported per user in the
-//!   serving reports and part of the profile's content key, so it can
-//!   never alias its predecessor in a cache. Replans compile their
-//!   frontiers privately, outside the shared plan cache.
+//!   — estimates accumulate freely, but a commit (and hence a replan)
+//!   only happens once 8 observations have arrived *and* some
+//!   committed parameter would move by at least 5% (relative). Between
+//!   commits the serving path is read-only and allocation-free. A
+//!   replan builds a belief private to its tenant, outside the shared
+//!   plan cache.
 //!
 //! Everything here is deterministic in the observation stream: no
 //! clocks, no RNG — two estimators fed the same samples in the same
 //! order are bit-identical, whatever thread they live on.
 
-use mcdnn_rng::{fnv_fold, FNV_OFFSET};
-
 use crate::regression::LinearRegression;
-
-/// Monotone version stamp for a (re-estimated) profile: a generation
-/// counter that only moves forward plus an FNV-1a digest of the
-/// committed parameter values. Two profiles with equal versions carry
-/// bit-identical cost vectors; a commit bumps the generation so cache
-/// keys derived from the version can never alias a stale frontier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ProfileVersion {
-    /// Commit counter — 0 for the factory-calibrated base profile.
-    pub generation: u64,
-    /// FNV-1a digest of the committed parameters (or profile content).
-    pub digest: u64,
-}
-
-impl ProfileVersion {
-    /// Version of an untouched base profile with the given content digest.
-    pub fn base(digest: u64) -> Self {
-        ProfileVersion { generation: 0, digest }
-    }
-}
 
 /// Debiased exponentially-weighted moving average.
 ///
@@ -193,7 +168,6 @@ pub struct ProfileEstimator {
     committed_w1: f64,
     base_setup_ms: f64,
     observations: u64,
-    commits: u64,
     /// Set the moment any sample lands `GATE / 2` (relative) away from
     /// its committed value, cleared on commit. While false the full
     /// gate scan is provably redundant — a debiased EWMA is a convex
@@ -220,7 +194,6 @@ impl ProfileEstimator {
             committed_w1: 1.0,
             base_setup_ms,
             observations: 0,
-            commits: 0,
             suspect: false,
         }
     }
@@ -295,12 +268,6 @@ impl ProfileEstimator {
         self.committed_w1
     }
 
-    /// Commits performed so far — the generation a profile rebuilt from
-    /// this estimator should carry.
-    pub fn commits(&self) -> u64 {
-        self.commits
-    }
-
     #[inline]
     fn moved(&self, est: f64, committed: f64) -> bool {
         let denom = committed.abs().max(1e-9);
@@ -348,10 +315,9 @@ impl ProfileEstimator {
     }
 
     /// Fold the current estimates into the committed snapshot if the
-    /// gate is crossed. Returns `true` (and bumps the generation) only
-    /// when something actually moved; a `false` return means the
-    /// committed snapshot — and every plan built from it — is
-    /// untouched.
+    /// gate is crossed. Returns `true` only when something actually
+    /// moved; a `false` return means the committed snapshot — and every
+    /// plan built from it — is untouched.
     pub fn commit(&mut self) -> bool {
         if !self.gate_crossed() {
             return false;
@@ -370,29 +336,10 @@ impl ProfileEstimator {
             self.committed_w0 = fit.w0.max(0.0);
             self.committed_w1 = fit.w1.max(0.0);
         }
-        self.commits += 1;
         // The estimates just became the committed values; stay cheap
         // until some sample deviates from the new snapshot.
         self.suspect = false;
         true
-    }
-
-    /// Version stamp of the committed snapshot: generation = commit
-    /// count, digest = FNV-1a over every committed parameter's bits.
-    /// Bit-identical observation streams yield bit-identical stamps.
-    pub fn version(&self) -> ProfileVersion {
-        let mut h = fnv_fold(FNV_OFFSET, self.commits);
-        h = fnv_fold(h, self.committed_device.len() as u64);
-        for &d in &self.committed_device {
-            h = fnv_fold(h, d.to_bits());
-        }
-        h = fnv_fold(h, self.committed_cloud.to_bits());
-        h = fnv_fold(h, self.committed_w0.to_bits());
-        h = fnv_fold(h, self.committed_w1.to_bits());
-        ProfileVersion {
-            generation: self.commits,
-            digest: h,
-        }
     }
 }
 
@@ -472,10 +419,8 @@ mod tests {
         }
         assert!(est.gate_crossed());
         assert!(est.commit());
-        assert_eq!(est.commits(), 1);
         assert!((est.device_scales()[4] - 1.5).abs() < 0.05);
         assert!(!est.commit(), "second commit with no new drift is a no-op");
-        assert_eq!(est.commits(), 1);
     }
 
     #[test]
@@ -494,11 +439,14 @@ mod tests {
     }
 
     #[test]
-    fn version_is_deterministic_and_moves_only_on_commit() {
+    fn estimator_is_deterministic_and_moves_only_on_commit() {
+        let committed = |e: &ProfileEstimator| {
+            let scales = e.device_scales().to_vec();
+            (scales, e.cloud_scale(), e.setup_ms(), e.upload_scale())
+        };
         let mut a = ProfileEstimator::new(3, 10.0);
         let mut b = ProfileEstimator::new(3, 10.0);
-        let v0 = a.version();
-        assert_eq!(v0.generation, 0);
+        let factory = committed(&a);
         for i in 0..32 {
             let r = 1.3 + (i % 5) as f64 * 0.01;
             a.observe_device(3, r);
@@ -506,13 +454,16 @@ mod tests {
             a.observe_cloud(1.1);
             b.observe_cloud(1.1);
         }
-        // Identical streams ⇒ identical stamps, before and after commit.
-        assert_eq!(a.version(), b.version());
-        assert_eq!(a.version(), v0, "observations alone never move the version");
+        // Identical streams ⇒ identical estimators, before and after commit.
+        assert_eq!(a, b);
+        assert_eq!(
+            committed(&a),
+            factory,
+            "observations alone never move the committed scales"
+        );
         assert!(a.commit() && b.commit());
-        assert_eq!(a.version(), b.version());
-        assert_eq!(a.version().generation, 1);
-        assert_ne!(a.version().digest, v0.digest);
+        assert_eq!(a, b);
+        assert_ne!(committed(&a), factory, "a commit moves them");
     }
 
     #[test]

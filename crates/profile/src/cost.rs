@@ -3,7 +3,6 @@
 //! partition and scheduling algorithms.
 
 use mcdnn_graph::LineDnn;
-use mcdnn_rng::{fnv_fold, FNV_OFFSET};
 
 use crate::device::{CloudModel, DeviceModel};
 use crate::network::NetworkModel;
@@ -259,22 +258,6 @@ impl CostProfile {
             .find(|&l| self.f(l) >= self.g(l))
             .expect("f(k) >= 0 = g(k) guarantees existence")
     }
-
-    /// Version stamp of this profile: generation 0 (a `CostProfile` is
-    /// an immutable snapshot at one fixed bandwidth — re-estimation
-    /// builds a *new* profile) plus an FNV-1a digest over the stage
-    /// vectors. Two profiles with equal digests carry bit-identical
-    /// `(f, g, cloud)` content; the name is deliberately excluded so
-    /// renamed but identical workloads share a version.
-    pub fn version(&self) -> crate::adapt::ProfileVersion {
-        let mut h = fnv_fold(FNV_OFFSET, self.f_ms.len() as u64);
-        for vec in [&self.f_ms, &self.g_ms, &self.cloud_ms] {
-            for &v in vec.iter() {
-                h = fnv_fold(h, v.to_bits());
-            }
-        }
-        crate::adapt::ProfileVersion::base(h)
-    }
 }
 
 #[cfg(test)]
@@ -413,16 +396,6 @@ mod tests {
         assert!(ProfileError::NonzeroF0 { value: 1.0 }
             .to_string()
             .contains("f(0) must be 0"));
-    }
-
-    #[test]
-    fn version_digests_content_not_name() {
-        let a = CostProfile::from_vectors("a", vec![0.0, 2.0], vec![5.0, 0.0], None);
-        let b = CostProfile::from_vectors("b", vec![0.0, 2.0], vec![5.0, 0.0], None);
-        let c = CostProfile::from_vectors("a", vec![0.0, 3.0], vec![5.0, 0.0], None);
-        assert_eq!(a.version(), b.version(), "name excluded from the digest");
-        assert_ne!(a.version(), c.version(), "content folded into the digest");
-        assert_eq!(a.version().generation, 0);
     }
 
     #[test]

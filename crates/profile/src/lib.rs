@@ -30,7 +30,7 @@ pub mod measure;
 pub mod network;
 pub mod regression;
 
-pub use adapt::{AdaptConfig, ProfileEstimator, ProfileVersion};
+pub use adapt::{AdaptConfig, ProfileEstimator};
 pub use cost::{CostProfile, ProfileError};
 pub use device::{CloudModel, DeviceModel};
 pub use energy::EnergyModel;

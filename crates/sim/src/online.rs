@@ -14,6 +14,8 @@
 //! The gap `Static ≥ Estimated ≥ Oracle` quantifies the value of the
 //! paper's lightweight online profiling loop.
 
+use std::cmp::Ordering;
+
 use mcdnn_graph::LineDnn;
 use mcdnn_obs::metrics;
 use mcdnn_partition::{CutMix, PlanError, RateFrontier, RateProfile, Strategy};
@@ -42,26 +44,41 @@ pub enum BandwidthTrace {
         good: f64,
         /// Bandwidth in the bad state, Mbps.
         bad: f64,
-        /// Probability of switching state between bursts.
+        /// Probability of switching state between bursts, in `[0, 1]`.
         switch_prob: f64,
         /// RNG seed.
         seed: u64,
     },
-    /// Explicit per-burst samples (cycled when exhausted).
+    /// Explicit per-burst samples, at least one (cycled when exhausted).
     Samples(Vec<f64>),
 }
 
 impl BandwidthTrace {
-    /// Materialise the first `bursts` bandwidths.
-    pub(crate) fn realize(&self, bursts: usize) -> Vec<f64> {
-        match self {
+    /// Materialise the first `bursts` bandwidths, or
+    /// [`PlanError::BadInput`] for a malformed trace: a sine whose
+    /// amplitude is not below its centre, an empty sample list or a
+    /// switch probability outside `[0, 1]`, at any burst count, or a NaN
+    /// among the bandwidths realized.
+    pub(crate) fn realize(&self, bursts: usize) -> Result<Vec<f64>, PlanError> {
+        let reject = |what| Err(PlanError::BadInput { what });
+        let truth = match self {
             BandwidthTrace::Constant(b) => vec![*b; bursts],
-            BandwidthTrace::Sine { mid, amp, period } => {
-                assert!(amp < mid, "amplitude must keep bandwidth positive");
-                (0..bursts)
-                    .map(|i| mid + amp * (2.0 * std::f64::consts::PI * i as f64 / period).sin())
-                    .collect()
+            BandwidthTrace::Sine { mid, amp, .. }
+                if amp.partial_cmp(mid) != Some(Ordering::Less) =>
+            {
+                return reject("a sine trace's amplitude must stay below its centre");
             }
+            BandwidthTrace::GilbertElliott { switch_prob, .. }
+                if !(0.0..=1.0).contains(switch_prob) =>
+            {
+                return reject("a Gilbert-Elliott switch probability must lie in [0, 1]");
+            }
+            BandwidthTrace::Samples(v) if v.is_empty() => {
+                return reject("a sample trace needs at least one sample");
+            }
+            BandwidthTrace::Sine { mid, amp, period } => (0..bursts)
+                .map(|i| mid + amp * (2.0 * std::f64::consts::PI * i as f64 / period).sin())
+                .collect(),
             BandwidthTrace::GilbertElliott {
                 good,
                 bad,
@@ -83,11 +100,12 @@ impl BandwidthTrace {
                     })
                     .collect()
             }
-            BandwidthTrace::Samples(v) => {
-                assert!(!v.is_empty(), "need at least one sample");
-                (0..bursts).map(|i| v[i % v.len()]).collect()
-            }
+            BandwidthTrace::Samples(v) => (0..bursts).map(|i| v[i % v.len()]).collect(),
+        };
+        if truth.iter().any(|b| b.is_nan()) {
+            return reject("trace bandwidths must not be NaN");
         }
+        Ok(truth)
     }
 }
 
@@ -133,9 +151,13 @@ impl OnlineResult {
 /// `(line, mobile, jobs_per_burst)`, compiled once per run
 /// ([`RateFrontier::compile`]), after which each burst is an O(log B)
 /// breakpoint lookup plus an O(1) kernel pricing at the true bandwidth.
-/// An input the frontier cannot compile (no jobs, a non-positive
-/// bandwidth, a non-monotone profile) is the frontier's typed error, as
-/// in [`Strategy::try_plan`]; zero bursts is an empty result.
+/// A malformed trace (see [`BandwidthTrace`]'s variants: a sine
+/// amplitude not below its centre, no samples, a switch probability
+/// outside `[0, 1]`, a NaN bandwidth) is [`PlanError::BadInput`],
+/// checked before any burst is planned. An input the frontier cannot
+/// compile (no jobs, a non-positive bandwidth, a non-monotone profile)
+/// is the frontier's typed error, as in [`Strategy::try_plan`]; zero
+/// bursts of a well-formed trace is an empty result.
 pub fn run_online(
     line: &LineDnn,
     mobile: &DeviceModel,
@@ -146,7 +168,7 @@ pub fn run_online(
     policy: ReplanPolicy,
 ) -> Result<OnlineResult, PlanError> {
     let _span = mcdnn_obs::span("sim", "run_online");
-    let truth = trace.realize(bursts);
+    let truth = trace.realize(bursts)?;
     let mut burst_makespans_ms = Vec::with_capacity(bursts);
     let mut believed_mbps = Vec::with_capacity(bursts);
     if truth.is_empty() {
@@ -253,13 +275,14 @@ mod tests {
 
     #[test]
     fn traces_realize_expected_shapes() {
-        assert_eq!(BandwidthTrace::Constant(5.0).realize(3), vec![5.0; 3]);
+        assert_eq!(BandwidthTrace::Constant(5.0).realize(3), Ok(vec![5.0; 3]));
         let sine = BandwidthTrace::Sine {
             mid: 10.0,
             amp: 5.0,
             period: 8.0,
         }
-        .realize(16);
+        .realize(16)
+        .unwrap();
         assert!(sine.iter().all(|&b| (5.0..=15.0).contains(&b)));
         assert!(sine.iter().any(|&b| b > 12.0) && sine.iter().any(|&b| b < 8.0));
         let ge = BandwidthTrace::GilbertElliott {
@@ -268,11 +291,12 @@ mod tests {
             switch_prob: 0.3,
             seed: 1,
         }
-        .realize(50);
+        .realize(50)
+        .unwrap();
         assert!(ge.iter().all(|&b| b == 20.0 || b == 2.0));
         assert!(ge.contains(&20.0) && ge.contains(&2.0));
         let s = BandwidthTrace::Samples(vec![1.0, 2.0]).realize(5);
-        assert_eq!(s, vec![1.0, 2.0, 1.0, 2.0, 1.0]);
+        assert_eq!(s, Ok(vec![1.0, 2.0, 1.0, 2.0, 1.0]));
     }
 
     #[test]
@@ -362,7 +386,7 @@ mod tests {
         };
         let l = line();
         let m = mobile();
-        let truth = trace.realize(12);
+        let truth = trace.realize(12).unwrap();
         let oracle = run_online(&l, &m, &trace, 12, 8, 10.0, ReplanPolicy::Oracle).unwrap();
         for (i, &bw) in truth.iter().enumerate() {
             let net = NetworkModel::new(bw, 10.0);
@@ -406,6 +430,46 @@ mod tests {
         );
         let bumpy = run_online(&growing, &m, &trace, 5, 4, 10.0, ReplanPolicy::Oracle);
         assert!(matches!(bumpy, Err(PlanError::NonMonotoneG { .. })));
+    }
+
+    #[test]
+    fn malformed_traces_are_typed_errors_not_panics() {
+        let (l, m) = (line(), mobile());
+        let sine = |mid, amp| BandwidthTrace::Sine {
+            mid,
+            amp,
+            period: 8.0,
+        };
+        let switching = |switch_prob| BandwidthTrace::GilbertElliott {
+            good: 20.0,
+            bad: 2.0,
+            switch_prob,
+            seed: 1,
+        };
+        let samples = BandwidthTrace::Samples;
+        let with_nan = || samples(vec![8.0, f64::NAN]);
+        let estimated = ReplanPolicy::Estimated {
+            noise_frac: 0.05,
+            seed: 1,
+        };
+        let oracle = ReplanPolicy::Oracle;
+        let cases = [
+            ("sine amplitude = centre", sine(5.0, 5.0), 4, oracle),
+            ("... at zero bursts", sine(5.0, 5.0), 0, oracle),
+            ("NaN sine centre", sine(f64::NAN, 1.0), 4, oracle),
+            ("no samples, zero bursts", samples(vec![]), 0, oracle),
+            ("switch probability 1.5", switching(1.5), 4, oracle),
+            ("switch probability -0.1", switching(-0.1), 4, oracle),
+            ("NaN switch probability", switching(f64::NAN), 4, oracle),
+            ("NaN sample, oracle", with_nan(), 4, oracle),
+            ("NaN sample, static", with_nan(), 4, ReplanPolicy::Static),
+            ("NaN sample, estimated", with_nan(), 4, estimated),
+        ];
+        for (case, trace, bursts, policy) in cases {
+            let got = run_online(&l, &m, &trace, bursts, 4, 10.0, policy);
+            let typed = matches!(got, Err(PlanError::BadInput { .. }));
+            assert!(typed, "{case}: {got:?}");
+        }
     }
 
     #[test]

@@ -66,7 +66,7 @@ use std::sync::Arc;
 use mcdnn_flowshop::FlowJob;
 use mcdnn_obs::metrics;
 use mcdnn_partition::{CutMix, PlanCache, PlanError, RateProfile, Strategy};
-use mcdnn_profile::{AdaptConfig, ProfileVersion};
+use mcdnn_profile::AdaptConfig;
 use mcdnn_rng::{fnv_fold, Rng, FNV_OFFSET};
 use mcdnn_runtime::WorkerPool;
 
@@ -487,9 +487,9 @@ impl UserSession {
     /// Commit gated estimates and replan if this burst sits on a
     /// commit boundary (every 16 bursts) and the estimator's confidence
     /// gate is crossed: the believed profile is rebuilt **from the factory
-    /// base** under the committed scales, stamped with the estimator's
-    /// generation, made a belief private to this session (its regimes
-    /// walked as bursts reach them) and the ladder set up on it.
+    /// base** under the committed scales, made a belief private to this
+    /// session (its regimes walked as bursts reach them) and the ladder
+    /// set up on it.
     /// Returns `true` only when a replan happened; without adaptation,
     /// or between boundaries, or while the gate holds, this is a
     /// read-only, allocation-free check.
@@ -515,10 +515,9 @@ impl UserSession {
     /// Close the session into its summary; dropping it folds its
     /// tallies into the registry.
     pub fn finish(self) -> UserSummary {
-        let profile = self.core.profile();
         UserSummary {
             id: self.id,
-            model: profile.name().to_string(),
+            model: self.core.profile().name().to_string(),
             strategy: self.strategy,
             n_jobs: self.n_jobs,
             bursts: self.bursts,
@@ -532,7 +531,6 @@ impl UserSession {
             } else {
                 self.makespan_sum_ms / self.bursts as f64
             },
-            profile_version: profile.version(),
             digest: self.digest,
         }
     }
@@ -597,9 +595,6 @@ pub struct UserSummary {
     pub replans: u64,
     /// Mean burst makespan, ms.
     pub mean_makespan_ms: f64,
-    /// Version of the believed profile the session ended on
-    /// (generation 0 unless adaptation committed).
-    pub profile_version: ProfileVersion,
     /// FNV-1a digest of the full burst history (see module docs).
     pub digest: u64,
 }
@@ -906,7 +901,7 @@ mod tests {
         assert_eq!(off.fleet_digest, on.fleet_digest);
         assert_eq!(on.total_replans, 0, "ratios of exactly 1.0 never cross the gate");
         for u in &on.users {
-            assert_eq!(u.profile_version.generation, 0);
+            assert_eq!(u.replans, 0);
             assert_eq!(u.hits, u.bursts, "no drift ⇒ every burst hits");
         }
     }
@@ -921,8 +916,8 @@ mod tests {
         // produces. Any change to draw order or estimator feeds moves it.
         assert_eq!(serial.fleet_digest, 0x08a0_9d5f_3923_00b9);
         assert!(
-            serial.users.iter().any(|u| u.profile_version.generation > 0),
-            "some session must end on a committed generation"
+            serial.users.iter().any(|u| u.replans > 0),
+            "some session must end on a committed belief"
         );
         for workers in [1usize, 2, 4, 8] {
             let pool = WorkerPool::new(workers);

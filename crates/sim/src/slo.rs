@@ -299,9 +299,8 @@ pub struct SloConfig {
     /// Online profile learning: `Some` observes realized per-request
     /// timings in each tenant's stream and commits gated estimates at
     /// deterministic sequence boundaries (every 16 requests), rebuilding
-    /// the tenant's private belief under a bumped generation. Stream
-    /// generation stays pure per tenant, so pooled and serial runs
-    /// remain byte-equal. Adaptive regeneration is excluded from the
+    /// the tenant's private belief. Stream generation stays pure per
+    /// tenant, so pooled and serial runs remain byte-equal. Adaptive regeneration is excluded from the
     /// warm arena's no-allocation contract.
     pub adapt: Option<AdaptConfig>,
 }
@@ -496,9 +495,8 @@ fn rung_cost(
 /// [`UserSession`](crate::serve::UserSession) runs inside this pure
 /// per-tenant function: realized stage timings feed the estimator, and
 /// a commit at a sequence boundary (every 16 requests) rebuilds the
-/// tenant's private belief under a bumped generation, so the nominal
-/// service times, and with them the deadlines, of later requests
-/// reflect the adapted beliefs. The scheduler itself is untouched —
+/// tenant's private belief, so the nominal service times, and with
+/// them the deadlines, of later requests reflect the adapted beliefs. The scheduler itself is untouched —
 /// pooled/serial byte-equality is preserved by construction. Once the
 /// stream is complete, the belief it ended on is walked in full, since
 /// dispatch prices every piece of it; each request's rung pieces are
@@ -974,6 +972,15 @@ struct SchedState {
 /// [`joint_allocate`] at each tenant's representative bandwidth (the
 /// geometric mean of its generated stream — a pure function of the
 /// streams, so pooled and serial runs agree bit for bit).
+///
+/// Oblivious mode is not `oblivious_allocation`, the baseline
+/// `joint_allocate`'s dominance is tested against: that one splits the
+/// pool equally among the tenants whose frontier cut offloads at the
+/// bandwidth each `JointTenant` carries, while this one gives all `T`
+/// tenants `min(1, C / T)`, offloading or not. The dominance is also
+/// over the worst completion `max_i T_i`, not hit rate, so it makes no
+/// claim about these runs (joint loses at one server in
+/// `BENCH_joint.json`).
 fn cloud_share_plan(
     shares: &mut Vec<f64>,
     streams: &[Vec<SloRequest>],

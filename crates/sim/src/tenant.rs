@@ -303,9 +303,8 @@ impl Tenant {
     }
 
     /// The replan after a commit: the believed profile is rebuilt **from
-    /// the factory base** under the committed scales, stamped with the
-    /// estimator's generation and made a belief private to this tenant,
-    /// validated now and walked on use. Only this tenant, or an
+    /// the factory base** under the committed scales and made a belief
+    /// private to this tenant, validated now and walked on use. Only this tenant, or an
     /// identical re-run of it, could ask for a re-estimate, so it
     /// bypasses the shared [`PlanCache`], which holds factory frontiers
     /// only; SLO runs that compare policies on one fleet generate once
@@ -321,14 +320,12 @@ impl Tenant {
             let err = (committed - truth.device_scale).abs() / truth.device_scale.max(1e-9);
             metrics::ADAPT_EST_ERR_REL.observe(err);
         }
-        let believed = base
-            .reestimated(
-                est.device_scales(),
-                est.cloud_scale(),
-                est.upload_scale(),
-                est.setup_ms(),
-            )
-            .with_generation(est.commits());
+        let believed = base.reestimated(
+            est.device_scales(),
+            est.cloud_scale(),
+            est.upload_scale(),
+            est.setup_ms(),
+        );
         self.belief = Some(LazyFrontier::new(
             believed,
             self.strategy,
@@ -337,7 +334,6 @@ impl Tenant {
             self.hi_mbps,
         )?);
         self.plan_cursor = FrontierCursor::default();
-        metrics::ADAPT_RECOMPILES.add(1);
         metrics::ADAPT_STALENESS_BURSTS.observe((self.steps - self.last_replan) as f64);
         self.last_replan = self.steps;
         self.replans += 1;
